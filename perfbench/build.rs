@@ -1,0 +1,17 @@
+//! Records the compiler version for the report's host fingerprint, so the
+//! benchmark itself never spawns a process to ask for it.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|output| output.status.success())
+        .map(|output| String::from_utf8_lossy(&output.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC_VERSION={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}

@@ -2,8 +2,9 @@
 //!
 //! Times the kernels everything else is built on (MOSFET evaluation, the
 //! MNA/LU solve, DC/AC analysis of the OTA test bench, batch evaluation,
-//! one shard round-trip through each data plane) plus the full reduced
-//! flow, and writes a schema-versioned JSON report:
+//! one shard round-trip through each data plane, the JSON codec on a
+//! paper-sized result) plus the full reduced flow, and writes a
+//! schema-versioned JSON report:
 //!
 //! ```text
 //! bench [--quick] [--out FILE] [--check BASELINE | --check-latest DIR]
@@ -32,7 +33,7 @@ use ayb_bench::{load_newest_baseline, BenchReport, KernelReport, BENCH_SCHEMA_VE
 use ayb_circuit::ota::{build_open_loop_testbench, OtaParameters, OtaTestbenchConfig};
 use ayb_circuit::{Mosfet, MosfetModelCard, NodeId};
 use ayb_core::{FlowBuilder, FlowConfig, OtaSizingProblem};
-use ayb_moo::{CachedProblem, ShardTransport, SizingProblem};
+use ayb_moo::{CachedProblem, Evaluation, ShardTransport, SizingProblem};
 use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 use ayb_sim::linalg::{backend_of, solve_in_place, CsrMatrix, DenseMatrix, PatternBuilder};
 use ayb_sim::{
@@ -42,6 +43,7 @@ use ayb_sim::{
 use ayb_store::{
     ShardDataPlane, ShardOutcome, ShardWork, ShardWorkKind, VariationOutcome, VariationPointWork,
 };
+use serde::{Serialize, Value};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::{Duration, Instant, SystemTime};
@@ -371,6 +373,49 @@ fn bench_shard_roundtrip_tcp(iters: u64) -> KernelReport {
     })
 }
 
+/// A synthetic result shaped and sized like a paper-scale `result.json`
+/// (7.5 MB of pretty JSON): the 10 000-evaluation archive, stored twice
+/// as `FlowResult` stores it, and a 300-point front.
+fn synthetic_paper_result() -> Value {
+    let archive: Vec<Evaluation> = gene_batch(10_000, 8)
+        .into_iter()
+        .map(|parameters| {
+            let objectives = vec![40.0 + 40.0 * parameters[0], 1e6 * parameters[1]];
+            Evaluation::new(parameters, objectives)
+        })
+        .collect();
+    let archive_value = archive.to_value();
+    Value::Object(vec![
+        ("archive".to_string(), archive_value.clone()),
+        ("pareto".to_string(), archive[..300].to_value()),
+        (
+            "optimization".to_string(),
+            Value::Object(vec![
+                ("archive".to_string(), archive_value),
+                ("evaluations".to_string(), Value::Int(10_000)),
+            ]),
+        ),
+    ])
+}
+
+/// Renders the synthetic paper-sized result as pretty JSON — the result
+/// write of every durable run.
+fn bench_json_encode_paper_result(iters: u64) -> KernelReport {
+    let result = synthetic_paper_result();
+    time_kernel("json_encode_paper_result", iters, 1, || {
+        black_box(serde_json::to_string_pretty(black_box(&result)).expect("result renders"));
+    })
+}
+
+/// Decodes the synthetic paper-sized result — what `ayb show`, resume and a
+/// result-cache hit pay per read.
+fn bench_json_decode_paper_result(iters: u64) -> KernelReport {
+    let text = serde_json::to_string_pretty(&synthetic_paper_result()).expect("result renders");
+    time_kernel("json_decode_paper_result", iters, 1, || {
+        black_box(serde_json::from_str::<Value>(black_box(&text)).expect("result decodes"));
+    })
+}
+
 /// The end-to-end flow at `FlowConfig::reduced()` scale: optimisation,
 /// Monte Carlo variation analysis and model build, all in-process.
 fn bench_full_flow_reduced(iters: u64) -> KernelReport {
@@ -407,6 +452,8 @@ fn run_all(quick: bool) -> BenchReport {
             bench_shard_roundtrip_disk(macro_),
             bench_variation_batch_roundtrip_disk(macro_),
             bench_shard_roundtrip_tcp(macro_),
+            bench_json_encode_paper_result(macro_),
+            bench_json_decode_paper_result(macro_),
             bench_full_flow_reduced(flow),
         ],
     }

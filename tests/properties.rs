@@ -692,8 +692,9 @@ proptest! {
 // connection is answered normally.
 
 /// Writes `bytes`, half-closes, then drains whatever the peer says until it
-/// hangs up. Read timeouts are treated as the peer's (acceptable) silence.
-fn abuse_socket(addr: std::net::SocketAddr, bytes: &[u8]) {
+/// hangs up and returns it. Read timeouts are treated as the peer's
+/// (acceptable) silence.
+fn abuse_socket(addr: std::net::SocketAddr, bytes: &[u8]) -> Vec<u8> {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).expect("abuse connection");
     stream
@@ -702,8 +703,22 @@ fn abuse_socket(addr: std::net::SocketAddr, bytes: &[u8]) {
     // The listener may already have dropped us mid-write; that is fine.
     let _ = stream.write_all(bytes);
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut sink = Vec::new();
-    let _ = stream.read_to_end(&mut sink);
+    let mut reply = Vec::new();
+    let _ = stream.read_to_end(&mut reply);
+    reply
+}
+
+/// Syntactically plausible JSON nested `depth` levels deep and never
+/// closed: arrays for an even depth, objects for an odd one. Far past the
+/// parser's nesting cap, it must be rejected rather than recursed into until
+/// the connection thread's stack overflows.
+fn deeply_nested_json(depth: usize) -> Vec<u8> {
+    let open: &[u8] = if depth.is_multiple_of(2) {
+        b"["
+    } else {
+        b"{\"k\":"
+    };
+    open.repeat(depth)
 }
 
 proptest! {
@@ -711,13 +726,14 @@ proptest! {
     // fast while still sampling structurally different garbage.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The coordinator survives raw garbage, a truncated frame, and a frame
-    /// header announcing an absurd length — and still answers a well-formed
-    /// `Stats` request afterwards.
+    /// The coordinator survives raw garbage, a truncated frame, a frame
+    /// header announcing an absurd length, and a deeply nested frame — and
+    /// still answers a well-formed `Stats` request afterwards.
     #[test]
     fn coordinator_survives_hostile_bytes_on_the_wire(
         raw in proptest::collection::vec(0u32..256, 0usize..512),
         announced in (ayb_net::wire::MAX_FRAME_BYTES as u32 + 1)..u32::MAX,
+        depth in 20_000usize..200_000,
     ) {
         use ayb_net::wire::{read_frame, write_frame, Request, Response};
         use ayb_net::{Coordinator, CoordinatorConfig};
@@ -738,6 +754,20 @@ proptest! {
         let mut truncated = 64u32.to_be_bytes().to_vec();
         truncated.extend_from_slice(&garbage[..garbage.len().min(32)]);
         abuse_socket(addr, &truncated);
+        // Deep nesting: a complete frame the decoder must refuse; the
+        // coordinator drops the connection without a reply.
+        let nested = deeply_nested_json(depth);
+        let mut frame = u32::try_from(nested.len())
+            .expect("frame length fits u32")
+            .to_be_bytes()
+            .to_vec();
+        frame.extend_from_slice(&nested);
+        let reply = abuse_socket(addr, &frame);
+        prop_assert!(
+            reply.is_empty(),
+            "coordinator answered a {depth}-deep frame with {} bytes",
+            reply.len()
+        );
 
         // A fresh, well-formed connection is served as if nothing happened.
         let mut stream = std::net::TcpStream::connect(addr).expect("stats connection");
@@ -753,13 +783,15 @@ proptest! {
         coordinator.shutdown();
     }
 
-    /// The HTTP listener survives garbage request lines, header floods, and
-    /// oversized content-length announcements — each abusive connection gets
-    /// a 4xx or a clean close, and `GET /v1/metrics` still answers afterwards.
+    /// The HTTP listener survives garbage request lines, header floods,
+    /// oversized content-length announcements, and deeply nested bodies —
+    /// each abusive connection gets a 4xx or a clean close, and
+    /// `GET /v1/metrics` still answers afterwards.
     #[test]
     fn http_listener_survives_hostile_bytes_on_the_wire(
         raw in proptest::collection::vec(0u32..256, 0usize..512),
         flood_lines in 70usize..120,
+        depth in 20_000usize..200_000,
     ) {
         use ayb_svc::{SvcClient, SvcConfig, SvcServer};
 
@@ -802,6 +834,20 @@ proptest! {
         abuse_socket(
             addr,
             b"POST /v1/runs HTTP/1.1\r\ncontent-length: 100\r\n\r\n{\"seed\"",
+        );
+        // A complete body nested far past the decoder's cap is a 400.
+        let nested = deeply_nested_json(depth);
+        let mut deep = format!(
+            "POST /v1/runs HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            nested.len()
+        )
+        .into_bytes();
+        deep.extend_from_slice(&nested);
+        let reply = abuse_socket(addr, &deep);
+        prop_assert!(
+            reply.starts_with(b"HTTP/1.1 400"),
+            "a {depth}-deep body was answered with {:?}",
+            String::from_utf8_lossy(&reply[..reply.len().min(80)])
         );
 
         // The listener still serves well-formed traffic.

@@ -12,13 +12,12 @@
 //!
 //! ```text
 //! <root>/cache/
-//!     digest_index.json        # the index: digest → run id, insert time, hits
-//!     digest_index.lock        # writer mutual exclusion (create_new + retry)
+//!     entries/<digest>.json    # one entry: run id, insert time, hits
 //!     results/<digest>.json    # content-addressed copy of the run's result
 //! ```
 //!
-//! The index entry *points at* the completed run (`runs/<id>/result.json`),
-//! and insertion also copies the result into `results/<digest>.json` — the
+//! An entry *points at* the completed run (`runs/<id>/result.json`), and
+//! insertion also copies the result into `results/<digest>.json` — the
 //! content-addressed blob is what lets a cache hit outlive store GC of the
 //! run directory. [`ResultCache::load_result`] prefers the blob and falls
 //! back to the run's own `result.json` when the blob is missing (e.g. an
@@ -26,36 +25,31 @@
 //!
 //! ## Atomicity
 //!
-//! Readers never take a lock: `digest_index.json` is always replaced by an
-//! atomic rename, so any read observes a complete, consistent snapshot.
-//! Writers serialise through `digest_index.lock` (created with
-//! `create_new`, retried briefly, and broken when older than
-//! [`LOCK_STALE_AFTER`] so a crashed writer cannot wedge the cache). The
-//! result blob is fully written *before* the index entry appears, so an
-//! indexed digest always has a readable result.
+//! There is no lock and no file shared between digests: every operation
+//! touches only one digest's entry and blob, each replaced by the store's
+//! atomic rename, so a reader observes a whole file or none. The blob is
+//! written *before* its entry, so an entry never appears ahead of its
+//! result. Two writers of the *same* digest (a hit racing a re-insert, or
+//! an insert racing `gc`) are last-writer-wins: at worst a hit goes
+//! uncounted, or an entry outlives its blob and is answered from the run's
+//! `result.json` or reads as a miss. Callers that need exact hit counts
+//! serialise [`ResultCache::record_hit`] themselves, as `ayb-svc` does under
+//! its admission mutex. A zero-length or unparsable entry file is a miss:
+//! the next insert overwrites it and [`ResultCache::gc`] deletes it.
 
 use crate::{io_error, now_unix, read_json, write_json, Store, StoreError};
 use serde::{Deserialize, Serialize, Value};
 use std::fs;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Index file name under `<root>/cache/`.
-const INDEX_FILE: &str = "digest_index.json";
-/// Writer lock file name under `<root>/cache/`.
-const LOCK_FILE: &str = "digest_index.lock";
+/// Directory of per-digest entry files under `<root>/cache/`.
+const ENTRIES_DIR: &str = "entries";
 /// Directory of content-addressed result blobs under `<root>/cache/`.
 const RESULTS_DIR: &str = "results";
-/// Attempts to acquire the writer lock before giving up.
-const LOCK_ATTEMPTS: usize = 150;
-/// Delay between lock attempts.
-const LOCK_RETRY: Duration = Duration::from_millis(10);
-/// A lock file older than this belongs to a crashed writer and is broken.
-const LOCK_STALE_AFTER: Duration = Duration::from_secs(30);
-/// On-disk index schema version (bumped on incompatible layout changes).
-const SCHEMA_VERSION: u64 = 1;
 
-/// One index entry: a completed submission digest and where its result is.
+/// One cache entry: a completed submission digest and where its result is.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheEntry {
     /// The submission digest, as the fixed-width hex the manifests use.
@@ -68,32 +62,14 @@ pub struct CacheEntry {
     pub hits: u64,
 }
 
-/// The serialized form of `digest_index.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CacheIndex {
-    /// Layout version of this file.
-    schema_version: u64,
-    /// All entries, in insertion order.
-    entries: Vec<CacheEntry>,
-}
-
-impl CacheIndex {
-    fn empty() -> CacheIndex {
-        CacheIndex {
-            schema_version: SCHEMA_VERSION,
-            entries: Vec::new(),
-        }
-    }
-}
-
 /// What [`ResultCache::gc`] removed and kept.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheGcReport {
-    /// Index entries dropped (aged out or pointing at nothing readable).
+    /// Entry files deleted: aged out, pointing at nothing readable, or torn.
     pub entries_removed: usize,
-    /// Index entries still live after the sweep.
+    /// Entries still live after the sweep.
     pub entries_kept: usize,
-    /// Result blobs deleted (orphaned or belonging to removed entries).
+    /// Result blobs deleted because no entry points at them any more.
     pub blobs_removed: usize,
 }
 
@@ -115,44 +91,30 @@ impl ResultCache {
     /// created.
     pub fn open(store: &Store) -> Result<ResultCache, StoreError> {
         let dir = store.root().join("cache");
-        let results = dir.join(RESULTS_DIR);
-        fs::create_dir_all(&results).map_err(|e| io_error(&results, e))?;
+        for sub in [ENTRIES_DIR, RESULTS_DIR] {
+            let path = dir.join(sub);
+            fs::create_dir_all(&path).map_err(|e| io_error(&path, e))?;
+        }
         Ok(ResultCache {
             dir,
             runs_dir: store.root().join("runs"),
         })
     }
 
-    fn index_path(&self) -> PathBuf {
-        self.dir.join(INDEX_FILE)
+    fn entry_path(&self, digest: &str) -> PathBuf {
+        self.dir.join(ENTRIES_DIR).join(format!("{digest}.json"))
     }
 
     fn blob_path(&self, digest: &str) -> PathBuf {
         self.dir.join(RESULTS_DIR).join(format!("{digest}.json"))
     }
 
-    /// Reads the current index snapshot (no lock — the index is only ever
-    /// replaced atomically). A missing file is an empty cache.
-    fn read_index(&self) -> Result<CacheIndex, StoreError> {
-        let path = self.index_path();
-        if !path.exists() {
-            return Ok(CacheIndex::empty());
-        }
-        read_json(&path)
-    }
-
-    /// Runs `mutate` on the index under the writer lock and publishes the
-    /// result atomically.
-    fn update_index<R>(&self, mutate: impl FnOnce(&mut CacheIndex) -> R) -> Result<R, StoreError> {
-        let _lock = IndexLock::acquire(self.dir.join(LOCK_FILE))?;
-        let mut index = self.read_index()?;
-        let outcome = mutate(&mut index);
-        write_json(&self.index_path(), &index)?;
-        Ok(outcome)
+    fn run_result_path(&self, run_id: &str) -> PathBuf {
+        self.runs_dir.join(run_id).join(crate::RESULT_FILE)
     }
 
     /// Whether `digest` looks like a manifest digest (16 hex chars) — the
-    /// guard that keeps blob paths inside `results/`.
+    /// guard that keeps entry and blob paths inside `cache/`.
     fn valid_digest(digest: &str) -> bool {
         digest.len() == 16 && digest.chars().all(|c| c.is_ascii_hexdigit())
     }
@@ -163,8 +125,8 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Json`] for an invalid digest and IO/lock
-    /// failures otherwise.
+    /// Returns [`StoreError::Json`] for an invalid digest and IO failures
+    /// from writing the blob or the entry.
     pub fn insert<T: Serialize + ?Sized>(
         &self,
         digest: &str,
@@ -173,175 +135,165 @@ impl ResultCache {
     ) -> Result<(), StoreError> {
         if !Self::valid_digest(digest) {
             return Err(StoreError::Json {
-                path: self.index_path(),
+                path: self.dir.join(ENTRIES_DIR),
                 message: format!("invalid cache digest `{digest}`"),
             });
         }
-        // Blob first, index second: an indexed digest always has a result.
+        // Blob first, entry second: an entry never precedes its result.
         write_json(&self.blob_path(digest), result)?;
-        let digest = digest.to_string();
-        let run_id = run_id.to_string();
-        self.update_index(move |index| {
-            if let Some(entry) = index.entries.iter_mut().find(|e| e.digest == digest) {
-                entry.run_id = run_id;
-                entry.inserted_unix = now_unix();
-            } else {
-                index.entries.push(CacheEntry {
-                    digest,
-                    run_id,
-                    inserted_unix: now_unix(),
-                    hits: 0,
-                });
-            }
-        })
+        let entry = CacheEntry {
+            digest: digest.to_string(),
+            run_id: run_id.to_string(),
+            inserted_unix: now_unix(),
+            hits: self.lookup(digest)?.map_or(0, |e| e.hits),
+        };
+        write_json(&self.entry_path(digest), &entry)
     }
 
-    /// Looks up `digest`, returning its entry when present.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`]/[`StoreError::Json`] when the index
-    /// cannot be read.
+    /// Looks up `digest`, returning its entry when present. An invalid
+    /// digest and a missing, unreadable or torn entry file are all `None`,
+    /// never an error: a forgotten entry only costs a re-execution.
     pub fn lookup(&self, digest: &str) -> Result<Option<CacheEntry>, StoreError> {
-        Ok(self
-            .read_index()?
-            .entries
-            .into_iter()
-            .find(|e| e.digest == digest))
+        if !Self::valid_digest(digest) {
+            return Ok(None);
+        }
+        let entry = read_json::<CacheEntry>(&self.entry_path(digest)).ok();
+        Ok(entry.filter(|entry| entry.digest == digest))
     }
 
-    /// All entries, in insertion order.
+    /// Whether the result of `entry` is on disk, as its blob or as the
+    /// run's own `result.json`: an existence check that parses nothing.
+    pub fn has_result(&self, entry: &CacheEntry) -> bool {
+        Self::valid_digest(&entry.digest)
+            && (self.blob_path(&entry.digest).is_file()
+                || self.run_result_path(&entry.run_id).is_file())
+    }
+
+    /// The digests named by `entries/*.json`, torn files included.
+    fn entry_digests(&self) -> Result<Vec<String>, StoreError> {
+        let dir = self.dir.join(ENTRIES_DIR);
+        let listing = fs::read_dir(&dir).map_err(|e| io_error(&dir, e))?;
+        Ok(listing
+            .flatten()
+            .filter_map(|file| {
+                let name = file.file_name().into_string().ok()?;
+                let digest = name.strip_suffix(".json")?;
+                Self::valid_digest(digest).then(|| digest.to_string())
+            })
+            .collect())
+    }
+
+    /// How many entry files the cache holds: a directory listing, no parse.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`]/[`StoreError::Json`] when the index
-    /// cannot be read.
+    /// Returns [`StoreError::Io`] when the entries directory cannot be
+    /// listed.
+    pub fn entry_count(&self) -> Result<usize, StoreError> {
+        Ok(self.entry_digests()?.len())
+    }
+
+    /// All readable entries, oldest insertion first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] when the entries directory cannot be
+    /// listed.
     pub fn entries(&self) -> Result<Vec<CacheEntry>, StoreError> {
-        Ok(self.read_index()?.entries)
+        let mut entries = Vec::new();
+        for digest in self.entry_digests()? {
+            entries.extend(self.lookup(&digest)?);
+        }
+        entries.sort_by(|a, b| (a.inserted_unix, &a.digest).cmp(&(b.inserted_unix, &b.digest)));
+        Ok(entries)
     }
 
-    /// The entry (if any) whose result came from `run_id`.
+    /// The entry (if any) whose result came from `run_id`. Reads every
+    /// entry: meant for runs whose directory is gone, not for admission.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`]/[`StoreError::Json`] when the index
-    /// cannot be read.
+    /// Returns [`StoreError::Io`] when the entries directory cannot be
+    /// listed.
     pub fn find_by_run(&self, run_id: &str) -> Result<Option<CacheEntry>, StoreError> {
-        Ok(self
-            .read_index()?
-            .entries
-            .into_iter()
-            .find(|e| e.run_id == run_id))
+        Ok(self.entries()?.into_iter().find(|e| e.run_id == run_id))
     }
 
     /// Bumps the hit counter of `digest` (a no-op for unknown digests).
     ///
     /// # Errors
     ///
-    /// Returns lock/IO errors from the index update.
+    /// Returns IO errors from rewriting the entry.
     pub fn record_hit(&self, digest: &str) -> Result<(), StoreError> {
-        let digest = digest.to_string();
-        self.update_index(move |index| {
-            if let Some(entry) = index.entries.iter_mut().find(|e| e.digest == digest) {
-                entry.hits += 1;
-            }
-        })
+        let Some(mut entry) = self.lookup(digest)? else {
+            return Ok(());
+        };
+        entry.hits += 1;
+        write_json(&self.entry_path(digest), &entry)
     }
 
     /// Loads the cached result of `digest`: the content-addressed blob when
     /// present, else the pointed-at run's own `result.json`. `None` when the
-    /// digest is not in the index or neither file is readable (a stale
-    /// entry — `gc` removes those).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`]/[`StoreError::Json`] when the index
-    /// cannot be read.
+    /// digest has no entry or neither file is readable (a stale entry —
+    /// `gc` removes those); never an error.
     pub fn load_result(&self, digest: &str) -> Result<Option<Value>, StoreError> {
         let Some(entry) = self.lookup(digest)? else {
             return Ok(None);
         };
-        let blob = self.blob_path(&entry.digest);
-        if let Ok(value) = read_json::<Value>(&blob) {
+        if let Ok(value) = read_json::<Value>(&self.blob_path(digest)) {
             return Ok(Some(value));
         }
-        let run_result = self.runs_dir.join(&entry.run_id).join(crate::RESULT_FILE);
-        Ok(read_json::<Value>(&run_result).ok())
+        Ok(read_json::<Value>(&self.run_result_path(&entry.run_id)).ok())
     }
 
-    /// Removes `digest` from the index and deletes its blob. Returns whether
-    /// an entry existed.
+    /// Deletes the entry of `digest` and its blob. Returns whether an entry
+    /// file existed.
     ///
     /// # Errors
     ///
-    /// Returns lock/IO errors from the index update.
+    /// Returns IO errors from deleting the entry file; blob deletion is
+    /// best-effort.
     pub fn remove(&self, digest: &str) -> Result<bool, StoreError> {
-        let owned = digest.to_string();
-        let removed = self.update_index(move |index| {
-            let before = index.entries.len();
-            index.entries.retain(|e| e.digest != owned);
-            index.entries.len() != before
-        })?;
+        let removed = Self::valid_digest(digest) && remove_file(&self.entry_path(digest))?;
         if removed {
             let _ = fs::remove_file(self.blob_path(digest));
         }
         Ok(removed)
     }
 
-    /// Sweeps the cache: drops entries older than `max_age` (when given),
-    /// drops entries whose result is readable from *neither* the blob nor
-    /// the run directory, and deletes orphaned blobs no entry points at.
+    /// Sweeps the cache: deletes entries older than `max_age` (when given),
+    /// entries whose result is readable from *neither* the blob nor the run
+    /// directory, and torn entry files; then deletes blobs no entry points
+    /// at.
     ///
     /// # Errors
     ///
-    /// Returns lock/IO errors from the index update; blob deletions are
-    /// best-effort.
+    /// Returns IO errors from listing or deleting entry files; blob
+    /// deletions are best-effort.
     pub fn gc(&self, max_age: Option<Duration>) -> Result<CacheGcReport, StoreError> {
         let now = now_unix();
-        let dir = self.clone();
         let mut report = CacheGcReport::default();
-        let removed_digests = self.update_index(|index| {
-            let mut removed = Vec::new();
-            index.entries.retain(|entry| {
+        for digest in self.entry_digests()? {
+            let keep = self.lookup(&digest)?.is_some_and(|entry| {
                 let aged_out = max_age
                     .is_some_and(|age| now.saturating_sub(entry.inserted_unix) > age.as_secs());
-                let readable = dir.blob_path(&entry.digest).exists()
-                    || dir
-                        .runs_dir
-                        .join(&entry.run_id)
-                        .join(crate::RESULT_FILE)
-                        .exists();
-                let keep = !aged_out && readable;
-                if !keep {
-                    removed.push(entry.digest.clone());
-                }
-                keep
+                !aged_out && self.has_result(&entry)
             });
-            report.entries_kept = index.entries.len();
-            removed
-        })?;
-        report.entries_removed = removed_digests.len();
-        for digest in &removed_digests {
-            if fs::remove_file(self.blob_path(digest)).is_ok() {
-                report.blobs_removed += 1;
+            if keep {
+                report.entries_kept += 1;
+            } else if remove_file(&self.entry_path(&digest))? {
+                report.entries_removed += 1;
             }
         }
-        // Orphan blobs: results/<digest>.json with no index entry.
-        let live: Vec<String> = self
-            .read_index()?
-            .entries
-            .iter()
-            .map(|e| format!("{}.json", e.digest))
-            .collect();
+        // Orphan blobs: results/<digest>.json with no entry file.
         let results = self.dir.join(RESULTS_DIR);
-        if let Ok(dir_entries) = fs::read_dir(&results) {
-            for entry in dir_entries.flatten() {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if name.ends_with(".json")
-                    && !live.iter().any(|l| l == name)
-                    && fs::remove_file(entry.path()).is_ok()
-                {
+        if let Ok(listing) = fs::read_dir(&results) {
+            for file in listing.flatten() {
+                let name = file.file_name();
+                let Some(digest) = name.to_str().and_then(|n| n.strip_suffix(".json")) else {
+                    continue;
+                };
+                if !self.entry_path(digest).exists() && fs::remove_file(file.path()).is_ok() {
                     report.blobs_removed += 1;
                 }
             }
@@ -350,53 +302,18 @@ impl ResultCache {
     }
 }
 
-/// The held writer lock: a `create_new` file removed on drop.
-struct IndexLock {
-    path: PathBuf,
-}
-
-impl IndexLock {
-    fn acquire(path: PathBuf) -> Result<IndexLock, StoreError> {
-        for _ in 0..LOCK_ATTEMPTS {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(_) => return Ok(IndexLock { path }),
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    // Break locks abandoned by a crashed writer.
-                    let stale = fs::metadata(&path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|m| m.elapsed().ok())
-                        .is_some_and(|age| age > LOCK_STALE_AFTER);
-                    if stale {
-                        let _ = fs::remove_file(&path);
-                        continue;
-                    }
-                    std::thread::sleep(LOCK_RETRY);
-                }
-                Err(e) => return Err(io_error(&path, e)),
-            }
-        }
-        Err(StoreError::Io {
-            path,
-            message: "cache index lock held too long".to_string(),
-        })
-    }
-}
-
-impl Drop for IndexLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
+/// Deletes `path`; `Ok(false)` when it was already gone.
+fn remove_file(path: &Path) -> Result<bool, StoreError> {
+    match fs::remove_file(path) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(io_error(path, e)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
 
     fn temp_store(label: &str) -> (PathBuf, Store) {
         let root = std::env::temp_dir().join(format!(
@@ -461,8 +378,26 @@ mod tests {
     fn invalid_digests_are_rejected() {
         let (root, store) = temp_store("invalid");
         let cache = ResultCache::open(&store).unwrap();
+        // What `cache/entries/../../etc/passwd.json` (and the blob path of
+        // the same digest) would resolve to: a well-formed entry that any
+        // path-building call would read, bump, overwrite or delete.
+        let victim = root.join("etc").join("passwd.json");
+        fs::create_dir_all(victim.parent().unwrap()).unwrap();
+        let planted = "{\"digest\": \"../../etc/passwd\", \"run_id\": \"run-0001\", \
+                       \"inserted_unix\": 0, \"hits\": 0}";
+        fs::write(&victim, planted).unwrap();
+
         for bad in ["", "short", "../../etc/passwd", "zzzzzzzzzzzzzzzz"] {
             assert!(cache.insert(bad, "run-0001", &1u64.to_value()).is_err());
+            assert_eq!(cache.lookup(bad).unwrap(), None, "{bad:?}");
+            assert_eq!(cache.load_result(bad).unwrap(), None, "{bad:?}");
+            cache.record_hit(bad).unwrap();
+            assert!(!cache.remove(bad).unwrap(), "{bad:?}");
+        }
+        assert_eq!(fs::read_to_string(&victim).unwrap(), planted);
+        for sub in [ENTRIES_DIR, RESULTS_DIR] {
+            let files = fs::read_dir(root.join("cache").join(sub)).unwrap().count();
+            assert_eq!(files, 0, "nothing written under cache/{sub}");
         }
         cleanup(&root);
     }
@@ -489,36 +424,13 @@ mod tests {
         assert!(cache.lookup("1111111111111111").unwrap().is_some());
         assert!(cache.lookup("2222222222222222").unwrap().is_none());
 
-        // Age-based sweep: everything is "older" than a zero max-age once
-        // a second has passed; force it by back-dating the entry.
-        cache
-            .update_index(|index| {
-                for e in &mut index.entries {
-                    e.inserted_unix = e.inserted_unix.saturating_sub(3600);
-                }
-            })
-            .unwrap();
+        // Age-based sweep: back-date the surviving entry's file by an hour.
+        let mut entry = cache.lookup("1111111111111111").unwrap().unwrap();
+        entry.inserted_unix = entry.inserted_unix.saturating_sub(3600);
+        write_json(&cache.entry_path("1111111111111111"), &entry).unwrap();
         let report = cache.gc(Some(Duration::from_secs(60))).unwrap();
         assert_eq!(report.entries_removed, 1);
         assert_eq!(report.entries_kept, 0);
-        cleanup(&root);
-    }
-
-    #[test]
-    fn a_stale_lock_is_broken_instead_of_wedging_writers() {
-        let (root, store) = temp_store("stalelock");
-        let cache = ResultCache::open(&store).unwrap();
-        let lock = root.join("cache").join(LOCK_FILE);
-        fs::write(&lock, "crashed writer").unwrap();
-        // Back-date the lock so it reads as stale immediately.
-        let old = std::time::SystemTime::now() - Duration::from_secs(120);
-        let file = fs::OpenOptions::new().write(true).open(&lock).unwrap();
-        file.set_modified(old).unwrap();
-        drop(file);
-        cache
-            .insert("4444444444444444", "run-0004", &4u64.to_value())
-            .unwrap();
-        assert!(cache.lookup("4444444444444444").unwrap().is_some());
         cleanup(&root);
     }
 }

@@ -28,7 +28,7 @@
 //!
 //! | method & path              | success | errors                          |
 //! |----------------------------|---------|---------------------------------|
-//! | `POST /v1/runs`            | 201 new, 200 dedup hit | 400 bad body, 429 over quota |
+//! | `POST /v1/runs`            | 201 new, 200 dedup or cache hit | 400 bad body, 429 over quota |
 //! | `GET /v1/runs/{id}`        | 200     | 404 unknown run                 |
 //! | `GET /v1/runs/{id}/result` | 200     | 404 unknown, 409 not completed  |
 //! | `POST /v1/runs/{id}/cancel`| 200     | 404 unknown, 409 not cancellable|
@@ -40,10 +40,15 @@
 //!
 //! The in-memory dedup index covers *live* (non-terminal) runs only. When a
 //! run completes, its digest graduates to the store's persistent
-//! [`ResultCache`] (`cache/digest_index.json`), which survives restarts and
-//! run-directory garbage collection — so a byte-identical resubmission of
-//! any completed digest answers 200 with `served_from_cache: true` and never
-//! re-executes, even on a freshly started server with an empty dedup index.
+//! [`ResultCache`] (one `cache/entries/<digest>.json` file plus a result
+//! blob per digest), which survives restarts and run-directory garbage
+//! collection — so a byte-identical resubmission of any completed digest
+//! answers 200 with `served_from_cache: true` and never re-executes, even on
+//! a freshly started server with an empty dedup index. A hit reads one small
+//! entry file and checks that the result exists without parsing it, so its
+//! cost under the admission mutex does not grow with the size of the result
+//! or of the cache; it is counted in the entry's `hits` and in
+//! `ayb_svc_cache_hits_total`, not in the run's manifest.
 //!
 //! With `workers: 0` the server is *admission-only*: it accepts, dedups,
 //! quota-checks and records runs but executes nothing — the deterministic
@@ -369,28 +374,13 @@ impl SvcShared {
         // Persistent result cache: a digest completed in this server life
         // — or any previous one — answers with the finished run, consuming
         // neither queue slot nor quota. The entry outlives restarts and run
-        // directory GC, so identical resubmissions never re-execute.
+        // directory GC, so identical resubmissions never re-execute. A hit
+        // is one entry read, one existence check and one hit count (under
+        // this lock, so counts stay exact); the result itself is never read.
         let hex = digest_hex(digest);
         if let Ok(Some(entry)) = self.cache.lookup(&hex) {
-            if matches!(self.cache.load_result(&hex), Ok(Some(_))) {
+            if self.cache.has_result(&entry) {
                 let _ = self.cache.record_hit(&hex);
-                if let Ok(handle) = self.store.run(&entry.run_id) {
-                    let served = handle
-                        .manifest_extra("served_from_cache")
-                        .ok()
-                        .flatten()
-                        .and_then(|v| match v {
-                            Value::Int(n) => u64::try_from(n).ok(),
-                            Value::UInt(n) => Some(n),
-                            _ => None,
-                        })
-                        .unwrap_or(0)
-                        + 1;
-                    let _ = handle.merge_manifest_extras(&[(
-                        "served_from_cache".to_string(),
-                        served.to_value(),
-                    )]);
-                }
                 metrics.inc("ayb_svc_cache_hits_total");
                 drop(admission);
                 self.emit(
@@ -444,7 +434,6 @@ impl SvcShared {
             pair("priority", Value::Str(priority.as_str().to_string())),
             pair("submission_digest", Value::Str(digest_hex(digest))),
             pair("dedup_hits", Value::Int(0)),
-            pair("served_from_cache", Value::Int(0)),
         ];
         let handle = match self
             .store
@@ -525,7 +514,6 @@ impl SvcShared {
             "priority",
             "submission_digest",
             "dedup_hits",
-            "served_from_cache",
             "cancelled",
         ] {
             if let Ok(Some(value)) = handle.manifest_extra(key) {
@@ -821,7 +809,7 @@ impl SvcServer {
         ));
         recorder.metrics().set_gauge(
             "ayb_svc_result_cache_entries",
-            cache.entries().map(|e| e.len()).unwrap_or(0) as f64,
+            cache.entry_count().unwrap_or(0) as f64,
         );
 
         let listener = TcpListener::bind(&config.bind)?;
@@ -885,11 +873,9 @@ impl SvcServer {
                     };
                     if let Ok(result) = handle.load_result::<Value>() {
                         if hook_cache.insert(&hex, &run_id, &result).is_ok() {
-                            if let Ok(entries) = hook_cache.entries() {
-                                hook_metrics.set_gauge(
-                                    "ayb_svc_result_cache_entries",
-                                    entries.len() as f64,
-                                );
+                            if let Ok(count) = hook_cache.entry_count() {
+                                hook_metrics
+                                    .set_gauge("ayb_svc_result_cache_entries", count as f64);
                             }
                         }
                     }
@@ -1390,10 +1376,15 @@ mod tests {
                 dirs_before,
                 "a cache hit must not enqueue anything"
             );
-            // The hit is counted in the manifest, dedup_hits-style.
-            let (status, info) = client.run_status(&run_id).unwrap();
+            // The hit is counted once, in the cache entry.
+            let (status, _) = client.run_status(&run_id).unwrap();
             assert_eq!(status, 200);
-            assert_eq!(info.get("served_from_cache"), Some(&Value::Int(1)));
+            let entry = server
+                .result_cache()
+                .lookup(&str_field(&body, "digest"))
+                .unwrap()
+                .expect("cache entry");
+            assert_eq!(entry.hits, 1);
             // And the result endpoint serves the stored result.
             let (status, body) = client.run_result(&run_id).unwrap();
             assert_eq!(status, 200);

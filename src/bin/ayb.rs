@@ -823,12 +823,12 @@ fn status_of_run(store: &Store, id: &str) -> Result<(), String> {
     }
     // Service-plane annotations (runs admitted through `ayb serve-http`):
     // tenant, dedup key and hit count, priority lane, cancellation marker.
+    // Cache hits are counted in the result cache (`ayb cache status`).
     for key in [
         "tenant",
         "priority",
         "submission_digest",
         "dedup_hits",
-        "served_from_cache",
         "cancelled",
     ] {
         if let Ok(Some(value)) = handle.manifest_extra(key) {
@@ -1113,8 +1113,10 @@ fn cmd_gc(args: &CliArgs) -> Result<(), String> {
 }
 
 /// `ayb cache [status|gc]` — inspect or sweep the store's persistent result
-/// cache (`cache/digest_index.json`), the index the service plane consults
-/// so identical resubmissions of completed digests never re-execute.
+/// cache (`cache/entries/<digest>.json` and `cache/results/<digest>.json`),
+/// which the service plane consults so identical resubmissions of completed
+/// digests never re-execute. Each entry's hit count is the one record of how
+/// many resubmissions it answered.
 fn cmd_cache(args: &CliArgs) -> Result<(), String> {
     let store = args.open_store()?;
     let cache = ResultCache::open(&store).map_err(|e| e.to_string())?;
@@ -1130,9 +1132,10 @@ fn cmd_cache(args: &CliArgs) -> Result<(), String> {
             println!("entries: {}", entries.len());
             println!("hits_served: {hits}");
             for entry in &entries {
-                let result = match cache.load_result(&entry.digest) {
-                    Ok(Some(_)) => "present",
-                    _ => "missing",
+                let result = if cache.has_result(entry) {
+                    "present"
+                } else {
+                    "missing"
                 };
                 println!(
                     "{} -> {} ({} hits, result {result})",

@@ -10,17 +10,34 @@
 //!   victim tenant competing with a flooder;
 //! * every run the service *executed* is digest-identical to the same seed
 //!   run serially through `FlowBuilder` — the service plane is allowed to
-//!   reorder work, never to change results.
+//!   reorder work, never to change results;
+//! * a result-cache hit costs admission the same whatever the size of the
+//!   cached result, counts every hit exactly once, and a torn cache entry
+//!   is a miss that the next completion repairs.
 
 use ayb_core::{FlowBuilder, FlowConfig};
-use ayb_store::{RunStatus, Store};
-use ayb_svc::{SvcClient, SvcConfig, SvcServer, TenantQuota};
+use ayb_moo::OptimizerConfig;
+use ayb_store::{ResultCache, RunStatus, Store};
+use ayb_svc::{digest_hex, submission_digest, SvcClient, SvcConfig, SvcServer, TenantQuota};
 use serde::Value;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Barrier, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
+
+/// The admission-latency test times wall-clock answers, so it runs alone:
+/// it holds this lock for writing while every other test holds it for
+/// reading.
+static LATENCY_GATE: RwLock<()> = RwLock::new(());
+
+fn shared_slot() -> RwLockReadGuard<'static, ()> {
+    LATENCY_GATE.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn exclusive_slot() -> RwLockWriteGuard<'static, ()> {
+    LATENCY_GATE.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn temp_store(label: &str) -> (PathBuf, Store) {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -62,6 +79,16 @@ fn reference_digest(seed: u64) -> u64 {
 fn tiny_body(seed: u64) -> String {
     let flow = serde_json::to_string(&tiny_config()).expect("flow renders");
     format!("{{\"seed\": {seed}, \"flow\": {flow}}}")
+}
+
+/// The submission digest the service computes for [`tiny_body`]: seed
+/// normalisation pins the GA and Monte Carlo seeds to the submission seed.
+fn tiny_body_digest(seed: u64) -> String {
+    let mut flow = tiny_config();
+    flow.ga.seed = seed;
+    flow.monte_carlo.seed = seed;
+    let optimizer = OptimizerConfig::Wbga(flow.ga);
+    digest_hex(submission_digest("ota", seed, &optimizer, &flow))
 }
 
 fn str_field(value: &Value, key: &str) -> String {
@@ -111,6 +138,7 @@ struct ClientOutcome {
 /// over quota) against a live server executing in the background.
 #[test]
 fn a_thousand_submissions_from_a_hundred_clients_stay_correct() {
+    let _shared = shared_slot();
     let (root, store) = temp_store("flood");
     let mut server = SvcServer::start(
         store.clone(),
@@ -289,6 +317,7 @@ fn a_thousand_submissions_from_a_hundred_clients_stay_correct() {
 /// too — the service may reorder work, never change what a seed computes.
 #[test]
 fn wrr_dispatch_bounds_the_victims_wait_and_preserves_digests() {
+    let _shared = shared_slot();
     let (root, store) = temp_store("fairness");
 
     // Stage 1: admission only (no workers) — build the full backlog first
@@ -446,6 +475,7 @@ fn wrr_dispatch_bounds_the_victims_wait_and_preserves_digests() {
 /// entry dropped.
 #[test]
 fn http_lifecycle_cancel_reexecutes_and_completion_caches_across_restart_and_gc() {
+    let _shared = shared_slot();
     let (root, store) = temp_store("lifecycle");
     // The tiny flow legitimately fails for some seeds (archive too thin for
     // the variation model); pick one that completes serially so "completed"
@@ -574,5 +604,242 @@ fn http_lifecycle_cancel_reexecutes_and_completion_caches_across_restart_and_gc(
         );
         server.shutdown();
     }
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A synthetic result shaped like a paper-scale `result.json`: an archive
+/// of `evaluations` float-vector evaluations, stored twice as `FlowResult`
+/// stores it.
+fn synthetic_paper_result(evaluations: usize) -> Value {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut unit = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let archive = Value::Array(
+        (0..evaluations)
+            .map(|_| {
+                let parameters = (0..8).map(|_| Value::Float(unit())).collect();
+                let objectives = vec![
+                    Value::Float(40.0 + 40.0 * unit()),
+                    Value::Float(1e6 * unit()),
+                ];
+                Value::Object(vec![
+                    ("parameters".to_string(), Value::Array(parameters)),
+                    ("objectives".to_string(), Value::Array(objectives)),
+                ])
+            })
+            .collect(),
+    );
+    Value::Object(vec![
+        ("archive".to_string(), archive.clone()),
+        (
+            "optimization".to_string(),
+            Value::Object(vec![("archive".to_string(), archive)]),
+        ),
+    ])
+}
+
+fn admission_only(store: &Store) -> SvcServer {
+    SvcServer::start(
+        store.clone(),
+        SvcConfig {
+            workers: 0,
+            ..SvcConfig::default()
+        },
+    )
+    .expect("service starts")
+}
+
+/// Phase D — a cache hit is an existence check: while one client resubmits
+/// a study whose cached result is tens of megabytes, every distinct
+/// submission of another tenant is still answered within a fixed bound.
+/// Decoding the blob on each hit, under the admission mutex, would hold
+/// every other tenant for as long as the decode takes.
+#[test]
+fn a_large_cached_result_stalls_no_other_tenant() {
+    const BOUND: Duration = Duration::from_millis(100);
+    const SUBMISSIONS: u64 = 20;
+    // Evaluations per archive in the cached result: about 22 MB of pretty
+    // JSON, which takes several times BOUND to decode in the debug profile.
+    const EVALUATIONS: usize = 30_000;
+    let _alone = exclusive_slot();
+    let (root, store) = temp_store("bigresult");
+    let cached_seed = 43_000;
+    let digest = tiny_body_digest(cached_seed);
+    ResultCache::open(&store)
+        .expect("cache opens")
+        .insert(&digest, "run-big", &synthetic_paper_result(EVALUATIONS))
+        .expect("large result caches");
+    let blob = root
+        .join("cache")
+        .join("results")
+        .join(format!("{digest}.json"));
+    let blob_bytes = std::fs::metadata(blob).expect("blob written").len();
+    let mut server = admission_only(&store);
+    let url = server.url();
+
+    let stop = AtomicBool::new(false);
+    let hits = AtomicU64::new(0);
+    let latencies = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let client = SvcClient::new(&url)
+                .expect("client url")
+                .with_tenant("repeat");
+            let body = tiny_body(cached_seed);
+            while !stop.load(Ordering::SeqCst) {
+                let (status, answer) = client.submit_raw(&body).expect("resubmit");
+                assert_eq!(status, 200, "{answer:?}");
+                assert_eq!(answer.get("served_from_cache"), Some(&Value::Bool(true)));
+                hits.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while hits.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let client = SvcClient::new(&url)
+            .expect("client url")
+            .with_tenant("fresh");
+        // No panics before `stop` is set: the hitting client would spin on.
+        let latencies: Vec<(Result<u16, String>, Duration)> = (0..SUBMISSIONS)
+            .map(|index| {
+                let started = Instant::now();
+                let answer = client.submit_raw(&tiny_body(44_000 + index));
+                (answer.map(|(status, _)| status), started.elapsed())
+            })
+            .collect();
+        stop.store(true, Ordering::SeqCst);
+        latencies
+    });
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(root);
+
+    let worst = latencies
+        .iter()
+        .map(|(_, took)| *took)
+        .max()
+        .unwrap_or_default();
+    eprintln!(
+        "{} cache hits of a {blob_bytes}-byte result; worst distinct submission {worst:?}",
+        hits.load(Ordering::SeqCst)
+    );
+    assert!(
+        hits.load(Ordering::SeqCst) > 0,
+        "the cached study never hit"
+    );
+    for (status, took) in latencies {
+        assert_eq!(status, Ok(201));
+        assert!(
+            took < BOUND,
+            "a distinct submission waited {took:?} behind cache hits (bound {BOUND:?})"
+        );
+    }
+}
+
+/// Concurrent resubmissions of one cached digest: every hit is counted
+/// exactly once, in the cache entry and in the metrics counter alike.
+#[test]
+fn concurrent_cache_hits_are_counted_exactly() {
+    const CLIENTS: usize = 16;
+    let _shared = shared_slot();
+    let (root, store) = temp_store("exacthits");
+    let seed = 45_000;
+    let digest = tiny_body_digest(seed);
+    let cache = ResultCache::open(&store).expect("cache opens");
+    cache
+        .insert(&digest, "run-hits", &Value::Str("done".to_string()))
+        .expect("result caches");
+    let mut server = admission_only(&store);
+    let url = server.url();
+    let body = tiny_body(seed);
+    let start = Barrier::new(CLIENTS);
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            scope.spawn(|| {
+                let client = SvcClient::new(&url).expect("client url");
+                start.wait();
+                let (status, answer) = client.submit_raw(&body).expect("resubmit");
+                assert_eq!(status, 200, "{answer:?}");
+                assert_eq!(answer.get("served_from_cache"), Some(&Value::Bool(true)));
+            });
+        }
+    });
+    let hits = cache.lookup(&digest).expect("lookup").expect("entry").hits;
+    let counted = server
+        .recorder()
+        .metrics()
+        .counter("ayb_svc_cache_hits_total");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(root);
+    assert_eq!(hits, CLIENTS as u64);
+    assert_eq!(counted, CLIENTS as u64);
+}
+
+/// A zero-length entry file (a torn write) is a miss, not a wedge: that
+/// digest executes fresh and its completion writes a whole entry over the
+/// torn one, other digests keep hitting meanwhile, and `gc` deletes
+/// unparsable entry files.
+#[test]
+fn a_torn_cache_entry_is_a_miss_not_a_wedge() {
+    let _shared = shared_slot();
+    let (root, store) = temp_store("torn");
+    let torn_seed = (42_000..42_050u64)
+        .find(|&s| FlowBuilder::new(tiny_config()).with_seed(s).run().is_ok())
+        .expect("a seed that completes the tiny flow serially");
+    let cached_seed = 46_000;
+    let torn = tiny_body_digest(torn_seed);
+    let cache = ResultCache::open(&store).expect("cache opens");
+    cache
+        .insert(
+            &tiny_body_digest(cached_seed),
+            "run-cached",
+            &Value::Str("done".to_string()),
+        )
+        .expect("result caches");
+    let entries = root.join("cache").join("entries");
+    std::fs::write(entries.join(format!("{torn}.json")), "").expect("tear the entry");
+
+    let mut server = SvcServer::start(
+        store.clone(),
+        SvcConfig {
+            workers: 1,
+            ..SvcConfig::default()
+        },
+    )
+    .expect("service starts");
+    let client = SvcClient::new(&server.url()).expect("client url");
+    let (status, fresh) = client.submit_raw(&tiny_body(torn_seed)).expect("submit");
+    assert_eq!(status, 201, "a torn entry must execute fresh: {fresh:?}");
+    let run_id = str_field(&fresh, "run_id");
+    let (status, hit) = client.submit_raw(&tiny_body(cached_seed)).expect("submit");
+    assert_eq!(status, 200, "other digests keep hitting: {hit:?}");
+    assert_eq!(hit.get("served_from_cache"), Some(&Value::Bool(true)));
+
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let entry = loop {
+        if let Some(entry) = cache.lookup(&torn).expect("lookup") {
+            break entry;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "completion never re-cached {torn}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert_eq!(entry.run_id, run_id);
+    let (status, hit) = client.submit_raw(&tiny_body(torn_seed)).expect("resubmit");
+    assert_eq!(status, 200, "{hit:?}");
+    assert_eq!(str_field(&hit, "run_id"), run_id);
+    server.shutdown();
+
+    let garbled = entries.join("00000000000000aa.json");
+    std::fs::write(&garbled, "{\"digest\": ").expect("garble an entry");
+    let report = cache.gc(None).expect("gc sweeps");
+    assert_eq!(report.entries_removed, 1);
+    assert_eq!(report.entries_kept, 2);
+    assert!(!garbled.exists());
     let _ = std::fs::remove_dir_all(root);
 }

@@ -1,7 +1,8 @@
 //! `bench` — the repo's committed performance trajectory.
 //!
 //! Times the kernels everything else is built on (MOSFET evaluation, the
-//! MNA/LU solve, DC/AC analysis of the OTA test bench, batch evaluation,
+//! MNA/LU solve, DC/AC analysis of the OTA test bench, one Pareto point's
+//! 200-sample Monte Carlo analysis, batch evaluation,
 //! one shard round-trip through each data plane, the JSON codec on a
 //! paper-sized result) plus the full reduced flow, and writes a
 //! schema-versioned JSON report:
@@ -32,9 +33,11 @@
 use ayb_bench::{load_newest_baseline, BenchReport, KernelReport, BENCH_SCHEMA_VERSION};
 use ayb_circuit::ota::{build_open_loop_testbench, OtaParameters, OtaTestbenchConfig};
 use ayb_circuit::{Mosfet, MosfetModelCard, NodeId};
-use ayb_core::{FlowBuilder, FlowConfig, OtaSizingProblem};
+use ayb_core::{measure_testbench_with, FlowBuilder, FlowConfig, OtaSizingProblem};
 use ayb_moo::{CachedProblem, Evaluation, ShardTransport, SizingProblem};
 use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
+use ayb_process::montecarlo::{self, MonteCarloConfig};
+use ayb_process::ProcessVariation;
 use ayb_sim::linalg::{backend_of, solve_in_place, CsrMatrix, DenseMatrix, PatternBuilder};
 use ayb_sim::{
     ac_analysis, ac_analysis_with, dc_operating_point, mosfet, DcOptions, FrequencySweep,
@@ -221,6 +224,24 @@ fn bench_ac_sweep_sparse(iters: u64) -> KernelReport {
             )
             .expect("ac runs"),
         );
+    })
+}
+
+/// One Pareto point's Monte Carlo analysis as the variation stage runs it:
+/// 200 perturbed copies of the nominal OTA test bench, each simulated and
+/// measured, fanned out over 2 worker threads.
+fn bench_mc_point(iters: u64) -> KernelReport {
+    let tb = build_open_loop_testbench(&OtaParameters::nominal(), &OtaTestbenchConfig::new())
+        .expect("test bench builds");
+    let variation = ProcessVariation::generic_035um();
+    let config = MonteCarloConfig::new(200, 2008);
+    let sweep = FrequencySweep::logarithmic(10.0, 1e9, 8);
+    time_kernel("mc_point_200", iters, 1, || {
+        let run = montecarlo::run_parallel(black_box(&tb), &variation, &config, 2, |sample| {
+            measure_testbench_with(sample, &sweep, SolverKind::Dense)
+                .map(|perf| (perf.gain_db, perf.phase_margin_deg))
+        });
+        black_box(run);
     })
 }
 
@@ -446,6 +467,7 @@ fn run_all(quick: bool) -> BenchReport {
             bench_dc_operating_point(micro),
             bench_ac_sweep(micro),
             bench_ac_sweep_sparse(micro),
+            bench_mc_point(macro_),
             bench_batch_evaluate(macro_),
             bench_batch_evaluate_revisit(macro_),
             bench_batch_evaluate_revisit_cached(macro_),

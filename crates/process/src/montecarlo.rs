@@ -20,6 +20,7 @@ use ayb_circuit::{Circuit, Device, MosfetPolarity};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::{mpsc, Mutex};
 
 /// Configuration of a Monte Carlo run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -184,10 +185,12 @@ pub fn run<T>(
 
 /// Parallel Monte Carlo analysis using scoped worker threads.
 ///
-/// The sample circuits are generated deterministically on the calling thread
-/// (identical to [`run`]) and then evaluated on `threads` workers, so the
-/// result set is the same as the sequential version up to ordering; results
-/// are returned in sample order.
+/// The calling thread draws the sample circuits in the order [`run`] draws
+/// them, from the same seeded RNG, and hands each one to the next free
+/// worker as soon as it is drawn; `threads` workers evaluate them. Each
+/// result is stored at its sample index, so the outcome equals [`run`]'s bit
+/// for bit however the samples' evaluation times interleave. With
+/// `threads <= 1` the samples are evaluated inline, on the calling thread.
 pub fn run_parallel<T: Send>(
     circuit: &Circuit,
     variation: &ProcessVariation,
@@ -195,27 +198,54 @@ pub fn run_parallel<T: Send>(
     threads: usize,
     evaluate: impl Fn(&Circuit) -> Option<T> + Sync,
 ) -> MonteCarloRun<T> {
+    if threads <= 1 {
+        return run(circuit, variation, config, evaluate);
+    }
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let samples: Vec<Circuit> = (0..config.samples)
-        .map(|_| perturb_circuit(circuit, variation, config, &mut rng))
-        .collect();
-    let threads = threads.max(1);
-    let chunk = samples.len().div_ceil(threads).max(1);
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(samples.len());
-    slots.resize_with(samples.len(), || None);
+    let (sender, receiver) = mpsc::channel::<(usize, Circuit)>();
+    let receiver = Mutex::new(receiver);
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(config.samples);
+    slots.resize_with(config.samples, || None);
 
     std::thread::scope(|scope| {
-        let evaluate = &evaluate;
-        for (sample_chunk, slot_chunk) in samples.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (sample, slot) in sample_chunk.iter().zip(slot_chunk.iter_mut()) {
-                    *slot = evaluate(sample);
-                }
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let (receiver, evaluate) = (&receiver, &evaluate);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // The guard is dropped at the end of this statement,
+                        // before the sample is evaluated.
+                        let next = receiver
+                            .lock()
+                            .expect("no worker panics while receiving")
+                            .recv();
+                        let Ok((index, sample)) = next else {
+                            return done;
+                        };
+                        done.push((index, evaluate(&sample)));
+                    }
+                })
+            })
+            .collect();
+        for index in 0..config.samples {
+            let sample = perturb_circuit(circuit, variation, config, &mut rng);
+            sender
+                .send((index, sample))
+                .expect("the receiver outlives the workers");
+        }
+        drop(sender);
+        for worker in workers {
+            let done = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (index, value) in done {
+                slots[index] = value;
+            }
         }
     });
 
-    let mut values = Vec::with_capacity(samples.len());
+    let mut values = Vec::with_capacity(slots.len());
     let mut failed = 0usize;
     for slot in slots {
         match slot {
@@ -333,6 +363,84 @@ mod tests {
         let sequential = run(&ckt, &var, &cfg, extract);
         let parallel = run_parallel(&ckt, &var, &cfg, 4, extract);
         assert_eq!(sequential.values, parallel.values);
+    }
+
+    /// Every thread count gives [`run`]'s values and failure count, bit for
+    /// bit, while samples finish out of order: the cost of a sample depends
+    /// on its index, and with two or more workers sample 0 cannot finish
+    /// before sample 1 has.
+    #[test]
+    fn parallel_run_matches_sequential_when_samples_finish_out_of_order() {
+        use std::collections::HashMap;
+        use std::sync::Condvar;
+
+        let ckt = mosfet_circuit();
+        let var = ProcessVariation::generic_035um();
+        let cfg = MonteCarloConfig::new(48, 2008);
+        let fingerprint = |c: &Circuit| {
+            (
+                c.models()["nmos"].vto.to_bits(),
+                c.models()["pmos"].kp.to_bits(),
+            )
+        };
+        // The sequential run visits samples in index order.
+        let mut index_of = HashMap::new();
+        run(&ckt, &var, &cfg, |c| {
+            let next = index_of.len();
+            index_of.insert(fingerprint(c), next);
+            Some(())
+        });
+        assert_eq!(
+            index_of.len(),
+            cfg.samples,
+            "sample fingerprints are distinct"
+        );
+        let value = |c: &Circuit, index: usize| {
+            (index % 5 != 3).then(|| c.models()["nmos"].vto * c.models()["pmos"].kp)
+        };
+        let sequential = run(&ckt, &var, &cfg, |c| value(c, index_of[&fingerprint(c)]));
+        assert_eq!(sequential.failed_samples, 9);
+
+        for threads in [1, 2, 3, 8] {
+            let sample_1_done = (Mutex::new(false), Condvar::new());
+            let finished = Mutex::new(Vec::new());
+            let parallel = run_parallel(&ckt, &var, &cfg, threads, |c| {
+                let index = index_of[&fingerprint(c)];
+                let (done, signal) = &sample_1_done;
+                if threads > 1 && index == 0 {
+                    let mut done = done.lock().unwrap();
+                    while !*done {
+                        done = signal.wait(done).unwrap();
+                    }
+                }
+                // Early samples cost more than late ones.
+                let mut spin = 0u64;
+                for step in 0..(cfg.samples - index) * 2_000 {
+                    spin = std::hint::black_box(spin.wrapping_add(step as u64));
+                }
+                finished.lock().unwrap().push(index);
+                if index == 1 {
+                    *done.lock().unwrap() = true;
+                    signal.notify_all();
+                }
+                value(c, index)
+            });
+            let bits =
+                |r: &MonteCarloRun<f64>| r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&parallel), bits(&sequential), "{threads} threads");
+            assert_eq!(parallel.failed_samples, sequential.failed_samples);
+            let finished = finished.into_inner().unwrap();
+            assert_eq!(finished.len(), cfg.samples);
+            if threads > 1 {
+                let position = |i| finished.iter().position(|&f| f == i).unwrap();
+                assert!(position(1) < position(0), "{threads} threads: {finished:?}");
+            } else {
+                assert!(
+                    finished.windows(2).all(|w| w[0] < w[1]),
+                    "inline run is in order"
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,8 +24,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AcSolution {
     frequencies: Vec<f64>,
-    /// `phasors[f][node_index]` — node phasors per frequency, ground included as index 0.
-    phasors: Vec<Vec<Complex>>,
+    /// Number of circuit nodes, ground included as index 0.
+    nodes: usize,
+    /// `phasors[f * nodes + node_index]` — node phasors, frequency-major.
+    phasors: Vec<Complex>,
 }
 
 impl AcSolution {
@@ -46,7 +48,10 @@ impl AcSolution {
 
     /// Phasor of `node` across the sweep.
     pub fn node_response(&self, node: NodeId) -> Vec<Complex> {
-        self.phasors.iter().map(|row| row[node.index()]).collect()
+        self.phasors
+            .chunks_exact(self.nodes)
+            .map(|row| row[node.index()])
+            .collect()
     }
 
     /// Phasor of a named node across the sweep.
@@ -56,7 +61,7 @@ impl AcSolution {
 
     /// Phasor of `node` at sweep index `idx`.
     pub fn phasor_at(&self, idx: usize, node: NodeId) -> Complex {
-        self.phasors[idx][node.index()]
+        self.phasors[idx * self.nodes + node.index()]
     }
 }
 
@@ -103,26 +108,26 @@ pub fn ac_analysis_with(
     let mut backend = backend_of::<Complex>(solver);
     backend.prepare(system.pattern());
     let n = layout.size();
+    let nodes = circuit.nodes().len();
     let mut solution = vec![Complex::ZERO; n];
-    let mut phasors = Vec::with_capacity(frequencies.len());
+    let mut phasors = vec![Complex::ZERO; frequencies.len() * nodes];
 
-    for &freq in &frequencies {
+    for (&freq, row) in frequencies.iter().zip(phasors.chunks_exact_mut(nodes)) {
         let omega = 2.0 * std::f64::consts::PI * freq;
         system.merge(omega);
         solution.copy_from_slice(&system.rhs);
         backend
             .solve(&system.matrix, &mut solution)
             .map_err(|e| layout.describe_singular(e))?;
-        let mut row = vec![Complex::ZERO; circuit.nodes().len()];
         for node in circuit.nodes().iter() {
             if let Some(idx) = layout.node_row(node) {
                 row[node.index()] = solution[idx];
             }
         }
-        phasors.push(row);
     }
     Ok(AcSolution {
         frequencies,
+        nodes,
         phasors,
     })
 }

@@ -7,6 +7,7 @@
 //! [`SparseLuBackend`] is a left-looking (Gilbert–Peierls style) sparse LU
 //! with partial pivoting that never forms the dense matrix.
 
+use super::lu::pivot_is_singular;
 use super::sparse::{CsrMatrix, SparsityPattern};
 use super::{solve_in_place, DenseMatrix, Scalar};
 use crate::error::{Result, SimError};
@@ -119,7 +120,6 @@ impl<T: Scalar> SolverBackend<T> for DenseLuBackend<T> {
     }
 }
 
-const PIVOT_FLOOR: f64 = 1e-300;
 const UNPIVOTED: usize = usize::MAX;
 
 /// Left-looking sparse LU with partial pivoting.
@@ -127,7 +127,10 @@ const UNPIVOTED: usize = usize::MAX;
 /// Columns are eliminated against the already-factored columns through a
 /// dense accumulator with generation marks, so work per column is
 /// proportional to the fill actually touched. L and U columns keep their
-/// allocations across solves; only the values are rebuilt.
+/// allocations across solves; only the values are rebuilt. Pivots are
+/// ranked, multipliers tested for zero and divisions done through the same
+/// [`Scalar`] helpers as [`solve_in_place`], so every decision is the one a
+/// `hypot` ranking makes, bit for bit.
 #[derive(Debug)]
 pub struct SparseLuBackend<T> {
     n: usize,
@@ -137,7 +140,7 @@ pub struct SparseLuBackend<T> {
     csc_row: Vec<usize>,
     csc_slot: Vec<usize>,
     // Factors: L is unit-lower (pivot rows excluded), U strictly-upper by
-    // pivot order plus a separate diagonal.
+    // pivot order plus a separate diagonal, kept as `Scalar::divisor`s.
     l_cols: Vec<Vec<(usize, T)>>,
     u_cols: Vec<Vec<(usize, T)>>,
     u_diag: Vec<T>,
@@ -197,7 +200,7 @@ impl<T: Scalar> SparseLuBackend<T> {
                     continue;
                 }
                 let ukj = self.x[pivot_row];
-                if ukj.norm() == 0.0 {
+                if ukj.is_zero() {
                     continue;
                 }
                 u_col.push((k, ukj));
@@ -213,27 +216,30 @@ impl<T: Scalar> SparseLuBackend<T> {
             }
             // Partial pivot: largest magnitude among not-yet-pivotal rows.
             let mut pivot_row = UNPIVOTED;
-            let mut pivot_norm = 0.0f64;
+            let mut pivot = T::zero();
+            let mut pivot_key = 0.0f64;
             for &row in &self.touched {
                 if self.pinv[row] != UNPIVOTED {
                     continue;
                 }
-                let norm = self.x[row].norm();
-                if pivot_row == UNPIVOTED || norm > pivot_norm {
+                let value = self.x[row];
+                let key = value.magnitude_key();
+                if pivot_row == UNPIVOTED || value.norm_exceeds(key, pivot, pivot_key) {
                     pivot_row = row;
-                    pivot_norm = norm;
+                    pivot = value;
+                    pivot_key = key;
                 }
             }
-            if pivot_row == UNPIVOTED || pivot_norm < PIVOT_FLOOR || !pivot_norm.is_finite() {
+            if pivot_row == UNPIVOTED || pivot_is_singular(pivot, pivot_key) {
                 return Err(SimError::SingularMatrix {
                     pivot: j,
                     unknown: None,
                 });
             }
-            let pivot = self.x[pivot_row];
             self.p[j] = pivot_row;
             self.pinv[pivot_row] = j;
-            self.u_diag[j] = pivot;
+            let divisor = pivot.divisor();
+            self.u_diag[j] = divisor;
             let l_col = &mut self.l_cols[j];
             l_col.clear();
             for &row in &self.touched {
@@ -241,8 +247,8 @@ impl<T: Scalar> SparseLuBackend<T> {
                     continue;
                 }
                 let value = self.x[row];
-                if value.norm() != 0.0 {
-                    l_col.push((row, value / pivot));
+                if !value.is_zero() {
+                    l_col.push((row, value.div_by(divisor)));
                 }
             }
         }
@@ -307,7 +313,7 @@ impl<T: Scalar> SolverBackend<T> for SparseLuBackend<T> {
         }
         for k in 0..n {
             let yk = self.y[k];
-            if yk.norm() == 0.0 {
+            if yk.is_zero() {
                 continue;
             }
             for &(row, lval) in &self.l_cols[k] {
@@ -318,9 +324,9 @@ impl<T: Scalar> SolverBackend<T> for SparseLuBackend<T> {
         // Backward substitution: U·x = y. No column pivoting, so x is in
         // natural order.
         for j in (0..n).rev() {
-            let xj = self.y[j] / self.u_diag[j];
+            let xj = self.y[j].div_by(self.u_diag[j]);
             rhs[j] = xj;
-            if xj.norm() == 0.0 {
+            if xj.is_zero() {
                 continue;
             }
             for &(k, uval) in &self.u_cols[j] {

@@ -7,6 +7,10 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
+/// Relative gap between two squared magnitudes beyond which
+/// [`Complex::abs_exceeds`] trusts their order without calling `hypot`.
+const SQUARE_TIE_GAP: f64 = 1e-13;
+
 /// A double-precision complex number.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Complex {
@@ -82,6 +86,37 @@ impl Complex {
             re: self.re / d,
             im: -self.im / d,
         }
+    }
+
+    /// Whether `self.abs() > other.abs()`, given `self.norm_sqr()` and
+    /// `other.norm_sqr()`; the answer is always the one the two `hypot`
+    /// calls would give.
+    ///
+    /// When both squares are normal numbers more than a relative 1e-13
+    /// apart, their order decides without a square root: a normal
+    /// `norm_sqr` is within ~2 ulp of the true |z|² (a component square that
+    /// underflowed adds at most 2⁻¹⁰⁷⁵ against a sum of at least 2⁻¹⁰²²) and
+    /// `hypot` within 1 ulp of |z|, so a gap of 1e-13 leaves a margin of over
+    /// a hundred ulps. Exact zeros are decided directly, since
+    /// `hypot(±0, ±0)` is `+0`. Everything else — near-ties, squares that
+    /// overflowed or underflowed to a non-normal value, NaN and infinite
+    /// components — is left to `hypot`.
+    pub fn abs_exceeds(self, self_sqr: f64, other: Complex, other_sqr: f64) -> bool {
+        if self_sqr.is_normal() && other_sqr.is_normal() {
+            if self_sqr > other_sqr * (1.0 + SQUARE_TIE_GAP) {
+                return true;
+            }
+            if other_sqr > self_sqr * (1.0 + SQUARE_TIE_GAP) {
+                return false;
+            }
+        } else if self.re == 0.0 && self.im == 0.0 {
+            // +0 exceeds nothing, NaN included.
+            return false;
+        } else if other.re == 0.0 && other.im == 0.0 && self_sqr.is_normal() {
+            // A finite non-zero magnitude against +0.
+            return true;
+        }
+        self.abs() > other.abs()
     }
 
     /// Returns `true` if either component is NaN.

@@ -3,8 +3,30 @@
 use super::{DenseMatrix, Scalar};
 use crate::error::{Result, SimError};
 
+/// Pivots whose norm falls below this (or is not finite) make the matrix
+/// singular, in both LU routines.
+const PIVOT_FLOOR: f64 = 1e-300;
+
+/// Whether `pivot`, with magnitude key `key`, fails the singularity floor:
+/// exactly `pivot.norm() < PIVOT_FLOOR || !pivot.norm().is_finite()`.
+///
+/// A finite key above 1e-280 means a finite norm above 1e-280 for `f64`
+/// (key `|x|`) or 1e-140 for `Complex` (key `|z|²`), either far above the
+/// floor, so only the rare other keys pay for the norm.
+pub(crate) fn pivot_is_singular<T: Scalar>(pivot: T, key: f64) -> bool {
+    if key > 1e-280 && key.is_finite() {
+        return false;
+    }
+    let norm = pivot.norm();
+    norm < PIVOT_FLOOR || !norm.is_finite()
+}
+
 /// Solves `A·x = b` in place: `a` is overwritten with its LU factors and `b`
 /// with the solution vector.
+///
+/// Pivots are the largest-magnitude candidates as [`Scalar::norm`] ranks
+/// them (ranked through [`Scalar::norm_exceeds`], which agrees bit for bit);
+/// the first of equal candidates wins.
 ///
 /// # Errors
 ///
@@ -22,15 +44,18 @@ pub fn solve_in_place<T: Scalar>(a: &mut DenseMatrix<T>, b: &mut [T]) -> Result<
     for k in 0..n {
         // Partial pivoting: find the row with the largest magnitude in column k.
         let mut pivot_row = k;
-        let mut pivot_norm = a[(k, k)].norm();
+        let mut pivot = a[(k, k)];
+        let mut pivot_key = pivot.magnitude_key();
         for i in (k + 1)..n {
-            let norm = a[(i, k)].norm();
-            if norm > pivot_norm {
-                pivot_norm = norm;
+            let candidate = a[(i, k)];
+            let key = candidate.magnitude_key();
+            if candidate.norm_exceeds(key, pivot, pivot_key) {
                 pivot_row = i;
+                pivot = candidate;
+                pivot_key = key;
             }
         }
-        if pivot_norm < 1e-300 || !pivot_norm.is_finite() {
+        if pivot_is_singular(pivot, pivot_key) {
             return Err(SimError::SingularMatrix {
                 pivot: k,
                 unknown: None,
@@ -40,27 +65,32 @@ pub fn solve_in_place<T: Scalar>(a: &mut DenseMatrix<T>, b: &mut [T]) -> Result<
             a.swap_rows(k, pivot_row);
             b.swap(k, pivot_row);
         }
-        let pivot = a[(k, k)];
-        for i in (k + 1)..n {
-            let factor = a[(i, k)] / pivot;
-            if factor.norm() == 0.0 {
+        let divisor = pivot.divisor();
+        let (upper, lower) = a.as_mut_slice().split_at_mut((k + 1) * n);
+        let pivot_tail = &upper[k * n + k + 1..];
+        let (b_upper, b_lower) = b.split_at_mut(k + 1);
+        let bk = b_upper[k];
+        for (row, bi) in lower.chunks_exact_mut(n).zip(b_lower) {
+            let factor = row[k].div_by(divisor);
+            if factor.is_zero() {
                 continue;
             }
-            a[(i, k)] = factor;
-            for j in (k + 1)..n {
-                let akj = a[(k, j)];
-                a[(i, j)] = a[(i, j)] - factor * akj;
+            row[k] = factor;
+            for (aij, &akj) in row[k + 1..].iter_mut().zip(pivot_tail) {
+                *aij = *aij - factor * akj;
             }
-            b[i] = b[i] - factor * b[k];
+            *bi = *bi - factor * bk;
         }
     }
     // Back substitution.
+    let lu: &[T] = a.as_mut_slice();
     for i in (0..n).rev() {
+        let row = &lu[i * n..(i + 1) * n];
         let mut acc = b[i];
-        for j in (i + 1)..n {
-            acc = acc - a[(i, j)] * b[j];
+        for (&aij, &bj) in row[i + 1..].iter().zip(&b[i + 1..]) {
+            acc = acc - aij * bj;
         }
-        b[i] = acc / a[(i, i)];
+        b[i] = acc / row[i];
     }
     Ok(())
 }

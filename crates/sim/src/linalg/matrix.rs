@@ -101,6 +101,11 @@ impl<T: Scalar> DenseMatrix<T> {
         }
     }
 
+    /// The entries in row-major order.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
     /// Maximum absolute value of any entry (infinity norm of the flattened matrix).
     pub fn max_norm(&self) -> f64 {
         self.data.iter().map(|v| v.norm()).fold(0.0, f64::max)

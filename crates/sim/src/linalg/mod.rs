@@ -20,8 +20,20 @@ pub use lu::solve_in_place;
 pub use matrix::DenseMatrix;
 pub use sparse::{CsrMatrix, PatternBuilder, SparsityPattern};
 
-/// Scalar field abstraction letting the same LU routine factor real (DC) and
+/// Scalar field abstraction letting the same LU routines factor real (DC) and
 /// complex (AC) MNA systems.
+///
+/// Both LU routines rank pivots and skip zero multipliers through this trait
+/// rather than through [`norm`](Scalar::norm), so a complex solve does not
+/// pay a `hypot` per candidate. The contract that keeps every solve
+/// bit-identical to a `hypot`-ranked one:
+///
+/// * [`norm_exceeds`](Scalar::norm_exceeds) answers exactly what
+///   `a.norm() > b.norm()` answers, for every input including ties, zeros,
+///   subnormals, overflowing squares, NaN and infinities;
+/// * [`is_zero`](Scalar::is_zero) answers exactly what `x.norm() == 0.0`
+///   answers;
+/// * `x.div_by(p.divisor())` has the bits of `x / p`.
 pub trait Scalar:
     Copy
     + PartialEq
@@ -36,8 +48,23 @@ pub trait Scalar:
     fn zero() -> Self;
     /// Multiplicative identity.
     fn one() -> Self;
-    /// Magnitude used for pivot selection and convergence checks.
+    /// Magnitude used for the singular-pivot floor and convergence checks.
     fn norm(self) -> f64;
+    /// A cheap key that ranks magnitudes: `|x|` for `f64`, `|z|²` for
+    /// [`Complex`]. Pass it back to [`norm_exceeds`](Scalar::norm_exceeds).
+    fn magnitude_key(self) -> f64;
+    /// Whether `self.norm() > other.norm()`, given both values' magnitude
+    /// keys; bit-exact with the `norm` comparison.
+    fn norm_exceeds(self, key: f64, other: Self, other_key: f64) -> bool;
+    /// Whether `self.norm() == 0.0`, without computing the norm.
+    fn is_zero(self) -> bool;
+    /// `self` prepared as a divisor for repeated [`div_by`](Scalar::div_by)
+    /// calls: the reciprocal for [`Complex`] (whose division already
+    /// multiplies by it), the value itself for `f64` (where multiplying by a
+    /// reciprocal would change the last bit).
+    fn divisor(self) -> Self;
+    /// `self / p`, given `p.divisor()`.
+    fn div_by(self, divisor: Self) -> Self;
 }
 
 impl Scalar for f64 {
@@ -50,6 +77,21 @@ impl Scalar for f64 {
     fn norm(self) -> f64 {
         self.abs()
     }
+    fn magnitude_key(self) -> f64 {
+        self.abs()
+    }
+    fn norm_exceeds(self, key: f64, _other: Self, other_key: f64) -> bool {
+        key > other_key
+    }
+    fn is_zero(self) -> bool {
+        self == 0.0
+    }
+    fn divisor(self) -> Self {
+        self
+    }
+    fn div_by(self, divisor: Self) -> Self {
+        self / divisor
+    }
 }
 
 impl Scalar for Complex {
@@ -61,6 +103,21 @@ impl Scalar for Complex {
     }
     fn norm(self) -> f64 {
         self.abs()
+    }
+    fn magnitude_key(self) -> f64 {
+        self.norm_sqr()
+    }
+    fn norm_exceeds(self, key: f64, other: Self, other_key: f64) -> bool {
+        self.abs_exceeds(key, other, other_key)
+    }
+    fn is_zero(self) -> bool {
+        self.re == 0.0 && self.im == 0.0
+    }
+    fn divisor(self) -> Self {
+        self.recip()
+    }
+    fn div_by(self, divisor: Self) -> Self {
+        self * divisor
     }
 }
 

@@ -98,10 +98,14 @@ fn interpolate_value_at(x: &[f64], y: &[f64], f: f64) -> f64 {
 
 /// Frequency at which the gain crosses 0 dB (unity gain), if any.
 pub fn unity_gain_frequency(frequencies: &[f64], response: &[Complex]) -> Option<f64> {
-    let mags = magnitude_db(response);
+    unity_crossing(frequencies, &magnitude_db(response))
+}
+
+/// [`unity_gain_frequency`] over the response's [`magnitude_db`].
+fn unity_crossing(frequencies: &[f64], mags: &[f64]) -> Option<f64> {
     for i in 0..mags.len().saturating_sub(1) {
         if mags[i] >= 0.0 && mags[i + 1] < 0.0 {
-            return Some(interpolate_crossing(frequencies, &mags, i, 0.0));
+            return Some(interpolate_crossing(frequencies, mags, i, 0.0));
         }
     }
     None
@@ -110,19 +114,28 @@ pub fn unity_gain_frequency(frequencies: &[f64], response: &[Complex]) -> Option
 /// Phase margin in degrees: `180° + ∠H(f_unity)`.
 pub fn phase_margin(frequencies: &[f64], response: &[Complex]) -> Option<f64> {
     let f_unity = unity_gain_frequency(frequencies, response)?;
+    Some(phase_margin_at(frequencies, response, f_unity))
+}
+
+/// [`phase_margin`] at an already-found unity-gain frequency.
+fn phase_margin_at(frequencies: &[f64], response: &[Complex], f_unity: f64) -> f64 {
     let phases = unwrapped_phase_deg(response);
     let phase_at_unity = interpolate_value_at(frequencies, &phases, f_unity);
-    Some(180.0 + phase_at_unity)
+    180.0 + phase_at_unity
 }
 
 /// −3 dB bandwidth relative to the low-frequency gain.
 pub fn bandwidth_3db(frequencies: &[f64], response: &[Complex]) -> Option<f64> {
-    let mags = magnitude_db(response);
+    bandwidth_crossing(frequencies, &magnitude_db(response))
+}
+
+/// [`bandwidth_3db`] over the response's [`magnitude_db`].
+fn bandwidth_crossing(frequencies: &[f64], mags: &[f64]) -> Option<f64> {
     let reference = mags[0];
     let target = reference - 3.0;
     for i in 0..mags.len().saturating_sub(1) {
         if mags[i] >= target && mags[i + 1] < target {
-            return Some(interpolate_crossing(frequencies, &mags, i, target));
+            return Some(interpolate_crossing(frequencies, mags, i, target));
         }
     }
     None
@@ -145,6 +158,9 @@ pub fn gain_db_at(frequencies: &[f64], response: &[Complex], frequency: f64) -> 
 
 /// Extracts the full measurement summary from a swept response.
 ///
+/// Computes the response's [`magnitude_db`] once and derives every figure
+/// from it; each field equals what its standalone function returns.
+///
 /// # Errors
 ///
 /// Returns an error if the sweep and response lengths differ or are empty.
@@ -156,11 +172,13 @@ pub fn measure(frequencies: &[f64], response: &[Complex]) -> Result<AcMeasuremen
             response.len()
         )));
     }
+    let mags = magnitude_db(response);
+    let unity_gain_hz = unity_crossing(frequencies, &mags);
     Ok(AcMeasurements {
-        dc_gain_db: dc_gain_db(response),
-        unity_gain_hz: unity_gain_frequency(frequencies, response),
-        phase_margin_deg: phase_margin(frequencies, response),
-        bandwidth_hz: bandwidth_3db(frequencies, response),
+        dc_gain_db: mags[0],
+        unity_gain_hz,
+        phase_margin_deg: unity_gain_hz.map(|f| phase_margin_at(frequencies, response, f)),
+        bandwidth_hz: bandwidth_crossing(frequencies, &mags),
     })
 }
 

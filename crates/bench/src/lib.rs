@@ -1,106 +1,14 @@
-//! Shared plumbing for the report binaries and benchmarks that regenerate the
-//! paper's tables and figures.
+//! The `bench` binary's report format: [`BenchReport`], the schema-versioned
+//! `BENCH_*.json` trajectory of timed kernels, and the baseline selection
+//! behind `bench --check-latest`.
 //!
-//! Every binary accepts an optional scale argument:
-//!
-//! * `--reduced` — seconds; small GA population and Monte Carlo (default),
-//! * `--demo` — a couple of minutes; enough samples to show the paper's trends,
-//! * `--full` — the paper-scale workload (100×100 WBGA, 200-sample MC per
-//!   Pareto point); `ayb run --scale paper --seed 1 --threads 2` took
-//!   9.4–11.2 s on a 2-vCPU x86_64 host.
+//! The paper's tables and figures are not benchmarks: `ayb report RUN_ID`
+//! renders them from one stored run.
 
 #![warn(missing_docs)]
 
-use ayb_core::FlowConfig;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-
-/// Workload scale selected on the command line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Seconds-scale workload for smoke runs and CI.
-    Reduced,
-    /// Minutes-scale workload showing the paper's trends.
-    Demo,
-    /// The full paper-scale workload.
-    Full,
-}
-
-impl Scale {
-    /// Parses the scale from the process arguments (defaults to `Reduced`).
-    pub fn from_args() -> Scale {
-        for arg in std::env::args() {
-            match arg.as_str() {
-                "--full" => return Scale::Full,
-                "--demo" => return Scale::Demo,
-                "--reduced" => return Scale::Reduced,
-                _ => {}
-            }
-        }
-        Scale::Reduced
-    }
-
-    /// Flow configuration corresponding to this scale.
-    pub fn flow_config(self) -> FlowConfig {
-        match self {
-            Scale::Reduced => {
-                let mut config = FlowConfig::reduced();
-                config.ga.population_size = 20;
-                config.ga.generations = 12;
-                config.monte_carlo.samples = 20;
-                config.max_pareto_points = 15;
-                config
-            }
-            Scale::Demo => FlowConfig::demo_scale(),
-            Scale::Full => FlowConfig::paper_scale(),
-        }
-    }
-
-    /// Monte Carlo sample count used for final verification runs (the paper
-    /// uses 500).
-    pub fn verification_samples(self) -> usize {
-        match self {
-            Scale::Reduced => 24,
-            Scale::Demo => 100,
-            Scale::Full => 500,
-        }
-    }
-
-    /// Human-readable banner for report output.
-    pub fn banner(self) -> &'static str {
-        match self {
-            Scale::Reduced => "reduced scale (use --demo or --full for larger runs)",
-            Scale::Demo => "demo scale (use --full for the paper-scale workload)",
-            Scale::Full => "full paper scale",
-        }
-    }
-}
-
-/// Runs the model-generation flow at the selected scale, printing progress.
-pub fn run_flow(scale: Scale) -> ayb_core::FlowResult {
-    run_flow_with(
-        scale,
-        ayb_moo::OptimizerConfig::Wbga(scale.flow_config().ga),
-    )
-}
-
-/// Runs the flow at the selected scale with an explicit optimiser choice,
-/// reporting stage progress on stderr.
-pub fn run_flow_with(scale: Scale, optimizer: ayb_moo::OptimizerConfig) -> ayb_core::FlowResult {
-    let config = scale.flow_config();
-    eprintln!(
-        "[ayb-bench] running model-generation flow at {} ({}: {} evaluations, {} MC samples/point)",
-        scale.banner(),
-        optimizer.name(),
-        optimizer.evaluation_budget(),
-        config.monte_carlo.samples
-    );
-    ayb_core::FlowBuilder::new(config)
-        .with_optimizer(optimizer)
-        .with_observer(ayb_core::StderrObserver)
-        .run()
-        .expect("model-generation flow failed")
-}
 
 /// Report format version of `BENCH_*.json`; bump when the shape changes.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
@@ -196,24 +104,6 @@ pub fn load_newest_baseline(dir: &Path) -> Result<Option<(String, BenchReport)>,
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scales_map_to_increasing_budgets() {
-        let reduced = Scale::Reduced.flow_config();
-        let demo = Scale::Demo.flow_config();
-        let full = Scale::Full.flow_config();
-        assert!(reduced.ga.evaluation_budget() < demo.ga.evaluation_budget());
-        assert!(demo.ga.evaluation_budget() < full.ga.evaluation_budget());
-        assert_eq!(full.ga.evaluation_budget(), 10_000);
-        assert!(Scale::Full.verification_samples() == 500);
-        assert!(!Scale::Demo.banner().is_empty());
-    }
-
-    #[test]
-    fn default_scale_is_reduced() {
-        // The test binary's arguments contain no scale flag.
-        assert_eq!(Scale::from_args(), Scale::Reduced);
-    }
 
     fn report(stamp: u64) -> BenchReport {
         BenchReport {

@@ -136,9 +136,8 @@ impl FlowConfig {
         }
     }
 
-    /// Intermediate settings used by the report binaries when `--full` is not
-    /// requested: large enough to show the paper's trends, small enough to run
-    /// in a couple of minutes.
+    /// Intermediate settings (`ayb run --scale demo`): large enough to show
+    /// the paper's trends, small enough to run in seconds.
     pub fn demo_scale() -> Self {
         FlowConfig {
             ga: GaConfig {

@@ -5,7 +5,8 @@
 //! that keep the transistor-level netlist in the loop and evaluate yield by
 //! Monte Carlo for every candidate (e.g. HOLMES, paper ref. \[5\], which needed
 //! 7 hours against the proposed 4 for the same OTA). This module implements
-//! that baseline so the comparison benchmarks can measure both sides:
+//! that baseline so the speed-up section of the paper report
+//! ([`crate::report::render_flow_report`]) can measure both sides:
 //!
 //! * per-candidate cost of a transistor-level Monte Carlo yield estimate
 //!   versus a single behavioural-model lookup, and
@@ -110,7 +111,7 @@ pub fn compare_approaches(
     })
 }
 
-/// Per-evaluation cost probe used by the filter benchmarks: one behavioural
+/// Per-evaluation cost probe of the report's speed-up section: one behavioural
 /// filter evaluation versus one transistor-level filter evaluation of the same
 /// sizing. Returns `(behavioural, transistor)` durations, or `None` when
 /// either simulation fails.

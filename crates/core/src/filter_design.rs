@@ -215,7 +215,7 @@ pub fn verify_filter_yield(
 }
 
 /// Characterises the transistor-level filter once (no Monte Carlo); used by
-/// the conventional-approach comparison and the Figure 11 bench.
+/// the conventional-approach comparison and the report's Figure 11.
 ///
 /// Returns the frequencies, response and spec report.
 pub fn simulate_transistor_filter(

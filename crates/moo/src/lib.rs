@@ -13,7 +13,7 @@
 //! * [`Wbga`] — the weight-based genetic algorithm the paper uses, where the
 //!   GA string carries designable parameters *and* objective weights
 //!   (normalised per eq. 4) and fitness is the normalised weighted sum (eq. 5),
-//! * [`Nsga2`] — the NSGA-II baseline used in the ablation benchmarks,
+//! * [`Nsga2`] — the NSGA-II baseline for optimiser comparisons,
 //! * [`RandomSearch`] / [`random_search()`](random_search::random_search) — a uniform-sampling baseline,
 //! * [`pareto`] — dominance tests, Pareto-front extraction (§3.3), fast
 //!   non-dominated sorting, crowding distance and 2-D hypervolume,

@@ -2,7 +2,7 @@
 //!
 //! The paper chooses the WBGA; NSGA-II (Deb, paper ref. \[8\]) is the standard
 //! alternative for multi-objective analogue sizing and is provided here as the
-//! comparison baseline for the `ablation_wbga_vs_nsga2` benchmark: same
+//! comparison baseline (`ayb run --optimizer nsga2`, then `ayb report`): same
 //! evaluation budget, front quality compared via hypervolume.
 
 use crate::checkpoint::{

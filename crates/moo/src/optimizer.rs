@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// An optimisation algorithm that can drive any [`SizingProblem`].
 ///
 /// Implementations are interchangeable behind `&dyn Optimizer` / `Box<dyn
-/// Optimizer>`: the model-generation flow, the ablation benchmarks and the
+/// Optimizer>`: the model-generation flow, the filter design and the
 /// integration tests all run optimisers exclusively through this trait.
 pub trait Optimizer {
     /// Stable machine-readable identifier (e.g. `"wbga"`).

@@ -1054,8 +1054,8 @@ impl RunHandle {
     /// Upserts extra (non-core) keys into the manifest, atomically and
     /// without disturbing the typed fields — the read-modify-rewrite
     /// counterpart of [`Store::enqueue_run_with_extras`] for annotations
-    /// that change after creation (the service plane's `dedup_hits` counter,
-    /// a `cancelled` marker). Keys shadowing a core manifest field are
+    /// that change after creation (the service plane's `cancelled` marker).
+    /// Keys shadowing a core manifest field are
     /// ignored. Existing extra keys are replaced, new ones appended.
     ///
     /// # Errors

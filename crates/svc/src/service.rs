@@ -327,26 +327,12 @@ impl SvcShared {
         // Content-addressed dedup: an identical live submission returns the
         // canonical run instead of enqueueing a duplicate. A failed (or
         // cancelled) canonical run does not count — the resubmission
-        // replaces it and executes fresh.
+        // replaces it and executes fresh. The hit is counted in the metric
+        // only, so it never writes the manifest under this lock.
         if let Some(existing) = admission.dedup.get(&digest).cloned() {
             if let Ok(handle) = self.store.run(&existing) {
                 if let Ok(status) = handle.status() {
                     if status != RunStatus::Failed {
-                        let hits = handle
-                            .manifest_extra("dedup_hits")
-                            .ok()
-                            .flatten()
-                            .and_then(|v| match v {
-                                Value::Int(n) => u64::try_from(n).ok(),
-                                Value::UInt(n) => Some(n),
-                                _ => None,
-                            })
-                            .unwrap_or(0)
-                            + 1;
-                        let _ = handle.merge_manifest_extras(&[(
-                            "dedup_hits".to_string(),
-                            (hits).to_value(),
-                        )]);
                         metrics.inc("ayb_svc_dedup_hits_total");
                         drop(admission);
                         self.emit(
@@ -433,7 +419,6 @@ impl SvcShared {
             pair("tenant", Value::Str(tenant.clone())),
             pair("priority", Value::Str(priority.as_str().to_string())),
             pair("submission_digest", Value::Str(digest_hex(digest))),
-            pair("dedup_hits", Value::Int(0)),
         ];
         let handle = match self
             .store
@@ -509,13 +494,7 @@ impl SvcShared {
             pair("run_id", Value::Str(id.to_string())),
             pair("status", Value::Str(status.as_str().to_string())),
         ];
-        for key in [
-            "tenant",
-            "priority",
-            "submission_digest",
-            "dedup_hits",
-            "cancelled",
-        ] {
+        for key in ["tenant", "priority", "submission_digest", "cancelled"] {
             if let Ok(Some(value)) = handle.manifest_extra(key) {
                 pairs.push(pair(key, value));
             }
@@ -1277,7 +1256,7 @@ mod tests {
         assert_eq!(first.get("deduped"), Some(&Value::Bool(false)));
         let run_id = str_field(&first, "run_id");
 
-        // Same submission → 200, same run, hit counted in the manifest.
+        // Same submission → 200, same run, hit counted in the metric.
         let (status, second) = client.submit_seed(7, "reduced").unwrap();
         assert_eq!(status, 200);
         assert_eq!(second.get("deduped"), Some(&Value::Bool(true)));
@@ -1296,7 +1275,11 @@ mod tests {
 
         let (status, info) = client.run_status(&run_id).unwrap();
         assert_eq!(status, 200);
-        assert_eq!(info.get("dedup_hits"), Some(&Value::Int(2)));
+        let metrics = client.metrics_text().unwrap();
+        assert!(
+            metrics.lines().any(|l| l == "ayb_svc_dedup_hits_total 2"),
+            "{metrics}"
+        );
         assert_eq!(str_field(&info, "tenant"), "t0");
 
         // A different seed is a different run.

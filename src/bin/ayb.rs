@@ -24,6 +24,7 @@
 //! ayb top    [--store DIR] [--transport tcp://HOST:PORT] [--watch SECS]
 //! ayb list   [--store DIR]
 //! ayb show   [--store DIR] RUN_ID [--digest]
+//! ayb report [--store DIR] RUN_ID
 //! ayb gc     [--store DIR] [--keep-checkpoints K] [--sweep-all]
 //! ayb cache  [--store DIR] [status|gc] [--max-age-hours H]
 //! ```
@@ -34,6 +35,11 @@
 //! `--halt-after N` — is continued by `ayb resume RUN_ID` and produces a
 //! result identical to the uninterrupted run (compare with
 //! `ayb show RUN_ID --digest`).
+//!
+//! `ayb report RUN_ID` prints the paper's evaluation from a completed run:
+//! Tables 1–5, the Figure 7–11 data and the model-vs-conventional speed-up,
+//! in paper order. It reads the stored manifest and result and runs only the
+//! verification simulations those sections need — never the flow.
 //!
 //! `ayb submit` queues runs without executing them; `ayb serve` drives a
 //! worker pool over the same store (any number of server processes may share
@@ -76,6 +82,7 @@ use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 use ayb_obs::{kind as event_kind, log_to_stderr, Event, Histogram, Severity, StderrSink};
 use ayb_store::{ClaimHealth, Manifest, ResultCache, RunStatus, Store};
 use ayb_svc::{SvcConfig, SvcServer, TenantQuota};
+use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -106,6 +113,7 @@ USAGE:
     ayb top    [--store DIR] [--transport tcp://HOST:PORT] [--watch SECS]
     ayb list   [--store DIR]
     ayb show   [--store DIR] RUN_ID [--digest]
+    ayb report [--store DIR] RUN_ID
     ayb gc     [--store DIR] [--keep-checkpoints K] [--sweep-all]
     ayb cache  [--store DIR] [status|gc] [--max-age-hours H]
 
@@ -153,6 +161,9 @@ OPTIONS:
     --digest              Print only the result's determinism digest
     --quiet               Suppress progress output
 
+`ayb report RUN_ID` prints Tables 1-5, the Figure 7-11 data and the speed-up
+comparison from a completed run, without re-running its flow.
+
 Progress lines on stderr are structured events; set AYB_LOG=debug|info|warn|
 error (default info) to change how much is shown. Durable runs persist the
 same events to runs/<RUN_ID>/events.jsonl for `ayb trace`.
@@ -188,6 +199,7 @@ fn main() -> ExitCode {
         "top" => cmd_top(&parsed),
         "list" => cmd_list(&parsed),
         "show" => cmd_show(&parsed),
+        "report" => cmd_report(&parsed),
         "gc" => cmd_gc(&parsed),
         "cache" => cmd_cache(&parsed),
         "help" | "--help" | "-h" => {
@@ -822,15 +834,10 @@ fn status_of_run(store: &Store, id: &str) -> Result<(), String> {
         println!("variation_checkpoints: {}", variation.len());
     }
     // Service-plane annotations (runs admitted through `ayb serve-http`):
-    // tenant, dedup key and hit count, priority lane, cancellation marker.
-    // Cache hits are counted in the result cache (`ayb cache status`).
-    for key in [
-        "tenant",
-        "priority",
-        "submission_digest",
-        "dedup_hits",
-        "cancelled",
-    ] {
+    // tenant, dedup key, priority lane, cancellation marker. Dedup hits are
+    // counted in `ayb_svc_dedup_hits_total` on `/v1/metrics`, cache hits in
+    // the result cache (`ayb cache status`).
+    for key in ["tenant", "priority", "submission_digest", "cancelled"] {
         if let Ok(Some(value)) = handle.manifest_extra(key) {
             match value {
                 serde::Value::Str(text) => println!("{key}: {text}"),
@@ -1346,4 +1353,26 @@ fn cmd_show(args: &CliArgs) -> Result<(), String> {
         println!("result: none (resume with `ayb resume {run_id}`)");
     }
     Ok(())
+}
+
+/// Prints the paper's tables and figure data from a completed run's stored
+/// manifest and result; only the verification simulations they need run.
+fn cmd_report(args: &CliArgs) -> Result<(), String> {
+    let store = args.open_store()?;
+    let run_id = args.required_run_id()?;
+    let (config, result) = store
+        .run(run_id)
+        .and_then(|handle| {
+            let manifest: Manifest<FlowConfig> = handle.manifest()?;
+            Ok((manifest.flow, handle.load_result::<FlowResult>()?))
+        })
+        .map_err(|e| format!("cannot report run `{run_id}`: {e}"))?;
+    let report = ayb_core::report::render_flow_report(&result, &config);
+    // A reader that stops early (`ayb report ID | head`) is not an error.
+    match std::io::stdout().lock().write_all(report.as_bytes()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write the report: {e}"))
+        }
+        _ => Ok(()),
+    }
 }

@@ -1,4 +1,5 @@
-//! CLI regression tests: exit codes and error surfaces of the `ayb` binary.
+//! CLI regression tests: exit codes and error surfaces of the `ayb` binary,
+//! and the sections `ayb report` renders from a stored run.
 //!
 //! The service plane maps failures onto distinct HTTP statuses; the shell
 //! contract is the same idea — `ayb status <unknown run>` must *fail* (exit
@@ -67,7 +68,6 @@ fn status_of_a_service_submitted_run_shows_the_svc_annotations() {
             "submission_digest".to_string(),
             serde::Value::Str("00deadbeef00f00d".to_string()),
         ),
-        ("dedup_hits".to_string(), serde::Value::Int(3)),
     ];
     let run_id = store
         .enqueue_run_with_extras(7, &optimizer, &config, &extras)
@@ -83,7 +83,6 @@ fn status_of_a_service_submitted_run_shows_the_svc_annotations() {
         stdout.contains("submission_digest: 00deadbeef00f00d"),
         "got: {stdout}"
     );
-    assert!(stdout.contains("dedup_hits: 3"), "got: {stdout}");
     let _ = std::fs::remove_dir_all(root);
 }
 
@@ -103,4 +102,174 @@ fn serve_http_rejects_malformed_quota_and_weight_specs() {
         );
     }
     let _ = std::fs::remove_dir_all(root);
+}
+
+/// The report's sections in paper order: each one's header, and the tag of
+/// the one line it renders as when the model cannot meet its specification
+/// (sections that always render have no such line).
+const REPORT_SECTIONS: [(&str, Option<&str>); 11] = [
+    ("Table 1.", None),
+    ("Table 2.", None),
+    ("Table 3.", Some("table3")),
+    ("Table 4.", Some("table4")),
+    ("Table 5.", None),
+    ("# Figure 7", None),
+    ("# Figure 8", Some("fig8")),
+    ("Figure 10", None),
+    ("Figure 9", Some("fig9")),
+    ("# Figure 11", Some("fig11")),
+    ("Speed / efficiency comparison", Some("speedup")),
+];
+
+/// Index of the first line of `report` that starts with `prefix`.
+fn line_starting_with(report: &str, prefix: &str) -> Option<usize> {
+    report.lines().position(|line| line.starts_with(prefix))
+}
+
+/// `report`'s lines minus those carrying wall-clock seconds measured while
+/// reporting (the speed-up section's timings and ratios).
+fn without_wall_clock(report: &str) -> Vec<&str> {
+    report
+        .lines()
+        .filter(|l| !(l.contains(" s ") || l.ends_with(" s") || l.contains("speed-up:")))
+        .collect()
+}
+
+/// Runs `ayb run --scale demo` once per test binary and reports it twice.
+fn demo_reports() -> &'static (String, String) {
+    static REPORTS: std::sync::OnceLock<(String, String)> = std::sync::OnceLock::new();
+    REPORTS.get_or_init(|| {
+        let root = temp_store("report-demo");
+        let run = ayb(
+            &root,
+            &["run", "--id", "demo", "--scale", "demo", "--quiet"],
+        );
+        assert!(run.status.success(), "{run:?}");
+        let report = || {
+            let output = ayb(&root, &["report", "demo"]);
+            assert!(output.status.success(), "{output:?}");
+            String::from_utf8(output.stdout).expect("utf-8 report")
+        };
+        let reports = (report(), report());
+        let _ = std::fs::remove_dir_all(root);
+        reports
+    })
+}
+
+#[test]
+fn report_of_a_demo_run_renders_every_section_in_paper_order_and_repeats() {
+    let (first, second) = demo_reports();
+    let lines: Vec<usize> = REPORT_SECTIONS
+        .iter()
+        .map(|(header, _)| {
+            line_starting_with(first, header)
+                .unwrap_or_else(|| panic!("no `{header}` section in:\n{first}"))
+        })
+        .collect();
+    assert!(
+        lines.windows(2).all(|pair| pair[0] < pair[1]),
+        "sections out of paper order: {lines:?}"
+    );
+    assert!(!first.contains("not rendered"), "{first}");
+    assert_eq!(without_wall_clock(first), without_wall_clock(second));
+}
+
+#[test]
+fn report_of_a_reduced_run_names_each_section_it_cannot_render() {
+    let root = temp_store("report-reduced");
+    for seed in ["2", "3"] {
+        let id = format!("seed{seed}");
+        let run = ayb(&root, &["run", "--id", &id, "--seed", seed, "--quiet"]);
+        assert!(run.status.success(), "{run:?}");
+        let output = ayb(&root, &["report", &id]);
+        assert!(output.status.success(), "seed {seed}: {output:?}");
+        let report = String::from_utf8_lossy(&output.stdout);
+        let mut previous = None;
+        for (header, tag) in REPORT_SECTIONS {
+            let line = line_starting_with(&report, header)
+                .or_else(|| {
+                    tag.and_then(|tag| {
+                        line_starting_with(&report, &format!("[{tag}] not rendered: "))
+                    })
+                })
+                .unwrap_or_else(|| panic!("seed {seed}: no `{header}` section in:\n{report}"));
+            assert!(
+                previous < Some(line),
+                "seed {seed}: `{header}` out of order"
+            );
+            previous = Some(line);
+        }
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn report_without_a_result_exits_non_zero_and_names_the_run() {
+    let root = temp_store("report-missing");
+    let submit = ayb(&root, &["submit", "--id", "queued-run", "--quiet"]);
+    assert!(submit.status.success(), "{submit:?}");
+    for id in ["run-9999", "queued-run"] {
+        let output = ayb(&root, &["report", id]);
+        assert!(!output.status.success(), "`ayb report {id}` must fail");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(id),
+            "diagnostic must name {id}, got: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// The demo run's Table 2 as the former `table2_variation --demo` report
+/// binary printed it.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+const DEMO_TABLE2: &str = "\
+Table 2. Performance and variation values
+Design   Gain(dB)   dGain(%)    PM(deg)     dPM(%)
+     1      53.84       4.04       89.5       0.33
+     2      55.42       2.57       89.5       0.23
+     3      55.66       3.43       89.4       0.26
+     4      55.66       3.01       89.4       0.26
+     5      56.00       2.48       89.4       0.29
+     6      56.03       2.53       89.4       0.24
+     7      56.04       2.04       89.3       0.31
+     8      56.29       1.80       89.2       0.24
+     9      56.31       2.21       88.9       0.36
+    10      56.35       2.24       88.8       0.35
+    11      56.45       2.04       88.8       0.28
+    12      56.89       2.01       88.5       0.49
+    13      57.01       1.95       88.1       0.45
+    14      57.25       2.32       88.0       0.46
+    15      57.33       1.51       83.7       0.80
+
+covariance(gain, dGain%) = -0.4524 (paper Table 2 trends negative)
+";
+
+/// The demo run's Table 4 as the former `table4_comparison --demo` report
+/// binary printed it.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+const DEMO_TABLE4: &str = "\
+Table 4. Performance comparison
+Performance          Transistor Model  Verilog-A Model    % error
+Gain                            55.66            55.62      0.06%
+Phase Margin                    89.40            89.41      0.02%
+
+Transistor-level unity-gain frequency: 0.22 MHz (model predicted 0.22 MHz)
+";
+
+/// The demo report's Table 2 and Table 4 blocks, pinned as text. Their
+/// numbers pass through the platform libm, so the pin is Linux x86_64 only
+/// (as in `tests/golden_digests.rs`).
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[test]
+fn report_of_a_demo_run_prints_the_pinned_table2_and_table4() {
+    let (report, _) = demo_reports();
+    // A block runs from its header to the blank line before the next one.
+    let block = |header: &str, next: &str| {
+        let start = report.find(header).expect("header present");
+        let end = start + report[start..].find(next).expect("next header present");
+        report[start..end].to_string()
+    };
+    assert_eq!(block("Table 2.", "Table 3."), format!("{DEMO_TABLE2}\n"));
+    assert_eq!(block("Table 4.", "Table 5."), format!("{DEMO_TABLE4}\n"));
 }

@@ -351,6 +351,12 @@ fn wrr_dispatch_bounds_the_victims_wait_and_preserves_digests() {
             let (status, _) = victim.submit_raw(&tiny_body(seed)).expect("victim submits");
             assert_eq!(status, 201);
         }
+        // 10 flood runs × 2 extra submissions, counted at admission.
+        let metrics = flood.metrics_text().expect("metrics scrape");
+        assert!(
+            metrics.lines().any(|l| l == "ayb_svc_dedup_hits_total 20"),
+            "{metrics}"
+        );
         admission.shutdown();
     }
     assert_eq!(store.queued_run_ids().expect("queued").len(), 14);
@@ -407,18 +413,6 @@ fn wrr_dispatch_bounds_the_victims_wait_and_preserves_digests() {
             2 * (k + 1)
         );
     }
-
-    // The dedup ledger survived into execution: 10 flood runs carry 2 hits
-    // each, and the canonical run's manifest says so.
-    let mut total_hits = 0i64;
-    for id in store.run_ids().expect("ids") {
-        if let Ok(Some(Value::Int(hits))) =
-            store.run(&id).expect("run").manifest_extra("dedup_hits")
-        {
-            total_hits += hits;
-        }
-    }
-    assert_eq!(total_hits, 20, "10 duplicated runs × 2 extra submissions");
 
     // Result endpoint serves a completed run's artefact over HTTP.
     let completed_id = store

@@ -33,16 +33,13 @@
 use ayb_bench::{load_newest_baseline, BenchReport, KernelReport, BENCH_SCHEMA_VERSION};
 use ayb_circuit::ota::{build_open_loop_testbench, OtaParameters, OtaTestbenchConfig};
 use ayb_circuit::{Mosfet, MosfetModelCard, NodeId};
-use ayb_core::{measure_testbench_with, FlowBuilder, FlowConfig, OtaSizingProblem};
+use ayb_core::{measure_testbench, FlowBuilder, FlowConfig, OtaSizingProblem};
 use ayb_moo::{CachedProblem, Evaluation, ShardTransport, SizingProblem};
 use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 use ayb_process::montecarlo::{self, MonteCarloConfig};
 use ayb_process::ProcessVariation;
-use ayb_sim::linalg::{backend_of, solve_in_place, CsrMatrix, DenseMatrix, PatternBuilder};
-use ayb_sim::{
-    ac_analysis, ac_analysis_with, dc_operating_point, mosfet, DcOptions, FrequencySweep,
-    MnaLayout, SolverKind,
-};
+use ayb_sim::linalg::{solve_in_place, DenseMatrix};
+use ayb_sim::{ac_analysis, dc_operating_point, mosfet, DcOptions, FrequencySweep};
 use ayb_store::{
     ShardDataPlane, ShardOutcome, ShardWork, ShardWorkKind, VariationOutcome, VariationPointWork,
 };
@@ -121,42 +118,6 @@ fn bench_mna_lu_solve(iters: u64) -> KernelReport {
     })
 }
 
-fn bench_sparse_lu_solve(iters: u64) -> KernelReport {
-    // The same solve through the sparse backend, on an MNA-like banded
-    // 64×64 pattern (bandwidth 4). The symbolic phase — pattern build and
-    // `prepare` — happens once, outside the timed loop, exactly as it does
-    // once per `MnaLayout` in the kernel; each iteration is a numeric fill
-    // plus a factor-and-solve.
-    const N: usize = 64;
-    const BAND: usize = 4;
-    let mut builder = PatternBuilder::new(N);
-    for i in 0..N {
-        for j in i.saturating_sub(BAND)..(i + BAND + 1).min(N) {
-            builder.entry(i, j);
-        }
-    }
-    let pattern = builder.build();
-    let mut backend = backend_of::<f64>(SolverKind::Sparse);
-    backend.prepare(&pattern);
-    let mut matrix = CsrMatrix::<f64>::new(pattern);
-    time_kernel("sparse_lu_solve_64", iters, 2, || {
-        matrix.clear();
-        let mut b = vec![0.0f64; N];
-        for (i, rhs) in b.iter_mut().enumerate() {
-            for j in i.saturating_sub(BAND)..(i + BAND + 1).min(N) {
-                let coupling = 1.0 / (1.0 + (i as f64 - j as f64).abs());
-                matrix.add(i, j, coupling);
-            }
-            matrix.add(i, i, N as f64);
-            *rhs = 1.0 + i as f64;
-        }
-        backend
-            .solve(black_box(&matrix), black_box(&mut b))
-            .expect("system is well-conditioned");
-        black_box(&b);
-    })
-}
-
 fn bench_mosfet_evaluate(iters: u64) -> KernelReport {
     let card = MosfetModelCard::nmos_035um();
     let device = Mosfet::new(
@@ -203,30 +164,6 @@ fn bench_ac_sweep(iters: u64) -> KernelReport {
     })
 }
 
-/// The AC sweep with factor-reuse made explicit: the `MnaLayout` is built
-/// once and shared with the DC solve, and the sweep runs on the sparse
-/// backend — the `--solver sparse` configuration of the same 65-point
-/// workload as `ota_ac_sweep_65`.
-fn bench_ac_sweep_sparse(iters: u64) -> KernelReport {
-    let tb = build_open_loop_testbench(&OtaParameters::nominal(), &OtaTestbenchConfig::new())
-        .expect("test bench builds");
-    let layout = MnaLayout::new(&tb);
-    let op = dc_operating_point(&tb, &DcOptions::new()).expect("converges");
-    let sweep = FrequencySweep::logarithmic(10.0, 1e9, 8);
-    time_kernel("ota_ac_sweep_65_sparse", iters, 2, || {
-        black_box(
-            ac_analysis_with(
-                black_box(&tb),
-                &layout,
-                black_box(&op),
-                &sweep,
-                SolverKind::Sparse,
-            )
-            .expect("ac runs"),
-        );
-    })
-}
-
 /// One Pareto point's Monte Carlo analysis as the variation stage runs it:
 /// 200 perturbed copies of the nominal OTA test bench, each simulated and
 /// measured, fanned out over 2 worker threads.
@@ -238,8 +175,7 @@ fn bench_mc_point(iters: u64) -> KernelReport {
     let sweep = FrequencySweep::logarithmic(10.0, 1e9, 8);
     time_kernel("mc_point_200", iters, 1, || {
         let run = montecarlo::run_parallel(black_box(&tb), &variation, &config, 2, |sample| {
-            measure_testbench_with(sample, &sweep, SolverKind::Dense)
-                .map(|perf| (perf.gain_db, perf.phase_margin_deg))
+            measure_testbench(sample, &sweep).map(|perf| (perf.gain_db, perf.phase_margin_deg))
         });
         black_box(run);
     })
@@ -462,11 +398,9 @@ fn run_all(quick: bool) -> BenchReport {
         generated_unix,
         kernels: vec![
             bench_mna_lu_solve(micro),
-            bench_sparse_lu_solve(micro),
             bench_mosfet_evaluate(micro),
             bench_dc_operating_point(micro),
             bench_ac_sweep(micro),
-            bench_ac_sweep_sparse(micro),
             bench_mc_point(macro_),
             bench_batch_evaluate(macro_),
             bench_batch_evaluate_revisit(macro_),

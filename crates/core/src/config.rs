@@ -59,12 +59,11 @@ pub struct FlowConfig {
     /// [`FlowObserver::on_transport_degraded`](crate::FlowObserver)) to
     /// local evaluation.
     pub transport: Option<String>,
-    /// Linear-solver backend used by every DC operating point and AC sweep
-    /// in the flow. [`SolverKind::Dense`] is the historical default;
-    /// [`SolverKind::Sparse`] routes solves through the sparse LU. Recorded
-    /// in the manifest so resumed runs keep using the backend they started
-    /// with. Node voltages agree between backends to solver tolerance
-    /// (≪ 1e-9); each backend is individually bit-deterministic.
+    /// The linear-solver kernel every DC operating point and AC sweep in the
+    /// flow runs on. [`SolverKind::Dense`] is the only kernel; the field
+    /// stays so that manifests and submission digests record which kernel
+    /// computed a run, and a manifest naming any other kernel fails to load
+    /// instead of resuming on this one.
     pub solver: SolverKind,
     /// Number of Monte Carlo variation points carried per shard task when
     /// the sharded variation stage runs (minimum 1 = one point per task,
@@ -185,9 +184,9 @@ impl Deserialize for FlowConfig {
             Some(field) => Deserialize::from_value(field)?,
             None => None,
         };
-        // The solver backend and variation batching postdate the transport
-        // selector; absent fields mean the historical dense solver with one
-        // variation point per shard task.
+        // The solver kernel and variation batching postdate the transport
+        // selector; absent fields mean the dense kernel with one variation
+        // point per shard task.
         let solver = match value.get("solver") {
             Some(field) => Deserialize::from_value(field)?,
             None => SolverKind::Dense,
@@ -261,7 +260,6 @@ mod tests {
         config.sharded = true;
         config.shard_size = 7;
         config.transport = Some("tcp://127.0.0.1:4710".to_string());
-        config.solver = SolverKind::Sparse;
         config.variation_batch = 5;
         config.eval_cache = Some(1e-9);
         let serde::Value::Object(mut pairs) = serde::Serialize::to_value(&config) else {

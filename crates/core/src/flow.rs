@@ -39,7 +39,7 @@
 
 use crate::config::FlowConfig;
 use crate::error::AybError;
-use crate::ota_problem::{measure_testbench_with, OtaSizingProblem};
+use crate::ota_problem::{measure_testbench, OtaSizingProblem};
 use ayb_behavioral::{CombinedOtaModel, ModelError, ParetoPointData};
 use ayb_circuit::ota::{build_open_loop_testbench, OtaParameters};
 use ayb_moo::{
@@ -361,15 +361,13 @@ pub fn analyse_variation_point(
     let mut monte_carlo = config.monte_carlo;
     monte_carlo.seed = mc_seed;
     let sweep = config.sweep.clone();
-    let solver = config.solver;
     let run = montecarlo::run_parallel(
         &circuit,
         &config.variation,
         &monte_carlo,
         config.threads,
         move |sample| {
-            measure_testbench_with(sample, &sweep, solver)
-                .map(|perf| (perf.gain_db, perf.phase_margin_deg))
+            measure_testbench(sample, &sweep).map(|perf| (perf.gain_db, perf.phase_margin_deg))
         },
     );
     if run.values.len() < 2 {
@@ -828,8 +826,7 @@ impl FlowBuilder {
     /// when not a single candidate evaluated successfully.
     pub fn optimize(mut self) -> Result<OptimizedFlow, AybError> {
         let problem = OtaSizingProblem::new(self.config.testbench, self.config.sweep.clone())
-            .with_threads(self.config.threads)
-            .with_solver(self.config.solver);
+            .with_threads(self.config.threads);
         let recorder = self.recorder.take().unwrap_or_default();
 
         notify_start(&mut self.observers, FlowStage::Optimize);

@@ -111,7 +111,6 @@ pub use flow::{
     VariationHaltHook, VariationPointRecord,
 };
 pub use ota_problem::{
-    evaluate_ota, evaluate_ota_with, measure_testbench, measure_testbench_with, OtaPerformance,
-    OtaSizingProblem,
+    evaluate_ota, measure_testbench, measure_testbench_with, OtaPerformance, OtaSizingProblem,
 };
 pub use verify::{verify_accuracy, verify_ota_yield, AccuracyReport, YieldReport};

@@ -37,7 +37,7 @@ pub fn measure_testbench(circuit: &Circuit, sweep: &FrequencySweep) -> Option<Ot
     measure_testbench_with(circuit, sweep, SolverKind::Dense)
 }
 
-/// As [`measure_testbench`], with an explicit solver backend.
+/// As [`measure_testbench`], with an explicit solver kernel.
 ///
 /// The MNA layout is derived once and shared between the DC operating point
 /// and the AC sweep.
@@ -65,18 +65,8 @@ pub fn evaluate_ota(
     testbench: &OtaTestbenchConfig,
     sweep: &FrequencySweep,
 ) -> Option<OtaPerformance> {
-    evaluate_ota_with(params, testbench, sweep, SolverKind::Dense)
-}
-
-/// As [`evaluate_ota`], with an explicit solver backend.
-pub fn evaluate_ota_with(
-    params: &OtaParameters,
-    testbench: &OtaTestbenchConfig,
-    sweep: &FrequencySweep,
-    solver: SolverKind,
-) -> Option<OtaPerformance> {
     let circuit = build_open_loop_testbench(params, testbench).ok()?;
-    measure_testbench_with(&circuit, sweep, solver)
+    measure_testbench(&circuit, sweep)
 }
 
 /// The paper's two-objective OTA sizing problem over the Table 1 parameter space.
@@ -86,7 +76,6 @@ pub struct OtaSizingProblem {
     testbench: OtaTestbenchConfig,
     sweep: FrequencySweep,
     threads: usize,
-    solver: SolverKind,
 }
 
 impl OtaSizingProblem {
@@ -101,20 +90,15 @@ impl OtaSizingProblem {
             testbench,
             sweep,
             threads: 1,
-            solver: SolverKind::Dense,
         }
     }
 
-    /// Sets the linear-solver backend used for every candidate simulation.
+    /// Names the linear-solver kernel candidate simulations run on; the
+    /// dense LU is the only one, so the problem is returned unchanged.
     #[must_use]
-    pub fn with_solver(mut self, solver: SolverKind) -> Self {
-        self.solver = solver;
+    pub fn with_solver(self, solver: SolverKind) -> Self {
+        let SolverKind::Dense = solver;
         self
-    }
-
-    /// The linear-solver backend candidate simulations run on.
-    pub fn solver(&self) -> SolverKind {
-        self.solver
     }
 
     /// Sets the number of worker threads batch evaluations may use.
@@ -152,7 +136,7 @@ impl OtaSizingProblem {
     /// Evaluates the full performance record (not just the raw objectives).
     pub fn performance(&self, genes: &[f64]) -> Option<OtaPerformance> {
         let params = self.ota_parameters(genes)?;
-        evaluate_ota_with(&params, &self.testbench, &self.sweep, self.solver)
+        evaluate_ota(&params, &self.testbench, &self.sweep)
     }
 }
 
@@ -233,29 +217,6 @@ mod tests {
         assert_eq!(a, b, "thread count must not change results");
         assert_eq!(a.len(), batch.len());
         assert!(a.iter().any(|r| r.is_some()));
-    }
-
-    #[test]
-    fn sparse_solver_matches_dense_on_the_nominal_ota() {
-        let params = OtaParameters::nominal();
-        let sweep = FrequencySweep::logarithmic(10.0, 1e9, 5);
-        let dense = evaluate_ota_with(
-            &params,
-            &OtaTestbenchConfig::new(),
-            &sweep,
-            SolverKind::Dense,
-        )
-        .unwrap();
-        let sparse = evaluate_ota_with(
-            &params,
-            &OtaTestbenchConfig::new(),
-            &sweep,
-            SolverKind::Sparse,
-        )
-        .unwrap();
-        assert!((dense.gain_db - sparse.gain_db).abs() < 1e-9);
-        assert!((dense.phase_margin_deg - sparse.phase_margin_deg).abs() < 1e-9);
-        assert!((dense.unity_gain_hz - sparse.unity_gain_hz).abs() / dense.unity_gain_hz < 1e-9);
     }
 
     #[test]

@@ -1182,9 +1182,8 @@ fn service_net_task(
         Some(Ok(flow)) => flow,
         _ => return false,
     };
-    let problem = OtaSizingProblem::new(flow.testbench, flow.sweep.clone())
-        .with_threads(flow.threads)
-        .with_solver(flow.solver);
+    let problem =
+        OtaSizingProblem::new(flow.testbench, flow.sweep.clone()).with_threads(flow.threads);
     let (outcome, candidates, kind) = match &task.work {
         ShardWork::Eval { parameters } => (
             ShardOutcome::Eval {
@@ -1261,8 +1260,7 @@ fn service_net_task(
 fn shard_flow_setup(store: &Store, run_id: &str) -> Option<(OtaSizingProblem, FlowConfig)> {
     let manifest: Manifest<FlowConfig> = store.run(run_id).ok()?.manifest().ok()?;
     let problem = OtaSizingProblem::new(manifest.flow.testbench, manifest.flow.sweep.clone())
-        .with_threads(manifest.flow.threads)
-        .with_solver(manifest.flow.solver);
+        .with_threads(manifest.flow.threads);
     Some((problem, manifest.flow))
 }
 

@@ -4,21 +4,19 @@
 //! ([`DcSolution`]); the complex MNA system `(G + jωC)·x = b` is then solved
 //! at every frequency of a sweep.
 //!
-//! Assembly is split into a symbolic phase and a numeric one: the real
-//! conductance matrix `G`, the capacitance matrix `C` and the right-hand side
-//! are each stamped **once** over a shared sparsity pattern, and every
-//! frequency point is then an `O(nnz)` value merge `G + jωC` followed by one
-//! backend solve over reused workspaces — no per-frequency re-stamping or
+//! The real conductance matrix `G`, the capacitance matrix `C` and the
+//! right-hand side are each stamped **once**, into dense row-major arrays;
+//! every frequency point is then an `O(n²)` merge `G + jωC` into the reused
+//! complex matrix followed by one LU solve — no per-frequency re-stamping or
 //! allocation.
 
-use crate::dc::DcSolution;
+use crate::dc::{cell, CondQuad, DcSolution};
 use crate::error::{Result, SimError};
-use crate::linalg::{backend_of, Complex, CsrMatrix, PatternBuilder, SolverKind, SparsityPattern};
+use crate::linalg::{solve_in_place, Complex, DenseMatrix, SolverKind};
 use crate::mna::MnaLayout;
 use crate::sweep::FrequencySweep;
 use ayb_circuit::{Circuit, Device, NodeId};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Result of an AC sweep: node phasors at every analysed frequency.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -65,8 +63,8 @@ impl AcSolution {
     }
 }
 
-/// Runs an AC analysis over the given frequency sweep with the default dense
-/// solver backend, deriving the MNA layout internally.
+/// Runs an AC analysis over the given frequency sweep, deriving the MNA
+/// layout internally.
 ///
 /// # Errors
 ///
@@ -81,11 +79,11 @@ pub fn ac_analysis(
     ac_analysis_with(circuit, &layout, operating_point, sweep, SolverKind::Dense)
 }
 
-/// Runs an AC analysis over a caller-supplied [`MnaLayout`] and solver
-/// backend.
+/// Runs an AC analysis over a caller-supplied [`MnaLayout`].
 ///
 /// Passing the layout lets callers reuse the one already built for the DC
-/// operating point instead of re-deriving it per analysis.
+/// operating point instead of re-deriving it per analysis. `solver` names
+/// the kernel a run manifest records; [`SolverKind::Dense`] is the only one.
 ///
 /// # Errors
 ///
@@ -98,6 +96,7 @@ pub fn ac_analysis_with(
     sweep: &FrequencySweep,
     solver: SolverKind,
 ) -> Result<AcSolution> {
+    let SolverKind::Dense = solver;
     let frequencies = sweep.frequencies();
     if frequencies.is_empty() {
         return Err(SimError::InvalidAnalysis(
@@ -105,8 +104,6 @@ pub fn ac_analysis_with(
         ));
     }
     let mut system = AcSystem::new(circuit, layout, operating_point)?;
-    let mut backend = backend_of::<Complex>(solver);
-    backend.prepare(system.pattern());
     let n = layout.size();
     let nodes = circuit.nodes().len();
     let mut solution = vec![Complex::ZERO; n];
@@ -116,8 +113,7 @@ pub fn ac_analysis_with(
         let omega = 2.0 * std::f64::consts::PI * freq;
         system.merge(omega);
         solution.copy_from_slice(&system.rhs);
-        backend
-            .solve(&system.matrix, &mut solution)
+        solve_in_place(&mut system.matrix, &mut solution)
             .map_err(|e| layout.describe_singular(e))?;
         for node in circuit.nodes().iter() {
             if let Some(idx) = layout.node_row(node) {
@@ -132,180 +128,54 @@ pub fn ac_analysis_with(
     })
 }
 
-/// The AC MNA system after the symbolic phase: one sparsity pattern shared by
-/// the conductance part `g`, the capacitance part `c`, the merged complex
-/// value matrix and the (frequency-independent) right-hand side.
+/// The AC MNA system: the conductance part `g` and capacitance part `c`
+/// (both row-major `n × n`), the merged complex matrix the LU factors, and
+/// the (frequency-independent) right-hand side.
 struct AcSystem {
-    matrix: CsrMatrix<Complex>,
-    /// Real part per slot: conductances plus source/branch incidence.
+    matrix: DenseMatrix<Complex>,
+    /// Real part per cell: conductances plus source/branch incidence.
     g: Vec<f64>,
-    /// Capacitance per slot: the merged imaginary part is `ω·c`.
+    /// Capacitance per cell: the merged imaginary part is `ω·c`.
     c: Vec<f64>,
     rhs: Vec<Complex>,
 }
 
-/// Marks a two-terminal admittance quad in the pattern.
-fn mark_quad(builder: &mut PatternBuilder, p: Option<usize>, m: Option<usize>) {
-    if let Some(p) = p {
-        builder.entry(p, p);
-    }
-    if let Some(m) = m {
-        builder.entry(m, m);
-    }
-    if let (Some(p), Some(m)) = (p, m) {
-        builder.entry(p, m);
-        builder.entry(m, p);
-    }
-}
-
-/// Adds a two-terminal admittance contribution (`g` or `ω`-free `c`) into a
-/// per-slot value array.
-fn add_quad(
-    pattern: &SparsityPattern,
-    values: &mut [f64],
-    p: Option<usize>,
-    m: Option<usize>,
-    y: f64,
-) {
-    let slot = |r: usize, c: usize| pattern.position(r, c).expect("marked in pattern");
-    if let Some(p) = p {
-        values[slot(p, p)] += y;
-    }
-    if let Some(m) = m {
-        values[slot(m, m)] += y;
-    }
-    if let (Some(p), Some(m)) = (p, m) {
-        values[slot(p, m)] -= y;
-        values[slot(m, p)] -= y;
+/// Adds `value` to cell `at` of a row-major value array; a ground cell
+/// (`None`) takes nothing.
+fn add_at(values: &mut [f64], at: Option<usize>, value: f64) {
+    if let Some(i) = at {
+        values[i] += value;
     }
 }
 
 impl AcSystem {
-    /// Symbolic + one-time numeric phase: derive the union pattern of `G`
-    /// and `C`, then stamp both value arrays and the right-hand side once.
+    /// Stamps both value arrays and the right-hand side once.
     fn new(circuit: &Circuit, layout: &MnaLayout, op: &DcSolution) -> Result<AcSystem> {
         let n = layout.size();
         let node_row = |node: NodeId| layout.node_row(node);
-        let mut builder = PatternBuilder::new(n);
+        let mut g = vec![0.0; n * n];
+        let mut c = vec![0.0; n * n];
+        let mut rhs = vec![Complex::ZERO; n];
         // Small conductance to ground keeps purely capacitive nodes well
         // conditioned.
         for row in 0..layout.node_count() {
-            builder.entry(row, row);
+            g[row * n + row] += 1e-12;
         }
         for inst in circuit.instances() {
             match &inst.device {
-                Device::Resistor(r) => mark_quad(&mut builder, node_row(r.plus), node_row(r.minus)),
-                Device::Capacitor(c) => {
-                    mark_quad(&mut builder, node_row(c.plus), node_row(c.minus))
-                }
+                Device::Resistor(r) => CondQuad::new(n, node_row(r.plus), node_row(r.minus))
+                    .add(&mut g, 1.0 / r.resistance),
+                Device::Capacitor(cap) => CondQuad::new(n, node_row(cap.plus), node_row(cap.minus))
+                    .add(&mut c, cap.capacitance),
                 Device::VoltageSource(v) => {
                     let br = layout
                         .branch_row(&inst.name)
                         .expect("voltage source has a branch row");
-                    for node in [v.plus, v.minus] {
-                        if let Some(p) = node_row(node) {
-                            builder.entry(p, br);
-                            builder.entry(br, p);
-                        }
-                    }
-                }
-                Device::CurrentSource(_) => {}
-                Device::Vccs(g) => {
-                    for out in [node_row(g.out_plus), node_row(g.out_minus)] {
-                        for ctrl in [node_row(g.ctrl_plus), node_row(g.ctrl_minus)] {
-                            if let (Some(out), Some(ctrl)) = (out, ctrl) {
-                                builder.entry(out, ctrl);
-                            }
-                        }
-                    }
-                }
-                Device::Vcvs(e) => {
-                    let br = layout
-                        .branch_row(&inst.name)
-                        .expect("vcvs has a branch row");
-                    for node in [e.out_plus, e.out_minus] {
-                        if let Some(p) = node_row(node) {
-                            builder.entry(p, br);
-                            builder.entry(br, p);
-                        }
-                    }
-                    for node in [e.ctrl_plus, e.ctrl_minus] {
-                        if let Some(c) = node_row(node) {
-                            builder.entry(br, c);
-                        }
-                    }
-                }
-                Device::Mosfet(m) => {
-                    let terminals = [m.drain, m.gate, m.source, m.bulk];
-                    for row in [node_row(m.drain), node_row(m.source)]
-                        .into_iter()
-                        .flatten()
-                    {
-                        for node in terminals {
-                            if let Some(col) = node_row(node) {
-                                builder.entry(row, col);
-                            }
-                        }
-                    }
-                    for (a, b) in [
-                        (m.gate, m.source),
-                        (m.gate, m.drain),
-                        (m.gate, m.bulk),
-                        (m.drain, m.bulk),
-                        (m.source, m.bulk),
-                    ] {
-                        mark_quad(&mut builder, node_row(a), node_row(b));
-                    }
-                }
-                Device::BehavioralOta(o) => {
-                    if let Some(out) = node_row(o.out) {
-                        for node in [o.in_plus, o.in_minus] {
-                            if let Some(c) = node_row(node) {
-                                builder.entry(out, c);
-                            }
-                        }
-                    }
-                    mark_quad(&mut builder, node_row(o.out), None);
-                }
-            }
-        }
-        let pattern = builder.build();
-
-        let mut g = vec![0.0; pattern.nnz()];
-        let mut c = vec![0.0; pattern.nnz()];
-        let mut rhs = vec![Complex::ZERO; n];
-        let slot = |r: usize, col: usize| pattern.position(r, col).expect("marked in pattern");
-        for row in 0..layout.node_count() {
-            g[slot(row, row)] += 1e-12;
-        }
-        for inst in circuit.instances() {
-            match &inst.device {
-                Device::Resistor(r) => add_quad(
-                    &pattern,
-                    &mut g,
-                    node_row(r.plus),
-                    node_row(r.minus),
-                    1.0 / r.resistance,
-                ),
-                Device::Capacitor(cap) => add_quad(
-                    &pattern,
-                    &mut c,
-                    node_row(cap.plus),
-                    node_row(cap.minus),
-                    cap.capacitance,
-                ),
-                Device::VoltageSource(v) => {
-                    let br = layout
-                        .branch_row(&inst.name)
-                        .expect("voltage source has a branch row");
-                    if let Some(p) = node_row(v.plus) {
-                        g[slot(p, br)] += 1.0;
-                        g[slot(br, p)] += 1.0;
-                    }
-                    if let Some(m) = node_row(v.minus) {
-                        g[slot(m, br)] -= 1.0;
-                        g[slot(br, m)] -= 1.0;
-                    }
+                    let (p, m) = (node_row(v.plus), node_row(v.minus));
+                    add_at(&mut g, cell(n, p, Some(br)), 1.0);
+                    add_at(&mut g, cell(n, Some(br), p), 1.0);
+                    add_at(&mut g, cell(n, m, Some(br)), -1.0);
+                    add_at(&mut g, cell(n, Some(br), m), -1.0);
                     rhs[br] += Complex::from_polar(v.ac.magnitude, v.ac.phase_deg.to_radians());
                 }
                 Device::CurrentSource(i) => {
@@ -320,41 +190,22 @@ impl AcSystem {
                 Device::Vccs(gsrc) => {
                     let (op_, om) = (node_row(gsrc.out_plus), node_row(gsrc.out_minus));
                     let (cp, cm) = (node_row(gsrc.ctrl_plus), node_row(gsrc.ctrl_minus));
-                    if let Some(op_) = op_ {
-                        if let Some(cp) = cp {
-                            g[slot(op_, cp)] += gsrc.gm;
-                        }
-                        if let Some(cm) = cm {
-                            g[slot(op_, cm)] -= gsrc.gm;
-                        }
-                    }
-                    if let Some(om) = om {
-                        if let Some(cp) = cp {
-                            g[slot(om, cp)] -= gsrc.gm;
-                        }
-                        if let Some(cm) = cm {
-                            g[slot(om, cm)] += gsrc.gm;
-                        }
-                    }
+                    add_at(&mut g, cell(n, op_, cp), gsrc.gm);
+                    add_at(&mut g, cell(n, op_, cm), -gsrc.gm);
+                    add_at(&mut g, cell(n, om, cp), -gsrc.gm);
+                    add_at(&mut g, cell(n, om, cm), gsrc.gm);
                 }
                 Device::Vcvs(e) => {
                     let br = layout
                         .branch_row(&inst.name)
                         .expect("vcvs has a branch row");
-                    if let Some(p) = node_row(e.out_plus) {
-                        g[slot(p, br)] += 1.0;
-                        g[slot(br, p)] += 1.0;
-                    }
-                    if let Some(m) = node_row(e.out_minus) {
-                        g[slot(m, br)] -= 1.0;
-                        g[slot(br, m)] -= 1.0;
-                    }
-                    if let Some(cp) = node_row(e.ctrl_plus) {
-                        g[slot(br, cp)] -= e.gain;
-                    }
-                    if let Some(cm) = node_row(e.ctrl_minus) {
-                        g[slot(br, cm)] += e.gain;
-                    }
+                    let (p, m) = (node_row(e.out_plus), node_row(e.out_minus));
+                    add_at(&mut g, cell(n, p, Some(br)), 1.0);
+                    add_at(&mut g, cell(n, Some(br), p), 1.0);
+                    add_at(&mut g, cell(n, m, Some(br)), -1.0);
+                    add_at(&mut g, cell(n, Some(br), m), -1.0);
+                    add_at(&mut g, cell(n, Some(br), node_row(e.ctrl_plus)), -e.gain);
+                    add_at(&mut g, cell(n, Some(br), node_row(e.ctrl_minus)), e.gain);
                 }
                 Device::Mosfet(m) => {
                     let eval = op.mosfet_op(&inst.name).ok_or_else(|| {
@@ -372,19 +223,11 @@ impl AcSystem {
                         (m.source, eval.did_dvs),
                         (m.bulk, eval.did_dvb),
                     ];
-                    if let Some(d) = node_row(m.drain) {
-                        for (node, gd) in derivs {
-                            if let Some(col) = node_row(node) {
-                                g[slot(d, col)] += gd;
-                            }
-                        }
+                    for (node, gd) in derivs {
+                        add_at(&mut g, cell(n, node_row(m.drain), node_row(node)), gd);
                     }
-                    if let Some(s) = node_row(m.source) {
-                        for (node, gd) in derivs {
-                            if let Some(col) = node_row(node) {
-                                g[slot(s, col)] -= gd;
-                            }
-                        }
+                    for (node, gd) in derivs {
+                        add_at(&mut g, cell(n, node_row(m.source), node_row(node)), -gd);
                     }
                     // Capacitive elements.
                     for ((a, b), cap) in [
@@ -394,41 +237,33 @@ impl AcSystem {
                         ((m.drain, m.bulk), eval.cdb),
                         ((m.source, m.bulk), eval.csb),
                     ] {
-                        add_quad(&pattern, &mut c, node_row(a), node_row(b), cap);
+                        CondQuad::new(n, node_row(a), node_row(b)).add(&mut c, cap);
                     }
                 }
                 Device::BehavioralOta(o) => {
-                    if let Some(out) = node_row(o.out) {
-                        if let Some(p) = node_row(o.in_plus) {
-                            g[slot(out, p)] -= o.gm;
-                        }
-                        if let Some(m) = node_row(o.in_minus) {
-                            g[slot(out, m)] += o.gm;
-                        }
-                    }
-                    add_quad(&pattern, &mut g, node_row(o.out), None, 1.0 / o.rout);
-                    add_quad(&pattern, &mut c, node_row(o.out), None, o.cout);
+                    let out = node_row(o.out);
+                    add_at(&mut g, cell(n, out, node_row(o.in_plus)), -o.gm);
+                    add_at(&mut g, cell(n, out, node_row(o.in_minus)), o.gm);
+                    let load = CondQuad::new(n, out, None);
+                    load.add(&mut g, 1.0 / o.rout);
+                    load.add(&mut c, o.cout);
                 }
             }
         }
 
         Ok(AcSystem {
-            matrix: CsrMatrix::new(Arc::clone(&pattern)),
+            matrix: DenseMatrix::zeros(n, n),
             g,
             c,
             rhs,
         })
     }
 
-    fn pattern(&self) -> &Arc<SparsityPattern> {
-        self.matrix.pattern()
-    }
-
-    /// Numeric phase per frequency: `O(nnz)` value merge `G + jωC`.
+    /// Refills the complex matrix for one frequency: `G + jωC`, cell by cell.
     fn merge(&mut self, omega: f64) {
         for ((value, &g), &c) in self
             .matrix
-            .values_mut()
+            .as_mut_slice()
             .iter_mut()
             .zip(&self.g)
             .zip(&self.c)
@@ -443,7 +278,7 @@ mod tests {
     use super::*;
     use crate::dc::{dc_operating_point, DcOptions};
     use crate::sweep::FrequencySweep;
-    use ayb_circuit::{AcSpec, Circuit, Mosfet};
+    use ayb_circuit::{AcSpec, Circuit};
 
     fn rc_lowpass(r: f64, c: f64) -> Circuit {
         let mut ckt = Circuit::new("rc");
@@ -508,36 +343,5 @@ mod tests {
         let op = dc_operating_point(&ckt, &DcOptions::new()).unwrap();
         let sweep = FrequencySweep::list(Vec::new());
         assert!(ac_analysis(&ckt, &op, &sweep).is_err());
-    }
-
-    #[test]
-    fn sparse_backend_matches_dense_across_a_mosfet_sweep() {
-        let mut ckt = Circuit::new("cs-ac");
-        ckt.add_default_models();
-        let vdd = ckt.node("vdd");
-        let g = ckt.node("g");
-        let d = ckt.node("d");
-        let gnd = ckt.gnd();
-        ckt.add_vsource("vdd", vdd, gnd, 3.3).unwrap();
-        ckt.add_vsource_ac("vg", g, gnd, 0.9, AcSpec::unit())
-            .unwrap();
-        ckt.add_resistor("rd", vdd, d, 10e3).unwrap();
-        ckt.add_capacitor("cl", d, gnd, 1e-12).unwrap();
-        ckt.add_mosfet("m1", Mosfet::new(d, g, gnd, gnd, "nmos", 20e-6, 1e-6))
-            .unwrap();
-        let layout = MnaLayout::new(&ckt);
-        let op = dc_operating_point(&ckt, &DcOptions::new()).unwrap();
-        let sweep = FrequencySweep::logarithmic(10.0, 1e9, 5);
-        let dense = ac_analysis_with(&ckt, &layout, &op, &sweep, SolverKind::Dense).unwrap();
-        let sparse = ac_analysis_with(&ckt, &layout, &op, &sweep, SolverKind::Sparse).unwrap();
-        let out = ckt.find_node("d").unwrap();
-        for idx in 0..dense.len() {
-            let a = dense.phasor_at(idx, out);
-            let b = sparse.phasor_at(idx, out);
-            assert!(
-                (a - b).abs() < 1e-9,
-                "point {idx}: dense {a:?} vs sparse {b:?}"
-            );
-        }
     }
 }

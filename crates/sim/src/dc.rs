@@ -8,15 +8,12 @@
 //! 100 %).
 
 use crate::error::{Result, SimError};
-use crate::linalg::{
-    backend_of, CsrMatrix, DenseMatrix, PatternBuilder, SolverBackend, SolverKind, SparsityPattern,
-};
+use crate::linalg::{solve_in_place, DenseMatrix, SolverKind};
 use crate::mna::MnaLayout;
 use crate::mosfet::{evaluate, MosfetEval};
 use ayb_circuit::{Circuit, Device, Mosfet as MosfetInstance, MosfetModelCard, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Options controlling the DC operating-point solver.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -91,8 +88,8 @@ impl DcSolution {
     }
 }
 
-/// Computes the DC operating point of a circuit with the default dense
-/// solver backend, deriving the MNA layout internally.
+/// Computes the DC operating point of a circuit, deriving the MNA layout
+/// internally.
 ///
 /// # Errors
 ///
@@ -104,13 +101,12 @@ pub fn dc_operating_point(circuit: &Circuit, options: &DcOptions) -> Result<DcSo
     dc_operating_point_with(circuit, &layout, options, SolverKind::Dense)
 }
 
-/// Computes the DC operating point over a caller-supplied [`MnaLayout`] and
-/// solver backend.
+/// Computes the DC operating point over a caller-supplied [`MnaLayout`].
 ///
-/// The sparsity pattern and per-device stamp plan are derived once (the
-/// symbolic phase); every Newton iteration — across all continuation rungs —
-/// is then a numeric value-fill plus one backend solve over reused
-/// workspaces.
+/// Every device stamp is resolved to its matrix cells once; every Newton
+/// iteration — across all continuation rungs — is then a value-fill of the
+/// reused dense matrix plus one LU solve. `solver` names the kernel a run
+/// manifest records; [`SolverKind::Dense`] is the only one.
 ///
 /// # Errors
 ///
@@ -123,25 +119,14 @@ pub fn dc_operating_point_with(
     options: &DcOptions,
     solver: SolverKind,
 ) -> Result<DcSolution> {
+    let SolverKind::Dense = solver;
     circuit.validate()?;
     let mut system = DcSystem::new(circuit, layout);
-    let mut backend = backend_of::<f64>(solver);
-    backend.prepare(system.pattern());
-    let backend = backend.as_mut();
     let mut x = vec![0.0; layout.size()];
     let mut total_iterations = 0usize;
 
     // 1. Plain Newton from a zero initial guess.
-    let direct = newton(
-        &mut system,
-        backend,
-        layout,
-        &mut x,
-        options.gmin,
-        1.0,
-        options,
-        60,
-    );
+    let direct = newton(&mut system, layout, &mut x, options.gmin, 1.0, options, 60);
     match direct {
         Ok(iters) => total_iterations += iters,
         Err(_) => {
@@ -151,7 +136,6 @@ pub fn dc_operating_point_with(
             for &gmin in &[1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10] {
                 match newton(
                     &mut system,
-                    backend,
                     layout,
                     &mut x,
                     gmin,
@@ -173,7 +157,6 @@ pub fn dc_operating_point_with(
             if ladder_ok {
                 total_iterations += newton(
                     &mut system,
-                    backend,
                     layout,
                     &mut x,
                     options.gmin,
@@ -188,7 +171,6 @@ pub fn dc_operating_point_with(
                     let scale = step as f64 / 20.0;
                     total_iterations += newton(
                         &mut system,
-                        backend,
                         layout,
                         &mut x,
                         1e-9,
@@ -204,7 +186,6 @@ pub fn dc_operating_point_with(
                 }
                 total_iterations += newton(
                     &mut system,
-                    backend,
                     layout,
                     &mut x,
                     options.gmin,
@@ -219,10 +200,16 @@ pub fn dc_operating_point_with(
     Ok(assemble_solution(circuit, layout, &x, total_iterations))
 }
 
-/// Pre-resolved slots of a two-terminal conductance stamp (the classic
+/// Row-major index of cell `(row, col)` of an `n × n` matrix, or `None` when
+/// either side is ground.
+pub(crate) fn cell(n: usize, row: Option<usize>, col: Option<usize>) -> Option<usize> {
+    Some(row? * n + col?)
+}
+
+/// Resolved cells of a two-terminal conductance stamp (the classic
 /// `(p,p) (m,m) (p,m) (m,p)` quad; entries involving ground are absent).
 #[derive(Debug, Clone, Copy)]
-struct CondQuad {
+pub(crate) struct CondQuad {
     pp: Option<usize>,
     mm: Option<usize>,
     pm: Option<usize>,
@@ -230,58 +217,40 @@ struct CondQuad {
 }
 
 impl CondQuad {
-    fn mark(builder: &mut PatternBuilder, p: Option<usize>, m: Option<usize>) {
-        if let Some(p) = p {
-            builder.entry(p, p);
-        }
-        if let Some(m) = m {
-            builder.entry(m, m);
-        }
-        if let (Some(p), Some(m)) = (p, m) {
-            builder.entry(p, m);
-            builder.entry(m, p);
-        }
-    }
-
-    fn resolve(pattern: &SparsityPattern, p: Option<usize>, m: Option<usize>) -> CondQuad {
-        let pos = |r: Option<usize>, c: Option<usize>| match (r, c) {
-            (Some(r), Some(c)) => pattern.position(r, c),
-            _ => None,
-        };
+    pub(crate) fn new(n: usize, p: Option<usize>, m: Option<usize>) -> CondQuad {
         CondQuad {
-            pp: pos(p, p),
-            mm: pos(m, m),
-            pm: pos(p, m),
-            mp: pos(m, p),
+            pp: cell(n, p, p),
+            mm: cell(n, m, m),
+            pm: cell(n, p, m),
+            mp: cell(n, m, p),
         }
     }
 
-    /// Adds `g` with the same per-cell ordering the dense stamp used.
     #[inline]
-    fn add(&self, matrix: &mut CsrMatrix<f64>, g: f64) {
+    pub(crate) fn add(&self, a: &mut [f64], g: f64) {
         if let Some(pp) = self.pp {
-            matrix.add_slot(pp, g);
+            a[pp] += g;
         }
         if let Some(mm) = self.mm {
-            matrix.add_slot(mm, g);
+            a[mm] += g;
         }
         if let Some(pm) = self.pm {
-            matrix.add_slot(pm, -g);
+            a[pm] += -g;
         }
         if let Some(mp) = self.mp {
-            matrix.add_slot(mp, -g);
+            a[mp] += -g;
         }
     }
 }
 
-/// One device's pre-planned numeric stamp: every matrix slot and right-hand
-/// side row is resolved at symbolic time, so the per-iteration fill touches
-/// no names, hashes or allocations.
+/// One device's planned stamp: every matrix cell and right-hand side row is
+/// resolved when the system is built, so the per-iteration fill touches no
+/// names, hashes or allocations.
 #[derive(Debug)]
 enum DcOp {
     /// Resistor (value pre-inverted to a conductance).
     Conductance { quad: CondQuad, conductance: f64 },
-    /// Independent voltage source: `(node→branch, branch→node)` slot pairs.
+    /// Independent voltage source: `(node→branch, branch→node)` cell pairs.
     VoltageSource {
         plus: Option<(usize, usize)>,
         minus: Option<(usize, usize)>,
@@ -322,135 +291,47 @@ enum DcOp {
     },
 }
 
-/// Pre-planned MOSFET stamp: cloned model card + instance for evaluation,
-/// node rows for voltage reads, and resolved Jacobian / leak slots.
+/// Planned MOSFET stamp: cloned model card + instance for evaluation, node
+/// rows for voltage reads, and resolved Jacobian / leak cells.
 #[derive(Debug)]
 struct MosfetOp {
     card: MosfetModelCard,
     device: MosfetInstance,
     /// Node rows of (drain, gate, source, bulk); `None` for ground.
     rows: [Option<usize>; 4],
-    /// Drain-row Jacobian slots versus (drain, gate, source, bulk).
-    drain_slots: [Option<usize>; 4],
-    /// Source-row Jacobian slots versus (drain, gate, source, bulk).
-    source_slots: [Option<usize>; 4],
+    /// Drain-row Jacobian cells versus (drain, gate, source, bulk).
+    drain_cells: [Option<usize>; 4],
+    /// Source-row Jacobian cells versus (drain, gate, source, bulk).
+    source_cells: [Option<usize>; 4],
     /// Weak drain–source leakage quad.
     leak: CondQuad,
 }
 
-/// The DC MNA system after the symbolic phase: sparsity pattern, per-device
-/// stamp plan, and the reusable value matrix / right-hand side.
+/// The linearised DC MNA system `A·x = b`: the per-device stamp plan and the
+/// dense matrix and right-hand side it refills. Transient analysis adds its
+/// capacitor companion stamps on top of a [`fill`](DcSystem::fill).
 pub(crate) struct DcSystem {
-    diag_slots: Vec<usize>,
+    node_count: usize,
     ops: Vec<DcOp>,
-    matrix: CsrMatrix<f64>,
-    rhs: Vec<f64>,
+    pub(crate) matrix: DenseMatrix<f64>,
+    pub(crate) rhs: Vec<f64>,
 }
 
 impl DcSystem {
-    /// Runs the symbolic phase: derive the sparsity pattern and resolve
-    /// every device stamp to value slots.
+    /// Resolves every device stamp to its matrix cells and right-hand side
+    /// rows.
     pub(crate) fn new(circuit: &Circuit, layout: &MnaLayout) -> Self {
         let n = layout.size();
         let node_row = |node: NodeId| layout.node_row(node);
-        let mut builder = PatternBuilder::new(n);
-        for row in 0..layout.node_count() {
-            builder.entry(row, row);
-        }
-        for inst in circuit.instances() {
-            match &inst.device {
-                Device::Resistor(r) => {
-                    CondQuad::mark(&mut builder, node_row(r.plus), node_row(r.minus));
-                }
-                Device::Capacitor(_) => {}
-                Device::VoltageSource(v) => {
-                    let br = layout
-                        .branch_row(&inst.name)
-                        .expect("voltage source has a branch row");
-                    for node in [v.plus, v.minus] {
-                        if let Some(p) = node_row(node) {
-                            builder.entry(p, br);
-                            builder.entry(br, p);
-                        }
-                    }
-                }
-                Device::CurrentSource(_) => {}
-                Device::Vccs(g) => {
-                    for out in [node_row(g.out_plus), node_row(g.out_minus)] {
-                        for ctrl in [node_row(g.ctrl_plus), node_row(g.ctrl_minus)] {
-                            if let (Some(out), Some(ctrl)) = (out, ctrl) {
-                                builder.entry(out, ctrl);
-                            }
-                        }
-                    }
-                }
-                Device::Vcvs(e) => {
-                    let br = layout
-                        .branch_row(&inst.name)
-                        .expect("vcvs has a branch row");
-                    for node in [e.out_plus, e.out_minus] {
-                        if let Some(p) = node_row(node) {
-                            builder.entry(p, br);
-                            builder.entry(br, p);
-                        }
-                    }
-                    for node in [e.ctrl_plus, e.ctrl_minus] {
-                        if let Some(c) = node_row(node) {
-                            builder.entry(br, c);
-                        }
-                    }
-                }
-                Device::Mosfet(m) => {
-                    let terminals = [m.drain, m.gate, m.source, m.bulk];
-                    for row in [node_row(m.drain), node_row(m.source)]
-                        .into_iter()
-                        .flatten()
-                    {
-                        for node in terminals {
-                            if let Some(col) = node_row(node) {
-                                builder.entry(row, col);
-                            }
-                        }
-                    }
-                    CondQuad::mark(&mut builder, node_row(m.drain), node_row(m.source));
-                }
-                Device::BehavioralOta(o) => {
-                    if let Some(out) = node_row(o.out) {
-                        for node in [o.in_plus, o.in_minus] {
-                            if let Some(c) = node_row(node) {
-                                builder.entry(out, c);
-                            }
-                        }
-                    }
-                    CondQuad::mark(&mut builder, node_row(o.out), None);
-                }
-            }
-        }
-        let pattern = builder.build();
-
-        let diag_slots = (0..layout.node_count())
-            .map(|row| pattern.position(row, row).expect("diagonal is in pattern"))
-            .collect();
-        let pos = |r: Option<usize>, c: Option<usize>| match (r, c) {
-            (Some(r), Some(c)) => pattern.position(r, c),
-            _ => None,
-        };
-        let pair = |a: Option<usize>, b: usize| {
-            a.map(|a| {
-                (
-                    pattern.position(a, b).expect("marked in pattern"),
-                    pattern.position(b, a).expect("marked in pattern"),
-                )
-            })
-        };
-
+        let pair = |node: Option<usize>, br: usize| node.map(|p| (p * n + br, br * n + p));
         let mut ops = Vec::with_capacity(circuit.instances().len());
         for inst in circuit.instances() {
             match &inst.device {
                 Device::Resistor(r) => ops.push(DcOp::Conductance {
-                    quad: CondQuad::resolve(&pattern, node_row(r.plus), node_row(r.minus)),
+                    quad: CondQuad::new(n, node_row(r.plus), node_row(r.minus)),
                     conductance: 1.0 / r.resistance,
                 }),
+                // Open circuit at DC.
                 Device::Capacitor(_) => {}
                 Device::VoltageSource(v) => {
                     let br = layout
@@ -472,10 +353,10 @@ impl DcSystem {
                     let (op_, om) = (node_row(g.out_plus), node_row(g.out_minus));
                     let (cp, cm) = (node_row(g.ctrl_plus), node_row(g.ctrl_minus));
                     ops.push(DcOp::Vccs {
-                        op_cp: pos(op_, cp),
-                        op_cm: pos(op_, cm),
-                        om_cp: pos(om, cp),
-                        om_cm: pos(om, cm),
+                        op_cp: cell(n, op_, cp),
+                        op_cm: cell(n, op_, cm),
+                        om_cp: cell(n, om, cp),
+                        om_cm: cell(n, om, cm),
                         gm: g.gm,
                     });
                 }
@@ -486,8 +367,8 @@ impl DcSystem {
                     ops.push(DcOp::Vcvs {
                         plus: pair(node_row(e.out_plus), br),
                         minus: pair(node_row(e.out_minus), br),
-                        ctrl_plus: pos(Some(br), node_row(e.ctrl_plus)),
-                        ctrl_minus: pos(Some(br), node_row(e.ctrl_minus)),
+                        ctrl_plus: cell(n, Some(br), node_row(e.ctrl_plus)),
+                        ctrl_minus: cell(n, Some(br), node_row(e.ctrl_minus)),
                         gain: e.gain,
                     });
                 }
@@ -498,62 +379,49 @@ impl DcSystem {
                         node_row(m.source),
                         node_row(m.bulk),
                     ];
-                    let slots_for = |row: Option<usize>| {
-                        [
-                            pos(row, rows[0]),
-                            pos(row, rows[1]),
-                            pos(row, rows[2]),
-                            pos(row, rows[3]),
-                        ]
-                    };
+                    let cells_for = |row: Option<usize>| rows.map(|col| cell(n, row, col));
                     ops.push(DcOp::Mosfet(Box::new(MosfetOp {
                         card: circuit.models()[&m.model].clone(),
                         device: m.clone(),
                         rows,
-                        drain_slots: slots_for(rows[0]),
-                        source_slots: slots_for(rows[2]),
-                        leak: CondQuad::resolve(&pattern, rows[0], rows[2]),
+                        drain_cells: cells_for(rows[0]),
+                        source_cells: cells_for(rows[2]),
+                        leak: CondQuad::new(n, rows[0], rows[2]),
                     })));
                 }
                 Device::BehavioralOta(o) => ops.push(DcOp::Ota {
-                    out_plus: pos(node_row(o.out), node_row(o.in_plus)),
-                    out_minus: pos(node_row(o.out), node_row(o.in_minus)),
-                    load: CondQuad::resolve(&pattern, node_row(o.out), None),
+                    out_plus: cell(n, node_row(o.out), node_row(o.in_plus)),
+                    out_minus: cell(n, node_row(o.out), node_row(o.in_minus)),
+                    load: CondQuad::new(n, node_row(o.out), None),
                     gm: o.gm,
                     gout: 1.0 / o.rout,
                 }),
             }
         }
-
-        let matrix = CsrMatrix::new(Arc::clone(&pattern));
         DcSystem {
-            diag_slots,
+            node_count: layout.node_count(),
             ops,
-            matrix,
+            matrix: DenseMatrix::zeros(n, n),
             rhs: vec![0.0; n],
         }
     }
 
-    pub(crate) fn pattern(&self) -> &Arc<SparsityPattern> {
-        self.matrix.pattern()
-    }
-
-    /// Numeric phase: value-fill of the linearised system `A·x = b` at the
-    /// operating point `x`, preserving the dense stamp's per-cell
-    /// accumulation order bit-for-bit.
+    /// Refills the linearised system `A·x = b` at the operating point `x`,
+    /// adding each cell's contributions in device order.
     pub(crate) fn fill(&mut self, x: &[f64], gmin: f64, source_scale: f64) {
         self.matrix.clear();
         self.rhs.iter_mut().for_each(|v| *v = 0.0);
+        let n = self.matrix.rows();
+        let a = self.matrix.as_mut_slice();
+        let rhs = &mut self.rhs;
         // gmin from every node to ground keeps the matrix non-singular while
         // devices are cut off.
-        for &slot in &self.diag_slots {
-            self.matrix.add_slot(slot, gmin);
+        for row in 0..self.node_count {
+            a[row * n + row] += gmin;
         }
-        let matrix = &mut self.matrix;
-        let rhs = &mut self.rhs;
         for op in &self.ops {
             match op {
-                DcOp::Conductance { quad, conductance } => quad.add(matrix, *conductance),
+                DcOp::Conductance { quad, conductance } => quad.add(a, *conductance),
                 DcOp::VoltageSource {
                     plus,
                     minus,
@@ -561,12 +429,12 @@ impl DcSystem {
                     dc,
                 } => {
                     if let Some((pb, bp)) = plus {
-                        matrix.add_slot(*pb, 1.0);
-                        matrix.add_slot(*bp, 1.0);
+                        a[*pb] += 1.0;
+                        a[*bp] += 1.0;
                     }
                     if let Some((mb, bm)) = minus {
-                        matrix.add_slot(*mb, -1.0);
-                        matrix.add_slot(*bm, -1.0);
+                        a[*mb] += -1.0;
+                        a[*bm] += -1.0;
                     }
                     rhs[*branch] += dc * source_scale;
                 }
@@ -586,17 +454,17 @@ impl DcSystem {
                     om_cm,
                     gm,
                 } => {
-                    if let Some(slot) = op_cp {
-                        matrix.add_slot(*slot, *gm);
+                    if let Some(i) = op_cp {
+                        a[*i] += *gm;
                     }
-                    if let Some(slot) = op_cm {
-                        matrix.add_slot(*slot, -gm);
+                    if let Some(i) = op_cm {
+                        a[*i] += -gm;
                     }
-                    if let Some(slot) = om_cp {
-                        matrix.add_slot(*slot, -gm);
+                    if let Some(i) = om_cp {
+                        a[*i] += -gm;
                     }
-                    if let Some(slot) = om_cm {
-                        matrix.add_slot(*slot, *gm);
+                    if let Some(i) = om_cm {
+                        a[*i] += *gm;
                     }
                 }
                 DcOp::Vcvs {
@@ -607,18 +475,18 @@ impl DcSystem {
                     gain,
                 } => {
                     if let Some((pb, bp)) = plus {
-                        matrix.add_slot(*pb, 1.0);
-                        matrix.add_slot(*bp, 1.0);
+                        a[*pb] += 1.0;
+                        a[*bp] += 1.0;
                     }
                     if let Some((mb, bm)) = minus {
-                        matrix.add_slot(*mb, -1.0);
-                        matrix.add_slot(*bm, -1.0);
+                        a[*mb] += -1.0;
+                        a[*bm] += -1.0;
                     }
-                    if let Some(slot) = ctrl_plus {
-                        matrix.add_slot(*slot, -gain);
+                    if let Some(i) = ctrl_plus {
+                        a[*i] += -gain;
                     }
-                    if let Some(slot) = ctrl_minus {
-                        matrix.add_slot(*slot, *gain);
+                    if let Some(i) = ctrl_minus {
+                        a[*i] += *gain;
                     }
                 }
                 DcOp::Mosfet(m) => {
@@ -637,23 +505,23 @@ impl DcSystem {
                             + eval.did_dvs * vs
                             + eval.did_dvb * vb);
                     if let Some(d) = m.rows[0] {
-                        for (slot, g) in m.drain_slots.iter().zip(derivs) {
-                            if let Some(slot) = slot {
-                                matrix.add_slot(*slot, g);
+                        for (i, g) in m.drain_cells.iter().zip(derivs) {
+                            if let Some(i) = i {
+                                a[*i] += g;
                             }
                         }
                         rhs[d] -= ieq;
                     }
                     if let Some(s) = m.rows[2] {
-                        for (slot, g) in m.source_slots.iter().zip(derivs) {
-                            if let Some(slot) = slot {
-                                matrix.add_slot(*slot, -g);
+                        for (i, g) in m.source_cells.iter().zip(derivs) {
+                            if let Some(i) = i {
+                                a[*i] += -g;
                             }
                         }
                         rhs[s] += ieq;
                     }
                     // Weak drain-source leakage aids convergence deep in cutoff.
-                    m.leak.add(matrix, gmin);
+                    m.leak.add(a, gmin);
                 }
                 DcOp::Ota {
                     out_plus,
@@ -665,13 +533,13 @@ impl DcSystem {
                     // Current *into* the output node is gm·(v+ − v−); in the
                     // "currents leaving the node" formulation this contributes
                     // −gm·(v+ − v−) to the output row.
-                    if let Some(slot) = out_plus {
-                        matrix.add_slot(*slot, -gm);
+                    if let Some(i) = out_plus {
+                        a[*i] += -gm;
                     }
-                    if let Some(slot) = out_minus {
-                        matrix.add_slot(*slot, *gm);
+                    if let Some(i) = out_minus {
+                        a[*i] += *gm;
                     }
-                    load.add(matrix, *gout);
+                    load.add(a, *gout);
                 }
             }
         }
@@ -718,13 +586,10 @@ fn assemble_solution(
 /// Runs damped Newton iteration at fixed `gmin` and source scaling,
 /// updating `x` in place. Returns the number of iterations used.
 ///
-/// Every iteration is a numeric value-fill over the pre-derived pattern
-/// followed by one backend solve; the solution workspace is the only
-/// per-iteration vector and lives in `system`.
-#[allow(clippy::too_many_arguments)]
+/// Every iteration is a value-fill of `system` followed by one LU solve; the
+/// solution vector is the only per-call allocation.
 fn newton(
     system: &mut DcSystem,
-    backend: &mut dyn SolverBackend<f64>,
     layout: &MnaLayout,
     x: &mut [f64],
     gmin: f64,
@@ -739,8 +604,7 @@ fn newton(
     for iteration in 1..=max_iterations {
         system.fill(x, gmin, source_scale);
         solution.copy_from_slice(&system.rhs);
-        backend
-            .solve(&system.matrix, &mut solution)
+        solve_in_place(&mut system.matrix, &mut solution)
             .map_err(|e| layout.describe_singular(e))?;
         if solution.iter().any(|v| !v.is_finite()) {
             return Err(SimError::NoConvergence {
@@ -771,196 +635,6 @@ fn newton(
         iterations: max_iterations,
         residual: last_delta,
     })
-}
-
-/// Stamps the linearised DC system `A·x = b` at the operating point `x`.
-pub(crate) fn stamp_dc(
-    circuit: &Circuit,
-    layout: &MnaLayout,
-    x: &[f64],
-    gmin: f64,
-    source_scale: f64,
-    matrix: &mut DenseMatrix<f64>,
-    rhs: &mut [f64],
-) {
-    matrix.clear();
-    rhs.iter_mut().for_each(|v| *v = 0.0);
-
-    // gmin from every node to ground keeps the matrix non-singular while
-    // devices are cut off.
-    for row in 0..layout.node_count() {
-        matrix.add(row, row, gmin);
-    }
-
-    let node_row = |node: NodeId| layout.node_row(node);
-    for inst in circuit.instances() {
-        match &inst.device {
-            Device::Resistor(r) => {
-                stamp_conductance(matrix, layout, r.plus, r.minus, 1.0 / r.resistance);
-            }
-            Device::Capacitor(_) => {
-                // Open circuit at DC.
-            }
-            Device::VoltageSource(v) => {
-                let br = layout
-                    .branch_row(&inst.name)
-                    .expect("voltage source has a branch row");
-                if let Some(p) = node_row(v.plus) {
-                    matrix.add(p, br, 1.0);
-                    matrix.add(br, p, 1.0);
-                }
-                if let Some(m) = node_row(v.minus) {
-                    matrix.add(m, br, -1.0);
-                    matrix.add(br, m, -1.0);
-                }
-                rhs[br] += v.dc * source_scale;
-            }
-            Device::CurrentSource(i) => {
-                let value = i.dc * source_scale;
-                if let Some(p) = node_row(i.plus) {
-                    rhs[p] -= value;
-                }
-                if let Some(m) = node_row(i.minus) {
-                    rhs[m] += value;
-                }
-            }
-            Device::Vccs(g) => {
-                stamp_vccs(
-                    matrix,
-                    layout,
-                    g.out_plus,
-                    g.out_minus,
-                    g.ctrl_plus,
-                    g.ctrl_minus,
-                    g.gm,
-                );
-            }
-            Device::Vcvs(e) => {
-                let br = layout
-                    .branch_row(&inst.name)
-                    .expect("vcvs has a branch row");
-                if let Some(p) = node_row(e.out_plus) {
-                    matrix.add(p, br, 1.0);
-                    matrix.add(br, p, 1.0);
-                }
-                if let Some(m) = node_row(e.out_minus) {
-                    matrix.add(m, br, -1.0);
-                    matrix.add(br, m, -1.0);
-                }
-                if let Some(cp) = node_row(e.ctrl_plus) {
-                    matrix.add(br, cp, -e.gain);
-                }
-                if let Some(cm) = node_row(e.ctrl_minus) {
-                    matrix.add(br, cm, e.gain);
-                }
-            }
-            Device::Mosfet(m) => {
-                let card = &circuit.models()[&m.model];
-                let vd = layout.voltage_of(x, m.drain);
-                let vg = layout.voltage_of(x, m.gate);
-                let vs = layout.voltage_of(x, m.source);
-                let vb = layout.voltage_of(x, m.bulk);
-                let eval = evaluate(card, m, vd, vg, vs, vb);
-                let derivs = [
-                    (m.drain, eval.did_dvd),
-                    (m.gate, eval.did_dvg),
-                    (m.source, eval.did_dvs),
-                    (m.bulk, eval.did_dvb),
-                ];
-                let ieq = eval.id
-                    - (eval.did_dvd * vd
-                        + eval.did_dvg * vg
-                        + eval.did_dvs * vs
-                        + eval.did_dvb * vb);
-                if let Some(d) = node_row(m.drain) {
-                    for (node, g) in derivs {
-                        if let Some(col) = node_row(node) {
-                            matrix.add(d, col, g);
-                        }
-                    }
-                    rhs[d] -= ieq;
-                }
-                if let Some(s) = node_row(m.source) {
-                    for (node, g) in derivs {
-                        if let Some(col) = node_row(node) {
-                            matrix.add(s, col, -g);
-                        }
-                    }
-                    rhs[s] += ieq;
-                }
-                // Weak drain-source leakage aids convergence deep in cutoff.
-                stamp_conductance(matrix, layout, m.drain, m.source, gmin);
-            }
-            Device::BehavioralOta(o) => {
-                // Current *into* the output node is gm·(v+ − v−); in the
-                // "currents leaving the node" formulation this contributes
-                // −gm·(v+ − v−) to the output row.
-                if let Some(out) = node_row(o.out) {
-                    if let Some(p) = node_row(o.in_plus) {
-                        matrix.add(out, p, -o.gm);
-                    }
-                    if let Some(m) = node_row(o.in_minus) {
-                        matrix.add(out, m, o.gm);
-                    }
-                }
-                stamp_conductance(matrix, layout, o.out, NodeId::GROUND, 1.0 / o.rout);
-            }
-        }
-    }
-}
-
-/// Stamps a two-terminal conductance between `plus` and `minus`.
-pub(crate) fn stamp_conductance(
-    matrix: &mut DenseMatrix<f64>,
-    layout: &MnaLayout,
-    plus: NodeId,
-    minus: NodeId,
-    conductance: f64,
-) {
-    let p = layout.node_row(plus);
-    let m = layout.node_row(minus);
-    if let Some(p) = p {
-        matrix.add(p, p, conductance);
-    }
-    if let Some(m) = m {
-        matrix.add(m, m, conductance);
-    }
-    if let (Some(p), Some(m)) = (p, m) {
-        matrix.add(p, m, -conductance);
-        matrix.add(m, p, -conductance);
-    }
-}
-
-/// Stamps a voltage-controlled current source (`i(out+ → out−) = gm·v(cp, cm)`).
-pub(crate) fn stamp_vccs(
-    matrix: &mut DenseMatrix<f64>,
-    layout: &MnaLayout,
-    out_plus: NodeId,
-    out_minus: NodeId,
-    ctrl_plus: NodeId,
-    ctrl_minus: NodeId,
-    gm: f64,
-) {
-    let op = layout.node_row(out_plus);
-    let om = layout.node_row(out_minus);
-    let cp = layout.node_row(ctrl_plus);
-    let cm = layout.node_row(ctrl_minus);
-    if let Some(op) = op {
-        if let Some(cp) = cp {
-            matrix.add(op, cp, gm);
-        }
-        if let Some(cm) = cm {
-            matrix.add(op, cm, -gm);
-        }
-    }
-    if let Some(om) = om {
-        if let Some(cp) = cp {
-            matrix.add(om, cp, -gm);
-        }
-        if let Some(cm) = cm {
-            matrix.add(om, cm, gm);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1080,40 +754,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_backend_matches_dense_operating_point() {
-        let mut ckt = Circuit::new("cs");
-        ckt.add_default_models();
-        let vdd = ckt.node("vdd");
-        let g = ckt.node("g");
-        let d = ckt.node("d");
-        let gnd = ckt.gnd();
-        ckt.add_vsource("vdd", vdd, gnd, 3.3).unwrap();
-        ckt.add_vsource("vg", g, gnd, 0.9).unwrap();
-        ckt.add_resistor("rd", vdd, d, 10e3).unwrap();
-        ckt.add_mosfet("m1", Mosfet::new(d, g, gnd, gnd, "nmos", 20e-6, 1e-6))
-            .unwrap();
-        let layout = MnaLayout::new(&ckt);
-        let dense =
-            dc_operating_point_with(&ckt, &layout, &DcOptions::new(), SolverKind::Dense).unwrap();
-        let sparse =
-            dc_operating_point_with(&ckt, &layout, &DcOptions::new(), SolverKind::Sparse).unwrap();
-        for (a, b) in dense
-            .node_voltages()
-            .iter()
-            .zip(sparse.node_voltages().iter())
-        {
-            assert!((a - b).abs() < 1e-9, "dense {a} vs sparse {b}");
-        }
-        for (name, i) in &dense.branch_currents {
-            let j = sparse.branch_current(name).unwrap();
-            assert!((i - j).abs() < 1e-9, "{name}: dense {i} vs sparse {j}");
-        }
-    }
-
-    #[test]
     fn dense_wrapper_matches_dense_backend_exactly() {
         // The default entry point must be bit-identical to the explicit
-        // dense-backend path (same layout, same stamp order, same LU).
+        // `_with` path over a caller-built layout (same stamps, same LU).
         let mut ckt = Circuit::new("divider");
         let vin = ckt.node("in");
         let out = ckt.node("out");

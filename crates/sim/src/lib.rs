@@ -14,12 +14,11 @@
 //! * [`mosfet`] — a Level-1 (square-law) MOSFET model with body effect,
 //!   channel-length modulation and bias-dependent capacitances.
 //!
-//! Matrix assembly is split into a symbolic phase (a per-layout
-//! [`linalg::SparsityPattern`]) and a numeric value-fill; linear solves go
-//! through the pluggable [`linalg::SolverBackend`] seam ([`SolverKind::Dense`]
-//! is the default, [`SolverKind::Sparse`] a left-looking sparse LU). Use
-//! [`dc::dc_operating_point_with`] / [`ac::ac_analysis_with`] to pick a
-//! backend and share one [`mna::MnaLayout`] across analyses.
+//! Every analysis resolves each device stamp once to a cell of a dense,
+//! row-major MNA matrix, refills that matrix per Newton iteration or
+//! frequency point, and solves it with the one partial-pivot LU
+//! ([`linalg::solve_in_place`]). Use [`dc::dc_operating_point_with`] /
+//! [`ac::ac_analysis_with`] to share one [`mna::MnaLayout`] across analyses.
 //!
 //! # Examples
 //!
@@ -64,7 +63,7 @@ pub mod transient;
 pub use ac::{ac_analysis, ac_analysis_with, AcSolution};
 pub use dc::{dc_operating_point, dc_operating_point_with, DcOptions, DcSolution};
 pub use error::{Result, SimError};
-pub use linalg::{Complex, SolverBackend, SolverKind};
+pub use linalg::{Complex, SolverKind};
 pub use measure::AcMeasurements;
 pub use mna::MnaLayout;
 pub use mosfet::{MosfetEval, Region};

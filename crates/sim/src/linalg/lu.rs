@@ -4,7 +4,7 @@ use super::{DenseMatrix, Scalar};
 use crate::error::{Result, SimError};
 
 /// Pivots whose norm falls below this (or is not finite) make the matrix
-/// singular, in both LU routines.
+/// singular.
 const PIVOT_FLOOR: f64 = 1e-300;
 
 /// Whether `pivot`, with magnitude key `key`, fails the singularity floor:
@@ -13,7 +13,7 @@ const PIVOT_FLOOR: f64 = 1e-300;
 /// A finite key above 1e-280 means a finite norm above 1e-280 for `f64`
 /// (key `|x|`) or 1e-140 for `Complex` (key `|z|²`), either far above the
 /// floor, so only the rare other keys pay for the norm.
-pub(crate) fn pivot_is_singular<T: Scalar>(pivot: T, key: f64) -> bool {
+fn pivot_is_singular<T: Scalar>(pivot: T, key: f64) -> bool {
     if key > 1e-280 && key.is_finite() {
         return false;
     }

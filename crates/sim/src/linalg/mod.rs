@@ -1,31 +1,37 @@
 //! Linear algebra used by the MNA solver.
 //!
-//! Assembly is split into a symbolic phase ([`sparse::SparsityPattern`],
-//! derived once per MNA layout) and a numeric value-fill over the shared CSR
-//! structure ([`sparse::CsrMatrix`]). Solving goes through the pluggable
-//! [`SolverBackend`] seam: [`backend::DenseLuBackend`] scatters into a dense
-//! matrix and runs the classic partial-pivot LU (the default — bit-identical
-//! to the historical dense path), while [`backend::SparseLuBackend`] is a
-//! left-looking sparse LU that skips the dense scatter entirely.
+//! Every MNA system, real (DC, transient) or complex (AC), is assembled
+//! straight into a row-major [`DenseMatrix`] and solved by the one
+//! partial-pivot LU, [`solve_in_place`].
 
-pub mod backend;
 pub mod complex;
 pub mod lu;
 pub mod matrix;
-pub mod sparse;
 
-pub use backend::{backend_of, DenseLuBackend, SolverBackend, SolverKind, SparseLuBackend};
 pub use complex::Complex;
 pub use lu::solve_in_place;
 pub use matrix::DenseMatrix;
-pub use sparse::{CsrMatrix, PatternBuilder, SparsityPattern};
 
-/// Scalar field abstraction letting the same LU routines factor real (DC) and
+use serde::{Deserialize, Serialize};
+
+/// The linear-solver kernel a flow's MNA systems run on, as recorded in
+/// every run manifest and hashed into submission digests.
+///
+/// There is one kernel, the dense LU. A manifest that names any other
+/// kernel fails to load (``unknown variant `Sparse` for SolverKind``)
+/// rather than resuming on a kernel it was not computed with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SolverKind {
+    /// Dense assembly and the partial-pivot LU of [`solve_in_place`].
+    Dense,
+}
+
+/// Scalar field abstraction letting the one LU routine factor real (DC) and
 /// complex (AC) MNA systems.
 ///
-/// Both LU routines rank pivots and skip zero multipliers through this trait
-/// rather than through [`norm`](Scalar::norm), so a complex solve does not
-/// pay a `hypot` per candidate. The contract that keeps every solve
+/// The LU ranks pivots and skips zero multipliers through this trait rather
+/// than through [`norm`](Scalar::norm), so a complex solve does not pay a
+/// `hypot` per candidate. The contract that keeps every solve
 /// bit-identical to a `hypot`-ranked one:
 ///
 /// * [`norm_exceeds`](Scalar::norm_exceeds) answers exactly what

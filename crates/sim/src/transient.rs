@@ -7,9 +7,9 @@
 //! nonlinear) system is solved by the same Newton machinery as the DC
 //! operating point.
 
-use crate::dc::{dc_operating_point, stamp_dc, DcOptions, DcSolution};
+use crate::dc::{dc_operating_point, CondQuad, DcOptions, DcSolution, DcSystem};
 use crate::error::{Result, SimError};
-use crate::linalg::{solve_in_place, DenseMatrix};
+use crate::linalg::solve_in_place;
 use crate::mna::MnaLayout;
 use ayb_circuit::{Circuit, Device, NodeId};
 use serde::{Deserialize, Serialize};
@@ -110,23 +110,15 @@ pub fn transient_analysis(
     record(&x, &mut voltages);
 
     let h = options.time_step;
-    let mut matrix = DenseMatrix::zeros(n, n);
-    let mut rhs = vec![0.0; n];
+    let mut system = DcSystem::new(circuit, &layout);
 
     for step in 1..=steps {
         let prev = x.clone();
         // Newton at this time point.
         let mut converged = false;
         for _ in 0..options.dc.max_iterations {
-            stamp_dc(
-                circuit,
-                &layout,
-                &x,
-                options.dc.gmin,
-                1.0,
-                &mut matrix,
-                &mut rhs,
-            );
+            system.fill(&x, options.dc.gmin, 1.0);
+            let DcSystem { matrix, rhs, .. } = &mut system;
             // Replace every capacitor's open circuit with its BE companion model.
             for inst in circuit.instances() {
                 if let Device::Capacitor(c) = &inst.device {
@@ -134,24 +126,18 @@ pub fn transient_analysis(
                     let v_prev =
                         layout.voltage_of(&prev, c.plus) - layout.voltage_of(&prev, c.minus);
                     let ieq = g * v_prev;
-                    let p = layout.node_row(c.plus);
-                    let m = layout.node_row(c.minus);
+                    let (p, m) = (layout.node_row(c.plus), layout.node_row(c.minus));
+                    CondQuad::new(n, p, m).add(matrix.as_mut_slice(), g);
                     if let Some(p) = p {
-                        matrix.add(p, p, g);
                         rhs[p] += ieq;
                     }
                     if let Some(m) = m {
-                        matrix.add(m, m, g);
                         rhs[m] -= ieq;
-                    }
-                    if let (Some(p), Some(m)) = (p, m) {
-                        matrix.add(p, m, -g);
-                        matrix.add(m, p, -g);
                     }
                 }
             }
             let mut solution = rhs.clone();
-            solve_in_place(&mut matrix, &mut solution)?;
+            solve_in_place(matrix, &mut solution)?;
             let max_delta = solution
                 .iter()
                 .zip(x.iter())
@@ -179,7 +165,7 @@ pub fn transient_analysis(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ayb_circuit::Circuit;
+    use ayb_circuit::{Circuit, Mosfet};
 
     #[test]
     fn rc_charge_approaches_supply() {
@@ -225,5 +211,53 @@ mod tests {
         assert!((w.last().unwrap() - 1.0).abs() < 1e-3);
         // Monotone non-decreasing within numerical noise.
         assert!(w.windows(2).all(|p| p[1] >= p[0] - 1e-9));
+    }
+
+    /// Pins the bits of a nonlinear transient: FNV-1a 64 over the
+    /// little-endian bits of six node waveforms, node by node. The circuit
+    /// exercises the DC fill's voltage-source, current-source, resistor,
+    /// MOSFET, VCCS and VCVS stamps, plus a capacitor companion to ground and
+    /// one between two non-ground nodes. The only libm function on the path
+    /// is `sqrt`, which IEEE 754 rounds exactly, so unlike the golden flow
+    /// digests the pin is not limited to Linux x86_64.
+    #[test]
+    fn nonlinear_transient_waveforms_are_bit_pinned() {
+        let mut ckt = Circuit::new("tran");
+        ckt.add_default_models();
+        let vdd = ckt.node("vdd");
+        let g = ckt.node("g");
+        let d = ckt.node("d");
+        let x = ckt.node("x");
+        let y = ckt.node("y");
+        let z = ckt.node("z");
+        let gnd = ckt.gnd();
+        ckt.add_vsource("vdd", vdd, gnd, 3.3).unwrap();
+        ckt.add_vsource("vg", g, gnd, 0.9).unwrap();
+        ckt.add_resistor("rd", vdd, d, 10e3).unwrap();
+        ckt.add_capacitor("cd", d, gnd, 1e-12).unwrap();
+        ckt.add_mosfet("m1", Mosfet::new(d, g, gnd, gnd, "nmos", 20e-6, 1e-6))
+            .unwrap();
+        ckt.add_isource("ix", gnd, x, 1e-3).unwrap();
+        ckt.add_resistor("rx", x, gnd, 1e3).unwrap();
+        ckt.add_capacitor("cx", x, d, 1e-9).unwrap();
+        ckt.add_vccs("gy", y, gnd, x, d, 1e-4).unwrap();
+        ckt.add_resistor("ry", y, gnd, 5e3).unwrap();
+        ckt.add_vcvs("ez", z, gnd, y, gnd, 2.0).unwrap();
+        ckt.add_resistor("rz", z, gnd, 1e3).unwrap();
+
+        let tran = transient_analysis(&ckt, &TransientOptions::new(2e-6, 1e-8)).unwrap();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut samples = 0;
+        for node in ["vdd", "g", "d", "x", "y", "z"] {
+            for value in tran.waveform_by_name(&ckt, node).unwrap() {
+                for byte in value.to_bits().to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                samples += 1;
+            }
+        }
+        assert_eq!(samples, 1206);
+        assert_eq!(format!("{hash:016x}"), "1f838fb45dad154e");
     }
 }

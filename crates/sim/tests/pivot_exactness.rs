@@ -1,19 +1,16 @@
-//! The LU routines rank pivots by |z|² and test multipliers for exact zero
-//! instead of calling `hypot`; these properties pin that they still make
-//! every decision the `hypot` rule makes, bit for bit.
+//! The LU ranks pivots by |z|² and tests multipliers for exact zero instead
+//! of calling `hypot`; these properties pin that it still makes every
+//! decision the `hypot` rule makes, bit for bit.
 //!
 //! * [`Complex::abs_exceeds`] and [`Scalar::is_zero`] agree with `hypot` on
 //!   near-ties (a few ulps apart, swapped or negated parts), subnormals,
 //!   squares that overflow (|z| > 1e154) or underflow, NaN and infinities.
-//! * Dense and sparse LU, on random complex systems whose columns hold
-//!   engineered near-ties, produce the same bits and the same
-//!   `SingularMatrix { pivot }` as the `hypot`-ranked routines they replaced,
-//!   kept below as test-only references.
+//! * The LU, on random complex systems whose columns hold engineered
+//!   near-ties, produces the same bits and the same `SingularMatrix { pivot }`
+//!   as the `hypot`-ranked routine it replaced, kept below as a test-only
+//!   reference.
 
-use ayb_sim::linalg::{
-    solve_in_place, Complex, CsrMatrix, DenseMatrix, PatternBuilder, Scalar, SolverBackend,
-    SparseLuBackend,
-};
+use ayb_sim::linalg::{solve_in_place, Complex, DenseMatrix, Scalar};
 use ayb_sim::SimError;
 use proptest::prelude::*;
 
@@ -157,8 +154,6 @@ fn abs_exceeds_handles_the_named_edge_cases() {
     }
 }
 
-const UNPIVOTED: usize = usize::MAX;
-
 /// The dense LU as it ranked pivots before: one `hypot` per candidate and
 /// per multiplier, true complex division per row.
 fn reference_dense(a: &mut DenseMatrix<Complex>, b: &mut [Complex]) -> Result<(), usize> {
@@ -200,109 +195,6 @@ fn reference_dense(a: &mut DenseMatrix<Complex>, b: &mut [Complex]) -> Result<()
             acc -= a[(i, j)] * b[j];
         }
         b[i] = acc / a[(i, i)];
-    }
-    Ok(())
-}
-
-/// The left-looking sparse LU as it ranked pivots before (same column
-/// order, same touched-row order, `hypot` everywhere a norm was asked).
-fn reference_sparse(m: &CsrMatrix<Complex>, rhs: &mut [Complex]) -> Result<(), usize> {
-    let pattern = m.pattern();
-    let n = pattern.n();
-    let values = m.values();
-    let mut cols: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    for row in 0..n {
-        let start = pattern.row_range(row).start;
-        for (offset, &col) in pattern.row_cols(row).iter().enumerate() {
-            cols[col].push((row, start + offset));
-        }
-    }
-    let mut l_cols: Vec<Vec<(usize, Complex)>> = vec![Vec::new(); n];
-    let mut u_cols: Vec<Vec<(usize, Complex)>> = vec![Vec::new(); n];
-    let mut u_diag = vec![Complex::ZERO; n];
-    let mut p = vec![UNPIVOTED; n];
-    let mut pinv = vec![UNPIVOTED; n];
-    let mut x = vec![Complex::ZERO; n];
-    let mut stamp = vec![0usize; n];
-    for j in 0..n {
-        let pass = j + 1;
-        let mut touched = Vec::new();
-        for &(row, slot) in &cols[j] {
-            x[row] = values[slot];
-            stamp[row] = pass;
-            touched.push(row);
-        }
-        for k in 0..j {
-            let pivot_row = p[k];
-            if stamp[pivot_row] != pass {
-                continue;
-            }
-            let ukj = x[pivot_row];
-            if ukj.abs() == 0.0 {
-                continue;
-            }
-            u_cols[j].push((k, ukj));
-            for &(row, lval) in &l_cols[k] {
-                if stamp[row] == pass {
-                    x[row] -= lval * ukj;
-                } else {
-                    x[row] = Complex::ZERO - lval * ukj;
-                    stamp[row] = pass;
-                    touched.push(row);
-                }
-            }
-        }
-        let mut pivot_row = UNPIVOTED;
-        let mut pivot_norm = 0.0f64;
-        for &row in &touched {
-            if pinv[row] != UNPIVOTED {
-                continue;
-            }
-            let norm = x[row].abs();
-            if pivot_row == UNPIVOTED || norm > pivot_norm {
-                pivot_row = row;
-                pivot_norm = norm;
-            }
-        }
-        if pivot_row == UNPIVOTED || pivot_norm < 1e-300 || !pivot_norm.is_finite() {
-            return Err(j);
-        }
-        let pivot = x[pivot_row];
-        p[j] = pivot_row;
-        pinv[pivot_row] = j;
-        u_diag[j] = pivot;
-        for &row in &touched {
-            if pinv[row] != UNPIVOTED {
-                continue;
-            }
-            if x[row].abs() != 0.0 {
-                l_cols[j].push((row, x[row] / pivot));
-            }
-        }
-    }
-    let mut y = vec![Complex::ZERO; n];
-    for (row, &b) in rhs.iter().enumerate() {
-        y[pinv[row]] = b;
-    }
-    for k in 0..n {
-        let yk = y[k];
-        if yk.abs() == 0.0 {
-            continue;
-        }
-        for &(row, lval) in &l_cols[k] {
-            let target = pinv[row];
-            y[target] -= lval * yk;
-        }
-    }
-    for j in (0..n).rev() {
-        let xj = y[j] / u_diag[j];
-        rhs[j] = xj;
-        if xj.abs() == 0.0 {
-            continue;
-        }
-        for &(k, uval) in &u_cols[j] {
-            y[k] -= uval * xj;
-        }
     }
     Ok(())
 }
@@ -371,44 +263,6 @@ proptest! {
             for j in 0..n {
                 prop_assert_eq!(a_new[(i, j)].re.to_bits(), a_ref[(i, j)].re.to_bits());
                 prop_assert_eq!(a_new[(i, j)].im.to_bits(), a_ref[(i, j)].im.to_bits());
-            }
-        }
-    }
-
-    /// The sparse LU gives the same solution bits, or fails at the same
-    /// pivot, as the `hypot`-ranked reference; exact zeros of the system
-    /// become structural zeros of the pattern about half the time.
-    #[test]
-    fn sparse_lu_matches_the_hypot_reference(seed in 0u64..u64::MAX, n in 1usize..13) {
-        let mut mix = Mix(seed);
-        let (rows, b) = near_tie_system(&mut mix, n);
-        let drop_zeros = mix.below(2) == 0;
-        let mut builder = PatternBuilder::new(n);
-        for (i, row) in rows.iter().enumerate() {
-            for (j, value) in row.iter().enumerate() {
-                if !(drop_zeros && *value == Complex::ZERO) {
-                    builder.entry(i, j);
-                }
-            }
-        }
-        let mut m = CsrMatrix::new(builder.build());
-        for (i, row) in rows.iter().enumerate() {
-            for (j, &value) in row.iter().enumerate() {
-                if !(drop_zeros && value == Complex::ZERO) {
-                    m.add(i, j, value);
-                }
-            }
-        }
-        let mut backend = SparseLuBackend::new();
-        backend.prepare(m.pattern());
-        // Solve twice: the backend's reused workspaces must not leak state.
-        for _ in 0..2 {
-            let (mut x_new, mut x_ref) = (b.clone(), b.clone());
-            let new = singular_pivot(backend.solve(&m, &mut x_new));
-            let reference = reference_sparse(&m, &mut x_ref);
-            prop_assert_eq!(new, reference);
-            if new.is_ok() {
-                prop_assert_eq!(bits(&x_new), bits(&x_ref));
             }
         }
     }

@@ -1500,4 +1500,30 @@ mod tests {
         assert_eq!(status, 404);
         server.shutdown();
     }
+
+    #[test]
+    fn a_flow_on_the_sparse_kernel_is_a_400_that_enqueues_nothing() {
+        let temp = TempStore::new("sparse-flow");
+        let mut server = admission_server(&temp, SvcConfig::default());
+        let client = SvcClient::new(&server.url()).unwrap();
+        let Value::Object(mut flow) = FlowConfig::reduced().to_value() else {
+            panic!("FlowConfig serializes to an object");
+        };
+        for (key, value) in &mut flow {
+            if key == "solver" {
+                *value = Value::Str("Sparse".to_string());
+            }
+        }
+        let body = json_body(vec![
+            pair("seed", Value::Int(1)),
+            pair("flow", Value::Object(flow)),
+        ]);
+        let (status, reply) = client.submit_raw(&body).unwrap();
+        assert_eq!(status, 400, "{reply:?}");
+        assert_eq!(str_field(&reply, "error"), "bad_request");
+        let detail = str_field(&reply, "detail");
+        assert!(detail.contains("Sparse"), "got: {detail}");
+        assert!(temp.open().run_ids().unwrap().is_empty());
+        server.shutdown();
+    }
 }

@@ -4,14 +4,14 @@
 //! ```text
 //! ayb run    [--store DIR] [--id RUN_ID] [--scale reduced|demo|paper]
 //!            [--seed N] [--optimizer wbga|nsga2|random] [--threads N]
-//!            [--early-stop K] [--solver dense|sparse] [--sharded]
-//!            [--shard-size N] [--variation-batch N]
-//!            [--transport tcp://HOST:PORT] [--halt-after N] [--quiet]
+//!            [--early-stop K] [--sharded] [--shard-size N]
+//!            [--variation-batch N] [--transport tcp://HOST:PORT]
+//!            [--halt-after N] [--quiet]
 //! ayb resume [--store DIR] RUN_ID [--halt-after N] [--quiet]
 //! ayb submit [--store DIR] [--id RUN_ID] [--scale S] [--seed N]
 //!            [--optimizer O] [--threads N] [--early-stop K]
-//!            [--solver dense|sparse] [--sharded] [--shard-size N]
-//!            [--variation-batch N] [--transport tcp://HOST:PORT]
+//!            [--sharded] [--shard-size N] [--variation-batch N]
+//!            [--transport tcp://HOST:PORT]
 //! ayb serve  [--store DIR] [--workers N] [--drain] [--shards-only]
 //!            [--transport tcp://HOST:PORT] [--poll-ms MS] [--quiet]
 //! ayb serve-http [--store DIR] [--bind ADDR] [--workers N]
@@ -35,6 +35,12 @@
 //! `--halt-after N` — is continued by `ayb resume RUN_ID` and produces a
 //! result identical to the uninterrupted run (compare with
 //! `ayb show RUN_ID --digest`).
+//!
+//! Every run simulates on the one dense LU kernel, which its manifest
+//! records as `"solver": "Dense"`. A run recorded with any other kernel
+//! (the retired `Sparse`) cannot be read: `ayb list` shows it as
+//! `<unreadable: …>`, and `show`, `report` and `resume` exit non-zero
+//! naming the kernel.
 //!
 //! `ayb report RUN_ID` prints the paper's evaluation from a completed run:
 //! Tables 1–5, the Figure 7–11 data and the model-vs-conventional speed-up,
@@ -93,14 +99,14 @@ ayb — durable, resumable model-generation runs (DATE'08 flow)
 USAGE:
     ayb run    [--store DIR] [--id RUN_ID] [--scale reduced|demo|paper]
                [--seed N] [--optimizer wbga|nsga2|random] [--threads N]
-               [--early-stop K] [--solver dense|sparse] [--sharded]
-               [--shard-size N] [--variation-batch N]
-               [--transport tcp://HOST:PORT] [--halt-after N] [--quiet]
+               [--early-stop K] [--sharded] [--shard-size N]
+               [--variation-batch N] [--transport tcp://HOST:PORT]
+               [--halt-after N] [--quiet]
     ayb resume [--store DIR] RUN_ID [--halt-after N] [--quiet]
     ayb submit [--store DIR] [--id RUN_ID] [--scale S] [--seed N]
                [--optimizer O] [--threads N] [--early-stop K]
-               [--solver dense|sparse] [--sharded] [--shard-size N]
-               [--variation-batch N] [--transport tcp://HOST:PORT]
+               [--sharded] [--shard-size N] [--variation-batch N]
+               [--transport tcp://HOST:PORT]
     ayb serve  [--store DIR] [--workers N] [--drain] [--shards-only]
                [--transport tcp://HOST:PORT] [--poll-ms MS] [--quiet]
     ayb serve-http [--store DIR] [--bind ADDR] [--workers N]
@@ -125,8 +131,6 @@ OPTIONS:
     --optimizer O         wbga (default, the paper's), nsga2, random
     --threads N           Worker threads for batch circuit evaluation
     --early-stop K        Stop after K generations without front improvement
-    --solver S            Linear-solver backend for the sim kernel: dense
-                          (default) or sparse; recorded in the run manifest
     --sharded             Evaluate populations through the store's shard data
                           plane (any `ayb serve` process sharing the store helps)
     --shard-size N        Candidates per shard (default: scale-dependent)
@@ -231,7 +235,6 @@ struct CliArgs {
     optimizer: Option<String>,
     threads: Option<usize>,
     early_stop: Option<usize>,
-    solver: Option<String>,
     variation_batch: Option<usize>,
     halt_after: Option<usize>,
     workers: Option<usize>,
@@ -278,7 +281,6 @@ impl CliArgs {
                     parsed.early_stop =
                         Some(parse_number(&value_of("--early-stop")?, "--early-stop")?)
                 }
-                "--solver" => parsed.solver = Some(value_of("--solver")?),
                 "--variation-batch" => {
                     parsed.variation_batch = Some(parse_number(
                         &value_of("--variation-batch")?,
@@ -431,9 +433,6 @@ fn build_flow_setup(args: &CliArgs) -> Result<(FlowConfig, OptimizerConfig), Str
     }
     if let Some(shard_size) = args.shard_size {
         config.shard_size = shard_size.max(1);
-    }
-    if let Some(solver) = &args.solver {
-        config.solver = solver.parse()?;
     }
     if let Some(batch) = args.variation_batch {
         config.variation_batch = batch.max(1);

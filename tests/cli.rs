@@ -220,6 +220,74 @@ fn report_without_a_result_exits_non_zero_and_names_the_run() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// Every file under `dir`, relative to it, sorted.
+fn files_under(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(next) = pending.pop() {
+        for entry in std::fs::read_dir(&next).expect("read dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                files.push(path.strip_prefix(dir).expect("under dir").to_path_buf());
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// A run whose manifest records the retired sparse kernel is never resumed
+/// on the dense one: `resume`, `show` and `report` exit non-zero naming
+/// `Sparse`, nothing is written into the run, and `list` shows the row as
+/// unreadable.
+#[test]
+fn a_run_recorded_on_the_sparse_kernel_fails_closed() {
+    let root = temp_store("sparse-manifest");
+    let submit = ayb(&root, &["submit", "--id", "old-run", "--quiet"]);
+    assert!(submit.status.success(), "{submit:?}");
+    let run_dir = root.join("runs").join("old-run");
+    let manifest = run_dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).expect("manifest written");
+    assert!(text.contains(r#""solver": "Dense""#), "{text}");
+    std::fs::write(
+        &manifest,
+        text.replace(r#""solver": "Dense""#, r#""solver": "Sparse""#),
+    )
+    .expect("rewrite manifest");
+    let before = files_under(&run_dir);
+
+    for args in [
+        &["resume", "old-run", "--quiet"][..],
+        &["show", "old-run"],
+        &["show", "old-run", "--digest"],
+        &["report", "old-run"],
+    ] {
+        let output = ayb(&root, args);
+        assert!(!output.status.success(), "`ayb {args:?}` must fail");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("Sparse"),
+            "`ayb {args:?}` must name the kernel, got: {stderr}"
+        );
+    }
+    assert_eq!(files_under(&run_dir), before, "no checkpoint or result");
+
+    let list = ayb(&root, &["list"]);
+    assert!(list.status.success(), "{list:?}");
+    let stdout = String::from_utf8_lossy(&list.stdout);
+    let row = stdout
+        .lines()
+        .find(|line| line.starts_with("old-run"))
+        .expect("the run is listed");
+    assert!(
+        row.contains("<unreadable:") && row.contains("Sparse"),
+        "got: {row}"
+    );
+    let _ = std::fs::remove_dir_all(root);
+}
+
 /// The demo run's Table 2 as the former `table2_variation --demo` report
 /// binary printed it.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]

@@ -1,6 +1,6 @@
 //! Golden determinism digests, pinned across commits: what
-//! `ayb run --scale reduced --seed S --optimizer O --solver K` prints for
-//! seeds 2, 3 and 7 under every optimiser and solver backend.
+//! `ayb run --scale reduced --seed S --optimizer O` prints for seeds 2, 3
+//! and 7 under every optimiser.
 //!
 //! A kernel change that claims to be bit-identical (pivot ranking, operation
 //! order, the Monte Carlo fan-out) must leave every value below unchanged.
@@ -22,15 +22,15 @@ fn temp_store(label: &str) -> PathBuf {
 }
 
 /// Runs `ayb run` for each seed and returns the digests it prints.
-fn digests(optimizer: &str, solver: &str) -> Vec<String> {
-    let store = temp_store(&format!("{optimizer}-{solver}"));
+fn digests(optimizer: &str) -> Vec<String> {
+    let store = temp_store(optimizer);
     let digests = SEEDS
         .iter()
         .map(|seed| {
             let output = Command::new(env!("CARGO_BIN_EXE_ayb"))
                 .args(["run", "--store", store.to_str().expect("utf-8 store path")])
                 .args(["--scale", "reduced", "--seed", seed])
-                .args(["--optimizer", optimizer, "--solver", solver, "--quiet"])
+                .args(["--optimizer", optimizer, "--quiet"])
                 .output()
                 .expect("ayb binary runs");
             assert!(
@@ -52,47 +52,23 @@ fn digests(optimizer: &str, solver: &str) -> Vec<String> {
 #[test]
 fn wbga_dense_digests_are_pinned() {
     assert_eq!(
-        digests("wbga", "dense"),
+        digests("wbga"),
         ["106c7cfc0013fa92", "f587e18da210ed28", "137f14992d0ab4b2"]
-    );
-}
-
-#[test]
-fn wbga_sparse_digests_are_pinned() {
-    assert_eq!(
-        digests("wbga", "sparse"),
-        ["bb78c503387ea911", "d26afc1a09220bee", "7f758ed70ec8c73c"]
     );
 }
 
 #[test]
 fn nsga2_dense_digests_are_pinned() {
     assert_eq!(
-        digests("nsga2", "dense"),
+        digests("nsga2"),
         ["34cbe98903ffe9e9", "a73310c98a41e906", "561b4c636d28253e"]
-    );
-}
-
-#[test]
-fn nsga2_sparse_digests_are_pinned() {
-    assert_eq!(
-        digests("nsga2", "sparse"),
-        ["5043950969dbe737", "6601569474a24c25", "b81b027df3c484e7"]
     );
 }
 
 #[test]
 fn random_dense_digests_are_pinned() {
     assert_eq!(
-        digests("random", "dense"),
+        digests("random"),
         ["b7121713d49362d3", "0f694c6694b53131", "1467292923aa3a1b"]
-    );
-}
-
-#[test]
-fn random_sparse_digests_are_pinned() {
-    assert_eq!(
-        digests("random", "sparse"),
-        ["5d53c21ccee9d307", "055f95e34f4f8b27", "a61488883d8ceb55"]
     );
 }

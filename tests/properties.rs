@@ -189,7 +189,7 @@ proptest! {
     }
 
     /// Run manifests (including the embedded optimiser configuration, seeds,
-    /// solver backend, variation batch size and early-stopping criterion)
+    /// solver kernel, variation batch size and early-stopping criterion)
     /// round-trip through JSON unchanged.
     #[test]
     fn manifest_roundtrips_through_json(
@@ -201,7 +201,6 @@ proptest! {
     ) {
         use ayb_core::FlowConfig;
         use ayb_moo::{EarlyStop, GaConfig, OptimizerConfig};
-        use ayb_sim::SolverKind;
         use ayb_store::{Manifest, RunStatus};
 
         let status = [
@@ -214,7 +213,6 @@ proptest! {
             .with_seed(seed)
             .with_early_stop(EarlyStop::after_stalled_generations(patience));
         let mut flow = FlowConfig::reduced().with_seed(seed);
-        flow.solver = if seed % 2 == 0 { SolverKind::Dense } else { SolverKind::Sparse };
         flow.variation_batch = batch;
         let manifest = Manifest {
             run_id: format!("run-{seed:04}"),
@@ -303,8 +301,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Sharded variation analysis is bit-identical to the serial stage for
-    /// all three optimisers, whatever the seed, analysed-front size,
-    /// variation batch size and solver backend — including fronts smaller
+    /// all three optimisers, whatever the seed, analysed-front size and
+    /// variation batch size — including fronts smaller
     /// than the number of evaluation shards per generation (population 14 /
     /// shard size 3 = 5 shards) and batches that straddle point boundaries.
     /// The run's manifest records the solver and batch size it used.
@@ -316,7 +314,6 @@ proptest! {
     ) {
         use ayb_core::{FlowBuilder, FlowConfig};
         use ayb_moo::{GaConfig, OptimizerConfig};
-        use ayb_sim::SolverKind;
         use ayb_store::{Manifest, Store};
 
         let mut config = FlowConfig::reduced();
@@ -328,7 +325,6 @@ proptest! {
         config.monte_carlo.samples = 6;
         config.max_pareto_points = front_limit;
         config.shard_size = 3;
-        config.solver = if seed % 2 == 0 { SolverKind::Dense } else { SolverKind::Sparse };
         config.variation_batch = batch;
 
         for optimizer in [
@@ -361,7 +357,7 @@ proptest! {
                 .sharded(true)
                 .run()
                 .expect("sharded flow completes");
-            // The durable manifest records the solver backend and batch
+            // The durable manifest records the solver kernel and batch
             // size, so a resume (or an `ayb serve` worker) reproduces the
             // exact kernel configuration.
             let run_id = store.run_ids().expect("runs list")[0].clone();
@@ -592,94 +588,38 @@ proptest! {
 }
 
 proptest! {
-    // Each case runs two full test-bench simulations (DC + AC) — cheap.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The dense and sparse LU backends agree to 1e-9 on randomly sized OTA
-    /// designs drawn across the whole Table 1 space: same feasibility
-    /// verdict, and when feasible, matching gain, phase margin and
-    /// unity-gain frequency. The backends factor the same matrices in a
-    /// different elimination order, so this bounds the numerical daylight
-    /// between them over the actual population the optimisers explore.
-    #[test]
-    fn dense_and_sparse_backends_agree_on_random_ota_draws(
-        genes in proptest::collection::vec(0.0f64..1.0, 8),
-    ) {
-        use ayb_circuit::ota::OtaTestbenchConfig;
-        use ayb_core::OtaSizingProblem;
-        use ayb_sim::{FrequencySweep, SolverKind};
-
-        let dense = OtaSizingProblem::new(
-            OtaTestbenchConfig::new(),
-            FrequencySweep::logarithmic(10.0, 1e9, 16),
-        );
-        let sparse = OtaSizingProblem::new(
-            OtaTestbenchConfig::new(),
-            FrequencySweep::logarithmic(10.0, 1e9, 16),
-        )
-        .with_solver(SolverKind::Sparse);
-
-        let d = dense.performance(&genes);
-        let s = sparse.performance(&genes);
-        prop_assert!(d.is_some() == s.is_some(), "feasibility verdicts differ");
-        if let (Some(d), Some(s)) = (d, s) {
-            prop_assert!(
-                (d.gain_db - s.gain_db).abs() < 1e-9 * (1.0 + d.gain_db.abs()),
-                "gain: {} vs {}", d.gain_db, s.gain_db
-            );
-            prop_assert!(
-                (d.phase_margin_deg - s.phase_margin_deg).abs()
-                    < 1e-9 * (1.0 + d.phase_margin_deg.abs()),
-                "phase margin: {} vs {}", d.phase_margin_deg, s.phase_margin_deg
-            );
-            prop_assert!(
-                ((d.unity_gain_hz - s.unity_gain_hz) / d.unity_gain_hz).abs() < 1e-9,
-                "ugf: {} vs {}", d.unity_gain_hz, s.unity_gain_hz
-            );
-        }
-    }
-}
-
-proptest! {
-    // Each case runs four complete flows (two per backend); a small case
-    // count keeps the suite fast.
+    // Each case runs two complete flows; a small case count keeps the suite
+    // fast.
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// Each solver backend is bit-deterministic under `with_seed`: running
-    /// the same seeded flow twice on the same backend produces identical
-    /// determinism digests, for dense and sparse alike. (The two backends'
-    /// digests may differ from *each other* by last-ulp rounding — what must
-    /// never drift is a repeat run on the same backend.)
+    /// The solver kernel is bit-deterministic under `with_seed`: running the
+    /// same seeded flow twice produces identical determinism digests.
     #[test]
     fn each_solver_backend_is_bit_deterministic_under_a_seed(seed in 0u64..10_000) {
         use ayb_core::{FlowBuilder, FlowConfig};
         use ayb_moo::GaConfig;
-        use ayb_sim::SolverKind;
 
-        for solver in [SolverKind::Dense, SolverKind::Sparse] {
-            let mut config = FlowConfig::reduced();
-            config.ga = GaConfig {
-                generations: 2,
-                ..config.ga
-            };
-            config.sweep = ayb_sim::FrequencySweep::logarithmic(10.0, 1e9, 4);
-            config.monte_carlo.samples = 4;
-            config.max_pareto_points = 4;
-            config.solver = solver;
+        let mut config = FlowConfig::reduced();
+        config.ga = GaConfig {
+            generations: 2,
+            ..config.ga
+        };
+        config.sweep = ayb_sim::FrequencySweep::logarithmic(10.0, 1e9, 4);
+        config.monte_carlo.samples = 4;
+        config.max_pareto_points = 4;
 
-            let first = FlowBuilder::new(config.clone())
-                .with_seed(seed)
-                .run()
-                .expect("first flow completes");
-            let second = FlowBuilder::new(config)
-                .with_seed(seed)
-                .run()
-                .expect("second flow completes");
-            prop_assert!(
-                first.determinism_digest() == second.determinism_digest(),
-                "{solver} backend digest drifted across identical seeded runs"
-            );
-        }
+        let first = FlowBuilder::new(config.clone())
+            .with_seed(seed)
+            .run()
+            .expect("first flow completes");
+        let second = FlowBuilder::new(config)
+            .with_seed(seed)
+            .run()
+            .expect("second flow completes");
+        prop_assert!(
+            first.determinism_digest() == second.determinism_digest(),
+            "digest drifted across identical seeded runs"
+        );
     }
 }
 

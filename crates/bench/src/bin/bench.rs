@@ -247,7 +247,7 @@ fn bench_shard_roundtrip_disk(iters: u64) -> KernelReport {
     };
     let report = time_kernel("shard_roundtrip_disk", iters, 2, || {
         let epoch = plane
-            .open_typed_epoch(ShardWorkKind::Eval)
+            .open_typed_epoch(ShardWorkKind::Eval, 1)
             .expect("epoch opens");
         plane.publish_work(&epoch, 0, &work).expect("publishes");
         assert!(plane.try_claim(&epoch, 0).expect("claim attempt"));
@@ -286,7 +286,7 @@ fn bench_variation_batch_roundtrip_disk(iters: u64) -> KernelReport {
     };
     let report = time_kernel("variation_batch_roundtrip_disk", iters, 2, || {
         let epoch = plane
-            .open_typed_epoch(ShardWorkKind::Variation)
+            .open_typed_epoch(ShardWorkKind::Variation, 1)
             .expect("epoch opens");
         plane.publish_work(&epoch, 0, &work).expect("publishes");
         assert!(plane.try_claim(&epoch, 0).expect("claim attempt"));

@@ -44,16 +44,14 @@ use ayb_behavioral::{CombinedOtaModel, ModelError, ParetoPointData};
 use ayb_circuit::ota::{build_open_loop_testbench, OtaParameters};
 use ayb_moo::{
     drive_epoch, CachedProblem, Checkpoint, CheckpointControl, CheckpointError, EpochWork,
-    Evaluation, OptimizationResult, OptimizerConfig, ShardError, ShardTransport, ShardedEvaluator,
-    ShardingOptions, SizingProblem, WithEvaluator,
+    Evaluation, OptimizationResult, OptimizerConfig, ShardError, ShardOutcome, ShardTransport,
+    ShardWork, ShardWorkKind, ShardedEvaluator, ShardingOptions, SizingProblem, VariationOutcome,
+    VariationPointWork, WithEvaluator,
 };
 use ayb_net::TcpTransport;
 use ayb_obs::{kind as event_kind, Event, JsonlSink, Recorder, Severity, SinkGuard};
 use ayb_process::{montecarlo, Summary};
-use ayb_store::{
-    ClaimHeartbeat, ClaimInfo, Manifest, RunHandle, RunStatus, ShardDataPlane, ShardOutcome,
-    ShardWork, ShardWorkKind, Store, StoreError, VariationOutcome, VariationPointWork,
-};
+use ayb_store::{ClaimHeartbeat, ClaimInfo, Manifest, RunHandle, RunStatus, Store, StoreError};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -418,8 +416,8 @@ pub struct VariationPointRecord {
 }
 
 impl VariationPointRecord {
-    /// Converts to the store's opaque wire form (see
-    /// [`ayb_store::VariationOutcome`]).
+    /// Converts to the shard planes' opaque wire form (see
+    /// [`ayb_moo::VariationOutcome`]).
     fn to_outcome(&self) -> VariationOutcome {
         VariationOutcome {
             data: self.data.as_ref().map(Serialize::to_value),
@@ -427,8 +425,8 @@ impl VariationPointRecord {
         }
     }
 
-    /// Parses the store's wire form back; `None` when the payload is
-    /// malformed (the shard then simply stays pending and is re-analysed).
+    /// Parses the wire form back; `None` when the payload is malformed (the
+    /// shard then simply stays pending and is re-analysed).
     fn from_outcome(outcome: &VariationOutcome) -> Option<VariationPointRecord> {
         let data = match &outcome.data {
             None => None,
@@ -913,17 +911,9 @@ impl FlowBuilder {
                 // This flow holds the run's exclusive claim, so any shard
                 // epochs still on disk belong to a dead predecessor.
                 let _ = handle.sweep_shards();
-                Some(match self.config.transport.as_deref() {
-                    Some(url) => match TcpTransport::from_url(url) {
-                        Ok(transport) => {
-                            let context = serde::Serialize::to_value(&self.config);
-                            FlowShardPlane::Tcp(
-                                transport
-                                    .with_run_context(handle.id(), context)
-                                    .with_recorder(recorder.clone()),
-                            )
-                        }
-                        Err(reason) => {
+                let tcp = self.config.transport.as_deref().and_then(|url| {
+                    TcpTransport::from_url(url)
+                        .map_err(|reason| {
                             // A malformed selector degrades to the disk
                             // plane — noisily, so a typo'd URL never passes
                             // for a working coordinator (the CLI validates
@@ -932,18 +922,29 @@ impl FlowBuilder {
                             for observer in &mut self.observers {
                                 observer.on_transport_degraded(FlowStage::Optimize, 0, &detail);
                             }
-                            FlowShardPlane::Disk(
-                                handle
-                                    .shard_plane(SHARD_CLAIM_STALE_AFTER)
+                        })
+                        .ok()
+                });
+                Some(match tcp {
+                    Some(transport) => {
+                        let context = serde::Serialize::to_value(&self.config);
+                        ShardPlane {
+                            label: transport.url(),
+                            transport: Arc::new(
+                                transport
+                                    .with_run_context(handle.id(), context)
                                     .with_recorder(recorder.clone()),
-                            )
+                            ),
                         }
+                    }
+                    None => ShardPlane {
+                        label: "disk".to_string(),
+                        transport: Arc::new(
+                            handle
+                                .shard_plane(SHARD_CLAIM_STALE_AFTER)
+                                .with_recorder(recorder.clone()),
+                        ),
                     },
-                    None => FlowShardPlane::Disk(
-                        handle
-                            .shard_plane(SHARD_CLAIM_STALE_AFTER)
-                            .with_recorder(recorder.clone()),
-                    ),
                 })
             }
             _ => None,
@@ -974,7 +975,7 @@ impl FlowBuilder {
             WithEvaluator::new(
                 base,
                 ShardedEvaluator::new(
-                    plane.boxed_transport(),
+                    Arc::clone(&plane.transport),
                     ShardingOptions::with_shard_size(self.config.shard_size),
                 )
                 .with_degraded_hook(Arc::new(move |shard, error| {
@@ -1136,7 +1137,7 @@ pub struct OptimizedFlow {
     selected: Vec<Evaluation>,
     run: Option<RunHandle>,
     run_claim: Option<ClaimInfo>,
-    shard_plane: Option<FlowShardPlane>,
+    shard_plane: Option<ShardPlane>,
     transport_incidents: Vec<TransportIncident>,
     claim_heartbeat: Option<ClaimHeartbeat>,
     halt_signal: Option<Arc<AtomicBool>>,
@@ -1190,11 +1191,11 @@ impl OptimizedFlow {
     /// checkpoints, and a flow killed mid-stage resumes here without
     /// re-analysing completed points. With [`FlowConfig::sharded`] the stage
     /// additionally distributes pending points through the run's shard data
-    /// plane (one variation task per point), where any `ayb serve` worker
-    /// sharing the store helps out; the submitter participates exactly like
-    /// sharded population evaluation, so the stage completes with zero
-    /// workers and the result is bit-identical to the serial path either
-    /// way.
+    /// plane (one task per [`FlowConfig::variation_batch`] points), where
+    /// any `ayb serve` worker on that plane helps out; the submitter
+    /// participates exactly like sharded population evaluation, so the
+    /// stage completes with zero workers and the result is bit-identical to
+    /// the serial path either way.
     ///
     /// # Errors
     ///
@@ -1463,9 +1464,13 @@ impl OptimizedFlow {
         pending: &[usize],
         slots: &mut [Option<VariationPointRecord>],
     ) -> VariationStageOutcome {
-        // Clones share counters with the plane built in `optimize`, so
-        // traffic and fencing stats keep accumulating across stages.
-        let Some(plane) = self.shard_plane.clone() else {
+        // The transport built in `optimize`, so traffic and fencing stats
+        // keep accumulating across stages.
+        let Some(plane) = self
+            .shard_plane
+            .as_ref()
+            .map(|plane| Arc::clone(&plane.transport))
+        else {
             return self.variation_serial(pending, slots);
         };
         let batch_size = self.config.variation_batch.max(1);
@@ -1484,19 +1489,8 @@ impl OptimizedFlow {
                 parameters: self.selected[index].parameters.clone(),
                 mc_seed: point_mc_seed(base_seed, index),
             };
-            // A single-point batch keeps the historical task shape, so
-            // pre-batching workers stay compatible.
-            let work = match batch.as_slice() {
-                [index] => {
-                    let point = point_work(index);
-                    ShardWork::Variation {
-                        parameters: point.parameters,
-                        mc_seed: point.mc_seed,
-                    }
-                }
-                _ => ShardWork::VariationBatch {
-                    points: batch.iter().map(point_work).collect(),
-                },
+            let work = ShardWork::VariationBatch {
+                points: batch.iter().map(point_work).collect(),
             };
             if plane.publish_work(&epoch, shard, &work).is_err() {
                 // A half-published epoch is unusable; dispose of it and fall
@@ -1510,7 +1504,7 @@ impl OptimizedFlow {
         let shard_count = batches.len();
         let mut work = VariationEpochWork {
             flow: self,
-            plane: &plane,
+            plane: plane.as_ref(),
             epoch: &epoch,
             batches: &batches,
             slots,
@@ -1551,14 +1545,14 @@ enum VariationAbort {
 }
 
 /// [`EpochWork`] binding of the variation stage: one shard = one batch of
-/// pending Pareto points, transported as [`ShardWork::Variation`] /
-/// [`ShardWork::VariationBatch`] over the run's [`ShardDataPlane`]. Landing
-/// a batch writes each point's variation checkpoint in batch order and ticks
-/// the flow's observers — identical bookkeeping to the serial path, with a
-/// halt boundary between every point.
+/// pending Pareto points, transported as [`ShardWork::VariationBatch`] over
+/// the run's shard plane (disk or TCP). Landing a batch writes each point's
+/// variation checkpoint in batch order and ticks the flow's observers —
+/// identical bookkeeping to the serial path, with a halt boundary between
+/// every point.
 struct VariationEpochWork<'a> {
     flow: &'a mut OptimizedFlow,
-    plane: &'a FlowShardPlane,
+    plane: &'a dyn ShardTransport,
     epoch: &'a str,
     /// Pending point indices, chunked as published (`batches[shard]`).
     batches: &'a [Vec<usize>],
@@ -1570,11 +1564,10 @@ impl EpochWork for VariationEpochWork<'_> {
     type Output = Vec<VariationPointRecord>;
 
     fn fetch(&mut self, shard: usize) -> Result<Option<Vec<VariationPointRecord>>, ShardError> {
-        let outcome = self.plane.fetch_outcome(self.epoch, shard)?;
-        let points = match outcome {
-            Some(ShardOutcome::Variation(outcome)) => vec![outcome],
-            Some(ShardOutcome::VariationBatch { points }) => points,
-            Some(ShardOutcome::Eval { .. }) | None => return Ok(None),
+        let Some(ShardOutcome::VariationBatch { points }) =
+            self.plane.fetch_outcome(self.epoch, shard)?
+        else {
+            return Ok(None);
         };
         if points.len() != self.batches[shard].len() {
             // A mis-shaped payload leaves the shard pending (it will be
@@ -1605,13 +1598,11 @@ impl EpochWork for VariationEpochWork<'_> {
         shard: usize,
         records: &Vec<VariationPointRecord>,
     ) -> Result<(), ShardError> {
-        let outcome = match records.as_slice() {
-            [record] if self.batches[shard].len() == 1 => {
-                ShardOutcome::Variation(record.to_outcome())
-            }
-            _ => ShardOutcome::VariationBatch {
-                points: records.iter().map(|r| r.to_outcome()).collect(),
-            },
+        let outcome = ShardOutcome::VariationBatch {
+            points: records
+                .iter()
+                .map(VariationPointRecord::to_outcome)
+                .collect(),
         };
         self.plane.submit_outcome(self.epoch, shard, &outcome)
     }
@@ -1674,7 +1665,7 @@ pub struct AnalyzedFlow {
     pareto_data: Vec<ParetoPointData>,
     run: Option<RunHandle>,
     run_claim: Option<ClaimInfo>,
-    shard_plane: Option<FlowShardPlane>,
+    shard_plane: Option<ShardPlane>,
     transport_incidents: Vec<TransportIncident>,
     claim_heartbeat: Option<ClaimHeartbeat>,
     recorder: Recorder,
@@ -1741,11 +1732,14 @@ impl AnalyzedFlow {
         // Shard-plane accounting, accumulated over every stage. Timings are
         // excluded from determinism digests, so recording traffic here can
         // never perturb a result.
-        if let Some(plane) = &self.shard_plane {
-            let (requests, seconds) = plane.traffic();
-            self.timings.shard_requests = requests;
-            self.timings.shard_request_seconds = seconds;
-            self.timings.shards_fenced = plane.fenced_rejections();
+        let plane_stats = self
+            .shard_plane
+            .as_ref()
+            .map(|plane| plane.transport.stats());
+        if let Some(stats) = plane_stats {
+            self.timings.shard_requests = stats.requests;
+            self.timings.shard_request_seconds = stats.request_seconds;
+            self.timings.shards_fenced = stats.fenced_rejections;
         }
         self.timings.shards_degraded = self.transport_incidents.len();
         let result = FlowResult {
@@ -1766,16 +1760,15 @@ impl AnalyzedFlow {
             // not touch them — not even to sweep.
             let persisted = guard_claim(handle, self.run_claim.as_ref()).and_then(|()| {
                 let _ = handle.sweep_shards();
-                if let Some(plane) = &self.shard_plane {
-                    let (requests, request_seconds) = plane.traffic();
+                if let (Some(plane), Some(stats)) = (&self.shard_plane, plane_stats) {
                     // Diagnostic only — failure to write the report must not
                     // fail a completed flow.
                     let _ = handle.save_transport_report(&TransportReport {
-                        transport: plane.describe(),
+                        transport: plane.label.clone(),
                         incidents: self.transport_incidents.clone(),
-                        requests,
-                        request_seconds,
-                        fenced_rejections: plane.fenced_rejections(),
+                        requests: stats.requests,
+                        request_seconds: stats.request_seconds,
+                        fenced_rejections: stats.fenced_rejections,
                     });
                 }
                 handle.save_result(&result)?;
@@ -1814,115 +1807,14 @@ const SHARD_CLAIM_STALE_AFTER: Duration = Duration::from_secs(60);
 /// The shard data plane a sharded flow drives its epochs through, selected
 /// by [`FlowConfig::transport`]: the store's on-disk plane (workers share
 /// the filesystem) or a TCP coordinator (workers share nothing but the
-/// network). Both speak the same typed epoch vocabulary, so the eval and
-/// variation stages are transport-agnostic — and bit-identical, since shard
-/// payloads and reassembly order never depend on how they travelled.
-///
-/// Clones share counters (and, for TCP, the token table), so the stats read
-/// at flow completion cover every stage.
-#[derive(Clone)]
-enum FlowShardPlane {
-    /// Epochs as files under the run directory (`ShardDataPlane`).
-    Disk(ShardDataPlane),
-    /// Epochs in an `ayb coordinate` server's memory, over TCP.
-    Tcp(TcpTransport),
-}
-
-impl FlowShardPlane {
-    /// A boxed [`ShardTransport`] view for [`ShardedEvaluator`].
-    fn boxed_transport(&self) -> Box<dyn ShardTransport> {
-        match self {
-            FlowShardPlane::Disk(plane) => Box::new(plane.clone()),
-            FlowShardPlane::Tcp(transport) => Box::new(transport.clone()),
-        }
-    }
-
-    /// Where this plane lives, for diagnostics ("disk" or the `tcp://` URL).
-    fn describe(&self) -> String {
-        match self {
-            FlowShardPlane::Disk(_) => "disk".to_string(),
-            FlowShardPlane::Tcp(transport) => transport.url(),
-        }
-    }
-
-    fn open_typed_epoch(
-        &self,
-        kind: ShardWorkKind,
-        shard_count: usize,
-    ) -> Result<String, ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => plane.open_typed_epoch(kind),
-            FlowShardPlane::Tcp(transport) => transport.open_typed_epoch(kind, shard_count),
-        }
-    }
-
-    fn publish_work(&self, epoch: &str, shard: usize, work: &ShardWork) -> Result<(), ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => plane.publish_work(epoch, shard, work),
-            FlowShardPlane::Tcp(transport) => transport.publish_work(epoch, shard, work),
-        }
-    }
-
-    fn try_claim(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => plane.try_claim(epoch, shard),
-            FlowShardPlane::Tcp(transport) => transport.try_claim(epoch, shard),
-        }
-    }
-
-    fn submit_outcome(
-        &self,
-        epoch: &str,
-        shard: usize,
-        outcome: &ShardOutcome,
-    ) -> Result<(), ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => plane.submit_outcome(epoch, shard, outcome),
-            FlowShardPlane::Tcp(transport) => transport.submit_outcome(epoch, shard, outcome),
-        }
-    }
-
-    fn fetch_outcome(&self, epoch: &str, shard: usize) -> Result<Option<ShardOutcome>, ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => plane.fetch_outcome(epoch, shard),
-            FlowShardPlane::Tcp(transport) => transport.fetch_outcome(epoch, shard),
-        }
-    }
-
-    fn recover(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => ShardTransport::recover(plane, epoch, shard),
-            FlowShardPlane::Tcp(transport) => ShardTransport::recover(transport, epoch, shard),
-        }
-    }
-
-    fn close_epoch(&self, epoch: &str) -> Result<(), ShardError> {
-        match self {
-            FlowShardPlane::Disk(plane) => ShardTransport::close_epoch(plane, epoch),
-            FlowShardPlane::Tcp(transport) => ShardTransport::close_epoch(transport, epoch),
-        }
-    }
-
-    /// Results this plane's writers had fenced off (stolen claims whose late
-    /// submissions were discarded), accumulated across all stages.
-    fn fenced_rejections(&self) -> u64 {
-        match self {
-            FlowShardPlane::Disk(plane) => plane.fenced_rejections(),
-            FlowShardPlane::Tcp(transport) => transport.stats().fenced_rejections,
-        }
-    }
-
-    /// `(requests, summed round-trip seconds)` of shard traffic. The disk
-    /// plane reports zero — per-file I/O is not request-shaped.
-    fn traffic(&self) -> (u64, f64) {
-        match self {
-            FlowShardPlane::Disk(_) => (0, 0.0),
-            FlowShardPlane::Tcp(transport) => {
-                let stats = transport.stats();
-                (stats.requests, stats.request_seconds)
-            }
-        }
-    }
+/// network). Both implement [`ShardTransport`], so the eval and variation
+/// stages are transport-agnostic — and bit-identical, since shard payloads
+/// and reassembly order never depend on how they travelled. The one shared
+/// transport carries every stage, so its counters cover the whole flow.
+struct ShardPlane {
+    transport: Arc<dyn ShardTransport>,
+    /// Where the plane lives, for diagnostics: "disk" or the `tcp://` URL.
+    label: String,
 }
 
 /// One shard's degradation to local evaluation: the record behind

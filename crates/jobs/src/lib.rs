@@ -90,13 +90,13 @@ pub mod sched;
 pub use sched::{Priority, QueuePolicy, RunQueue, TenantPolicy, WrrQueue};
 
 use ayb_core::{AybError, FlowBuilder, FlowConfig, FlowObserver, OtaSizingProblem};
-use ayb_moo::{CheckpointError, OptimizerConfig, SizingProblem};
-use ayb_net::{ClaimPulse, NetShardTask, TcpTransport};
-use ayb_obs::{Event, Recorder, Severity};
-use ayb_store::{
-    Manifest, RunHandle, RunStatus, ShardOutcome, ShardWork, ShardWorkKind, Store, StoreError,
+use ayb_moo::{
+    CheckpointError, OptimizerConfig, ShardOutcome, ShardWork, ShardWorkKind, SizingProblem,
     VariationOutcome,
 };
+use ayb_net::{ClaimPulse, TcpTransport};
+use ayb_obs::{Event, Recorder, Severity};
+use ayb_store::{Manifest, RunHandle, RunStatus, Store, StoreError};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
@@ -308,8 +308,8 @@ pub enum JobEvent {
         shard: usize,
         /// The kind of work the shard carried.
         work: ShardWorkKind,
-        /// Number of candidates evaluated (evaluation shards) or `1` (a
-        /// variation shard is one Pareto point).
+        /// Number of candidates evaluated (evaluation shards) or Pareto
+        /// points analysed (variation shards).
         candidates: usize,
         /// Index of the servicing worker.
         worker: usize,
@@ -993,17 +993,90 @@ fn worker_loop(
     }
 }
 
-/// Claims and services at most one shard task — a population-evaluation
-/// shard or a variation (Monte Carlo) point — returning whether one was
-/// serviced.
-///
-/// The problem (and, for variation shards, the full flow configuration) is
-/// reconstructed from the owning run's manifest — identical to what the
-/// submitting flow built, so a shard produces the same output whichever
-/// process services it: evaluation shards through
-/// `SizingProblem::evaluate_batch`, variation shards through
-/// `ayb_core::analyse_variation_point` with the per-point seed carried in
-/// the task.
+/// Produces a shard's outcome in-process, exactly as the submitting flow
+/// would: evaluation shards through `SizingProblem::evaluate_batch`,
+/// variation shards through `ayb_core::analyse_variation_point` with each
+/// point's own seed. `flow` is the submitting run's configuration, so the
+/// rebuilt problem is identical to the submitter's whichever process
+/// services the shard. Returns the outcome and how many candidates or
+/// points it covers.
+fn service_work(flow: &FlowConfig, work: &ShardWork) -> (ShardOutcome, usize) {
+    let problem =
+        OtaSizingProblem::new(flow.testbench, flow.sweep.clone()).with_threads(flow.threads);
+    match work {
+        ShardWork::Eval { parameters } => (
+            ShardOutcome::Eval {
+                results: problem.evaluate_batch(parameters),
+            },
+            parameters.len(),
+        ),
+        ShardWork::VariationBatch { points } => (
+            ShardOutcome::VariationBatch {
+                points: points
+                    .iter()
+                    .map(|point| {
+                        let t0 = std::time::Instant::now();
+                        let data = ayb_core::analyse_variation_point(
+                            &problem,
+                            &point.parameters,
+                            flow,
+                            point.mc_seed,
+                        );
+                        VariationOutcome {
+                            data: data.as_ref().map(Serialize::to_value),
+                            elapsed_seconds: t0.elapsed().as_secs_f64(),
+                        }
+                    })
+                    .collect(),
+            },
+            points.len(),
+        ),
+    }
+}
+
+/// Services one claimed shard on either plane — `at` is its run, epoch and
+/// index plus the servicing worker — by producing its outcome with
+/// [`service_work`], handing it to `submit`, and accounting what came of it.
+/// A fenced-off submit (`Ok(false)`: this worker was presumed hung and its
+/// claim re-issued; the successor's identical outcome stands) is counted in
+/// [`JobReport::shards_fenced`]; a failed one (the epoch closed mid-service,
+/// or the plane is unreachable) is a silent skip. Returns whether the
+/// outcome was accepted, having announced it.
+fn service_claimed<E>(
+    shared: &Shared,
+    report: &Mutex<JobReport>,
+    at: (&str, &str, usize, usize),
+    flow: &FlowConfig,
+    work: &ShardWork,
+    submit: impl FnOnce(&ShardOutcome) -> Result<bool, E>,
+) -> bool {
+    let (run_id, epoch, shard, worker) = at;
+    let (outcome, candidates) = service_work(flow, work);
+    match submit(&outcome) {
+        Ok(true) => {}
+        Ok(false) => {
+            report.lock().expect("report lock").shards_fenced += 1;
+            return false;
+        }
+        Err(_) => return false,
+    }
+    shared.emit(JobEvent::ShardServiced {
+        run_id: run_id.to_string(),
+        epoch: epoch.to_string(),
+        shard,
+        work: work.kind(),
+        candidates,
+        worker,
+    });
+    true
+}
+
+/// Claims and services at most one on-disk shard task — a
+/// population-evaluation shard or a batch of variation (Monte Carlo)
+/// points — returning whether one was serviced. The flow configuration is
+/// read from the owning run's manifest. A task whose payload cannot be
+/// loaded (the epoch was closed, or its shape is unknown to this build) is
+/// declined: its claim is released for the submitter to service.
 fn service_one_shard(
     shared: &Arc<Shared>,
     config: &JobServerConfig,
@@ -1025,86 +1098,16 @@ fn service_one_shard(
         // Heartbeat the shard claim while evaluating, so an aggressive
         // recovery pass never mistakes a slow evaluation for a dead worker.
         let heartbeat = task.start_claim_heartbeat(Duration::from_secs(1));
-        let serviced = (|| {
-            let work = match task.load_work() {
-                Ok(Some(work)) => work,
-                // The epoch was closed (or the task file is unreadable):
-                // nothing to do.
-                _ => return false,
-            };
-            let Some((problem, flow)) = shard_flow_setup(&shared.store, task.run_id()) else {
-                return false;
-            };
-            let (outcome, candidates, kind) = match work {
-                ShardWork::Eval { parameters } => {
-                    let results = problem.evaluate_batch(&parameters);
-                    (
-                        ShardOutcome::Eval { results },
-                        parameters.len(),
-                        ShardWorkKind::Eval,
-                    )
-                }
-                ShardWork::Variation {
-                    parameters,
-                    mc_seed,
-                } => {
-                    let t0 = std::time::Instant::now();
-                    let data =
-                        ayb_core::analyse_variation_point(&problem, &parameters, &flow, mc_seed);
-                    let outcome = ShardOutcome::Variation(VariationOutcome {
-                        data: data.as_ref().map(serde::Serialize::to_value),
-                        elapsed_seconds: t0.elapsed().as_secs_f64(),
-                    });
-                    (outcome, 1, ShardWorkKind::Variation)
-                }
-                ShardWork::VariationBatch { points } => {
-                    let outcomes: Vec<VariationOutcome> = points
-                        .iter()
-                        .map(|point| {
-                            let t0 = std::time::Instant::now();
-                            let data = ayb_core::analyse_variation_point(
-                                &problem,
-                                &point.parameters,
-                                &flow,
-                                point.mc_seed,
-                            );
-                            VariationOutcome {
-                                data: data.as_ref().map(serde::Serialize::to_value),
-                                elapsed_seconds: t0.elapsed().as_secs_f64(),
-                            }
-                        })
-                        .collect();
-                    let count = outcomes.len();
-                    (
-                        ShardOutcome::VariationBatch { points: outcomes },
-                        count,
-                        ShardWorkKind::Variation,
-                    )
-                }
-            };
-            match task.submit_outcome(&outcome) {
-                Ok(true) => {}
-                Ok(false) => {
-                    // Fenced off: a recovery pass stole this claim
-                    // mid-service and the successor's (identical) result is
-                    // the authoritative one; ours is discarded.
-                    report.lock().expect("report lock").shards_fenced += 1;
-                    return false;
-                }
-                // Epoch closed mid-service: the submitter assembled the
-                // stage without this shard; drop the result.
-                Err(_) => return false,
-            }
-            shared.emit(JobEvent::ShardServiced {
-                run_id: task.run_id().to_string(),
-                epoch: task.epoch().to_string(),
-                shard: task.shard(),
-                work: kind,
-                candidates,
-                worker,
-            });
-            true
-        })();
+        let serviced = match task.load_work() {
+            Ok(Some(work)) => run_flow(&shared.store, task.run_id()).is_some_and(|flow| {
+                let at = (task.run_id(), task.epoch(), task.shard(), worker);
+                service_claimed(shared, report, at, &flow, &work, |outcome| {
+                    task.submit_outcome(outcome)
+                })
+            }),
+            // The epoch was closed, or the payload does not decode.
+            _ => false,
+        };
         drop(heartbeat);
         if !serviced {
             task.release();
@@ -1128,9 +1131,9 @@ fn service_one_shard(
 /// Unlike the on-disk plane, the task is self-contained: it carries the
 /// submitting run's flow configuration, so the problem is rebuilt from the
 /// task itself and the worker never touches the submitter's store — this is
-/// what lets a fleet run with no shared filesystem at all. Determinism is
-/// unchanged: the same configuration rebuilds the same problem whichever
-/// machine services the shard.
+/// what lets a fleet run with no shared filesystem at all. A task without a
+/// usable configuration is left to expire, so the submitter's local
+/// fallback picks it up.
 fn service_one_net_shard(
     shared: &Arc<Shared>,
     config: &JobServerConfig,
@@ -1152,7 +1155,15 @@ fn service_one_net_shard(
     // Heartbeat the claim while evaluating, so the coordinator's recovery
     // never mistakes a slow evaluation for a hung worker.
     let pulse = ClaimPulse::start(net.clone(), &task, Duration::from_secs(1));
-    let serviced = service_net_task(shared, net, &task, worker, report);
+    let serviced = match task.context.as_ref().map(FlowConfig::from_value) {
+        Some(Ok(flow)) => {
+            let at = (&*task.run_id, &*task.epoch, task.shard, worker);
+            service_claimed(shared, report, at, &flow, &task.work, |outcome| {
+                net.submit_task(&task, outcome)
+            })
+        }
+        _ => false,
+    };
     drop(pulse);
     // An abandoned claim needs no release call: once its heartbeat stops,
     // the coordinator's recovery expires it and the shard is re-claimable.
@@ -1167,101 +1178,11 @@ fn service_one_net_shard(
     serviced
 }
 
-/// Evaluates one claimed [`NetShardTask`] and submits its outcome under the
-/// task's fencing token.
-fn service_net_task(
-    shared: &Arc<Shared>,
-    net: &TcpTransport,
-    task: &NetShardTask,
-    worker: usize,
-    report: &Mutex<JobReport>,
-) -> bool {
-    // A task without a usable flow configuration cannot be serviced here;
-    // leave it to expire so the submitter's local fallback picks it up.
-    let flow: FlowConfig = match task.context.as_ref().map(Deserialize::from_value) {
-        Some(Ok(flow)) => flow,
-        _ => return false,
-    };
-    let problem =
-        OtaSizingProblem::new(flow.testbench, flow.sweep.clone()).with_threads(flow.threads);
-    let (outcome, candidates, kind) = match &task.work {
-        ShardWork::Eval { parameters } => (
-            ShardOutcome::Eval {
-                results: problem.evaluate_batch(parameters),
-            },
-            parameters.len(),
-            ShardWorkKind::Eval,
-        ),
-        ShardWork::Variation {
-            parameters,
-            mc_seed,
-        } => {
-            let t0 = std::time::Instant::now();
-            let data = ayb_core::analyse_variation_point(&problem, parameters, &flow, *mc_seed);
-            (
-                ShardOutcome::Variation(VariationOutcome {
-                    data: data.as_ref().map(serde::Serialize::to_value),
-                    elapsed_seconds: t0.elapsed().as_secs_f64(),
-                }),
-                1,
-                ShardWorkKind::Variation,
-            )
-        }
-        ShardWork::VariationBatch { points } => {
-            let outcomes: Vec<VariationOutcome> = points
-                .iter()
-                .map(|point| {
-                    let t0 = std::time::Instant::now();
-                    let data = ayb_core::analyse_variation_point(
-                        &problem,
-                        &point.parameters,
-                        &flow,
-                        point.mc_seed,
-                    );
-                    VariationOutcome {
-                        data: data.as_ref().map(serde::Serialize::to_value),
-                        elapsed_seconds: t0.elapsed().as_secs_f64(),
-                    }
-                })
-                .collect();
-            let count = outcomes.len();
-            (
-                ShardOutcome::VariationBatch { points: outcomes },
-                count,
-                ShardWorkKind::Variation,
-            )
-        }
-    };
-    match net.submit_task(task, &outcome) {
-        Ok(true) => {}
-        Ok(false) => {
-            // Fenced off: the coordinator presumed this worker hung and
-            // re-issued the claim; the successor's (identical) result is the
-            // authoritative one and ours was discarded.
-            report.lock().expect("report lock").shards_fenced += 1;
-            return false;
-        }
-        // Coordinator unreachable, or the epoch is already closed.
-        Err(_) => return false,
-    }
-    shared.emit(JobEvent::ShardServiced {
-        run_id: task.run_id.clone(),
-        epoch: task.epoch.clone(),
-        shard: task.shard,
-        work: kind,
-        candidates,
-        worker,
-    });
-    true
-}
-
-/// Rebuilds the sizing problem (and flow configuration) a run's sharded flow
-/// works with, from its manifest.
-fn shard_flow_setup(store: &Store, run_id: &str) -> Option<(OtaSizingProblem, FlowConfig)> {
+/// The flow configuration a run's sharded flow works with, from its
+/// manifest.
+fn run_flow(store: &Store, run_id: &str) -> Option<FlowConfig> {
     let manifest: Manifest<FlowConfig> = store.run(run_id).ok()?.manifest().ok()?;
-    let problem = OtaSizingProblem::new(manifest.flow.testbench, manifest.flow.sweep.clone())
-        .with_threads(manifest.flow.threads);
-    Some((problem, manifest.flow))
+    Some(manifest.flow)
 }
 
 /// Executes one run to a terminal state. The claim is taken (and released)

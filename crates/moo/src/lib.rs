@@ -24,12 +24,13 @@
 //!   the optional [`EarlyStop`] convergence criterion this is the substrate
 //!   for durable, resumable flows (see the `ayb_store` crate),
 //! * [`sharding`] — the [`BatchEvaluator`] seam under
-//!   [`SizingProblem::evaluate_batch`] and the [`ShardedEvaluator`], which
-//!   distributes batches as deterministic shards over a [`ShardTransport`]
-//!   (the run store's on-disk shard plane, in production) so any number of
-//!   worker processes — on any number of machines sharing the transport —
-//!   evaluate one optimiser's populations, with results bit-identical to
-//!   single-process runs.
+//!   [`SizingProblem::evaluate_batch`], the [`ShardTransport`] data-plane
+//!   interface with its typed [`ShardWork`]/[`ShardOutcome`] payloads, and
+//!   the [`ShardedEvaluator`], which distributes batches as deterministic
+//!   shards over a transport (the run store's on-disk plane or the TCP
+//!   coordinator, in production) so any number of worker processes — on any
+//!   number of machines sharing the transport — evaluate one optimiser's
+//!   populations, with results bit-identical to single-process runs.
 //!
 //! # Examples
 //!
@@ -98,7 +99,8 @@ pub use problem::{
 };
 pub use random_search::{random_search, RandomSearch, RandomSearchResult};
 pub use sharding::{
-    drive_epoch, BatchEvaluator, DegradedHook, EpochWork, LocalEvaluator, ShardError, ShardResults,
-    ShardTransport, ShardedEvaluator, ShardingOptions, WithEvaluator,
+    drive_epoch, BatchEvaluator, DegradedHook, EpochWork, LocalEvaluator, ShardError, ShardOutcome,
+    ShardResults, ShardTransport, ShardWork, ShardWorkKind, ShardedEvaluator, ShardingOptions,
+    TransportStats, VariationOutcome, VariationPointWork, WithEvaluator,
 };
 pub use wbga::{normalize_weights, Wbga, WbgaIndividual, WbgaResult};

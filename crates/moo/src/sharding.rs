@@ -11,13 +11,13 @@
 //! * [`LocalEvaluator`] — the in-process default (work-stealing threads, see
 //!   [`crate::evaluate_batch_parallel`]);
 //! * [`ShardedEvaluator`] — splits a batch into deterministic, index-ordered
-//!   shards, publishes each shard as a task through a [`ShardTransport`]
-//!   (typically a shared run store on disk — see the `ayb_store` crate), and
-//!   assembles shard results back in index order. Any number of worker
-//!   processes — on this machine or on other hosts sharing the transport —
-//!   may claim and evaluate shards concurrently; the submitting process
-//!   itself participates too, so a sharded batch always completes even with
-//!   zero external workers;
+//!   shards, publishes each shard as a typed [`ShardWork`] task through a
+//!   [`ShardTransport`] (the run store's on-disk plane in `ayb_store`, or the
+//!   TCP coordinator client in `ayb_net`), and assembles shard results back
+//!   in index order. Any number of worker processes — on this machine or on
+//!   other hosts sharing the transport — may claim and evaluate shards
+//!   concurrently; the submitting process itself participates too, so a
+//!   sharded batch always completes even with zero external workers;
 //! * [`WithEvaluator`] — binds a problem to a [`BatchEvaluator`] behind the
 //!   [`SizingProblem`] trait, so Wbga/Nsga2/RandomSearch stay shard-agnostic.
 //!
@@ -45,7 +45,9 @@
 //! ```
 
 use crate::problem::{evaluate_batch_parallel, Evaluation, ObjectiveSpec, SizingProblem};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-shard evaluation results: one entry per candidate, in input order
@@ -73,56 +75,204 @@ impl fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// The data plane a [`ShardedEvaluator`] distributes work over.
+/// The kind of work a shard (or a whole epoch) carries.
 ///
-/// One *epoch* corresponds to one `evaluate_batch` call: the submitter opens
-/// an epoch, publishes every shard's parameters into it, and polls for
-/// results while claiming unclaimed shards for local evaluation. Workers on
-/// the same transport do the mirror image: scan for published shards, claim
-/// one, evaluate, submit the result.
+/// Epoch identifiers start with their kind's [`ShardWorkKind::epoch_prefix`]
+/// (`ep-` for evaluation, `var-` for variation), so listings like
+/// `ayb status` can tell the stages apart without reading any payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ShardWorkKind {
+    /// GA population evaluation (one shard = a consecutive candidate range).
+    Eval,
+    /// Monte Carlo variation analysis (one shard = a batch of Pareto points).
+    Variation,
+}
+
+impl ShardWorkKind {
+    /// Human-readable kind name (`eval` / `variation`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ShardWorkKind::Eval => "eval",
+            ShardWorkKind::Variation => "variation",
+        }
+    }
+
+    /// The prefix every epoch identifier of this kind starts with.
+    pub fn epoch_prefix(self) -> &'static str {
+        match self {
+            ShardWorkKind::Eval => "ep-",
+            ShardWorkKind::Variation => "var-",
+        }
+    }
+
+    /// Classifies an epoch identifier by its prefix (unknown prefixes are
+    /// evaluation epochs, the original, untagged kind).
+    pub fn of_epoch(epoch: &str) -> ShardWorkKind {
+        if epoch.starts_with(ShardWorkKind::Variation.epoch_prefix()) {
+            ShardWorkKind::Variation
+        } else {
+            ShardWorkKind::Eval
+        }
+    }
+}
+
+/// Typed payload of one shard task: what a claiming worker must do.
+///
+/// Task payloads are ephemeral (an epoch is disposed of as soon as its
+/// batch is assembled), so the shape may change without a migration: a
+/// payload no variant matches fails to decode and its task is declined.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum ShardWork {
+    /// Evaluate a consecutive range of a GA population: normalised candidate
+    /// parameter vectors, in shard-local order.
+    Eval {
+        /// One parameter vector per candidate.
+        parameters: Vec<Vec<f64>>,
+    },
+    /// Run the Monte Carlo variation analysis of one or more Pareto points
+    /// (larger tasks amortise claim/commit overhead without changing any
+    /// result: each point carries its own derived seed).
+    VariationBatch {
+        /// The points of this batch, in submitter order.
+        points: Vec<VariationPointWork>,
+    },
+}
+
+/// One point of a [`ShardWork::VariationBatch`] task.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct VariationPointWork {
+    /// The point's normalised parameter vector.
+    pub parameters: Vec<f64>,
+    /// The point's own Monte Carlo seed (derived by the submitter from the
+    /// flow's `monte_carlo.seed` and the point index, so any process
+    /// analysing this point draws the identical sample sequence).
+    pub mc_seed: u64,
+}
+
+impl ShardWork {
+    /// This payload's kind.
+    pub fn kind(&self) -> ShardWorkKind {
+        match self {
+            ShardWork::Eval { .. } => ShardWorkKind::Eval,
+            ShardWork::VariationBatch { .. } => ShardWorkKind::Variation,
+        }
+    }
+}
+
+/// Wire form of one analysed Pareto point.
+///
+/// The analysed data is carried as opaque JSON (`serde::Value`): the planes
+/// move it between processes byte-faithfully without depending on the
+/// behavioural-model types that define it (`ayb_core` converts both ways).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct VariationOutcome {
+    /// The analysed point's variation data; `None` when the point could not
+    /// be re-simulated (a legitimate, deterministic result, not an error).
+    pub data: Option<Value>,
+    /// Wall-clock seconds the analysing process spent on this point, so the
+    /// submitter can account work done on other hosts.
+    pub elapsed_seconds: f64,
+}
+
+/// Typed output of one shard, mirroring [`ShardWork`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum ShardOutcome {
+    /// Evaluations of a population shard, one entry per candidate in
+    /// shard-local order (`None` marks an infeasible candidate).
+    Eval {
+        /// The candidate evaluations.
+        results: ShardResults,
+    },
+    /// The analysed points of a [`ShardWork::VariationBatch`] task, in task
+    /// order (one entry per point of the batch).
+    VariationBatch {
+        /// The per-point outcomes.
+        points: Vec<VariationOutcome>,
+    },
+}
+
+/// Cumulative counters of one transport, shared by its clones. The flow
+/// folds them into its timings and its `transport.json` report.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TransportStats {
+    /// Requests attempted (successful or not); 0 for planes without a
+    /// request shape, like files on disk.
+    pub requests: u64,
+    /// Wall-clock seconds spent in request round-trips, cumulatively.
+    pub request_seconds: f64,
+    /// Submissions of this transport that were fenced off (their claim had
+    /// changed hands) and discarded.
+    pub fenced_rejections: u64,
+}
+
+/// The data plane sharded stages distribute their work over.
+///
+/// One *epoch* holds one batch of typed work: the submitter opens an epoch,
+/// publishes every shard's [`ShardWork`] into it, and polls for
+/// [`ShardOutcome`]s while claiming unclaimed shards for local production.
+/// Workers on the same plane do the mirror image: find a published shard,
+/// claim it, service it, submit the outcome. Population evaluation
+/// ([`ShardedEvaluator`]) and the `ayb_core` variation stage both drive
+/// their epochs through this one interface.
 ///
 /// Implementations must provide:
 ///
 /// * **atomic, exclusive claims** — of any number of processes racing
 ///   [`ShardTransport::try_claim`] for one shard, exactly one wins;
-/// * **atomic results** — a result visible through [`ShardTransport::fetch`]
-///   is complete, never torn;
+/// * **atomic, fenced outcomes** — an outcome visible through
+///   [`ShardTransport::fetch_outcome`] is complete, never torn, and a
+///   submit from a claim that has since changed hands is discarded;
 /// * **staleness-aware recovery** — [`ShardTransport::recover`] breaks a
 ///   shard's claim when its holder is provably dead or has been silent
 ///   longer than the transport's staleness bound, making the shard
 ///   claimable again.
 ///
-/// The reference implementation is the run store's on-disk shard plane
-/// (`ayb_store`), which maps epochs to directories and uses hard-link claim
-/// files; tests use in-memory transports.
+/// The implementations are the run store's on-disk plane (`ayb_store`:
+/// epoch directories, hard-link claim files) and the TCP client of the
+/// in-memory coordinator (`ayb_net`); tests use in-memory transports.
 pub trait ShardTransport: Send + Sync {
-    /// Opens a new epoch for `shard_count` shards, returning its identifier
-    /// (unique within the transport).
-    fn open_epoch(&self, shard_count: usize) -> Result<String, ShardError>;
+    /// Opens a new epoch of `kind`-tagged work for `shard_count` shards,
+    /// returning its identifier (unique within the transport, starting with
+    /// [`ShardWorkKind::epoch_prefix`]).
+    fn open_typed_epoch(
+        &self,
+        kind: ShardWorkKind,
+        shard_count: usize,
+    ) -> Result<String, ShardError>;
 
-    /// Publishes shard `shard`'s candidate parameters into `epoch`.
-    fn publish(&self, epoch: &str, shard: usize, parameters: &[Vec<f64>])
-        -> Result<(), ShardError>;
+    /// Publishes shard `shard`'s work into `epoch`.
+    fn publish_work(&self, epoch: &str, shard: usize, work: &ShardWork) -> Result<(), ShardError>;
 
-    /// Attempts to claim shard `shard` for evaluation by this process.
+    /// Attempts to claim shard `shard` for production by this process.
     /// Returns `false` when another worker holds the claim (or the shard is
     /// gone).
     fn try_claim(&self, epoch: &str, shard: usize) -> Result<bool, ShardError>;
 
-    /// Stores shard `shard`'s results and releases this process's claim on
-    /// it.
-    fn submit(&self, epoch: &str, shard: usize, results: &ShardResults) -> Result<(), ShardError>;
+    /// Stores shard `shard`'s outcome and releases this process's claim on
+    /// it; silently discards the outcome when that claim was stolen.
+    fn submit_outcome(
+        &self,
+        epoch: &str,
+        shard: usize,
+        outcome: &ShardOutcome,
+    ) -> Result<(), ShardError>;
 
-    /// Fetches shard `shard`'s results, if some worker has submitted them.
-    fn fetch(&self, epoch: &str, shard: usize) -> Result<Option<ShardResults>, ShardError>;
+    /// Fetches shard `shard`'s outcome, if some worker has submitted it.
+    fn fetch_outcome(&self, epoch: &str, shard: usize) -> Result<Option<ShardOutcome>, ShardError>;
 
     /// Breaks shard `shard`'s claim if its holder is presumed dead (crashed
     /// process, stale heartbeat). Returns whether a claim was broken.
     fn recover(&self, epoch: &str, shard: usize) -> Result<bool, ShardError>;
 
-    /// Disposes of the epoch's tasks, claims and results once the batch has
+    /// Disposes of the epoch's tasks, claims and outcomes once the batch has
     /// been assembled.
     fn close_epoch(&self, epoch: &str) -> Result<(), ShardError>;
+
+    /// A snapshot of this transport's cumulative counters (all zero unless
+    /// the implementation keeps them).
+    fn stats(&self) -> TransportStats {
+        TransportStats::default()
+    }
 }
 
 /// The seam under [`SizingProblem::evaluate_batch`]: a strategy for mapping
@@ -377,7 +527,7 @@ pub fn drive_epoch<W: EpochWork>(
 /// batch therefore completes (with identical results) even when the data
 /// plane misbehaves or no external worker ever shows up.
 pub struct ShardedEvaluator {
-    transport: Box<dyn ShardTransport>,
+    transport: Arc<dyn ShardTransport>,
     options: ShardingOptions,
     degraded_hook: Option<DegradedHook>,
 }
@@ -386,11 +536,12 @@ pub struct ShardedEvaluator {
 /// [`EpochWork::on_degraded`]): `(shard index, the transport error that
 /// caused it)`. Shared, because the evaluator is called behind `&self` from
 /// optimiser threads.
-pub type DegradedHook = std::sync::Arc<dyn Fn(usize, &ShardError) + Send + Sync>;
+pub type DegradedHook = Arc<dyn Fn(usize, &ShardError) + Send + Sync>;
 
 impl ShardedEvaluator {
-    /// Creates a sharded evaluator over `transport`.
-    pub fn new(transport: Box<dyn ShardTransport>, options: ShardingOptions) -> Self {
+    /// Creates a sharded evaluator over `transport` (shared, so the caller
+    /// can keep driving other epochs and reading its counters).
+    pub fn new(transport: Arc<dyn ShardTransport>, options: ShardingOptions) -> Self {
         ShardedEvaluator {
             transport,
             options: ShardingOptions {
@@ -431,11 +582,17 @@ impl ShardedEvaluator {
         }
         let shards: Vec<&[Vec<f64>]> = ranges.iter().map(|r| &batch[r.clone()]).collect();
 
-        let Ok(epoch) = self.transport.open_epoch(shards.len()) else {
+        let Ok(epoch) = self
+            .transport
+            .open_typed_epoch(ShardWorkKind::Eval, shards.len())
+        else {
             return problem.evaluate_batch(batch);
         };
         for (index, shard) in shards.iter().enumerate() {
-            if self.transport.publish(&epoch, index, shard).is_err() {
+            let work = ShardWork::Eval {
+                parameters: shard.to_vec(),
+            };
+            if self.transport.publish_work(&epoch, index, &work).is_err() {
                 // A half-published epoch is unusable; evaluate everything
                 // locally and dispose of what was published.
                 let _ = self.transport.close_epoch(&epoch);
@@ -462,9 +619,8 @@ impl ShardedEvaluator {
     }
 }
 
-/// [`EpochWork`] binding of population evaluation: payloads are candidate
-/// parameter slices, outputs are [`ShardResults`], transported through a
-/// [`ShardTransport`].
+/// [`EpochWork`] binding of population evaluation: payloads are
+/// [`ShardWork::Eval`] candidate slices, outputs are [`ShardResults`].
 struct EvalEpochWork<'a> {
     transport: &'a dyn ShardTransport,
     epoch: &'a str,
@@ -477,10 +633,12 @@ impl EpochWork for EvalEpochWork<'_> {
     type Output = ShardResults;
 
     fn fetch(&mut self, shard: usize) -> Result<Option<ShardResults>, ShardError> {
-        match self.transport.fetch(self.epoch, shard)? {
-            // A result of the wrong shape is unusable; leave the shard
+        match self.transport.fetch_outcome(self.epoch, shard)? {
+            Some(ShardOutcome::Eval { results }) if results.len() == self.shards[shard].len() => {
+                Ok(Some(results))
+            }
+            // An outcome of the wrong shape is unusable; leave the shard
             // pending so it is (re-)evaluated instead.
-            Some(results) if results.len() == self.shards[shard].len() => Ok(Some(results)),
             _ => Ok(None),
         }
     }
@@ -494,7 +652,10 @@ impl EpochWork for EvalEpochWork<'_> {
     }
 
     fn submit(&mut self, shard: usize, results: &ShardResults) -> Result<(), ShardError> {
-        self.transport.submit(self.epoch, shard, results)
+        let outcome = ShardOutcome::Eval {
+            results: results.clone(),
+        };
+        self.transport.submit_outcome(self.epoch, shard, &outcome)
     }
 
     fn recover(&mut self, shard: usize) -> Result<bool, ShardError> {
@@ -582,10 +743,10 @@ mod tests {
 
     #[derive(Default)]
     struct MemShard {
-        parameters: Option<Vec<Vec<f64>>>,
+        work: Option<ShardWork>,
         claimed: bool,
         dead_claim: bool,
-        results: Option<ShardResults>,
+        outcome: Option<ShardOutcome>,
     }
 
     /// An in-memory transport; knobs simulate foreign workers and crashes.
@@ -596,13 +757,24 @@ mod tests {
         /// When set, every shard starts out with a claim held by a "dead"
         /// foreign worker, so only recovery can make progress.
         claim_all_as_dead: AtomicBool,
+        /// When set, every fetch answers with a variation outcome, the
+        /// wrong shape for an evaluation epoch.
+        wrong_shape: AtomicBool,
         recoveries: AtomicUsize,
         closed: AtomicUsize,
     }
 
     impl ShardTransport for MemTransport {
-        fn open_epoch(&self, shard_count: usize) -> Result<String, ShardError> {
-            let id = format!("ep-{}", self.next_epoch.fetch_add(1, Ordering::Relaxed));
+        fn open_typed_epoch(
+            &self,
+            kind: ShardWorkKind,
+            shard_count: usize,
+        ) -> Result<String, ShardError> {
+            let id = format!(
+                "{}{}",
+                kind.epoch_prefix(),
+                self.next_epoch.fetch_add(1, Ordering::Relaxed)
+            );
             let dead = self.claim_all_as_dead.load(Ordering::Relaxed);
             let shards = (0..shard_count)
                 .map(|_| MemShard {
@@ -615,17 +787,17 @@ mod tests {
             Ok(id)
         }
 
-        fn publish(
+        fn publish_work(
             &self,
             epoch: &str,
             shard: usize,
-            parameters: &[Vec<f64>],
+            work: &ShardWork,
         ) -> Result<(), ShardError> {
             let mut epochs = self.epochs.lock().unwrap();
             let shards = epochs
                 .get_mut(epoch)
                 .ok_or_else(|| ShardError::Transport("no epoch".into()))?;
-            shards[shard].parameters = Some(parameters.to_vec());
+            shards[shard].work = Some(work.clone());
             Ok(())
         }
 
@@ -641,25 +813,32 @@ mod tests {
             Ok(true)
         }
 
-        fn submit(
+        fn submit_outcome(
             &self,
             epoch: &str,
             shard: usize,
-            results: &ShardResults,
+            outcome: &ShardOutcome,
         ) -> Result<(), ShardError> {
             let mut epochs = self.epochs.lock().unwrap();
             if let Some(shards) = epochs.get_mut(epoch) {
-                shards[shard].results = Some(results.clone());
+                shards[shard].outcome = Some(outcome.clone());
                 shards[shard].claimed = false;
             }
             Ok(())
         }
 
-        fn fetch(&self, epoch: &str, shard: usize) -> Result<Option<ShardResults>, ShardError> {
+        fn fetch_outcome(
+            &self,
+            epoch: &str,
+            shard: usize,
+        ) -> Result<Option<ShardOutcome>, ShardError> {
+            if self.wrong_shape.load(Ordering::Relaxed) {
+                return Ok(Some(ShardOutcome::VariationBatch { points: Vec::new() }));
+            }
             let epochs = self.epochs.lock().unwrap();
             Ok(epochs
                 .get(epoch)
-                .and_then(|shards| shards[shard].results.clone()))
+                .and_then(|shards| shards[shard].outcome.clone()))
         }
 
         fn recover(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
@@ -683,31 +862,44 @@ mod tests {
         }
     }
 
+    fn broken<T>() -> Result<T, ShardError> {
+        Err(ShardError::Transport("broken".into()))
+    }
+
     /// A transport whose every operation fails.
     struct BrokenTransport;
 
     impl ShardTransport for BrokenTransport {
-        fn open_epoch(&self, _: usize) -> Result<String, ShardError> {
-            Err(ShardError::Transport("broken".into()))
+        fn open_typed_epoch(&self, _: ShardWorkKind, _: usize) -> Result<String, ShardError> {
+            broken()
         }
-        fn publish(&self, _: &str, _: usize, _: &[Vec<f64>]) -> Result<(), ShardError> {
-            Err(ShardError::Transport("broken".into()))
+        fn publish_work(&self, _: &str, _: usize, _: &ShardWork) -> Result<(), ShardError> {
+            broken()
         }
         fn try_claim(&self, _: &str, _: usize) -> Result<bool, ShardError> {
-            Err(ShardError::Transport("broken".into()))
+            broken()
         }
-        fn submit(&self, _: &str, _: usize, _: &ShardResults) -> Result<(), ShardError> {
-            Err(ShardError::Transport("broken".into()))
+        fn submit_outcome(&self, _: &str, _: usize, _: &ShardOutcome) -> Result<(), ShardError> {
+            broken()
         }
-        fn fetch(&self, _: &str, _: usize) -> Result<Option<ShardResults>, ShardError> {
-            Err(ShardError::Transport("broken".into()))
+        fn fetch_outcome(&self, _: &str, _: usize) -> Result<Option<ShardOutcome>, ShardError> {
+            broken()
         }
         fn recover(&self, _: &str, _: usize) -> Result<bool, ShardError> {
-            Err(ShardError::Transport("broken".into()))
+            broken()
         }
         fn close_epoch(&self, _: &str) -> Result<(), ShardError> {
-            Err(ShardError::Transport("broken".into()))
+            broken()
         }
+    }
+
+    #[test]
+    fn the_retired_single_point_variation_shape_fails_to_decode() {
+        let error = serde_json::from_str::<ShardWork>(
+            r#"{"Variation": {"parameters": [0.5, 0.5], "mc_seed": 7}}"#,
+        )
+        .expect_err("a single-point variation task no longer decodes");
+        assert!(error.to_string().contains("`Variation`"), "{error}");
     }
 
     #[test]
@@ -732,7 +924,7 @@ mod tests {
         let input = batch(23);
         let expected = p.evaluate_batch(&input);
         let sharded = ShardedEvaluator::new(
-            Box::new(MemTransport::default()),
+            Arc::new(MemTransport::default()),
             ShardingOptions::with_shard_size(4),
         );
         let bound = WithEvaluator::new(&p, sharded);
@@ -750,7 +942,7 @@ mod tests {
         let input = batch(3);
         let expected = p.evaluate_batch(&input);
         let sharded =
-            ShardedEvaluator::new(Box::new(transport), ShardingOptions::with_shard_size(4));
+            ShardedEvaluator::new(Arc::new(transport), ShardingOptions::with_shard_size(4));
         // One shard's worth of work: evaluated locally, no epoch opened.
         assert_eq!(
             BatchEvaluator::evaluate_batch(&sharded, &p, &input),
@@ -763,13 +955,13 @@ mod tests {
         let p = problem();
         let input = batch(40);
         let expected = p.evaluate_batch(&input);
-        let transport = std::sync::Arc::new(MemTransport::default());
+        let transport = Arc::new(MemTransport::default());
 
         // A "remote" worker thread mirroring what `ayb serve --shards-only`
         // does: scan, claim, evaluate, submit.
-        let worker_transport = std::sync::Arc::clone(&transport);
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
-        let worker_stop = std::sync::Arc::clone(&stop);
+        let worker_transport = Arc::clone(&transport);
+        let stop = Arc::new(AtomicBool::new(false));
+        let worker_stop = Arc::clone(&stop);
         let worker_problem = problem();
         let worker = std::thread::spawn(move || {
             let mut serviced = 0usize;
@@ -778,8 +970,8 @@ mod tests {
                     let mut epochs = worker_transport.epochs.lock().unwrap();
                     epochs.iter_mut().find_map(|(epoch, shards)| {
                         shards.iter_mut().enumerate().find_map(|(index, shard)| {
-                            match (&shard.parameters, shard.claimed, &shard.results) {
-                                (Some(parameters), false, None) => {
+                            match (&shard.work, shard.claimed, &shard.outcome) {
+                                (Some(ShardWork::Eval { parameters }), false, None) => {
                                     shard.claimed = true;
                                     Some((epoch.clone(), index, parameters.clone()))
                                 }
@@ -790,9 +982,11 @@ mod tests {
                 };
                 match task {
                     Some((epoch, index, parameters)) => {
-                        let results = worker_problem.evaluate_batch(&parameters);
+                        let outcome = ShardOutcome::Eval {
+                            results: worker_problem.evaluate_batch(&parameters),
+                        };
                         worker_transport
-                            .submit(&epoch, index, &results)
+                            .submit_outcome(&epoch, index, &outcome)
                             .expect("in-memory submit succeeds");
                         serviced += 1;
                     }
@@ -802,33 +996,8 @@ mod tests {
             serviced
         });
 
-        struct SharedTransport(std::sync::Arc<MemTransport>);
-        impl ShardTransport for SharedTransport {
-            fn open_epoch(&self, n: usize) -> Result<String, ShardError> {
-                self.0.open_epoch(n)
-            }
-            fn publish(&self, e: &str, s: usize, p: &[Vec<f64>]) -> Result<(), ShardError> {
-                self.0.publish(e, s, p)
-            }
-            fn try_claim(&self, e: &str, s: usize) -> Result<bool, ShardError> {
-                self.0.try_claim(e, s)
-            }
-            fn submit(&self, e: &str, s: usize, r: &ShardResults) -> Result<(), ShardError> {
-                self.0.submit(e, s, r)
-            }
-            fn fetch(&self, e: &str, s: usize) -> Result<Option<ShardResults>, ShardError> {
-                self.0.fetch(e, s)
-            }
-            fn recover(&self, e: &str, s: usize) -> Result<bool, ShardError> {
-                self.0.recover(e, s)
-            }
-            fn close_epoch(&self, e: &str) -> Result<(), ShardError> {
-                self.0.close_epoch(e)
-            }
-        }
-
         let sharded = ShardedEvaluator::new(
-            Box::new(SharedTransport(std::sync::Arc::clone(&transport))),
+            Arc::clone(&transport) as Arc<dyn ShardTransport>,
             ShardingOptions {
                 shard_size: 4,
                 poll_interval: Duration::from_millis(1),
@@ -863,7 +1032,7 @@ mod tests {
         let transport = MemTransport::default();
         transport.claim_all_as_dead.store(true, Ordering::Relaxed);
         let sharded = ShardedEvaluator::new(
-            Box::new(transport),
+            Arc::new(transport),
             ShardingOptions {
                 shard_size: 4,
                 poll_interval: Duration::from_millis(1),
@@ -879,12 +1048,26 @@ mod tests {
     }
 
     #[test]
+    fn outcomes_of_another_shape_are_declined_and_reevaluated() {
+        let p = problem();
+        let input = batch(12);
+        let transport = MemTransport::default();
+        transport.wrong_shape.store(true, Ordering::Relaxed);
+        let sharded =
+            ShardedEvaluator::new(Arc::new(transport), ShardingOptions::with_shard_size(4));
+        assert_eq!(
+            BatchEvaluator::evaluate_batch(&sharded, &p, &input),
+            p.evaluate_batch(&input)
+        );
+    }
+
+    #[test]
     fn broken_transport_degrades_to_local_evaluation() {
         let p = problem();
         let input = batch(17);
         let expected = p.evaluate_batch(&input);
         let sharded = ShardedEvaluator::new(
-            Box::new(BrokenTransport),
+            Arc::new(BrokenTransport),
             ShardingOptions::with_shard_size(4),
         );
         assert_eq!(
@@ -901,19 +1084,28 @@ mod tests {
             inner: MemTransport,
         }
         impl ShardTransport for DeadAfterOpen {
-            fn open_epoch(&self, shard_count: usize) -> Result<String, ShardError> {
-                self.inner.open_epoch(shard_count)
+            fn open_typed_epoch(
+                &self,
+                kind: ShardWorkKind,
+                shard_count: usize,
+            ) -> Result<String, ShardError> {
+                self.inner.open_typed_epoch(kind, shard_count)
             }
-            fn publish(&self, e: &str, s: usize, p: &[Vec<f64>]) -> Result<(), ShardError> {
-                self.inner.publish(e, s, p)
+            fn publish_work(&self, e: &str, s: usize, w: &ShardWork) -> Result<(), ShardError> {
+                self.inner.publish_work(e, s, w)
             }
             fn try_claim(&self, _: &str, _: usize) -> Result<bool, ShardError> {
                 Err(ShardError::Transport("connection refused".into()))
             }
-            fn submit(&self, _: &str, _: usize, _: &ShardResults) -> Result<(), ShardError> {
+            fn submit_outcome(
+                &self,
+                _: &str,
+                _: usize,
+                _: &ShardOutcome,
+            ) -> Result<(), ShardError> {
                 Err(ShardError::Transport("connection refused".into()))
             }
-            fn fetch(&self, _: &str, _: usize) -> Result<Option<ShardResults>, ShardError> {
+            fn fetch_outcome(&self, _: &str, _: usize) -> Result<Option<ShardOutcome>, ShardError> {
                 Err(ShardError::Transport("connection refused".into()))
             }
             fn recover(&self, _: &str, _: usize) -> Result<bool, ShardError> {
@@ -927,16 +1119,15 @@ mod tests {
         let p = problem();
         let input = batch(8);
         let expected = p.evaluate_batch(&input);
-        let events: std::sync::Arc<std::sync::Mutex<Vec<(usize, String)>>> =
-            std::sync::Arc::default();
-        let sink = std::sync::Arc::clone(&events);
+        let events: Arc<Mutex<Vec<(usize, String)>>> = Arc::default();
+        let sink = Arc::clone(&events);
         let sharded = ShardedEvaluator::new(
-            Box::new(DeadAfterOpen {
+            Arc::new(DeadAfterOpen {
                 inner: MemTransport::default(),
             }),
             ShardingOptions::with_shard_size(4),
         )
-        .with_degraded_hook(std::sync::Arc::new(move |shard, error| {
+        .with_degraded_hook(Arc::new(move |shard, error| {
             let ShardError::Transport(message) = error;
             sink.lock().unwrap().push((shard, message.clone()));
         }));
@@ -1081,7 +1272,7 @@ mod tests {
             let sharded = WithEvaluator::new(
                 &plain,
                 ShardedEvaluator::new(
-                    Box::new(MemTransport::default()),
+                    Arc::new(MemTransport::default()),
                     ShardingOptions::with_shard_size(3),
                 ),
             );

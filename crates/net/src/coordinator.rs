@@ -22,8 +22,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use ayb_moo::{ShardOutcome, ShardWork, ShardWorkKind};
 use ayb_obs::{kind as event_kind, Event, Recorder, Severity};
-use ayb_store::{ShardOutcome, ShardWork, ShardWorkKind};
 use serde::Value;
 
 use crate::wire::{read_frame, write_frame, CoordinatorStats, NetShardTask, Request, Response};
@@ -79,10 +79,21 @@ impl ShardSlot {
         }
     }
 
-    /// Whether this shard still needs a worker: published, unfinished,
-    /// unclaimed.
-    fn claimable(&self) -> bool {
-        self.work.is_some() && self.outcome.is_none() && self.claim.is_none()
+    /// Grants `owner` a claim at the shard's next fencing token, after
+    /// expiring a lapsed one, when the shard still needs a worker
+    /// (published, unfinished, unclaimed). Returns the token.
+    fn grant(&mut self, owner: &str, stale_after: Duration) -> Option<u64> {
+        self.expire_claim(stale_after);
+        if self.work.is_none() || self.outcome.is_some() || self.claim.is_some() {
+            return None;
+        }
+        self.last_token += 1;
+        self.claim = Some(ClaimSlot {
+            token: self.last_token,
+            owner: owner.to_string(),
+            heartbeat: Instant::now(),
+        });
+        Some(self.last_token)
     }
 }
 
@@ -106,6 +117,24 @@ struct CoordState {
     boot: u64,
     claims_issued: u64,
     fenced_rejections: u64,
+}
+
+impl CoordState {
+    /// The counters every stats view reports: `Coordinator::stats`, the
+    /// `Stats` request and the metrics gauges.
+    fn stats(&self) -> CoordinatorStats {
+        CoordinatorStats {
+            epochs: self.epochs.len(),
+            open_shards: self
+                .epochs
+                .values()
+                .flat_map(|epoch| &epoch.shards)
+                .filter(|slot| slot.work.is_some() && slot.outcome.is_none())
+                .count(),
+            claims_issued: self.claims_issued,
+            fenced_rejections: self.fenced_rejections,
+        }
+    }
 }
 
 struct CoordShared {
@@ -190,18 +219,11 @@ impl Coordinator {
 
     /// A snapshot of the coordinator's counters.
     pub fn stats(&self) -> CoordinatorStats {
-        let state = self.shared.state.lock().expect("coordinator state lock");
-        CoordinatorStats {
-            epochs: state.epochs.len(),
-            open_shards: state
-                .epochs
-                .values()
-                .flat_map(|epoch| &epoch.shards)
-                .filter(|slot| slot.work.is_some() && slot.outcome.is_none())
-                .count(),
-            claims_issued: state.claims_issued,
-            fenced_rejections: state.fenced_rejections,
-        }
+        self.shared
+            .state
+            .lock()
+            .expect("coordinator state lock")
+            .stats()
     }
 
     /// Human-readable one-line descriptions of every open epoch (stage,
@@ -322,17 +344,10 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<CoordShared>) {
 /// shard counts). Called with the state lock held, immediately before a
 /// metrics rendering, so scrapes always see current values.
 fn refresh_state_gauges(recorder: &Recorder, state: &CoordState) {
+    let stats = state.stats();
     let metrics = recorder.metrics();
-    metrics.set_gauge("ayb_coord_epochs", state.epochs.len() as f64);
-    metrics.set_gauge(
-        "ayb_coord_open_shards",
-        state
-            .epochs
-            .values()
-            .flat_map(|epoch| &epoch.shards)
-            .filter(|slot| slot.work.is_some() && slot.outcome.is_none())
-            .count() as f64,
-    );
+    metrics.set_gauge("ayb_coord_epochs", stats.epochs as f64);
+    metrics.set_gauge("ayb_coord_open_shards", stats.open_shards as f64);
 }
 
 /// An [`Event`] stamped with the coordinator's source label and the
@@ -355,8 +370,34 @@ fn handle_request(shared: &CoordShared, request: Request) -> Response {
     response
 }
 
+/// Counts and announces one granted claim.
+fn note_claim(
+    shared: &CoordShared,
+    claims_issued: &mut u64,
+    run_id: &str,
+    epoch: &str,
+    shard: usize,
+    token: u64,
+    owner: &str,
+) {
+    *claims_issued += 1;
+    shared.recorder.metrics().inc("ayb_coord_claims_total");
+    shared.recorder.emit(
+        coord_event(
+            Severity::Debug,
+            event_kind::SHARD_CLAIM,
+            run_id,
+            epoch,
+            shard,
+        )
+        .fence(token)
+        .detail(format!("claim granted to `{owner}`")),
+    );
+}
+
 fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
-    let mut state = shared.state.lock().expect("coordinator state lock");
+    let mut guard = shared.state.lock().expect("coordinator state lock");
+    let state = &mut *guard;
     let stale_after = shared.config.stale_after;
     match request {
         Request::OpenEpoch {
@@ -366,11 +407,12 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
             context,
         } => {
             state.next_epoch += 1;
-            let prefix = match kind {
-                ShardWorkKind::Eval => "ep",
-                ShardWorkKind::Variation => "var",
-            };
-            let epoch = format!("{prefix}-net-{}-{:04}", state.boot, state.next_epoch);
+            let epoch = format!(
+                "{}net-{}-{:04}",
+                kind.epoch_prefix(),
+                state.boot,
+                state.next_epoch
+            );
             let mut shards = Vec::with_capacity(shard_count);
             shards.resize_with(shard_count, ShardSlot::default);
             state.epochs.insert(
@@ -399,46 +441,22 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
             shard,
             owner,
         } => {
-            let run_id = state
-                .epochs
-                .get(&epoch)
-                .map(|slot| slot.run_id.clone())
-                .unwrap_or_default();
-            let Some((slot, counters)) = shard_slot(&mut state, &epoch, shard) else {
+            let Some((slot, run_id)) = shard_slot(&mut state.epochs, &epoch, shard) else {
                 return unknown_shard(&epoch, shard);
             };
-            slot.expire_claim(stale_after);
-            if slot.claimable() {
-                slot.last_token += 1;
-                let token = slot.last_token;
-                let detail = format!("claim granted to `{owner}`");
-                slot.claim = Some(ClaimSlot {
-                    token,
-                    owner,
-                    heartbeat: Instant::now(),
-                });
-                *counters += 1;
-                shared.recorder.metrics().inc("ayb_coord_claims_total");
-                shared.recorder.emit(
-                    coord_event(
-                        Severity::Debug,
-                        event_kind::SHARD_CLAIM,
-                        &run_id,
-                        &epoch,
-                        shard,
-                    )
-                    .fence(token)
-                    .detail(detail),
-                );
-                Response::ClaimGranted {
-                    granted: true,
-                    token,
+            match slot.grant(&owner, stale_after) {
+                Some(token) => {
+                    let issued = &mut state.claims_issued;
+                    note_claim(shared, issued, run_id, &epoch, shard, token, &owner);
+                    Response::ClaimGranted {
+                        granted: true,
+                        token,
+                    }
                 }
-            } else {
-                Response::ClaimGranted {
+                None => Response::ClaimGranted {
                     granted: false,
                     token: 0,
-                }
+                },
             }
         }
         Request::Heartbeat {
@@ -446,7 +464,7 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
             shard,
             token,
         } => {
-            if let Some((slot, _)) = shard_slot(&mut state, &epoch, shard) {
+            if let Some((slot, _)) = shard_slot(&mut state.epochs, &epoch, shard) {
                 if let Some(claim) = &mut slot.claim {
                     if claim.token == token {
                         claim.heartbeat = Instant::now();
@@ -463,12 +481,7 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
             token,
             outcome,
         } => {
-            let run_id = state
-                .epochs
-                .get(&epoch)
-                .map(|slot| slot.run_id.clone())
-                .unwrap_or_default();
-            let Some((slot, _)) = shard_slot(&mut state, &epoch, shard) else {
+            let Some((slot, run_id)) = shard_slot(&mut state.epochs, &epoch, shard) else {
                 return unknown_shard(&epoch, shard);
             };
             if token != slot.last_token {
@@ -478,7 +491,7 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
                     coord_event(
                         Severity::Warn,
                         event_kind::SHARD_FENCED,
-                        &run_id,
+                        run_id,
                         &epoch,
                         shard,
                     )
@@ -491,7 +504,7 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
                 coord_event(
                     Severity::Debug,
                     event_kind::SHARD_SUBMIT,
-                    &run_id,
+                    run_id,
                     &epoch,
                     shard,
                 )
@@ -509,106 +522,71 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
             }
             Response::SubmitAck { accepted: true }
         }
-        Request::Fetch { epoch, shard } => match shard_slot(&mut state, &epoch, shard) {
+        Request::Fetch { epoch, shard } => match shard_slot(&mut state.epochs, &epoch, shard) {
             Some((slot, _)) => Response::Outcome {
                 outcome: slot.outcome.clone(),
             },
             None => unknown_shard(&epoch, shard),
         },
-        Request::Recover { epoch, shard } => {
-            let run_id = state
-                .epochs
-                .get(&epoch)
-                .map(|slot| slot.run_id.clone())
-                .unwrap_or_default();
-            match shard_slot(&mut state, &epoch, shard) {
-                Some((slot, _)) => {
-                    let owner = slot.claim.as_ref().map(|claim| claim.owner.clone());
-                    let expired = slot.expire_claim(stale_after);
-                    if expired {
-                        shared.recorder.emit(
-                            coord_event(
-                                Severity::Warn,
-                                event_kind::SHARD_RECOVER,
-                                &run_id,
-                                &epoch,
-                                shard,
-                            )
-                            .detail(format!(
-                                "stale claim of `{}` expired",
-                                owner.unwrap_or_default()
-                            )),
-                        );
-                    }
-                    Response::Recovered { expired }
+        Request::Recover { epoch, shard } => match shard_slot(&mut state.epochs, &epoch, shard) {
+            Some((slot, run_id)) => {
+                let owner = slot.claim.as_ref().map(|claim| claim.owner.clone());
+                let expired = slot.expire_claim(stale_after);
+                if expired {
+                    shared.recorder.emit(
+                        coord_event(
+                            Severity::Warn,
+                            event_kind::SHARD_RECOVER,
+                            run_id,
+                            &epoch,
+                            shard,
+                        )
+                        .detail(format!(
+                            "stale claim of `{}` expired",
+                            owner.unwrap_or_default()
+                        )),
+                    );
                 }
-                None => unknown_shard(&epoch, shard),
+                Response::Recovered { expired }
             }
-        }
+            None => unknown_shard(&epoch, shard),
+        },
         Request::CloseEpoch { epoch } => {
             state.epochs.remove(&epoch);
             Response::Ok
         }
         Request::ClaimNext { owner } => {
-            let mut claimed = None;
-            let mut claims = 0;
-            'epochs: for (name, epoch) in &mut state.epochs {
-                for (shard, slot) in epoch.shards.iter_mut().enumerate() {
-                    slot.expire_claim(stale_after);
-                    if slot.claimable() {
-                        slot.last_token += 1;
-                        let token = slot.last_token;
-                        slot.claim = Some(ClaimSlot {
-                            token,
-                            owner: owner.clone(),
-                            heartbeat: Instant::now(),
-                        });
-                        claims += 1;
-                        claimed = Some(NetShardTask {
+            let task = state.epochs.iter_mut().find_map(|(name, epoch)| {
+                epoch
+                    .shards
+                    .iter_mut()
+                    .enumerate()
+                    .find_map(|(shard, slot)| {
+                        let token = slot.grant(&owner, stale_after)?;
+                        Some(NetShardTask {
                             run_id: epoch.run_id.clone(),
                             epoch: name.clone(),
                             shard,
                             token,
-                            work: slot.work.clone().expect("claimable shard has work"),
+                            work: slot.work.clone().expect("a granted shard has work"),
                             context: epoch.context.clone(),
-                        });
-                        break 'epochs;
-                    }
-                }
-            }
-            state.claims_issued += claims;
-            if let Some(task) = &claimed {
-                shared.recorder.metrics().inc("ayb_coord_claims_total");
-                shared.recorder.emit(
-                    coord_event(
-                        Severity::Debug,
-                        event_kind::SHARD_CLAIM,
-                        &task.run_id,
-                        &task.epoch,
-                        task.shard,
-                    )
-                    .fence(task.token)
-                    .detail(format!("claim granted to `{owner}`")),
+                        })
+                    })
+            });
+            if let Some(task) = &task {
+                let issued = &mut state.claims_issued;
+                let (run_id, epoch) = (&task.run_id, &task.epoch);
+                note_claim(
+                    shared, issued, run_id, epoch, task.shard, task.token, &owner,
                 );
             }
-            Response::Task { task: claimed }
+            Response::Task { task }
         }
-        Request::Stats => {
-            let stats = CoordinatorStats {
-                epochs: state.epochs.len(),
-                open_shards: state
-                    .epochs
-                    .values()
-                    .flat_map(|epoch| &epoch.shards)
-                    .filter(|slot| slot.work.is_some() && slot.outcome.is_none())
-                    .count(),
-                claims_issued: state.claims_issued,
-                fenced_rejections: state.fenced_rejections,
-            };
-            Response::Stats { stats }
-        }
+        Request::Stats => Response::Stats {
+            stats: state.stats(),
+        },
         Request::Metrics => {
-            refresh_state_gauges(&shared.recorder, &state);
+            refresh_state_gauges(&shared.recorder, state);
             Response::Metrics {
                 text: shared.recorder.metrics().render_text(),
             }
@@ -616,20 +594,14 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
     }
 }
 
-/// Looks up one shard slot, alongside a borrow of the claims-issued counter
-/// (the borrow checker will not hand out `&mut state` twice).
+/// Looks up one shard slot and the run id of its epoch.
 fn shard_slot<'a>(
-    state: &'a mut CoordState,
+    epochs: &'a mut BTreeMap<String, EpochSlot>,
     epoch: &str,
     shard: usize,
-) -> Option<(&'a mut ShardSlot, &'a mut u64)> {
-    let CoordState {
-        epochs,
-        claims_issued,
-        ..
-    } = state;
-    let slot = epochs.get_mut(epoch)?.shards.get_mut(shard)?;
-    Some((slot, claims_issued))
+) -> Option<(&'a mut ShardSlot, &'a str)> {
+    let slot = epochs.get_mut(epoch)?;
+    Some((slot.shards.get_mut(shard)?, &slot.run_id))
 }
 
 fn unknown_epoch(epoch: &str) -> Response {
@@ -650,7 +622,17 @@ fn unknown_shard(epoch: &str, shard: usize) -> Response {
 mod tests {
     use super::*;
     use crate::TcpTransport;
-    use ayb_moo::ShardTransport;
+    use ayb_moo::{ShardTransport, VariationOutcome, VariationPointWork};
+
+    fn eval_work(parameters: &[Vec<f64>]) -> ShardWork {
+        ShardWork::Eval {
+            parameters: parameters.to_vec(),
+        }
+    }
+
+    fn eval_outcome(results: Vec<Option<ayb_moo::Evaluation>>) -> ShardOutcome {
+        ShardOutcome::Eval { results }
+    }
 
     fn coordinator(stale_after: Duration) -> Coordinator {
         Coordinator::bind("127.0.0.1:0", CoordinatorConfig { stale_after })
@@ -665,21 +647,28 @@ mod tests {
     fn epoch_roundtrip_over_tcp() {
         let coordinator = coordinator(Duration::from_secs(60));
         let plane = transport(&coordinator);
-        let epoch = plane.open_epoch(2).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 2).unwrap();
         plane
-            .publish(&epoch, 0, &[vec![0.1, 0.2], vec![0.3, 0.4]])
+            .publish_work(&epoch, 0, &eval_work(&[vec![0.1, 0.2], vec![0.3, 0.4]]))
             .unwrap();
-        plane.publish(&epoch, 1, &[vec![0.5, 0.6]]).unwrap();
-        assert_eq!(plane.fetch(&epoch, 0).unwrap(), None);
+        plane
+            .publish_work(&epoch, 1, &eval_work(&[vec![0.5, 0.6]]))
+            .unwrap();
+        assert_eq!(plane.fetch_outcome(&epoch, 0).unwrap(), None);
         assert!(plane.try_claim(&epoch, 0).unwrap());
         assert!(!plane.try_claim(&epoch, 0).unwrap(), "claims are exclusive");
-        plane.submit(&epoch, 0, &vec![None, None]).unwrap();
-        assert_eq!(plane.fetch(&epoch, 0).unwrap(), Some(vec![None, None]));
+        plane
+            .submit_outcome(&epoch, 0, &eval_outcome(vec![None, None]))
+            .unwrap();
+        assert_eq!(
+            plane.fetch_outcome(&epoch, 0).unwrap(),
+            Some(eval_outcome(vec![None, None]))
+        );
         // A submitted shard cannot be re-claimed.
         assert!(!plane.try_claim(&epoch, 0).unwrap());
         plane.close_epoch(&epoch).unwrap();
         assert!(
-            plane.fetch(&epoch, 0).is_err(),
+            plane.fetch_outcome(&epoch, 0).is_err(),
             "a closed epoch is gone entirely"
         );
     }
@@ -688,8 +677,10 @@ mod tests {
     fn stale_claims_expire_and_reclaim_at_higher_token() {
         let coordinator = coordinator(Duration::from_millis(40));
         let plane = transport(&coordinator);
-        let epoch = plane.open_epoch(1).unwrap();
-        plane.publish(&epoch, 0, &[vec![1.0]]).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![1.0]]))
+            .unwrap();
         let first = plane
             .try_claim_token(&epoch, 0, "w1")
             .unwrap()
@@ -717,8 +708,10 @@ mod tests {
     fn late_submission_from_stolen_claim_is_fenced_off() {
         let coordinator = coordinator(Duration::from_millis(30));
         let plane = transport(&coordinator);
-        let epoch = plane.open_epoch(1).unwrap();
-        plane.publish(&epoch, 0, &[vec![1.0], vec![2.0]]).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![1.0], vec![2.0]]))
+            .unwrap();
         let zombie = plane
             .try_claim_token(&epoch, 0, "zombie")
             .unwrap()
@@ -730,16 +723,17 @@ mod tests {
             .unwrap()
             .expect("steward re-claims");
         // The zombie wakes up and submits: rejected, nothing stored.
-        let results = ShardOutcome::Eval {
-            results: vec![None, None],
-        };
+        let results = eval_outcome(vec![None, None]);
         assert!(!plane
             .submit_with_token(&epoch, 0, zombie, &results)
             .unwrap());
-        assert_eq!(plane.fetch(&epoch, 0).unwrap(), None);
+        assert_eq!(plane.fetch_outcome(&epoch, 0).unwrap(), None);
         // The steward's submission (highest token) lands.
         assert!(plane.submit_with_token(&epoch, 0, fresh, &results).unwrap());
-        assert_eq!(plane.fetch(&epoch, 0).unwrap(), Some(vec![None, None]));
+        assert_eq!(
+            plane.fetch_outcome(&epoch, 0).unwrap(),
+            Some(eval_outcome(vec![None, None]))
+        );
         let stats = coordinator.stats();
         assert_eq!(stats.fenced_rejections, 1);
         assert_eq!(stats.claims_issued, 2);
@@ -757,9 +751,11 @@ mod tests {
             .publish_work(
                 &epoch,
                 0,
-                &ShardWork::Variation {
-                    parameters: vec![0.5, 0.5],
-                    mc_seed: 77,
+                &ShardWork::VariationBatch {
+                    points: vec![VariationPointWork {
+                        parameters: vec![0.5, 0.5],
+                        mc_seed: 77,
+                    }],
                 },
             )
             .unwrap();
@@ -771,10 +767,9 @@ mod tests {
         assert_eq!(task.epoch, epoch);
         assert_eq!(task.shard, 0);
         assert!(task.context.is_some(), "flow context travels with the task");
-        assert!(matches!(
-            task.work,
-            ShardWork::Variation { mc_seed: 77, .. }
-        ));
+        assert!(
+            matches!(&task.work, ShardWork::VariationBatch { points } if points[0].mc_seed == 77)
+        );
         // Nothing else to hand out while the claim is live.
         assert_eq!(plane.claim_next("worker-b").unwrap(), None);
         let description = coordinator.describe().join("\n");
@@ -782,10 +777,12 @@ mod tests {
             description.contains("run run-0042") && description.contains("worker-a#1"),
             "coordinator describes its claims: {description}"
         );
-        let outcome = ShardOutcome::Variation(ayb_store::VariationOutcome {
-            data: None,
-            elapsed_seconds: 0.25,
-        });
+        let outcome = ShardOutcome::VariationBatch {
+            points: vec![VariationOutcome {
+                data: None,
+                elapsed_seconds: 0.25,
+            }],
+        };
         assert!(plane.submit_task(&task, &outcome).unwrap());
         assert_eq!(plane.fetch_outcome(&epoch, 0).unwrap(), Some(outcome));
     }
@@ -794,14 +791,16 @@ mod tests {
     fn wipe_state_forgets_epochs_but_not_names() {
         let coordinator = coordinator(Duration::from_secs(60));
         let plane = transport(&coordinator);
-        let before = plane.open_epoch(1).unwrap();
-        plane.publish(&before, 0, &[vec![1.0]]).unwrap();
+        let before = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        plane
+            .publish_work(&before, 0, &eval_work(&[vec![1.0]]))
+            .unwrap();
         coordinator.wipe_state();
         assert!(
-            plane.fetch(&before, 0).is_err(),
+            plane.fetch_outcome(&before, 0).is_err(),
             "pre-wipe epochs are unknown after the wipe"
         );
-        let after = plane.open_epoch(1).unwrap();
+        let after = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
         assert_ne!(before, after, "epoch names are never reused across wipes");
         assert_eq!(coordinator.stats().epochs, 1);
     }
@@ -810,8 +809,10 @@ mod tests {
     fn metrics_scrape_reports_claims_and_fences() {
         let coordinator = coordinator(Duration::from_millis(30));
         let plane = transport(&coordinator);
-        let epoch = plane.open_epoch(1).unwrap();
-        plane.publish(&epoch, 0, &[vec![1.0]]).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![1.0]]))
+            .unwrap();
         let zombie = plane.try_claim_token(&epoch, 0, "zombie").unwrap().unwrap();
         std::thread::sleep(Duration::from_millis(60));
         assert!(plane.recover(&epoch, 0).unwrap());
@@ -819,9 +820,7 @@ mod tests {
             .try_claim_token(&epoch, 0, "steward")
             .unwrap()
             .unwrap();
-        let results = ShardOutcome::Eval {
-            results: vec![None],
-        };
+        let results = eval_outcome(vec![None]);
         assert!(!plane
             .submit_with_token(&epoch, 0, zombie, &results)
             .unwrap());
@@ -870,8 +869,10 @@ mod tests {
         let coordinator = coordinator(Duration::from_millis(30));
         let recorder = Recorder::new();
         let plane = transport(&coordinator).with_recorder(recorder.clone());
-        let epoch = plane.open_epoch(1).unwrap();
-        plane.publish(&epoch, 0, &[vec![1.0]]).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![1.0]]))
+            .unwrap();
         let zombie = plane.try_claim_token(&epoch, 0, "zombie").unwrap().unwrap();
         std::thread::sleep(Duration::from_millis(60));
         assert!(plane.recover(&epoch, 0).unwrap());
@@ -879,9 +880,7 @@ mod tests {
             .try_claim_token(&epoch, 0, "steward")
             .unwrap()
             .unwrap();
-        let results = ShardOutcome::Eval {
-            results: vec![None],
-        };
+        let results = eval_outcome(vec![None]);
         assert!(!plane
             .submit_with_token(&epoch, 0, zombie, &results)
             .unwrap());
@@ -912,9 +911,9 @@ mod tests {
     fn requests_against_a_dead_coordinator_are_transport_errors() {
         let coordinator = coordinator(Duration::from_secs(60));
         let plane = transport(&coordinator);
-        let epoch = plane.open_epoch(1).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
         coordinator.shutdown();
-        let error = plane.fetch(&epoch, 0).expect_err("socket is gone");
+        let error = plane.fetch_outcome(&epoch, 0).expect_err("socket is gone");
         let ayb_moo::ShardError::Transport(message) = error;
         assert!(!message.is_empty());
     }

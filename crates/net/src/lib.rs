@@ -1,39 +1,35 @@
 //! The TCP shard data plane: shard epochs over a socket instead of a shared
 //! filesystem.
 //!
-//! PRs 4–5 made everything *above* the transport multi-host — sharded
-//! evaluation, the sharded variation stage, shard-first job workers — but the
-//! only [`ShardTransport`](ayb_moo::ShardTransport) implementation was the
-//! store's on-disk plane, so a fleet still needed every machine to mount the
-//! same store path. This crate removes that requirement with three pieces,
-//! all built on `std::net` and the vendored JSON stack (no new
-//! dependencies):
+//! Sharded evaluation, the sharded variation stage and shard-first job
+//! workers all speak one interface, [`ShardTransport`](ayb_moo::ShardTransport),
+//! whose other implementation is the store's on-disk plane — which needs
+//! every machine to mount the same store path. This crate removes that
+//! requirement with three pieces, all built on `std::net` and the vendored
+//! JSON stack (no new dependencies):
 //!
 //! * **[`wire`]** — a length-prefixed JSON frame format plus the
 //!   request/response vocabulary spoken over it;
 //! * **[`Coordinator`]** — a thread-per-connection TCP server owning epoch
-//!   state *in memory*: it opens typed epochs
-//!   ([`ShardWork::Eval`](ayb_store::ShardWork)/[`Variation`](ayb_store::ShardWork)),
-//!   hands out claims stamped with **monotonic fencing tokens**, expires
-//!   claims whose heartbeats lapse, and accepts a shard's result only from
-//!   the holder of the *highest* token ever issued for that shard — a late
-//!   write from a stolen (hung, then superseded) claim is rejected, not
-//!   merged;
-//! * **[`TcpTransport`]** — the client: a
-//!   [`ShardTransport`](ayb_moo::ShardTransport) implementation plus the
-//!   typed epoch API the variation stage
-//!   uses, so `ShardedEvaluator`/`drive_epoch` run over TCP unchanged, and a
-//!   worker-facing [`TcpTransport::claim_next`] that carries the run's
-//!   `FlowConfig` over the wire so workers need no access to the run store
-//!   at all.
+//!   state *in memory*: it opens typed epochs ([`ShardWorkKind`]) of
+//!   [`ShardWork`] payloads, hands out claims stamped with **monotonic
+//!   fencing tokens**, expires claims whose heartbeats lapse, and accepts a
+//!   shard's result only from the holder of the *highest* token ever issued
+//!   for that shard — a late write from a stolen (hung, then superseded)
+//!   claim is rejected, not merged;
+//! * **[`TcpTransport`]** — the client: the TCP plane's one
+//!   [`ShardTransport`](ayb_moo::ShardTransport) implementation, so
+//!   `ShardedEvaluator`/`drive_epoch` and the variation stage run over TCP
+//!   unchanged, plus a worker-facing [`TcpTransport::claim_next`] that
+//!   carries the run's `FlowConfig` over the wire so workers need no access
+//!   to the run store at all.
 //!
 //! Determinism is untouched: the coordinator stores opaque
-//! [`ShardWork`](ayb_store::ShardWork)/[`ShardOutcome`](ayb_store::ShardOutcome)
-//! payloads and the submitting flow reassembles results in index order
-//! exactly as it does over disk. If the coordinator dies, every request
-//! errors, `drive_epoch`'s per-shard fallback services the work locally, and
-//! the digest is unchanged — the coordinator is an accelerator, never a
-//! correctness dependency.
+//! [`ShardWork`]/[`ShardOutcome`] payloads and the submitting flow
+//! reassembles results in index order exactly as it does over disk. If the
+//! coordinator dies, every request errors, `drive_epoch`'s per-shard
+//! fallback services the work locally, and the digest is unchanged — the
+//! coordinator is an accelerator, never a correctness dependency.
 
 #![deny(missing_docs)]
 
@@ -41,8 +37,11 @@ mod coordinator;
 mod transport;
 pub mod wire;
 
+pub use ayb_moo::{
+    ShardOutcome, ShardWork, ShardWorkKind, TransportStats, VariationOutcome, VariationPointWork,
+};
 pub use coordinator::{Coordinator, CoordinatorConfig};
-pub use transport::{ClaimPulse, TcpTransport, TransportStats};
+pub use transport::{ClaimPulse, TcpTransport};
 pub use wire::{CoordinatorStats, NetShardTask, Request, Response};
 
 /// Parses a `tcp://host:port` transport URL into its `host:port` socket

@@ -1,6 +1,5 @@
-//! The client side: a [`ShardTransport`] over TCP, plus the typed epoch API
-//! the variation stage drives and the `claim_next` entry point job workers
-//! poll.
+//! The client side: the TCP plane's [`ShardTransport`], plus the
+//! `claim_next`/`submit_task` entry points job workers poll.
 //!
 //! A [`TcpTransport`] holds no connection — every call dials the
 //! coordinator, exchanges exactly one request/response frame and closes.
@@ -23,9 +22,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ayb_moo::{ShardError, ShardResults, ShardTransport};
+use ayb_moo::{ShardError, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind, TransportStats};
 use ayb_obs::{kind as event_kind, Event, Recorder, Severity};
-use ayb_store::{ShardOutcome, ShardWork, ShardWorkKind};
 use serde::Value;
 
 use crate::wire::{read_frame, write_frame, NetShardTask, Request, Response};
@@ -34,19 +32,6 @@ use crate::wire::{read_frame, write_frame, NetShardTask, Request, Response};
 /// this per request is effectively down, and the caller's fallback path is
 /// the right response.
 const CALL_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Cumulative client-side transport counters, shared by all clones of one
-/// [`TcpTransport`]. The flow folds these into its timings so the
-/// transport's cost is measured, not guessed.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TransportStats {
-    /// Requests attempted (successful or not).
-    pub requests: u64,
-    /// Wall-clock seconds spent in request round-trips, cumulatively.
-    pub request_seconds: f64,
-    /// Submissions this client had fenced off (token superseded).
-    pub fenced_rejections: u64,
-}
 
 /// A [`ShardTransport`] speaking the wire protocol of an
 /// [`ayb_net::Coordinator`](crate::Coordinator).
@@ -113,12 +98,6 @@ impl TcpTransport {
         self
     }
 
-    /// A snapshot of the cumulative transport counters (shared across
-    /// clones).
-    pub fn stats(&self) -> TransportStats {
-        *self.stats.lock().expect("transport stats lock")
-    }
-
     /// An [`Event`] stamped with this transport's source label and run id.
     fn event(&self, severity: Severity, kind: &str) -> Event {
         let event = Event::new(severity, "transport", kind);
@@ -175,55 +154,6 @@ impl TcpTransport {
 
     fn unexpected(response: &Response) -> ShardError {
         ShardError::Transport(format!("unexpected coordinator response: {response:?}"))
-    }
-
-    // ------------------------------------------------------------------
-    // Typed epoch API (mirrors `ShardDataPlane`'s; the variation stage and
-    // the `ShardTransport` impl below are both thin layers over these).
-    // ------------------------------------------------------------------
-
-    /// Opens a typed epoch of `shard_count` shards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::Transport`] when the coordinator is unreachable
-    /// or answers out of protocol.
-    pub fn open_typed_epoch(
-        &self,
-        kind: ShardWorkKind,
-        shard_count: usize,
-    ) -> Result<String, ShardError> {
-        match self.call(&Request::OpenEpoch {
-            kind,
-            shard_count,
-            run_id: self.run_id.clone(),
-            context: self.context.clone(),
-        })? {
-            Response::EpochOpened { epoch } => Ok(epoch),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    /// Publishes shard `shard`'s typed work payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::Transport`] when the epoch is unknown or the
-    /// coordinator is unreachable.
-    pub fn publish_work(
-        &self,
-        epoch: &str,
-        shard: usize,
-        work: &ShardWork,
-    ) -> Result<(), ShardError> {
-        match self.call(&Request::Publish {
-            epoch: epoch.to_string(),
-            shard,
-            work: work.clone(),
-        })? {
-            Response::Ok => Ok(()),
-            other => Err(Self::unexpected(&other)),
-        }
     }
 
     /// Attempts to claim shard `shard`, returning the claim's fencing token
@@ -283,32 +213,6 @@ impl TcpTransport {
         }
     }
 
-    /// Submits a typed outcome under this client's remembered token for the
-    /// shard (token 0 — "never claimed" — when there is none). A fenced-off
-    /// submission is counted and dropped: by determinism the accepted result
-    /// is identical, so the caller need not care.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::Transport`] when the epoch is unknown or the
-    /// coordinator is unreachable.
-    pub fn submit_outcome(
-        &self,
-        epoch: &str,
-        shard: usize,
-        outcome: &ShardOutcome,
-    ) -> Result<(), ShardError> {
-        let token = self
-            .tokens
-            .lock()
-            .expect("transport token lock")
-            .get(&(epoch.to_string(), shard))
-            .copied()
-            .unwrap_or(0);
-        self.submit_with_token(epoch, shard, token, outcome)
-            .map(|_accepted| ())
-    }
-
     /// Submits a typed outcome under an explicit fencing token, returning
     /// whether the coordinator accepted it (`false`: fenced off).
     ///
@@ -352,26 +256,6 @@ impl TcpTransport {
                 }
                 Ok(accepted)
             }
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    /// Fetches shard `shard`'s typed outcome, if one has been accepted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::Transport`] when the epoch is unknown or the
-    /// coordinator is unreachable.
-    pub fn fetch_outcome(
-        &self,
-        epoch: &str,
-        shard: usize,
-    ) -> Result<Option<ShardOutcome>, ShardError> {
-        match self.call(&Request::Fetch {
-            epoch: epoch.to_string(),
-            shard,
-        })? {
-            Response::Outcome { outcome } => Ok(outcome),
             other => Err(Self::unexpected(&other)),
         }
     }
@@ -443,23 +327,33 @@ impl TcpTransport {
 }
 
 impl ShardTransport for TcpTransport {
-    fn open_epoch(&self, shard_count: usize) -> Result<String, ShardError> {
-        self.open_typed_epoch(ShardWorkKind::Eval, shard_count)
+    /// Opens the epoch on the coordinator, announcing this transport's run
+    /// id and context so workers can service its shards store-free.
+    fn open_typed_epoch(
+        &self,
+        kind: ShardWorkKind,
+        shard_count: usize,
+    ) -> Result<String, ShardError> {
+        match self.call(&Request::OpenEpoch {
+            kind,
+            shard_count,
+            run_id: self.run_id.clone(),
+            context: self.context.clone(),
+        })? {
+            Response::EpochOpened { epoch } => Ok(epoch),
+            other => Err(Self::unexpected(&other)),
+        }
     }
 
-    fn publish(
-        &self,
-        epoch: &str,
-        shard: usize,
-        parameters: &[Vec<f64>],
-    ) -> Result<(), ShardError> {
-        self.publish_work(
-            epoch,
+    fn publish_work(&self, epoch: &str, shard: usize, work: &ShardWork) -> Result<(), ShardError> {
+        match self.call(&Request::Publish {
+            epoch: epoch.to_string(),
             shard,
-            &ShardWork::Eval {
-                parameters: parameters.to_vec(),
-            },
-        )
+            work: work.clone(),
+        })? {
+            Response::Ok => Ok(()),
+            other => Err(Self::unexpected(&other)),
+        }
     }
 
     fn try_claim(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
@@ -467,24 +361,32 @@ impl ShardTransport for TcpTransport {
             .map(|token| token.is_some())
     }
 
-    fn submit(&self, epoch: &str, shard: usize, results: &ShardResults) -> Result<(), ShardError> {
-        self.submit_outcome(
-            epoch,
-            shard,
-            &ShardOutcome::Eval {
-                results: results.clone(),
-            },
-        )
+    /// Submits under this client's remembered token for the shard (token 0,
+    /// "never claimed", when there is none).
+    fn submit_outcome(
+        &self,
+        epoch: &str,
+        shard: usize,
+        outcome: &ShardOutcome,
+    ) -> Result<(), ShardError> {
+        let token = self
+            .tokens
+            .lock()
+            .expect("transport token lock")
+            .get(&(epoch.to_string(), shard))
+            .copied()
+            .unwrap_or(0);
+        self.submit_with_token(epoch, shard, token, outcome)
+            .map(|_accepted| ())
     }
 
-    fn fetch(&self, epoch: &str, shard: usize) -> Result<Option<ShardResults>, ShardError> {
-        match self.fetch_outcome(epoch, shard)? {
-            Some(ShardOutcome::Eval { results }) => Ok(Some(results)),
-            // An outcome of the wrong shape is unusable; leave the shard
-            // pending so it is (re-)evaluated instead.
-            Some(ShardOutcome::Variation(_) | ShardOutcome::VariationBatch { .. }) | None => {
-                Ok(None)
-            }
+    fn fetch_outcome(&self, epoch: &str, shard: usize) -> Result<Option<ShardOutcome>, ShardError> {
+        match self.call(&Request::Fetch {
+            epoch: epoch.to_string(),
+            shard,
+        })? {
+            Response::Outcome { outcome } => Ok(outcome),
+            other => Err(Self::unexpected(&other)),
         }
     }
 
@@ -505,6 +407,11 @@ impl ShardTransport for TcpTransport {
             Response::Ok => Ok(()),
             other => Err(Self::unexpected(&other)),
         }
+    }
+
+    /// Counters shared by every clone of this transport.
+    fn stats(&self) -> TransportStats {
+        *self.stats.lock().expect("transport stats lock")
     }
 }
 

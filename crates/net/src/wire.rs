@@ -14,7 +14,7 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
-use ayb_store::{ShardOutcome, ShardWork, ShardWorkKind};
+use ayb_moo::{ShardOutcome, ShardWork, ShardWorkKind};
 use serde::{Deserialize, Serialize, Value};
 
 /// Hard upper bound on one frame's JSON payload (16 MiB). A peer announcing

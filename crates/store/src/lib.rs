@@ -91,11 +91,11 @@
 pub mod cache;
 pub mod shards;
 
-pub use cache::{CacheEntry, CacheGcReport, ResultCache};
-pub use shards::{
-    ShardDataPlane, ShardOutcome, ShardSummary, ShardTask, ShardWork, ShardWorkKind,
-    VariationOutcome, VariationPointWork,
+pub use ayb_moo::{
+    ShardOutcome, ShardWork, ShardWorkKind, TransportStats, VariationOutcome, VariationPointWork,
 };
+pub use cache::{CacheEntry, CacheGcReport, ResultCache};
+pub use shards::{ShardDataPlane, ShardSummary, ShardTask};
 
 use ayb_moo::{Checkpoint, OptimizerConfig};
 use serde::{Deserialize, Serialize, Value};

@@ -26,24 +26,26 @@
 //! written atomically.
 //!
 //! [`ShardDataPlane`] is the submitter's view — it implements
-//! [`ayb_moo::ShardTransport`], plugging the store into
-//! [`ayb_moo::ShardedEvaluator`]. [`ShardTask`] / [`Store::open_shard_tasks`]
-//! are the worker's view: scan, claim, evaluate, submit.
+//! [`ayb_moo::ShardTransport`], the one typed interface both the sharded
+//! evaluator and the variation stage drive. [`ShardTask`] /
+//! [`Store::open_shard_tasks`] are the worker's view: scan, claim, service,
+//! submit. Both views claim and commit through the same two helpers, so the
+//! fencing rules exist once on disk.
 //!
 //! ```
 //! use ayb_store::ShardDataPlane;
-//! use ayb_moo::{Evaluation, ShardTransport};
+//! use ayb_moo::{Evaluation, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind};
 //! use std::time::Duration;
 //!
 //! let dir = std::env::temp_dir().join(format!("ayb-shard-doc-{}", std::process::id()));
 //! let plane = ShardDataPlane::open(&dir, Duration::from_secs(30));
-//! let epoch = plane.open_epoch(1).unwrap();
-//! plane.publish(&epoch, 0, &[vec![0.5, 0.5]]).unwrap();
+//! let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+//! let work = ShardWork::Eval { parameters: vec![vec![0.5, 0.5]] };
+//! plane.publish_work(&epoch, 0, &work).unwrap();
 //! assert!(plane.try_claim(&epoch, 0).unwrap());
-//! plane
-//!     .submit(&epoch, 0, &vec![Some(Evaluation::new(vec![0.5, 0.5], vec![1.0]))])
-//!     .unwrap();
-//! assert!(plane.fetch(&epoch, 0).unwrap().is_some());
+//! let results = vec![Some(Evaluation::new(vec![0.5, 0.5], vec![1.0]))];
+//! plane.submit_outcome(&epoch, 0, &ShardOutcome::Eval { results }).unwrap();
+//! assert!(plane.fetch_outcome(&epoch, 0).unwrap().is_some());
 //! plane.close_epoch(&epoch).unwrap();
 //! # let _ = std::fs::remove_dir_all(dir);
 //! ```
@@ -52,9 +54,8 @@ use crate::{
     break_claim_file, file_mtime_age, io_error, next_fence, read_claim_file, read_json,
     take_claim_file, write_json, ClaimHealth, ClaimInfo, RunHandle, RunStatus, Store, StoreError,
 };
-use ayb_moo::{Evaluation, ShardError, ShardResults, ShardTransport};
+use ayb_moo::{ShardError, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind, TransportStats};
 use ayb_obs::{kind as event_kind, Event, Recorder, Severity};
-use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -65,12 +66,6 @@ use std::time::{Duration, Instant};
 
 /// Subdirectory of a run holding its shard epochs.
 const SHARD_DIR: &str = "shards";
-
-/// Epoch directory prefix of population-evaluation epochs.
-const EVAL_EPOCH_PREFIX: &str = "ep-";
-
-/// Epoch directory prefix of variation-analysis epochs.
-const VARIATION_EPOCH_PREFIX: &str = "var-";
 
 fn task_name(shard: usize) -> String {
     format!("shard_{shard:04}.task.json")
@@ -101,135 +96,48 @@ fn parse_task_name(name: &str) -> Option<usize> {
         .ok()
 }
 
-/// The kind of work a shard (or a whole epoch) carries.
-///
-/// Epoch directories encode their kind in the name (`ep-*` for evaluation,
-/// `var-*` for variation), so listings like `ayb status` can distinguish the
-/// stages without reading any task file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShardWorkKind {
-    /// GA population evaluation (one shard = a consecutive candidate range).
-    Eval,
-    /// Monte Carlo variation analysis (one shard = one Pareto point).
-    Variation,
+/// Claims shard `shard` of the epoch in `epoch_dir` for `owner`: mints the
+/// shard's next fence and takes its claim file stamped with it. `Ok(None)`
+/// is a lost race — or an epoch disposed of in the meantime, which is the
+/// same clean miss.
+fn claim_shard(
+    epoch_dir: &Path,
+    shard: usize,
+    owner: &str,
+) -> Result<Option<ClaimInfo>, StoreError> {
+    let Ok(fence) = next_fence(&epoch_dir.join(fence_name(shard))) else {
+        return Ok(None);
+    };
+    let info = ClaimInfo::for_this_process(owner).with_fence(fence);
+    let taken = take_claim_file(epoch_dir, &epoch_dir.join(claim_name(shard)), &info)?;
+    Ok(taken.then_some(info))
 }
 
-impl ShardWorkKind {
-    /// Human-readable kind name (`eval` / `variation`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ShardWorkKind::Eval => "eval",
-            ShardWorkKind::Variation => "variation",
+/// Commits shard `shard`'s outcome and releases the claim — *unless* the
+/// claim this writer took (`mine`) has changed hands since (its holder was
+/// presumed hung and a recovery pass superseded it): then nothing is
+/// written and `Ok(false)` says the outcome was fenced off. The thief's own
+/// outcome is identical by determinism, and a fenced-off writer must never
+/// overwrite anything. A filesystem cannot make the re-check and the write
+/// one atomic step (the TCP coordinator's token check can, and does), but
+/// the re-check shrinks the stale-writer window from a whole evaluation to
+/// a single stat-and-rename — and duplicate *identical* writes are benign
+/// anyway.
+fn commit_outcome(
+    epoch_dir: &Path,
+    shard: usize,
+    mine: Option<&ClaimInfo>,
+    outcome: &ShardOutcome,
+) -> Result<bool, StoreError> {
+    let claim_path = epoch_dir.join(claim_name(shard));
+    if let Some(mine) = mine {
+        if read_claim_file(&claim_path)?.as_ref() != Some(mine) {
+            return Ok(false);
         }
     }
-
-    /// The epoch-directory name prefix of this kind.
-    fn epoch_prefix(self) -> &'static str {
-        match self {
-            ShardWorkKind::Eval => EVAL_EPOCH_PREFIX,
-            ShardWorkKind::Variation => VARIATION_EPOCH_PREFIX,
-        }
-    }
-
-    /// Classifies an epoch directory name by its prefix (unknown prefixes
-    /// are treated as evaluation epochs — the original, untagged kind).
-    fn of_epoch(epoch: &str) -> ShardWorkKind {
-        if epoch.starts_with(VARIATION_EPOCH_PREFIX) {
-            ShardWorkKind::Variation
-        } else {
-            ShardWorkKind::Eval
-        }
-    }
-}
-
-/// Typed payload of one shard task file: what a claiming worker must do.
-///
-/// PR 4's shard plane carried exactly one payload shape (candidate
-/// parameters to evaluate); the tag makes the plane generic so one epoch
-/// mechanism distributes every stage's work. Task files are ephemeral —
-/// epochs are disposed of as soon as their batch is assembled — so the
-/// format change needs no store migration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ShardWork {
-    /// Evaluate a consecutive range of a GA population: normalised candidate
-    /// parameter vectors, in shard-local order.
-    Eval {
-        /// One parameter vector per candidate.
-        parameters: Vec<Vec<f64>>,
-    },
-    /// Run the Monte Carlo variation analysis of one Pareto point.
-    Variation {
-        /// The point's normalised parameter vector.
-        parameters: Vec<f64>,
-        /// The point's own Monte Carlo seed (derived by the submitter from
-        /// the flow's `monte_carlo.seed` and the point index, so any process
-        /// analysing this point draws the identical sample sequence).
-        mc_seed: u64,
-    },
-    /// Run the Monte Carlo variation analysis of several Pareto points in
-    /// one task (the batched form of [`ShardWork::Variation`]: larger tasks
-    /// amortise claim/commit overhead without changing any result — each
-    /// point still carries its own derived seed).
-    VariationBatch {
-        /// The points of this batch, in submitter order.
-        points: Vec<VariationPointWork>,
-    },
-}
-
-/// One point of a [`ShardWork::VariationBatch`] task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VariationPointWork {
-    /// The point's normalised parameter vector.
-    pub parameters: Vec<f64>,
-    /// The point's own Monte Carlo seed (same derivation as
-    /// [`ShardWork::Variation`]).
-    pub mc_seed: u64,
-}
-
-impl ShardWork {
-    /// This payload's kind.
-    pub fn kind(&self) -> ShardWorkKind {
-        match self {
-            ShardWork::Eval { .. } => ShardWorkKind::Eval,
-            ShardWork::Variation { .. } | ShardWork::VariationBatch { .. } => {
-                ShardWorkKind::Variation
-            }
-        }
-    }
-}
-
-/// Wire form of one analysed Pareto point (a variation shard's output).
-///
-/// The analysed data itself is carried as opaque JSON (`serde::Value`): the
-/// store moves it between processes byte-faithfully without depending on the
-/// behavioural-model types that define it (`ayb_core` converts both ways).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VariationOutcome {
-    /// The analysed point's variation data; `None` when the point could not
-    /// be re-simulated (a legitimate, deterministic result — not an error).
-    pub data: Option<Value>,
-    /// Wall-clock seconds the analysing process spent on this point, so the
-    /// submitter can account work done on other hosts.
-    pub elapsed_seconds: f64,
-}
-
-/// Typed output of one shard, mirroring [`ShardWork`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ShardOutcome {
-    /// Evaluations of a population shard, one entry per candidate in
-    /// shard-local order (`None` marks an infeasible candidate).
-    Eval {
-        /// The candidate evaluations.
-        results: Vec<Option<Evaluation>>,
-    },
-    /// One analysed Pareto point.
-    Variation(VariationOutcome),
-    /// The analysed points of a [`ShardWork::VariationBatch`] task, in task
-    /// order (one entry per point of the batch).
-    VariationBatch {
-        /// The per-point outcomes.
-        points: Vec<VariationOutcome>,
-    },
+    write_json(&epoch_dir.join(result_name(shard)), outcome)?;
+    let _ = fs::remove_file(claim_path);
+    Ok(true)
 }
 
 fn transport_error(error: StoreError) -> ShardError {
@@ -312,33 +220,27 @@ impl ShardDataPlane {
         }
     }
 
-    /// How many of this plane's own submissions were discarded because the
-    /// underlying claim had been stolen in the meantime (shared across
-    /// clones).
-    pub fn fenced_rejections(&self) -> u64 {
-        self.fenced.load(Ordering::Relaxed)
-    }
-
     fn epoch_dir(&self, epoch: &str) -> PathBuf {
         self.dir.join(epoch)
     }
+}
 
-    /// Opens a new epoch of `kind`-tagged work, returning its identifier.
-    /// The kind is encoded in the epoch directory name, so listings can
-    /// distinguish evaluation from variation epochs with a single readdir.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::Transport`] when the epoch directory cannot be
-    /// created.
-    pub fn open_typed_epoch(&self, kind: ShardWorkKind) -> Result<String, ShardError> {
-        static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+impl ShardTransport for ShardDataPlane {
+    /// Creates the epoch directory, named after `kind` so listings can tell
+    /// evaluation from variation epochs with a single readdir (the shard
+    /// count is implicit in the published task files).
+    fn open_typed_epoch(
+        &self,
+        kind: ShardWorkKind,
+        _shard_count: usize,
+    ) -> Result<String, ShardError> {
+        static NONCE: AtomicU64 = AtomicU64::new(0);
         let epoch = format!(
             "{}{}-{}-{}",
             kind.epoch_prefix(),
             crate::now_unix(),
             std::process::id(),
-            NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            NONCE.fetch_add(1, Ordering::Relaxed)
         );
         let dir = self.epoch_dir(&epoch);
         fs::create_dir_all(&dir).map_err(|e| transport_error(io_error(&dir, e)))?;
@@ -354,44 +256,37 @@ impl ShardDataPlane {
         Ok(epoch)
     }
 
-    /// Publishes shard `shard`'s typed payload into `epoch`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::Transport`] when the task file cannot be
-    /// written.
-    pub fn publish_work(
-        &self,
-        epoch: &str,
-        shard: usize,
-        work: &ShardWork,
-    ) -> Result<(), ShardError> {
+    fn publish_work(&self, epoch: &str, shard: usize, work: &ShardWork) -> Result<(), ShardError> {
         let path = self.epoch_dir(epoch).join(task_name(shard));
         write_json(&path, work).map_err(transport_error)
     }
 
-    /// Stores shard `shard`'s typed outcome and releases this process's
-    /// claim on it — *unless* the claim was stolen since this plane took it
-    /// (the holder was presumed hung and a recovery pass superseded it), in
-    /// which case the result is **discarded**, not written: the thief's own
-    /// result is identical by determinism, and a fenced-off writer must
-    /// never overwrite anything. A filesystem cannot make the re-check and
-    /// the write one atomic step (the TCP coordinator's token check can, and
-    /// does), but the re-check shrinks the stale-writer window from a whole
-    /// evaluation to a single stat-and-rename — and duplicate *identical*
-    /// writes are benign anyway.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::Transport`] when the result file cannot be
-    /// written.
-    pub fn submit_outcome(
+    fn try_claim(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
+        let claimed = claim_shard(&self.epoch_dir(epoch), shard, "shard-submitter")
+            .map_err(transport_error)?;
+        let Some(info) = claimed else {
+            return Ok(false);
+        };
+        self.emit(
+            self.shard_event(Severity::Debug, event_kind::SHARD_CLAIM, epoch, shard)
+                .fence(info.fence),
+        );
+        self.claims
+            .lock()
+            .expect("shard claim table lock")
+            .insert((epoch.to_string(), shard), (info, Instant::now()));
+        Ok(true)
+    }
+
+    /// Commits the outcome unless this plane's claim was stolen meanwhile;
+    /// a fenced-off outcome is discarded and counted (see
+    /// [`TransportStats::fenced_rejections`]), not reported as an error.
+    fn submit_outcome(
         &self,
         epoch: &str,
         shard: usize,
         outcome: &ShardOutcome,
     ) -> Result<(), ShardError> {
-        let dir = self.epoch_dir(epoch);
         let key = (epoch.to_string(), shard);
         let mine = self
             .claims
@@ -399,25 +294,28 @@ impl ShardDataPlane {
             .expect("shard claim table lock")
             .get(&key)
             .cloned();
-        if let Some((mine, _)) = &mine {
-            let current = read_claim_file(&dir.join(claim_name(shard))).map_err(transport_error)?;
-            if current.as_ref() != Some(mine) {
-                // Fenced off (or the epoch is gone): discard silently.
-                self.fenced.fetch_add(1, Ordering::Relaxed);
-                self.emit(
-                    self.shard_event(Severity::Warn, event_kind::SHARD_FENCED, epoch, shard)
-                        .fence(mine.fence)
-                        .detail("stale submit discarded: claim changed hands"),
-                );
-                self.claims
-                    .lock()
-                    .expect("shard claim table lock")
-                    .remove(&key);
-                return Ok(());
-            }
+        let committed = commit_outcome(
+            &self.epoch_dir(epoch),
+            shard,
+            mine.as_ref().map(|(claim, _)| claim),
+            outcome,
+        )
+        .map_err(transport_error)?;
+        self.claims
+            .lock()
+            .expect("shard claim table lock")
+            .remove(&key);
+        if !committed {
+            // Fenced off (or the epoch is gone): discard silently.
+            self.fenced.fetch_add(1, Ordering::Relaxed);
+            let fence = mine.map_or(0, |(claim, _)| claim.fence);
+            self.emit(
+                self.shard_event(Severity::Warn, event_kind::SHARD_FENCED, epoch, shard)
+                    .fence(fence)
+                    .detail("stale submit discarded: claim changed hands"),
+            );
+            return Ok(());
         }
-        write_json(&dir.join(result_name(shard)), outcome).map_err(transport_error)?;
-        let _ = fs::remove_file(dir.join(claim_name(shard)));
         if let Some(recorder) = &self.recorder {
             let mut event =
                 self.shard_event(Severity::Debug, event_kind::SHARD_SUBMIT, epoch, shard);
@@ -430,98 +328,15 @@ impl ShardDataPlane {
             }
             recorder.emit(event);
         }
-        self.claims
-            .lock()
-            .expect("shard claim table lock")
-            .remove(&key);
         Ok(())
     }
 
-    /// Fetches shard `shard`'s typed outcome, if some worker has submitted
-    /// it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::Transport`] when an existing result file is
-    /// unreadable or malformed.
-    pub fn fetch_outcome(
-        &self,
-        epoch: &str,
-        shard: usize,
-    ) -> Result<Option<ShardOutcome>, ShardError> {
+    fn fetch_outcome(&self, epoch: &str, shard: usize) -> Result<Option<ShardOutcome>, ShardError> {
         let path = self.epoch_dir(epoch).join(result_name(shard));
         if !path.is_file() {
             return Ok(None);
         }
-        let outcome: ShardOutcome = read_json(&path).map_err(transport_error)?;
-        Ok(Some(outcome))
-    }
-}
-
-impl ShardTransport for ShardDataPlane {
-    fn open_epoch(&self, _shard_count: usize) -> Result<String, ShardError> {
-        self.open_typed_epoch(ShardWorkKind::Eval)
-    }
-
-    fn publish(
-        &self,
-        epoch: &str,
-        shard: usize,
-        parameters: &[Vec<f64>],
-    ) -> Result<(), ShardError> {
-        self.publish_work(
-            epoch,
-            shard,
-            &ShardWork::Eval {
-                parameters: parameters.to_vec(),
-            },
-        )
-    }
-
-    fn try_claim(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
-        let dir = self.epoch_dir(epoch);
-        let fence = match next_fence(&dir.join(fence_name(shard))) {
-            Ok(fence) => fence,
-            // The epoch is gone (or unwritable): a clean claim miss, same
-            // as losing the race.
-            Err(_) => return Ok(false),
-        };
-        let info = ClaimInfo::for_this_process("shard-submitter").with_fence(fence);
-        let taken =
-            take_claim_file(&dir, &dir.join(claim_name(shard)), &info).map_err(transport_error)?;
-        if taken {
-            self.emit(
-                self.shard_event(Severity::Debug, event_kind::SHARD_CLAIM, epoch, shard)
-                    .fence(info.fence),
-            );
-            self.claims
-                .lock()
-                .expect("shard claim table lock")
-                .insert((epoch.to_string(), shard), (info, Instant::now()));
-        }
-        Ok(taken)
-    }
-
-    fn submit(&self, epoch: &str, shard: usize, results: &ShardResults) -> Result<(), ShardError> {
-        self.submit_outcome(
-            epoch,
-            shard,
-            &ShardOutcome::Eval {
-                results: results.clone(),
-            },
-        )
-    }
-
-    fn fetch(&self, epoch: &str, shard: usize) -> Result<Option<ShardResults>, ShardError> {
-        match self.fetch_outcome(epoch, shard)? {
-            Some(ShardOutcome::Eval { results }) => Ok(Some(results)),
-            // A non-evaluation outcome under an evaluation fetch cannot
-            // happen in a well-formed epoch; treat it as "not ready" so the
-            // shard is simply re-evaluated.
-            Some(ShardOutcome::Variation(_) | ShardOutcome::VariationBatch { .. }) | None => {
-                Ok(None)
-            }
-        }
+        read_json(&path).map(Some).map_err(transport_error)
     }
 
     fn recover(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
@@ -561,6 +376,15 @@ impl ShardTransport for ShardDataPlane {
         // directory scan (fails harmlessly if another epoch is open).
         let _ = fs::remove_dir(&self.dir);
         Ok(())
+    }
+
+    /// Only the fence counter is kept: per-file I/O is not request-shaped,
+    /// so requests and round-trip seconds stay zero.
+    fn stats(&self) -> TransportStats {
+        TransportStats {
+            fenced_rejections: self.fenced.load(Ordering::Relaxed),
+            ..TransportStats::default()
+        }
     }
 }
 
@@ -746,17 +570,11 @@ impl ShardTask {
     /// Returns [`StoreError::Io`]/[`StoreError::Json`] on filesystem
     /// failures other than the ordinary lost race.
     pub fn try_claim(&mut self, owner: &str) -> Result<bool, StoreError> {
-        let fence = match next_fence(&self.epoch_dir.join(fence_name(self.shard))) {
-            Ok(fence) => fence,
-            // Epoch disposed of under us: a clean miss.
-            Err(_) => return Ok(false),
+        let Some(info) = claim_shard(&self.epoch_dir, self.shard, owner)? else {
+            return Ok(false);
         };
-        let info = ClaimInfo::for_this_process(owner).with_fence(fence);
-        let taken = take_claim_file(&self.epoch_dir, &self.claim_path(), &info)?;
-        if taken {
-            self.claimed = Some(info);
-        }
-        Ok(taken)
+        self.claimed = Some(info);
+        Ok(true)
     }
 
     /// Starts a heartbeat on this shard's claim (see [`crate::ClaimHeartbeat`]),
@@ -771,7 +589,9 @@ impl ShardTask {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Json`] when an existing task file is malformed.
+    /// Returns [`StoreError::Json`] when an existing task file is malformed
+    /// or carries a shape this build does not know (such as the retired
+    /// single-point variation task): the worker declines it.
     pub fn load_work(&self) -> Result<Option<ShardWork>, StoreError> {
         let path = self.epoch_dir.join(task_name(self.shard));
         if !path.is_file() {
@@ -779,20 +599,6 @@ impl ShardTask {
         }
         let work: ShardWork = read_json(&path)?;
         Ok(Some(work))
-    }
-
-    /// Loads the shard's candidate parameters — evaluation shards only;
-    /// `None` when the epoch was closed *or* the shard carries non-eval work
-    /// (use [`ShardTask::load_work`] for the typed payload).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Json`] when an existing task file is malformed.
-    pub fn load_parameters(&self) -> Result<Option<Vec<Vec<f64>>>, StoreError> {
-        match self.load_work()? {
-            Some(ShardWork::Eval { parameters }) => Ok(Some(parameters)),
-            _ => Ok(None),
-        }
     }
 
     /// Atomically writes the shard's typed outcome and releases this
@@ -809,28 +615,7 @@ impl ShardTask {
     /// submitter no longer needs the result, so callers treat this as a
     /// skip too).
     pub fn submit_outcome(&self, outcome: &ShardOutcome) -> Result<bool, StoreError> {
-        if let Some(mine) = &self.claimed {
-            if read_claim_file(&self.claim_path())?.as_ref() != Some(mine) {
-                // Fenced off: a recovery pass stole this claim.
-                return Ok(false);
-            }
-        }
-        write_json(&self.epoch_dir.join(result_name(self.shard)), outcome)?;
-        let _ = fs::remove_file(self.claim_path());
-        Ok(true)
-    }
-
-    /// Atomically writes an evaluation shard's results and releases this
-    /// worker's claim (see [`ShardTask::submit_outcome`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`]/[`StoreError::Json`] when the result
-    /// cannot be written.
-    pub fn submit_results(&self, results: &[Option<Evaluation>]) -> Result<bool, StoreError> {
-        self.submit_outcome(&ShardOutcome::Eval {
-            results: results.to_vec(),
-        })
+        commit_outcome(&self.epoch_dir, self.shard, self.claimed.as_ref(), outcome)
     }
 
     /// Releases this worker's claim without submitting a result (e.g. the
@@ -931,7 +716,8 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ayb_moo::{GaConfig, OptimizerConfig};
+    use ayb_moo::{Evaluation, GaConfig, OptimizerConfig, VariationOutcome, VariationPointWork};
+    use serde::Value;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_store() -> (PathBuf, Store) {
@@ -960,23 +746,37 @@ mod tests {
         Some(Evaluation::new(vec![x], vec![x * 2.0]))
     }
 
+    fn eval_work(parameters: &[Vec<f64>]) -> ShardWork {
+        ShardWork::Eval {
+            parameters: parameters.to_vec(),
+        }
+    }
+
+    fn eval_outcome(results: Vec<Option<Evaluation>>) -> ShardOutcome {
+        ShardOutcome::Eval { results }
+    }
+
     #[test]
     fn publish_claim_submit_fetch_roundtrip() {
         let (root, store) = temp_store();
         let run = running_run(&store);
         let plane = run.shard_plane(Duration::from_secs(30));
 
-        let epoch = plane.open_epoch(2).unwrap();
-        plane.publish(&epoch, 0, &[vec![0.1], vec![0.2]]).unwrap();
-        plane.publish(&epoch, 1, &[vec![0.3]]).unwrap();
-        assert_eq!(plane.fetch(&epoch, 0).unwrap(), None);
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 2).unwrap();
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![0.1], vec![0.2]]))
+            .unwrap();
+        plane
+            .publish_work(&epoch, 1, &eval_work(&[vec![0.3]]))
+            .unwrap();
+        assert_eq!(plane.fetch_outcome(&epoch, 0).unwrap(), None);
 
         assert!(plane.try_claim(&epoch, 0).unwrap());
         assert!(!plane.try_claim(&epoch, 0).unwrap(), "claims are exclusive");
 
-        let results = vec![evaluation(0.1), None];
-        plane.submit(&epoch, 0, &results).unwrap();
-        assert_eq!(plane.fetch(&epoch, 0).unwrap(), Some(results));
+        let outcome = eval_outcome(vec![evaluation(0.1), None]);
+        plane.submit_outcome(&epoch, 0, &outcome).unwrap();
+        assert_eq!(plane.fetch_outcome(&epoch, 0).unwrap(), Some(outcome));
         // Submitting released the claim.
         assert!(plane.try_claim(&epoch, 0).unwrap());
 
@@ -998,9 +798,13 @@ mod tests {
         let (root, store) = temp_store();
         let run = running_run(&store);
         let plane = run.shard_plane(Duration::from_secs(30));
-        let epoch = plane.open_epoch(2).unwrap();
-        plane.publish(&epoch, 0, &[vec![0.1]]).unwrap();
-        plane.publish(&epoch, 1, &[vec![0.2]]).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 2).unwrap();
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![0.1]]))
+            .unwrap();
+        plane
+            .publish_work(&epoch, 1, &eval_work(&[vec![0.2]]))
+            .unwrap();
 
         let tasks = store.open_shard_tasks().unwrap();
         assert_eq!(tasks.len(), 2);
@@ -1016,10 +820,14 @@ mod tests {
             assert!(!rival.try_claim("worker-b").unwrap());
         }
         let task = &tasks[0];
-        let parameters = task.load_parameters().unwrap().unwrap();
-        assert_eq!(parameters, vec![vec![0.1]]);
-        assert!(task.submit_results(&[evaluation(0.1)]).unwrap());
-        assert_eq!(plane.fetch(&epoch, 0).unwrap(), Some(vec![evaluation(0.1)]));
+        assert_eq!(task.load_work().unwrap(), Some(eval_work(&[vec![0.1]])));
+        assert!(task
+            .submit_outcome(&eval_outcome(vec![evaluation(0.1)]))
+            .unwrap());
+        assert_eq!(
+            plane.fetch_outcome(&epoch, 0).unwrap(),
+            Some(eval_outcome(vec![evaluation(0.1)]))
+        );
 
         // Serviced and claimed shards disappear from the scan.
         assert!(tasks[1].try_claim("worker-c").unwrap());
@@ -1038,8 +846,10 @@ mod tests {
         let (root, store) = temp_store();
         let run = running_run(&store);
         let zombie = run.shard_plane(Duration::from_secs(30));
-        let epoch = zombie.open_epoch(1).unwrap();
-        zombie.publish(&epoch, 0, &[vec![0.5]]).unwrap();
+        let epoch = zombie.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        zombie
+            .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
+            .unwrap();
         assert!(zombie.try_claim(&epoch, 0).unwrap());
 
         // The zombie's heartbeat lapses; a recovery pass breaks its claim
@@ -1055,16 +865,20 @@ mod tests {
         assert!(steward.try_claim(&epoch, 0).unwrap());
 
         // The zombie wakes up and submits: discarded, not written.
-        zombie.submit(&epoch, 0, &vec![evaluation(-1.0)]).unwrap();
-        assert_eq!(zombie.fenced_rejections(), 1);
-        assert_eq!(steward.fetch(&epoch, 0).unwrap(), None);
+        zombie
+            .submit_outcome(&epoch, 0, &eval_outcome(vec![evaluation(-1.0)]))
+            .unwrap();
+        assert_eq!(zombie.stats().fenced_rejections, 1);
+        assert_eq!(steward.fetch_outcome(&epoch, 0).unwrap(), None);
 
         // The steward's own submission lands as usual.
-        steward.submit(&epoch, 0, &vec![evaluation(0.5)]).unwrap();
-        assert_eq!(steward.fenced_rejections(), 0);
+        steward
+            .submit_outcome(&epoch, 0, &eval_outcome(vec![evaluation(0.5)]))
+            .unwrap();
+        assert_eq!(steward.stats().fenced_rejections, 0);
         assert_eq!(
-            steward.fetch(&epoch, 0).unwrap(),
-            Some(vec![evaluation(0.5)])
+            steward.fetch_outcome(&epoch, 0).unwrap(),
+            Some(eval_outcome(vec![evaluation(0.5)]))
         );
         let _ = fs::remove_dir_all(root);
     }
@@ -1074,8 +888,10 @@ mod tests {
         let (root, store) = temp_store();
         let run = running_run(&store);
         let plane = run.shard_plane(Duration::from_secs(30));
-        let epoch = plane.open_epoch(1).unwrap();
-        plane.publish(&epoch, 0, &[vec![0.5]]).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
+            .unwrap();
 
         let mut tasks = store.open_shard_tasks().unwrap();
         assert!(tasks[0].try_claim("worker-hung").unwrap());
@@ -1093,12 +909,19 @@ mod tests {
 
         // The hung worker finally finishes: its write is refused, and the
         // rival's claim file survives untouched.
-        assert!(!tasks[0].submit_results(&[evaluation(-1.0)]).unwrap());
-        assert_eq!(plane.fetch(&epoch, 0).unwrap(), None);
+        assert!(!tasks[0]
+            .submit_outcome(&eval_outcome(vec![evaluation(-1.0)]))
+            .unwrap());
+        assert_eq!(plane.fetch_outcome(&epoch, 0).unwrap(), None);
         assert!(claim_path.is_file(), "successor's claim must survive");
 
-        assert!(rival.submit_results(&[evaluation(0.5)]).unwrap());
-        assert_eq!(plane.fetch(&epoch, 0).unwrap(), Some(vec![evaluation(0.5)]));
+        assert!(rival
+            .submit_outcome(&eval_outcome(vec![evaluation(0.5)]))
+            .unwrap());
+        assert_eq!(
+            plane.fetch_outcome(&epoch, 0).unwrap(),
+            Some(eval_outcome(vec![evaluation(0.5)]))
+        );
         let _ = fs::remove_dir_all(root);
     }
 
@@ -1107,8 +930,10 @@ mod tests {
         let (root, store) = temp_store();
         let run = running_run(&store);
         let plane = run.shard_plane(Duration::from_secs(30));
-        let epoch = plane.open_epoch(1).unwrap();
-        plane.publish(&epoch, 0, &[vec![0.5]]).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
+            .unwrap();
         let tasks = store.open_shard_tasks().unwrap();
         assert_eq!(tasks.len(), 1);
 
@@ -1117,7 +942,7 @@ mod tests {
         plane.close_epoch(&epoch).unwrap();
         let mut tasks = tasks;
         assert!(!tasks[0].try_claim("late-worker").unwrap());
-        assert_eq!(tasks[0].load_parameters().unwrap(), None);
+        assert_eq!(tasks[0].load_work().unwrap(), None);
         let _ = fs::remove_dir_all(root);
     }
 
@@ -1126,8 +951,10 @@ mod tests {
         let (root, store) = temp_store();
         let run = running_run(&store);
         let plane = run.shard_plane(Duration::from_secs(30));
-        let epoch = plane.open_epoch(1).unwrap();
-        plane.publish(&epoch, 0, &[vec![0.5]]).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
+            .unwrap();
 
         // Forge a claim from a dead process on this host (no Linux pid is
         // ever u32::MAX).
@@ -1155,8 +982,10 @@ mod tests {
         let (root, store) = temp_store();
         let run = running_run(&store);
         let plane = run.shard_plane(Duration::from_millis(50));
-        let epoch = plane.open_epoch(1).unwrap();
-        plane.publish(&epoch, 0, &[vec![0.5]]).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
+            .unwrap();
 
         let foreign = ClaimInfo {
             owner: "worker-on-another-box".to_string(),
@@ -1183,8 +1012,10 @@ mod tests {
         let run = running_run(&store);
         let plane = run.shard_plane(Duration::from_secs(30));
         for _ in 0..3 {
-            let epoch = plane.open_epoch(1).unwrap();
-            plane.publish(&epoch, 0, &[vec![0.5]]).unwrap();
+            let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+            plane
+                .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
+                .unwrap();
         }
         assert_eq!(run.shard_summary().unwrap().epochs, 3);
         assert_eq!(run.sweep_shards().unwrap(), 3);
@@ -1199,41 +1030,40 @@ mod tests {
         let run = running_run(&store);
         let plane = run.shard_plane(Duration::from_secs(30));
 
-        let epoch = plane.open_typed_epoch(ShardWorkKind::Variation).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Variation, 1).unwrap();
         assert!(
             epoch.starts_with("var-"),
             "variation epochs are name-tagged: {epoch}"
         );
-        let work = ShardWork::Variation {
-            parameters: vec![0.25, 0.75],
-            mc_seed: 0xfeed_beef,
+        let work = ShardWork::VariationBatch {
+            points: vec![VariationPointWork {
+                parameters: vec![0.25, 0.75],
+                mc_seed: 0xfeed_beef,
+            }],
         };
         plane.publish_work(&epoch, 0, &work).unwrap();
 
-        // The worker view sees the typed payload; the eval-only view
-        // declines it.
+        // The worker view sees the typed payload.
         let tasks = store.open_shard_tasks().unwrap();
         assert_eq!(tasks.len(), 1);
         assert_eq!(tasks[0].work_kind(), ShardWorkKind::Variation);
         assert_eq!(tasks[0].load_work().unwrap(), Some(work.clone()));
-        assert_eq!(tasks[0].load_parameters().unwrap(), None);
         assert_eq!(work.kind(), ShardWorkKind::Variation);
 
         // Claim, service, fetch: the opaque data payload survives verbatim.
         let mut tasks = tasks;
         assert!(tasks[0].try_claim("variation-worker").unwrap());
-        let outcome = ShardOutcome::Variation(VariationOutcome {
-            data: Some(Value::Object(vec![(
-                "gain_db".to_string(),
-                Value::Float(61.5),
-            )])),
-            elapsed_seconds: 0.125,
-        });
+        let outcome = ShardOutcome::VariationBatch {
+            points: vec![VariationOutcome {
+                data: Some(Value::Object(vec![(
+                    "gain_db".to_string(),
+                    Value::Float(61.5),
+                )])),
+                elapsed_seconds: 0.125,
+            }],
+        };
         assert!(tasks[0].submit_outcome(&outcome).unwrap());
         assert_eq!(plane.fetch_outcome(&epoch, 0).unwrap(), Some(outcome));
-        // The eval-typed transport fetch declines a variation outcome
-        // instead of misreading it.
-        assert_eq!(plane.fetch(&epoch, 0).unwrap(), None);
 
         let summary = run.shard_summary().unwrap();
         assert_eq!(summary.epochs, 1);
@@ -1250,9 +1080,11 @@ mod tests {
         let (root, store) = temp_store();
         let run = running_run(&store);
         let plane = run.shard_plane(Duration::from_secs(30));
-        let epoch = plane.open_epoch(1).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
         assert!(epoch.starts_with("ep-"));
-        plane.publish(&epoch, 0, &[vec![0.5]]).unwrap();
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
+            .unwrap();
         let summary = run.shard_summary().unwrap();
         assert_eq!(summary.epochs, 1);
         assert_eq!(summary.variation_epochs, 0);
@@ -1294,8 +1126,10 @@ mod tests {
         let plane = run
             .shard_plane(Duration::from_secs(30))
             .with_recorder(recorder.clone());
-        let epoch = plane.open_epoch(1).unwrap();
-        plane.publish(&epoch, 0, &[vec![0.5]]).unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
+            .unwrap();
         assert!(plane.try_claim(&epoch, 0).unwrap());
 
         // Steal the claim; the plane's own submit must be fenced and the
@@ -1304,15 +1138,17 @@ mod tests {
         fs::remove_file(&claim_path).unwrap();
         let thief = run.shard_plane(Duration::from_secs(30));
         assert!(thief.try_claim(&epoch, 0).unwrap());
-        plane.submit(&epoch, 0, &vec![evaluation(0.5)]).unwrap();
-        assert_eq!(plane.fenced_rejections(), 1);
+        plane
+            .submit_outcome(&epoch, 0, &eval_outcome(vec![evaluation(0.5)]))
+            .unwrap();
+        assert_eq!(plane.stats().fenced_rejections, 1);
 
         let events = recorder.recent();
         let fenced: Vec<_> = events
             .iter()
             .filter(|e| e.kind == event_kind::SHARD_FENCED)
             .collect();
-        assert_eq!(fenced.len() as u64, plane.fenced_rejections());
+        assert_eq!(fenced.len() as u64, plane.stats().fenced_rejections);
         assert_eq!(fenced[0].epoch.as_deref(), Some(epoch.as_str()));
         assert_eq!(fenced[0].shard, Some(0));
         assert_eq!(fenced[0].run_id.as_deref(), Some(run.id()));
@@ -1326,9 +1162,13 @@ mod tests {
         );
 
         // A clean claim/submit cycle feeds the claim-to-submit histogram.
-        thief.submit(&epoch, 0, &vec![evaluation(0.5)]).unwrap();
+        thief
+            .submit_outcome(&epoch, 0, &eval_outcome(vec![evaluation(0.5)]))
+            .unwrap();
         assert!(plane.try_claim(&epoch, 0).unwrap());
-        plane.submit(&epoch, 0, &vec![evaluation(0.5)]).unwrap();
+        plane
+            .submit_outcome(&epoch, 0, &eval_outcome(vec![evaluation(0.5)]))
+            .unwrap();
         let histogram = recorder
             .metrics()
             .histogram("ayb_claim_to_submit_seconds")

@@ -21,7 +21,7 @@
 use ayb_core::{
     AybError, FlowBuilder, FlowConfig, FlowResult, VariationBoundary, VariationHaltHook,
 };
-use ayb_moo::CheckpointError;
+use ayb_moo::{CheckpointError, ShardTransport, ShardWork};
 use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 use ayb_obs::{kind as event_kind, trace, JsonlSink, Recorder};
 use ayb_store::{RunStatus, ShardOutcome, ShardSummary, Store, VariationOutcome};
@@ -440,6 +440,23 @@ fn coordinator_restart_mid_variation_degrades_locally_and_converges() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A well-shaped but wrong outcome for a claimed variation task: every point
+/// of the batch lost, with a bogus timing.
+fn poisoned_outcome(work: &ShardWork) -> ShardOutcome {
+    let ShardWork::VariationBatch { points } = work else {
+        panic!("the zombie claimed a variation task, got {work:?}");
+    };
+    ShardOutcome::VariationBatch {
+        points: points
+            .iter()
+            .map(|_| VariationOutcome {
+                data: None,
+                elapsed_seconds: 999.0,
+            })
+            .collect(),
+    }
+}
+
 /// A worker that claims a variation point and hangs (no heartbeat) has its
 /// claim stolen by the submitting flow; when the zombie finally wakes and
 /// writes a *poisoned* outcome under its superseded token, the coordinator
@@ -496,12 +513,9 @@ fn hung_tcp_claim_is_stolen_and_the_late_zombie_write_is_fenced_off() {
                 std::thread::sleep(Duration::from_millis(5));
             }
             // The late write: poisoned (a lost analysis plus a bogus
-            // timing), under the superseded token. If this were accepted,
-            // the digest below could not match.
-            let poison = ShardOutcome::Variation(VariationOutcome {
-                data: None,
-                elapsed_seconds: 999.0,
-            });
+            // timing for every point of the batch), under the superseded
+            // token. If this were accepted, the digest below could not match.
+            let poison = poisoned_outcome(&task.work);
             let accepted = transport
                 .submit_with_token(&task.epoch, task.shard, task.token, &poison)
                 .expect("the epoch is held open until this write");
@@ -691,10 +705,7 @@ fn events_jsonl_reconstructs_the_fenced_zombie_timeline() {
                 assert!(Instant::now() < deadline, "the hung claim was never stolen");
                 std::thread::sleep(Duration::from_millis(5));
             }
-            let poison = ShardOutcome::Variation(VariationOutcome {
-                data: None,
-                elapsed_seconds: 999.0,
-            });
+            let poison = poisoned_outcome(&task.work);
             let accepted = transport
                 .submit_with_token(&task.epoch, task.shard, task.token, &poison)
                 .expect("the epoch is held open until this write");

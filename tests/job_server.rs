@@ -2,15 +2,21 @@
 //! multi-worker [`JobServer`] digest bit-identically to the same seeds run
 //! sequentially, a SIGKILL'd worker's run is re-claimed on restart and
 //! resumes to the identical digest, graceful shutdown halts at checkpoint
-//! boundaries, and two servers sharing one store never execute a run twice.
+//! boundaries, two servers sharing one store never execute a run twice, and
+//! a shards-only worker services every shard shape on both data planes.
 
-use ayb_core::{FlowBuilder, FlowConfig, FlowResult};
-use ayb_jobs::{JobEvent, JobServer, JobServerConfig};
-use ayb_moo::{CheckpointError, OptimizerConfig};
+use ayb_core::{analyse_variation_point, FlowBuilder, FlowConfig, FlowResult, OtaSizingProblem};
+use ayb_jobs::{JobEvent, JobReport, JobServer, JobServerConfig};
+use ayb_moo::{
+    CheckpointError, OptimizerConfig, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind,
+    SizingProblem, VariationPointWork,
+};
+use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 use ayb_store::{RunStatus, Store};
+use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn temp_store(label: &str) -> (PathBuf, Store) {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -308,5 +314,209 @@ fn two_servers_share_one_store_without_double_execution() {
         assert!(handle.has_result());
         assert_eq!(handle.claim().unwrap(), None);
     }
+    let _ = std::fs::remove_dir_all(root);
+}
+
+// ---------------------------------------------------------------------------
+// Shard servicing: what a shards-only worker does with each payload shape
+// ---------------------------------------------------------------------------
+
+/// The problem a worker rebuilds from `flow`, as the submitting flow does.
+fn flow_problem(flow: &FlowConfig) -> OtaSizingProblem {
+    OtaSizingProblem::new(flow.testbench, flow.sweep.clone()).with_threads(flow.threads)
+}
+
+/// A normalised parameter vector of the OTA with every gene at `gene`.
+fn genes(flow: &FlowConfig, gene: f64) -> Vec<f64> {
+    vec![gene; flow_problem(flow).parameter_count()]
+}
+
+/// Publishes every shard shape a worker must service through `plane`, for
+/// nobody but the worker under test to claim: one `Eval` shard of two
+/// candidates, and variation batches of one and of three points. Returns
+/// each shard's `(epoch, index, work)`.
+fn publish_every_shape(
+    plane: &dyn ShardTransport,
+    flow: &FlowConfig,
+) -> Vec<(String, usize, ShardWork)> {
+    let eval_epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+    let eval = ShardWork::Eval {
+        parameters: vec![genes(flow, 0.5), genes(flow, 0.25)],
+    };
+    plane.publish_work(&eval_epoch, 0, &eval).unwrap();
+    let var_epoch = plane.open_typed_epoch(ShardWorkKind::Variation, 2).unwrap();
+    let batch = |points: &[(f64, u64)]| ShardWork::VariationBatch {
+        points: points
+            .iter()
+            .map(|&(gene, mc_seed)| VariationPointWork {
+                parameters: genes(flow, gene),
+                mc_seed,
+            })
+            .collect(),
+    };
+    let one = batch(&[(0.5, 11)]);
+    let three = batch(&[(0.4, 12), (0.5, 13), (0.6, 14)]);
+    plane.publish_work(&var_epoch, 0, &one).unwrap();
+    plane.publish_work(&var_epoch, 1, &three).unwrap();
+    vec![
+        (eval_epoch, 0, eval),
+        (var_epoch.clone(), 0, one),
+        (var_epoch, 1, three),
+    ]
+}
+
+/// Runs `server` until every shard's outcome can be fetched through
+/// `plane`, then shuts it down; returns its report and the outcomes.
+fn serve_until_fetched(
+    server: JobServer,
+    plane: &dyn ShardTransport,
+    shards: &[(String, usize, ShardWork)],
+) -> (JobReport, Vec<ShardOutcome>) {
+    let shutdown = server.shutdown_handle();
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(move || server.run().expect("server runs"));
+        let deadline = Instant::now() + Duration::from_secs(120);
+        let outcomes = loop {
+            let fetched: Vec<Option<ShardOutcome>> = shards
+                .iter()
+                .map(|(epoch, shard, _)| plane.fetch_outcome(epoch, *shard).unwrap())
+                .collect();
+            if fetched.iter().all(Option::is_some) {
+                break fetched.into_iter().flatten().collect();
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the worker never serviced every shard"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        shutdown.shutdown();
+        (serving.join().expect("server thread joins"), outcomes)
+    })
+}
+
+/// Every outcome equals what the submitting flow computes locally for the
+/// same payload: the evaluations themselves, and each point's variation
+/// data compared as serialised JSON (`elapsed_seconds` is wall clock).
+fn assert_serviced_like_the_submitter(
+    flow: &FlowConfig,
+    shards: &[(String, usize, ShardWork)],
+    outcomes: &[ShardOutcome],
+) {
+    let problem = flow_problem(flow);
+    let mut analysed = 0;
+    for ((_, _, work), outcome) in shards.iter().zip(outcomes) {
+        match (work, outcome) {
+            (ShardWork::Eval { parameters }, ShardOutcome::Eval { results }) => {
+                assert_eq!(results, &problem.evaluate_batch(parameters));
+            }
+            (
+                ShardWork::VariationBatch { points },
+                ShardOutcome::VariationBatch { points: got },
+            ) => {
+                assert_eq!(got.len(), points.len(), "one outcome per point");
+                for (point, got) in points.iter().zip(got) {
+                    let local =
+                        analyse_variation_point(&problem, &point.parameters, flow, point.mc_seed)
+                            .map(|data| data.to_value());
+                    analysed += usize::from(local.is_some());
+                    assert_eq!(
+                        serde_json::to_string(&got.data).unwrap(),
+                        serde_json::to_string(&local).unwrap(),
+                        "point with seed {}",
+                        point.mc_seed
+                    );
+                }
+            }
+            other => panic!("outcome of the wrong shape: {other:?}"),
+        }
+    }
+    assert!(analysed > 0, "at least one point carries variation data");
+}
+
+#[test]
+fn a_shards_only_worker_services_every_shard_shape_on_disk() {
+    let (root, store) = temp_store("shapes-disk");
+    let flow = FlowConfig::reduced();
+    let run = store
+        .create_run(flow.ga.seed, &OptimizerConfig::Wbga(flow.ga), &flow)
+        .expect("a Running run hosts the shards");
+    let plane = run.shard_plane(Duration::from_secs(60));
+    let shards = publish_every_shape(&plane, &flow);
+
+    let server = JobServer::new(store.clone(), JobServerConfig::shards_only_with_workers(1));
+    let (report, outcomes) = serve_until_fetched(server, &plane, &shards);
+    assert_serviced_like_the_submitter(&flow, &shards, &outcomes);
+    assert_eq!(report.shards_serviced, 3, "{report:?}");
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn a_shards_only_worker_services_every_shard_shape_over_tcp() {
+    let coordinator = Coordinator::bind("127.0.0.1:0", CoordinatorConfig::default())
+        .expect("coordinator binds an ephemeral port");
+    let (root, store) = temp_store("shapes-tcp");
+    let flow = FlowConfig::reduced();
+    let plane = TcpTransport::from_url(&coordinator.url())
+        .expect("coordinator URL parses")
+        .with_run_context("shapes-tcp", flow.to_value());
+    let shards = publish_every_shape(&plane, &flow);
+
+    let mut config = JobServerConfig::shards_only_with_workers(1);
+    config.transport = Some(coordinator.url());
+    let server = JobServer::new(store.clone(), config);
+    let (report, outcomes) = serve_until_fetched(server, &plane, &shards);
+    assert_serviced_like_the_submitter(&flow, &shards, &outcomes);
+    assert_eq!(report.shards_serviced, 3, "{report:?}");
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A task in the retired single-point variation shape (what a pre-batching
+/// peer would publish) is declined: no result, no service counted, and no
+/// claim left behind, so the task stays on offer for its own submitter.
+#[test]
+fn a_retired_single_point_variation_task_is_declined_and_stays_claimable() {
+    let (root, store) = temp_store("retired-shape");
+    let flow = FlowConfig::reduced();
+    let run = store
+        .create_run(flow.ga.seed, &OptimizerConfig::Wbga(flow.ga), &flow)
+        .expect("a Running run hosts the shards");
+    let plane = run.shard_plane(Duration::from_secs(60));
+    let epoch = plane.open_typed_epoch(ShardWorkKind::Variation, 1).unwrap();
+    let epoch_dir = run.dir().join("shards").join(&epoch);
+    let task = format!(
+        r#"{{"Variation": {{"parameters": {}, "mc_seed": 7}}}}"#,
+        serde_json::to_string(&genes(&flow, 0.5)).unwrap()
+    );
+    std::fs::write(epoch_dir.join("shard_0000.task.json"), task).unwrap();
+
+    let server = JobServer::new(store.clone(), JobServerConfig::shards_only_with_workers(1));
+    let shutdown = server.shutdown_handle();
+    let report = std::thread::scope(|scope| {
+        let serving = scope.spawn(move || server.run().expect("server runs"));
+        // Every claim mints the shard's next fence first: once the fence
+        // file exists, the worker has claimed the task at least once.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !epoch_dir.join("shard_0000.fence.json").is_file() {
+            assert!(Instant::now() < deadline, "the worker never tried the task");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        shutdown.shutdown();
+        serving.join().expect("server thread joins")
+    });
+
+    assert_eq!(report.shards_serviced, 0, "{report:?}");
+    assert_eq!(
+        plane.fetch_outcome(&epoch, 0).unwrap(),
+        None,
+        "no result was written"
+    );
+    assert!(
+        !epoch_dir.join("shard_0000.claim.json").exists(),
+        "the declined claim was released"
+    );
+    let offered = store.open_shard_tasks().unwrap();
+    assert_eq!(offered.len(), 1, "the task is offered again");
+    assert_eq!(offered[0].epoch(), epoch);
     let _ = std::fs::remove_dir_all(root);
 }

@@ -277,7 +277,7 @@ proptest! {
             let sharded_problem = WithEvaluator::new(
                 &problem,
                 ShardedEvaluator::new(
-                    Box::new(plane),
+                    std::sync::Arc::new(plane),
                     ShardingOptions::with_shard_size(shard_size),
                 ),
             );
@@ -570,7 +570,7 @@ proptest! {
             let sharded_problem = WithEvaluator::new(
                 &problem,
                 ShardedEvaluator::new(
-                    Box::new(transport),
+                    std::sync::Arc::new(transport),
                     ShardingOptions::with_shard_size(shard_size),
                 ),
             );

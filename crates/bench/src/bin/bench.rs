@@ -330,9 +330,11 @@ fn bench_shard_roundtrip_tcp(iters: u64) -> KernelReport {
     })
 }
 
-/// A synthetic result shaped and sized like a paper-scale `result.json`
-/// (7.5 MB of pretty JSON): the 10 000-evaluation archive, stored twice
-/// as `FlowResult` stores it, and a 300-point front.
+/// A synthetic result shaped and sized like a paper-scale `result.json` as
+/// stores wrote it before the archive was stored once (7.5 MB of pretty
+/// JSON): the 10 000-evaluation archive, stored twice, and a 300-point
+/// front. Kept at that size so the kernel stays comparable with the
+/// committed baselines.
 fn synthetic_paper_result() -> Value {
     let archive: Vec<Evaluation> = gene_batch(10_000, 8)
         .into_iter()
@@ -355,8 +357,8 @@ fn synthetic_paper_result() -> Value {
     ])
 }
 
-/// Renders the synthetic paper-sized result as pretty JSON — the result
-/// write of every durable run.
+/// Renders the synthetic paper-sized result as pretty JSON — the older
+/// result write of every durable run (results are compact now).
 fn bench_json_encode_paper_result(iters: u64) -> KernelReport {
     let result = synthetic_paper_result();
     time_kernel("json_encode_paper_result", iters, 1, || {

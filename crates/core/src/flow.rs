@@ -52,7 +52,7 @@ use ayb_net::TcpTransport;
 use ayb_obs::{kind as event_kind, Event, JsonlSink, Recorder, Severity, SinkGuard};
 use ayb_process::{montecarlo, Summary};
 use ayb_store::{ClaimHeartbeat, ClaimInfo, Manifest, RunHandle, RunStatus, Store, StoreError};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -236,10 +236,14 @@ impl FlowSummary {
 /// Complete output of the model-generation flow.
 ///
 /// The whole result is serde-friendly, so a completed run can be persisted
-/// as `result.json` in an [`ayb_store::Store`] and reloaded later.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// as `result.json` in an [`ayb_store::Store`] and reloaded later. The
+/// serialized form stores the archive once: `optimization.archive` (the
+/// same list as `archive`) is left out and rebuilt from `archive` on load.
+/// Results written with both copies load too.
+#[derive(Debug, Clone)]
 pub struct FlowResult {
-    /// Every evaluation the optimiser performed (the scatter of Figure 7).
+    /// Every evaluation the optimiser performed (the scatter of Figure 7);
+    /// the same list as `optimization.archive`.
     pub archive: Vec<Evaluation>,
     /// The Pareto front extracted from the archive (the front of Figure 7).
     pub pareto: Vec<Evaluation>,
@@ -251,6 +255,68 @@ pub struct FlowResult {
     pub timings: FlowTimings,
     /// Raw optimiser result (history, evaluation counters, algorithm name).
     pub optimization: OptimizationResult,
+}
+
+impl Serialize for FlowResult {
+    fn to_value(&self) -> Value {
+        let OptimizationResult {
+            optimizer,
+            archive: _,
+            final_population,
+            history,
+            evaluations,
+            failed_evaluations,
+            senses,
+        } = &self.optimization;
+        let optimization = Value::Object(vec![
+            ("optimizer".to_string(), optimizer.to_value()),
+            ("final_population".to_string(), final_population.to_value()),
+            ("history".to_string(), history.to_value()),
+            ("evaluations".to_string(), evaluations.to_value()),
+            (
+                "failed_evaluations".to_string(),
+                failed_evaluations.to_value(),
+            ),
+            ("senses".to_string(), senses.to_value()),
+        ]);
+        Value::Object(vec![
+            ("archive".to_string(), self.archive.to_value()),
+            ("pareto".to_string(), self.pareto.to_value()),
+            ("pareto_data".to_string(), self.pareto_data.to_value()),
+            ("model".to_string(), self.model.to_value()),
+            ("timings".to_string(), self.timings.to_value()),
+            ("optimization".to_string(), optimization),
+        ])
+    }
+}
+
+impl Deserialize for FlowResult {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let field = |name| serde::__field(value, name);
+        let archive: Vec<Evaluation> = Deserialize::from_value(field("archive")?)?;
+        // Rebuild `optimization.archive` from the top-level archive; a copy
+        // stored by results written before the archive was stored once is
+        // the same list, and is skipped unparsed.
+        let Value::Object(stored) = field("optimization")? else {
+            return Err(serde::Error::msg("`optimization` is not an object"));
+        };
+        let mut fields: Vec<(String, Value)> = stored
+            .iter()
+            .filter(|(key, _)| key != "archive")
+            .cloned()
+            .collect();
+        fields.push(("archive".to_string(), Value::Array(Vec::new())));
+        let mut optimization = OptimizationResult::from_value(&Value::Object(fields))?;
+        optimization.archive = archive.clone();
+        Ok(FlowResult {
+            archive,
+            pareto: Deserialize::from_value(field("pareto")?)?,
+            pareto_data: Deserialize::from_value(field("pareto_data")?)?,
+            model: Deserialize::from_value(field("model")?)?,
+            timings: Deserialize::from_value(field("timings")?)?,
+            optimization,
+        })
+    }
 }
 
 impl FlowResult {
@@ -632,11 +698,13 @@ impl FlowBuilder {
         }
     }
 
-    /// Recreates a builder for a stored run, resuming from its latest
-    /// checkpoint (or from scratch when the run died before its first
-    /// checkpoint). Configuration, optimiser selection and seed are restored
-    /// from the run's manifest, so the resumed flow produces a [`FlowResult`]
-    /// identical to the same-seed uninterrupted run.
+    /// Recreates a builder for a stored run, resuming from its newest
+    /// usable checkpoint, or from scratch when it has none (a torn or
+    /// zero-length checkpoint counts as absent, see
+    /// [`RunHandle::latest_checkpoint`]). Configuration, optimiser selection
+    /// and seed are restored from the run's manifest, so the resumed flow
+    /// produces a [`FlowResult`] identical to the same-seed uninterrupted
+    /// run.
     ///
     /// # Errors
     ///
@@ -660,6 +728,16 @@ impl FlowBuilder {
             claim_owner: None,
             recorder: None,
         })
+    }
+
+    /// The checkpoint generation a builder made by [`FlowBuilder::resume`]
+    /// continues from: the newest usable one. `None` when the run restarts
+    /// from scratch, or the builder is not a resume.
+    pub fn resume_generation(&self) -> Option<usize> {
+        let (_, checkpoint) = self.resume_from.as_ref()?;
+        checkpoint
+            .as_ref()
+            .map(|checkpoint| checkpoint.next_generation)
     }
 
     /// Selects a different optimisation algorithm (step 2 of the flow).
@@ -1004,36 +1082,47 @@ impl FlowBuilder {
                 let halt_signal = self.halt_signal.clone();
                 let minted = run_claim.as_ref();
                 let sink_recorder = recorder.clone();
-                let mut sink = |checkpoint: &Checkpoint| match guard_claim(handle, minted)
-                    .and_then(|()| handle.save_checkpoint(checkpoint))
-                {
-                    Ok(path) => {
-                        written += 1;
-                        for observer in observers.iter_mut() {
-                            observer.on_checkpoint_written(checkpoint.next_generation, &path);
+                let mut sink = |checkpoint: &Checkpoint| {
+                    let started = Instant::now();
+                    match guard_claim(handle, minted)
+                        .and_then(|()| handle.save_checkpoint(checkpoint))
+                    {
+                        Ok(saved) => {
+                            let metrics = sink_recorder.metrics();
+                            metrics.add(CHECKPOINT_BYTES_METRIC, saved.bytes);
+                            metrics.observe(
+                                CHECKPOINT_SECONDS_METRIC,
+                                started.elapsed().as_secs_f64(),
+                            );
+                            written += 1;
+                            for observer in observers.iter_mut() {
+                                observer
+                                    .on_checkpoint_written(checkpoint.next_generation, &saved.path);
+                            }
+                            sink_recorder.emit(
+                                Event::new(Severity::Debug, "flow", event_kind::CHECKPOINT)
+                                    .run(handle.id())
+                                    .value(checkpoint.next_generation as f64)
+                                    .detail(format!(
+                                        "generation {} checkpoint written",
+                                        checkpoint.next_generation
+                                    )),
+                            );
+                            let count_reached =
+                                matches!(halt_after, Some(limit) if written >= limit);
+                            let signalled = halt_signal
+                                .as_ref()
+                                .is_some_and(|signal| signal.load(Ordering::Relaxed));
+                            if count_reached || signalled {
+                                CheckpointControl::Halt
+                            } else {
+                                CheckpointControl::Continue
+                            }
                         }
-                        sink_recorder.emit(
-                            Event::new(Severity::Debug, "flow", event_kind::CHECKPOINT)
-                                .run(handle.id())
-                                .value(checkpoint.next_generation as f64)
-                                .detail(format!(
-                                    "generation {} checkpoint written",
-                                    checkpoint.next_generation
-                                )),
-                        );
-                        let count_reached = matches!(halt_after, Some(limit) if written >= limit);
-                        let signalled = halt_signal
-                            .as_ref()
-                            .is_some_and(|signal| signal.load(Ordering::Relaxed));
-                        if count_reached || signalled {
+                        Err(error) => {
+                            write_error = Some(error);
                             CheckpointControl::Halt
-                        } else {
-                            CheckpointControl::Continue
                         }
-                    }
-                    Err(error) => {
-                        write_error = Some(error);
-                        CheckpointControl::Halt
                     }
                 };
                 let outcome = optimizer.run_checkpointed(sizing, resume_checkpoint, &mut sink);
@@ -1217,12 +1306,19 @@ impl OptimizedFlow {
         // Restore per-point checkpoints of an interrupted predecessor: those
         // points are *not* re-analysed (their derived seeds make the
         // remainder independent of them, so the final result is still
-        // bit-identical to an uninterrupted run).
+        // bit-identical to an uninterrupted run). A torn or zero-length
+        // record, which a machine crash can leave, counts as absent: its
+        // point is analysed again.
         if let Some(handle) = &self.run {
             let restored = (|| -> Result<(), StoreError> {
                 for index in handle.variation_checkpoint_indices()? {
-                    if index < total {
-                        slots[index] = Some(handle.load_variation_checkpoint(index)?);
+                    if index >= total {
+                        continue;
+                    }
+                    match handle.load_variation_checkpoint(index) {
+                        Ok(record) => slots[index] = Some(record),
+                        Err(StoreError::Json { .. }) => {}
+                        Err(error) => return Err(error),
                     }
                 }
                 Ok(())
@@ -1791,6 +1887,15 @@ impl AnalyzedFlow {
         Ok(result)
     }
 }
+
+/// Counter of the bytes a flow's generation checkpoints wrote, on the
+/// flow's recorder (a job server's recorder, and so `/v1/metrics`, for
+/// service runs).
+pub const CHECKPOINT_BYTES_METRIC: &str = "ayb_flow_checkpoint_bytes_total";
+
+/// Histogram of the seconds each generation checkpoint save took, on the
+/// flow's recorder.
+pub const CHECKPOINT_SECONDS_METRIC: &str = "ayb_flow_checkpoint_seconds";
 
 /// Interval at which a flow refreshes its run claim's heartbeat (see
 /// [`ayb_store::ClaimHeartbeat`]): recovery thresholds are tens of seconds,

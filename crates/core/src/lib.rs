@@ -108,7 +108,7 @@ pub use flow::{
     analyse_pareto_point, analyse_variation_point, generate_model, point_mc_seed, AnalyzedFlow,
     FlowBuilder, FlowError, FlowObserver, FlowResult, FlowStage, FlowSummary, FlowTimings,
     OptimizedFlow, StderrObserver, TransportIncident, TransportReport, VariationBoundary,
-    VariationHaltHook, VariationPointRecord,
+    VariationHaltHook, VariationPointRecord, CHECKPOINT_BYTES_METRIC, CHECKPOINT_SECONDS_METRIC,
 };
 pub use ota_problem::{
     evaluate_ota, measure_testbench, measure_testbench_with, OtaPerformance, OtaSizingProblem,

@@ -7,9 +7,10 @@
 //! ```text
 //! <root>/runs/<run_id>/
 //!     manifest.json              # id, seed, optimiser + flow config, status
-//!     checkpoints/gen_0001.json  # one Checkpoint per completed generation
+//!     checkpoints/gen_0001.json  # one snapshot per completed generation
 //!     checkpoints/gen_0002.json
 //!     ...
+//!     checkpoints/archive.jsonl  # the evaluation archive, appended per save
 //!     result.json                # the final FlowResult, once completed
 //! ```
 //!
@@ -19,16 +20,23 @@
 //!   early-stopping criterion) and the flow configuration — the latter as a
 //!   caller-supplied type parameter so this crate stays independent of the
 //!   flow layer;
-//! * **checkpoints** are the [`ayb_moo::Checkpoint`] snapshots emitted at
-//!   every generation boundary; resuming from the latest one continues the
-//!   exact run (bit-identical result to an uninterrupted run);
+//! * **checkpoints** store the [`ayb_moo::Checkpoint`] emitted at every
+//!   generation boundary as a small snapshot plus the evaluations the
+//!   generation added, appended to one archive log; resuming from the
+//!   latest one continues the exact run (bit-identical result to an
+//!   uninterrupted run). [`RunHandle::save_checkpoint`] and
+//!   [`RunHandle::latest_checkpoint`] give the layout, the replay and the
+//!   torn-file rules;
 //! * the **result** is whatever serializable artefact the flow produces.
 //!
 //! All files are JSON via the workspace's vendored `serde_json` (floats use
-//! shortest-round-trip formatting, so `f64` state survives losslessly) and
-//! every write is atomic (temp file + rename), so a run killed mid-write
-//! never leaves a torn manifest or checkpoint behind — at worst a stale
-//! `.tmp` file that readers ignore (and [`Store::sweep_tmp_files`] removes).
+//! shortest-round-trip formatting, so `f64` state survives losslessly):
+//! indented for manifests, compact for everything else. Every write but the
+//! archive log's append is atomic (temp file + rename), so a run killed
+//! mid-write never leaves a torn manifest or snapshot behind — at worst a
+//! stale `.tmp` file that readers ignore (and [`Store::sweep_tmp_files`]
+//! removes) or log bytes past the newest snapshot, which readers ignore and
+//! the next save truncates.
 //!
 //! ## Serving many runs
 //!
@@ -89,15 +97,17 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cache;
+mod checkpoints;
 pub mod shards;
 
 pub use ayb_moo::{
     ShardOutcome, ShardWork, ShardWorkKind, TransportStats, VariationOutcome, VariationPointWork,
 };
 pub use cache::{CacheEntry, CacheGcReport, ResultCache};
+pub use checkpoints::SavedCheckpoint;
 pub use shards::{ShardDataPlane, ShardSummary, ShardTask};
 
-use ayb_moo::{Checkpoint, OptimizerConfig};
+use ayb_moo::OptimizerConfig;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashSet;
 use std::fmt;
@@ -240,7 +250,16 @@ fn read_json<T: Deserialize>(path: &Path) -> Result<T, StoreError> {
     serde_json::from_str(&text).map_err(|e| json_error(path, e))
 }
 
+/// Writes `value` as compact JSON: checkpoints, results, cache files and
+/// shard files are read by programs, and indentation only adds bytes to
+/// every write and read.
 fn write_json<T: Serialize + ?Sized>(path: &Path, value: &T) -> Result<(), StoreError> {
+    let text = serde_json::to_string(value).map_err(|e| json_error(path, e))?;
+    write_atomic(path, &text)
+}
+
+/// Writes `value` as indented JSON, for the files people read: manifests.
+fn write_json_pretty<T: Serialize + ?Sized>(path: &Path, value: &T) -> Result<(), StoreError> {
     let text = serde_json::to_string_pretty(value).map_err(|e| json_error(path, e))?;
     write_atomic(path, &text)
 }
@@ -488,7 +507,6 @@ const TRANSPORT_REPORT_FILE: &str = "transport.json";
 /// Per-run append-only telemetry log (see [`RunHandle::events_path`]).
 const EVENTS_FILE: &str = "events.jsonl";
 const CHECKPOINT_DIR: &str = "checkpoints";
-const CHECKPOINT_PREFIX: &str = "gen_";
 const VARIATION_CHECKPOINT_PREFIX: &str = "variation_";
 
 /// Attempts [`Store::create_run`] makes before giving up when racing other
@@ -783,9 +801,10 @@ impl Store {
         let handle = RunHandle {
             run_id: id.to_string(),
             dir,
+            archive_log: Arc::default(),
         };
         if extras.is_empty() {
-            write_json(&handle.manifest_path(), &manifest)?;
+            write_json_pretty(&handle.manifest_path(), &manifest)?;
         } else {
             let mut value = manifest.to_value();
             if let Value::Object(pairs) = &mut value {
@@ -796,7 +815,7 @@ impl Store {
                     pairs.push((key.clone(), extra.clone()));
                 }
             }
-            write_json(&handle.manifest_path(), &value)?;
+            write_json_pretty(&handle.manifest_path(), &value)?;
         }
         Ok(handle)
     }
@@ -818,6 +837,7 @@ impl Store {
         Ok(RunHandle {
             run_id: id.to_string(),
             dir,
+            archive_log: Arc::default(),
         })
     }
 
@@ -951,10 +971,14 @@ fn sweep_tmp_dir(
 }
 
 /// Handle to one run directory inside a [`Store`].
+///
+/// Clones share where the handle's last checkpoint save left the archive
+/// log (see [`RunHandle::save_checkpoint`]).
 #[derive(Debug, Clone)]
 pub struct RunHandle {
     run_id: String,
     dir: PathBuf,
+    archive_log: Arc<StdMutex<Option<checkpoints::LogCursor>>>,
 }
 
 impl RunHandle {
@@ -984,12 +1008,6 @@ impl RunHandle {
     /// tear.
     pub fn events_path(&self) -> PathBuf {
         self.dir.join(EVENTS_FILE)
-    }
-
-    fn checkpoint_path(&self, generation: usize) -> PathBuf {
-        self.dir
-            .join(CHECKPOINT_DIR)
-            .join(format!("{CHECKPOINT_PREFIX}{generation:04}.json"))
     }
 
     /// Loads the typed manifest.
@@ -1048,7 +1066,7 @@ impl RunHandle {
                 _ => {}
             }
         }
-        write_json(&self.manifest_path(), &value)
+        write_json_pretty(&self.manifest_path(), &value)
     }
 
     /// Upserts extra (non-core) keys into the manifest, atomically and
@@ -1079,7 +1097,7 @@ impl RunHandle {
                 None => pairs.push((key.clone(), extra.clone())),
             }
         }
-        write_json(&self.manifest_path(), &value)
+        write_json_pretty(&self.manifest_path(), &value)
     }
 
     /// Reads one extra manifest key (as written by
@@ -1092,73 +1110,6 @@ impl RunHandle {
     /// missing or malformed.
     pub fn manifest_extra(&self, key: &str) -> Result<Option<Value>, StoreError> {
         Ok(self.manifest_value()?.get(key).cloned())
-    }
-
-    /// Persists one checkpoint as `checkpoints/gen_NNNN.json` (atomically),
-    /// returning the written path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`]/[`StoreError::Json`] on write failures.
-    pub fn save_checkpoint(&self, checkpoint: &Checkpoint) -> Result<PathBuf, StoreError> {
-        let path = self.checkpoint_path(checkpoint.next_generation);
-        write_json(&path, checkpoint)?;
-        Ok(path)
-    }
-
-    /// The generation indices of all stored checkpoints, sorted ascending.
-    /// Stale `.tmp` files from a killed writer are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] when the checkpoint directory cannot be
-    /// read.
-    pub fn checkpoint_generations(&self) -> Result<Vec<usize>, StoreError> {
-        let dir = self.dir.join(CHECKPOINT_DIR);
-        if !dir.is_dir() {
-            return Ok(Vec::new());
-        }
-        let entries = fs::read_dir(&dir).map_err(|e| io_error(&dir, e))?;
-        let mut generations = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|e| io_error(&dir, e))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(stem) = name
-                .strip_prefix(CHECKPOINT_PREFIX)
-                .and_then(|s| s.strip_suffix(".json"))
-            else {
-                continue;
-            };
-            if let Ok(generation) = stem.parse::<usize>() {
-                generations.push(generation);
-            }
-        }
-        generations.sort_unstable();
-        Ok(generations)
-    }
-
-    /// Loads the checkpoint of a specific generation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`]/[`StoreError::Json`] when the file is
-    /// missing or malformed.
-    pub fn load_checkpoint(&self, generation: usize) -> Result<Checkpoint, StoreError> {
-        read_json(&self.checkpoint_path(generation))
-    }
-
-    /// Loads the most recent checkpoint, if any exist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`]/[`StoreError::Json`] on unreadable or
-    /// malformed checkpoint files.
-    pub fn latest_checkpoint(&self) -> Result<Option<Checkpoint>, StoreError> {
-        match self.checkpoint_generations()?.last() {
-            Some(&generation) => self.load_checkpoint(generation).map(Some),
-            None => Ok(None),
-        }
     }
 
     fn variation_checkpoint_path(&self, index: usize) -> PathBuf {
@@ -1264,6 +1215,11 @@ impl RunHandle {
     /// Whether the run has a stored result.
     pub fn has_result(&self) -> bool {
         self.result_path().is_file()
+    }
+
+    /// Bytes on disk of the run's `result.json`, `None` when it has none.
+    pub fn result_bytes(&self) -> Option<u64> {
+        fs::metadata(self.result_path()).ok().map(|m| m.len())
     }
 
     /// Persists the run's transport report as `transport.json` (atomically):
@@ -1495,29 +1451,6 @@ impl RunHandle {
     pub fn break_claim(&self, expected: &ClaimInfo) -> Result<bool, StoreError> {
         break_claim_file(&self.dir, &self.claim_path(), expected)
     }
-
-    /// Deletes all but the newest `keep_last` checkpoints (resuming only
-    /// ever needs the latest one), returning the pruned generation indices.
-    /// `ayb gc` uses this to bound the disk footprint of completed runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] when the checkpoint directory cannot be
-    /// scanned or a file cannot be removed.
-    pub fn prune_checkpoints(&self, keep_last: usize) -> Result<Vec<usize>, StoreError> {
-        let generations = self.checkpoint_generations()?;
-        let cut = generations.len().saturating_sub(keep_last);
-        let pruned = &generations[..cut];
-        for &generation in pruned {
-            let path = self.checkpoint_path(generation);
-            match fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(io_error(&path, e)),
-            }
-        }
-        Ok(pruned.to_vec())
-    }
 }
 
 /// Health judgment of a claim, combining pid liveness and heartbeat age
@@ -1694,7 +1627,9 @@ pub fn local_host() -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ayb_moo::{CheckpointIndividual, EarlyStop, Evaluation, GaConfig, GenerationStats, Sense};
+    use ayb_moo::{
+        Checkpoint, CheckpointIndividual, EarlyStop, Evaluation, GaConfig, GenerationStats, Sense,
+    };
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A flow-configuration stand-in for the generic manifest parameter.
@@ -1880,8 +1815,8 @@ mod tests {
         assert!(run.latest_checkpoint().unwrap().is_none());
 
         for generation in [1usize, 2, 3, 10] {
-            let path = run.save_checkpoint(&sample_checkpoint(generation)).unwrap();
-            assert!(path.ends_with(format!("gen_{generation:04}.json")));
+            let saved = run.save_checkpoint(&sample_checkpoint(generation)).unwrap();
+            assert!(saved.path.ends_with(format!("gen_{generation:04}.json")));
         }
         assert_eq!(run.checkpoint_generations().unwrap(), vec![1, 2, 3, 10]);
         assert_eq!(

@@ -812,6 +812,11 @@ fn status_of_run(store: &Store, id: &str) -> Result<(), String> {
     }
     let checkpoints = handle.checkpoint_generations().map_err(|e| e.to_string())?;
     println!("checkpoints: {}", checkpoints.len());
+    // Bytes on disk, so a write-amplification regression shows here.
+    println!("checkpoint_bytes: {}", handle.checkpoint_bytes());
+    if let Some(bytes) = handle.result_bytes() {
+        println!("result_bytes: {bytes}");
+    }
     let shards = handle.shard_summary().map_err(|e| e.to_string())?;
     if shards.tasks > 0 {
         let stage = if shards.variation_epochs > 0 {
@@ -1178,18 +1183,14 @@ fn cmd_resume(args: &CliArgs) -> Result<(), String> {
 
     let mut builder = FlowBuilder::resume(&store, &run_id).map_err(|e| e.to_string())?;
     if !args.quiet {
-        let resumed_from = store
-            .run(&run_id)
-            .and_then(|handle| handle.checkpoint_generations())
-            .map_err(|e| e.to_string())?;
-        match resumed_from.last() {
+        match builder.resume_generation() {
             Some(generation) => cli_note(
                 Severity::Info,
                 format!("resuming {run_id} from generation {generation}"),
             ),
             None => cli_note(
                 Severity::Warn,
-                format!("no checkpoints for {run_id}; restarting from scratch"),
+                format!("no usable checkpoint for {run_id}; restarting from scratch"),
             ),
         }
         builder = builder.with_observer(CliObserver);

@@ -24,7 +24,7 @@ use ayb_core::{
 use ayb_moo::{CheckpointError, ShardTransport, ShardWork};
 use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 use ayb_obs::{kind as event_kind, trace, JsonlSink, Recorder};
-use ayb_store::{RunStatus, ShardOutcome, ShardSummary, Store, VariationOutcome};
+use ayb_store::{RunHandle, RunStatus, ShardOutcome, ShardSummary, Store, VariationOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -47,6 +47,51 @@ enum BoundaryKind {
     EpochClose,
 }
 
+/// What a crash at a generation checkpoint's commit points leaves on disk.
+/// A save appends the generation's evaluations to `archive.jsonl`, then
+/// renames its snapshot `gen_NNNN.json` into place; neither is fsynced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CommitFault {
+    /// Killed between the log append and the snapshot rename: the log holds
+    /// the generation, its snapshot is still a staged temp file.
+    SnapshotNotRenamed,
+    /// A machine crash cut the last few bytes off the log's final record.
+    TornLogTail,
+    /// A machine crash left the newest snapshot zero-length.
+    ZeroLengthSnapshot,
+}
+
+impl CommitFault {
+    /// Damages the newest generation checkpoint of `run` the way the fault
+    /// would have.
+    fn apply(self, run: &RunHandle) {
+        let checkpoints = run.dir().join("checkpoints");
+        let newest = *run
+            .checkpoint_generations()
+            .expect("checkpoints list")
+            .last()
+            .expect("a checkpoint to damage");
+        let snapshot = checkpoints.join(format!("gen_{newest:04}.json"));
+        match self {
+            CommitFault::SnapshotNotRenamed => {
+                let staged = checkpoints.join(format!("gen_{newest:04}.json.0-0-0.tmp"));
+                std::fs::rename(&snapshot, staged).expect("unrename the snapshot");
+            }
+            CommitFault::TornLogTail => {
+                let log = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(checkpoints.join("archive.jsonl"))
+                    .expect("archive log opens");
+                let len = log.metadata().expect("log metadata").len();
+                log.set_len(len - 3).expect("tear the log tail");
+            }
+            CommitFault::ZeroLengthSnapshot => {
+                std::fs::write(&snapshot, "").expect("zero the snapshot");
+            }
+        }
+    }
+}
+
 /// One scripted crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum KillPoint {
@@ -54,6 +99,9 @@ enum KillPoint {
     AtGenerationCheckpoint(usize),
     /// Crash at the Nth variation boundary of `kind` in this attempt.
     AtVariationBoundary(BoundaryKind, usize),
+    /// Crash at the commit points of the Nth generation checkpoint of this
+    /// attempt, leaving the fault's damage behind.
+    TornCheckpoint(usize, CommitFault),
 }
 
 /// Derives a reproducible crash schedule (1..=3 kills) from a seed.
@@ -119,7 +167,7 @@ fn run_with_chaos(
             FlowBuilder::resume(store, run_id).expect("interrupted run resumes")
         };
         match next_kill {
-            Some(KillPoint::AtGenerationCheckpoint(n)) => {
+            Some(KillPoint::AtGenerationCheckpoint(n) | KillPoint::TornCheckpoint(n, _)) => {
                 builder = builder.halt_after_checkpoints(n);
             }
             Some(KillPoint::AtVariationBoundary(kind, n)) => {
@@ -130,15 +178,15 @@ fn run_with_chaos(
         match builder.run() {
             Ok(result) => return result,
             Err(AybError::Checkpoint(CheckpointError::Halted { .. })) => {
-                let status = store
-                    .run(run_id)
-                    .and_then(|handle| handle.status())
-                    .expect("halted run is readable");
+                let handle = store.run(run_id).expect("halted run is readable");
                 assert_eq!(
-                    status,
+                    handle.status().expect("halted run is readable"),
                     RunStatus::Interrupted,
                     "a scripted crash leaves the run resumable"
                 );
+                if let Some(KillPoint::TornCheckpoint(_, fault)) = next_kill {
+                    fault.apply(&handle);
+                }
                 next_kill = kills.next();
             }
             Err(error) => panic!("attempt {attempt} failed non-deterministically: {error}"),
@@ -291,6 +339,42 @@ fn seeded_crash_schedules_converge_to_the_reference_digest() {
             "seeded schedule {schedule_seed} ({schedule:?}) perturbed the result"
         );
         let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// Crashes at the commit points of a generation checkpoint — between the
+/// archive log append and the snapshot rename, with a torn final log
+/// record, with a zero-length newest snapshot — fall back to the snapshot
+/// before (or, with none left, restart the optimiser) and still converge
+/// to the reference digest, mixed with variation-stage crashes too.
+#[test]
+fn crashes_at_the_checkpoint_commit_points_converge_to_the_reference_digest() {
+    let expected = reference_digest();
+    for fault in [
+        CommitFault::SnapshotNotRenamed,
+        CommitFault::TornLogTail,
+        CommitFault::ZeroLengthSnapshot,
+    ] {
+        let schedules: &[&[KillPoint]] = &[
+            &[KillPoint::TornCheckpoint(2, fault)],
+            // The first crash leaves no usable snapshot at all.
+            &[
+                KillPoint::TornCheckpoint(1, fault),
+                KillPoint::TornCheckpoint(2, fault),
+                KillPoint::AtVariationBoundary(BoundaryKind::ResultWrite, 2),
+            ],
+        ];
+        for (index, schedule) in schedules.iter().enumerate() {
+            let (root, store) = temp_store("commit");
+            let run_id = format!("commit-{index}");
+            let result = run_with_chaos(&store, &run_id, &chaos_config(), CHAOS_SEED, schedule);
+            assert_eq!(
+                result.determinism_digest(),
+                expected,
+                "schedule {schedule:?} perturbed the result"
+            );
+            let _ = std::fs::remove_dir_all(root);
+        }
     }
 }
 

@@ -341,3 +341,129 @@ fn report_of_a_demo_run_prints_the_pinned_table2_and_table4() {
     assert_eq!(block("Table 2.", "Table 3."), format!("{DEMO_TABLE2}\n"));
     assert_eq!(block("Table 4.", "Table 5."), format!("{DEMO_TABLE4}\n"));
 }
+
+/// The digest `ayb show --digest` prints for `id`.
+fn shown_digest(root: &std::path::Path, id: &str) -> String {
+    let output = ayb(root, &["show", id, "--digest"]);
+    assert!(output.status.success(), "{output:?}");
+    String::from_utf8_lossy(&output.stdout).trim().to_string()
+}
+
+/// `ayb report`'s Table 2 block.
+fn report_table2(root: &std::path::Path, id: &str) -> String {
+    let output = ayb(root, &["report", id]);
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+    let table = stdout
+        .lines()
+        .skip_while(|line| !line.starts_with("Table 2."))
+        .take_while(|line| !line.is_empty())
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert!(!table.is_empty(), "report renders Table 2: {stdout}");
+    table
+}
+
+/// A store written before checkpoints were split into a snapshot and an
+/// archive log, and before `result.json` stored its archive once: every
+/// `gen_NNNN.json` holds the full archive and `result.json` carries
+/// `optimization.archive`. Such a run still resumes (twice, halted at a
+/// generation boundary in between, without duplicating an evaluation in
+/// the log), and its result still answers `show --digest`, `report` and
+/// `GET /v1/runs/{id}/result` with the uninterrupted run's digest.
+#[test]
+fn a_store_in_the_older_layout_still_resumes_and_reads() {
+    use ayb_core::FlowResult;
+    use serde::{Deserialize, Serialize, Value};
+
+    let root = temp_store("older-layout");
+    for args in [
+        &["run", "--id", "clean", "--seed", "2008", "--quiet"][..],
+        &[
+            "run",
+            "--id",
+            "old",
+            "--seed",
+            "2008",
+            "--halt-after",
+            "3",
+            "--quiet",
+        ],
+    ] {
+        let output = ayb(&root, args);
+        assert!(output.status.success(), "`ayb {args:?}`: {output:?}");
+    }
+    let store = ayb_store::Store::open(&root).unwrap();
+    let old = store.run("old").unwrap();
+    let checkpoints = old.dir().join("checkpoints");
+    for generation in old.checkpoint_generations().unwrap() {
+        let checkpoint = old.load_checkpoint(generation).unwrap();
+        std::fs::write(
+            checkpoints.join(format!("gen_{generation:04}.json")),
+            serde_json::to_string_pretty(&checkpoint).unwrap(),
+        )
+        .unwrap();
+    }
+    std::fs::remove_file(checkpoints.join("archive.jsonl")).unwrap();
+
+    let halted = ayb(&root, &["resume", "old", "--halt-after", "2", "--quiet"]);
+    assert!(
+        String::from_utf8_lossy(&halted.stdout).contains("status: interrupted"),
+        "{halted:?}"
+    );
+    let resumed = ayb(&root, &["resume", "old", "--quiet"]);
+    assert!(resumed.status.success(), "{resumed:?}");
+    let log = std::fs::read_to_string(checkpoints.join("archive.jsonl")).unwrap();
+    let mut replayed = 0;
+    for line in log.lines() {
+        let record: Value = serde_json::from_str(line).unwrap();
+        assert_eq!(record.get("start"), Some(&replayed.to_value()));
+        replayed += record
+            .get("archive")
+            .and_then(Value::as_array)
+            .unwrap()
+            .len();
+    }
+    let latest = old.latest_checkpoint().unwrap().expect("checkpoints");
+    assert_eq!(replayed, latest.archive.len(), "no duplicate record");
+
+    // The result, rewritten with both archive copies and indented.
+    let result: FlowResult = old.load_result().unwrap();
+    let Value::Object(mut fields) = result.to_value() else {
+        panic!("a result serializes to an object");
+    };
+    for (key, value) in &mut fields {
+        if let ("optimization", Value::Object(optimization)) = (key.as_str(), value) {
+            optimization.push(("archive".to_string(), result.archive.to_value()));
+        }
+    }
+    std::fs::write(
+        old.dir().join("result.json"),
+        serde_json::to_string_pretty(&Value::Object(fields)).unwrap(),
+    )
+    .unwrap();
+
+    let digest = shown_digest(&root, "clean");
+    assert_eq!(shown_digest(&root, "old"), digest);
+    assert_eq!(report_table2(&root, "old"), report_table2(&root, "clean"));
+    let status = ayb(&root, &["status", "old"]);
+    let status = String::from_utf8_lossy(&status.stdout).into_owned();
+    assert!(status.contains("checkpoint_bytes: "), "{status}");
+    assert!(status.contains("result_bytes: "), "{status}");
+
+    let mut server = ayb_svc::SvcServer::start(
+        store.clone(),
+        ayb_svc::SvcConfig {
+            workers: 0,
+            ..ayb_svc::SvcConfig::default()
+        },
+    )
+    .expect("service starts");
+    let client = ayb_svc::SvcClient::new(&server.url()).unwrap();
+    let (code, body) = client.run_result("old").unwrap();
+    server.shutdown();
+    assert_eq!(code, 200);
+    let served = FlowResult::from_value(&body).expect("served result parses");
+    assert_eq!(format!("{:016x}", served.determinism_digest()), digest);
+    let _ = std::fs::remove_dir_all(root);
+}

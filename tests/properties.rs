@@ -181,8 +181,8 @@ proptest! {
         let json = serde_json::to_string(&checkpoint).unwrap();
         let back: Checkpoint = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, checkpoint);
-        // Pretty-printing parses back to the same state too (the store
-        // writes pretty JSON).
+        // Indented JSON parses back to the same state too (stores written
+        // before checkpoints were compact hold indented snapshots).
         let pretty = serde_json::to_string_pretty(&checkpoint).unwrap();
         let back: Checkpoint = serde_json::from_str(&pretty).unwrap();
         prop_assert_eq!(back, checkpoint);

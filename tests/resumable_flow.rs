@@ -4,9 +4,13 @@
 //! same-seed uninterrupted run, the store lays runs out as documented, and
 //! the early-stopping criterion recorded in the manifest survives a resume.
 
-use ayb_core::{AybError, FlowBuilder, FlowConfig, FlowObserver, FlowResult};
+use ayb_core::{
+    AybError, FlowBuilder, FlowConfig, FlowObserver, FlowResult, VariationBoundary,
+    VariationHaltHook, CHECKPOINT_BYTES_METRIC, CHECKPOINT_SECONDS_METRIC,
+};
 use ayb_moo::{CheckpointError, EarlyStop, OptimizerConfig};
-use ayb_store::{Manifest, RunStatus, Store};
+use ayb_obs::Recorder;
+use ayb_store::{Manifest, RunHandle, RunStatus, Store};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -150,6 +154,10 @@ fn interrupted_flow_resumes_to_a_bit_identical_result() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A run halted at every generation boundary, resumed each time, matches
+/// the uninterrupted run under every optimiser, and its archive log holds
+/// every evaluation exactly once: each resume truncated the log to its
+/// base snapshot before appending.
 #[test]
 fn every_optimizer_variant_interrupts_and_resumes_identically() {
     let (root, store) = temp_store("variants");
@@ -178,25 +186,45 @@ fn every_optimizer_variant_interrupts_and_resumes_identically() {
             .run()
             .unwrap_or_else(|e| panic!("{name}: clean run failed: {e}"));
 
-        let halted = FlowBuilder::new(config.clone())
-            .with_optimizer(variant)
-            .with_store(&store)
-            .with_run_id(&victim_id)
-            .halt_after_checkpoints(1)
-            .run();
-        assert!(
-            matches!(
-                halted,
-                Err(AybError::Checkpoint(CheckpointError::Halted { .. }))
-            ),
-            "{name}: expected halt"
-        );
-
-        let resumed = FlowBuilder::resume(&store, &victim_id)
-            .unwrap_or_else(|e| panic!("{name}: resume builder failed: {e}"))
-            .run()
-            .unwrap_or_else(|e| panic!("{name}: resumed run failed: {e}"));
+        let mut attempts = 0;
+        let resumed = loop {
+            let builder = if attempts == 0 {
+                FlowBuilder::new(config.clone())
+                    .with_optimizer(variant.clone())
+                    .with_store(&store)
+                    .with_run_id(&victim_id)
+            } else {
+                FlowBuilder::resume(&store, &victim_id)
+                    .unwrap_or_else(|e| panic!("{name}: resume builder failed: {e}"))
+            };
+            attempts += 1;
+            match builder.halt_after_checkpoints(1).run() {
+                Ok(result) => break result,
+                Err(AybError::Checkpoint(CheckpointError::Halted { .. })) => {}
+                Err(error) => panic!("{name}: attempt {attempts} failed: {error}"),
+            }
+        };
         assert_results_identical(&clean, &resumed);
+
+        let victim = store.run(&victim_id).unwrap();
+        let generations = victim.checkpoint_generations().unwrap();
+        assert_eq!(
+            attempts,
+            generations.len() + 1,
+            "{name}: a halt per boundary"
+        );
+        let latest = victim.latest_checkpoint().unwrap().expect("checkpoints");
+        let mut replayed = 0;
+        for (start, length) in archive_log_lines(&victim) {
+            assert_eq!(start, replayed, "{name}: log lines continue each other");
+            replayed += length;
+        }
+        assert_eq!(
+            replayed,
+            latest.archive.len(),
+            "{name}: no duplicate record"
+        );
+        assert!(resumed.archive.starts_with(&latest.archive));
     }
 
     let _ = std::fs::remove_dir_all(root);
@@ -272,5 +300,109 @@ fn resume_restarts_from_scratch_when_no_checkpoint_was_written() {
         .expect("restarted flow completes");
     assert_results_identical(&clean, &resumed);
 
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// `(start, length)` of every line of a run's archive log.
+fn archive_log_lines(run: &RunHandle) -> Vec<(usize, usize)> {
+    use serde::{Deserialize, Value};
+    let text = std::fs::read_to_string(run.dir().join("checkpoints/archive.jsonl"))
+        .expect("archive log exists");
+    text.lines()
+        .map(|line| {
+            let record: Value = serde_json::from_str(line).expect("log line parses");
+            let start = record.get("start").map(usize::from_value);
+            let archive = record.get("archive").and_then(Value::as_array);
+            (
+                start.expect("start index").expect("start index"),
+                archive.expect("archive array").len(),
+            )
+        })
+        .collect()
+}
+
+/// A machine crash can leave zero-length files behind (the store renames
+/// without an fsync). A zeroed newest generation snapshot and a zeroed
+/// variation point count as absent: the resume continues from the
+/// snapshot before, re-analyses the point, and matches the uninterrupted
+/// run.
+#[test]
+fn zeroed_checkpoint_files_count_as_absent_on_resume() {
+    let (root, store) = temp_store("zeroed");
+    let config = reduced_config();
+    let clean = FlowBuilder::new(config.clone())
+        .with_store(&store)
+        .with_run_id("clean")
+        .run()
+        .expect("clean flow completes");
+
+    // Interrupt in the variation stage, three points in.
+    let written = Arc::new(AtomicUsize::new(0));
+    let hook: VariationHaltHook = {
+        let written = Arc::clone(&written);
+        Arc::new(move |boundary| {
+            matches!(boundary, VariationBoundary::ResultWrite { .. })
+                && written.fetch_add(1, Ordering::SeqCst) + 1 >= 3
+        })
+    };
+    let halted = FlowBuilder::new(config)
+        .with_store(&store)
+        .with_run_id("victim")
+        .halt_variation_when(hook)
+        .run();
+    assert!(matches!(
+        halted,
+        Err(AybError::Checkpoint(CheckpointError::Halted { .. }))
+    ));
+    let victim = store.run("victim").unwrap();
+    let checkpoints = victim.dir().join("checkpoints");
+    let newest = *victim.checkpoint_generations().unwrap().last().unwrap();
+    std::fs::write(checkpoints.join(format!("gen_{newest:04}.json")), "").unwrap();
+    let points = victim.variation_checkpoint_indices().unwrap();
+    assert_eq!(points.len(), 3);
+    std::fs::write(
+        checkpoints.join(format!("variation_{:04}.json", points[1])),
+        "",
+    )
+    .unwrap();
+
+    let builder = FlowBuilder::resume(&store, "victim").expect("resume builder");
+    assert_eq!(builder.resume_generation(), Some(newest - 1));
+    let resumed = builder.run().expect("resumed flow completes");
+    assert_results_identical(&clean, &resumed);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Each generation checkpoint adds the bytes it wrote to
+/// `ayb_flow_checkpoint_bytes_total` and its duration to
+/// `ayb_flow_checkpoint_seconds` on the flow's recorder: after a clean run
+/// the counter equals the snapshots plus the archive log on disk.
+#[test]
+fn checkpoint_metrics_count_every_byte_written() {
+    let (root, store) = temp_store("metrics");
+    let config = reduced_config();
+    let recorder = Recorder::new();
+    FlowBuilder::new(config.clone())
+        .with_store(&store)
+        .with_run_id("metered")
+        .with_recorder(recorder.clone())
+        .run()
+        .expect("flow completes");
+    let checkpoints = store.run("metered").unwrap().dir().join("checkpoints");
+    let on_disk: u64 = std::fs::read_dir(&checkpoints)
+        .unwrap()
+        .flatten()
+        .filter(|entry| {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            name.starts_with("gen_") || name == "archive.jsonl"
+        })
+        .map(|entry| entry.metadata().unwrap().len())
+        .sum();
+    let metrics = recorder.metrics();
+    assert_eq!(metrics.counter(CHECKPOINT_BYTES_METRIC), on_disk);
+    let seconds = metrics
+        .histogram(CHECKPOINT_SECONDS_METRIC)
+        .expect("save durations recorded");
+    assert_eq!(seconds.count() as usize, config.ga.generations - 1);
     let _ = std::fs::remove_dir_all(root);
 }

@@ -547,6 +547,15 @@ fn http_lifecycle_cancel_reexecutes_and_completion_caches_across_restart_and_gc(
         let (code, result) = client.run_result(&run_id).expect("result");
         assert_eq!(code, 200);
         reference = serde_json::to_string(&result).expect("result renders");
+        // The worker's flow counted its checkpoint saves on the service's
+        // recorder.
+        let metrics = client.metrics_text().expect("metrics scrape");
+        for name in [
+            "ayb_flow_checkpoint_bytes_total ",
+            "ayb_flow_checkpoint_seconds_count ",
+        ] {
+            assert!(metrics.contains(name), "{name}missing: {metrics}");
+        }
 
         // Same life, same bytes: answered from the cache, no new run.
         let runs_before = store.run_ids().expect("ids").len();
@@ -601,9 +610,9 @@ fn http_lifecycle_cancel_reexecutes_and_completion_caches_across_restart_and_gc(
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// A synthetic result shaped like a paper-scale `result.json`: an archive
-/// of `evaluations` float-vector evaluations, stored twice as `FlowResult`
-/// stores it.
+/// A synthetic result shaped like a paper-scale `result.json` as stores
+/// wrote it before the archive was stored once: an archive of
+/// `evaluations` float-vector evaluations, stored twice.
 fn synthetic_paper_result(evaluations: usize) -> Value {
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut unit = move || {
@@ -656,8 +665,9 @@ fn admission_only(store: &Store) -> SvcServer {
 fn a_large_cached_result_stalls_no_other_tenant() {
     const BOUND: Duration = Duration::from_millis(100);
     const SUBMISSIONS: u64 = 20;
-    // Evaluations per archive in the cached result: about 22 MB of pretty
-    // JSON, which takes several times BOUND to decode in the debug profile.
+    // Evaluations per archive in the cached result: about 13 MB of the
+    // store's compact JSON, which takes several times BOUND (~0.5 s) to
+    // decode in the debug profile.
     const EVALUATIONS: usize = 30_000;
     let _alone = exclusive_slot();
     let (root, store) = temp_store("bigresult");

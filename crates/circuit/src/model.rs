@@ -117,12 +117,11 @@ impl MosfetModelCard {
     /// Returns a copy with threshold voltage shifted by `delta_vto` volts and
     /// transconductance scaled by `kp_mult`.
     ///
-    /// This is the hook used by the process-variation engine to create global
-    /// (die-to-die) corners and Monte Carlo samples.
+    /// This is the hook the Monte Carlo engine uses to apply each sample's
+    /// global (die-to-die) shift.
     pub fn perturbed(&self, delta_vto: f64, kp_mult: f64) -> Self {
         let mut card = self.clone();
-        // VTO shifts away from zero for "slow" corners regardless of polarity;
-        // callers pass signed deltas that already account for polarity.
+        // Callers pass signed deltas that already account for polarity.
         card.vto += delta_vto;
         card.kp *= kp_mult;
         card

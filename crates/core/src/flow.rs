@@ -602,9 +602,11 @@ pub enum VariationBoundary {
 /// see [`FlowBuilder::halt_variation_when`].
 pub type VariationHaltHook = Arc<dyn Fn(VariationBoundary) -> bool + Send + Sync>;
 
-/// A [`FlowObserver`] that logs stage transitions to stderr through the
-/// telemetry plane's shared formatter: one line format everywhere, filtered
-/// by the `AYB_LOG` severity threshold (default `info`).
+/// A [`FlowObserver`] that logs stage transitions, persisted checkpoints and
+/// shard degradations to stderr through the telemetry plane's shared
+/// formatter: one line format everywhere, filtered by the `AYB_LOG`
+/// severity threshold (default `info`). The `ayb` CLI prints its progress
+/// through it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StderrObserver;
 
@@ -625,6 +627,14 @@ impl FlowObserver for StderrObserver {
                     stage.name(),
                     elapsed.as_secs_f64()
                 )),
+        );
+    }
+
+    fn on_checkpoint_written(&mut self, generation: usize, _path: &Path) {
+        ayb_obs::log_to_stderr(
+            &Event::new(Severity::Info, "flow", event_kind::CHECKPOINT)
+                .value(generation as f64)
+                .detail(format!("checkpoint written for generation {generation}")),
         );
     }
 

@@ -1,15 +1,10 @@
-//! Shard-aware batch evaluation: the [`BatchEvaluator`] seam and the
-//! [`ShardedEvaluator`] distributed implementation.
+//! Shard-aware batch evaluation: the [`ShardTransport`] vocabulary and the
+//! [`ShardedEvaluator`] that distributes populations over it.
 //!
 //! The optimisers in this crate evaluate whole populations through
-//! [`SizingProblem::evaluate_batch`] and nothing else — which makes that
-//! method the natural *seam* for swapping evaluation strategies without the
-//! optimisers noticing. This module makes the seam explicit:
+//! [`SizingProblem::evaluate_batch`] and nothing else, so distributing that
+//! one method distributes the optimisation without the optimisers noticing:
 //!
-//! * [`BatchEvaluator`] — anything that can map a batch of parameter vectors
-//!   to evaluations for a given problem;
-//! * [`LocalEvaluator`] — the in-process default (work-stealing threads, see
-//!   [`crate::evaluate_batch_parallel`]);
 //! * [`ShardedEvaluator`] — splits a batch into deterministic, index-ordered
 //!   shards, publishes each shard as a typed [`ShardWork`] task through a
 //!   [`ShardTransport`] (the run store's on-disk plane in `ayb_store`, or the
@@ -18,8 +13,9 @@
 //!   other hosts sharing the transport — may claim and evaluate shards
 //!   concurrently; the submitting process itself participates too, so a
 //!   sharded batch always completes even with zero external workers;
-//! * [`WithEvaluator`] — binds a problem to a [`BatchEvaluator`] behind the
-//!   [`SizingProblem`] trait, so Wbga/Nsga2/RandomSearch stay shard-agnostic.
+//! * [`WithEvaluator`] — binds a problem to a [`ShardedEvaluator`] behind
+//!   the [`SizingProblem`] trait, so Wbga/Nsga2/RandomSearch stay
+//!   shard-agnostic.
 //!
 //! ## Determinism
 //!
@@ -31,20 +27,22 @@
 //! was merely slow) is benign for the same reason: both writers produce
 //! identical results.
 //!
-//! ```
-//! use ayb_moo::{FnProblem, LocalEvaluator, ObjectiveSpec, SizingProblem, WithEvaluator};
+//! Binding a problem to a transport, and the shard layout it gets:
 //!
-//! let problem = FnProblem::new(
-//!     1,
-//!     vec![ObjectiveSpec::maximize("f")],
-//!     |x: &[f64]| Some(vec![x[0] * 2.0]),
-//! );
-//! let bound = WithEvaluator::new(&problem, LocalEvaluator::new(2));
-//! let batch = vec![vec![0.25], vec![0.5]];
-//! assert_eq!(bound.evaluate_batch(&batch), problem.evaluate_batch(&batch));
+//! ```
+//! use ayb_moo::{ShardTransport, ShardedEvaluator, ShardingOptions, SizingProblem, WithEvaluator};
+//! use std::sync::Arc;
+//!
+//! /// Every optimiser run on the result evaluates its populations in shards
+//! /// of at most 3 candidates over `transport`.
+//! fn sharded<P: SizingProblem>(problem: P, transport: Arc<dyn ShardTransport>) -> impl SizingProblem {
+//!     WithEvaluator::new(problem, ShardedEvaluator::new(transport, ShardingOptions::with_shard_size(3)))
+//! }
+//!
+//! assert_eq!(ShardedEvaluator::shard_ranges(7, 3), vec![0..3, 3..6, 6..7]);
 //! ```
 
-use crate::problem::{evaluate_batch_parallel, Evaluation, ObjectiveSpec, SizingProblem};
+use crate::problem::{Evaluation, ObjectiveSpec, SizingProblem};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::sync::Arc;
@@ -275,38 +273,6 @@ pub trait ShardTransport: Send + Sync {
     }
 }
 
-/// The seam under [`SizingProblem::evaluate_batch`]: a strategy for mapping
-/// a batch of parameter vectors to evaluations.
-///
-/// Implementations must preserve input order and must not change results —
-/// only *where* and *how parallel* the evaluation runs.
-pub trait BatchEvaluator: Sync {
-    /// Evaluates `batch` against `problem`, one result slot per input.
-    fn evaluate_batch(&self, problem: &dyn SizingProblem, batch: &[Vec<f64>]) -> ShardResults;
-}
-
-/// In-process batch evaluation on a work-stealing thread pool (the default
-/// strategy; see [`crate::evaluate_batch_parallel`]).
-#[derive(Debug, Clone, Copy)]
-pub struct LocalEvaluator {
-    threads: usize,
-}
-
-impl LocalEvaluator {
-    /// Creates a local evaluator using up to `threads` worker threads.
-    pub fn new(threads: usize) -> Self {
-        LocalEvaluator {
-            threads: threads.max(1),
-        }
-    }
-}
-
-impl BatchEvaluator for LocalEvaluator {
-    fn evaluate_batch(&self, problem: &dyn SizingProblem, batch: &[Vec<f64>]) -> ShardResults {
-        evaluate_batch_parallel(problem, batch, self.threads)
-    }
-}
-
 /// Tuning knobs of a [`ShardedEvaluator`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardingOptions {
@@ -512,16 +478,16 @@ pub fn drive_epoch<W: EpochWork>(
 
 /// Shard-aware batch evaluation over a [`ShardTransport`].
 ///
-/// `evaluate_batch` splits the batch into consecutive shards of at most
-/// [`ShardingOptions::shard_size`] candidates, publishes them as tasks, and
-/// then *participates* in their evaluation through [`drive_epoch`]: it
-/// repeatedly fetches finished results, claims any unclaimed shard and
-/// evaluates it in-process (through the problem's own `evaluate_batch`, so
-/// the local work-stealing scheduler still applies inside a shard), and —
-/// while blocked on shards held by other workers — periodically asks the
-/// transport to recover shards whose holder died. Results are reassembled
-/// in shard-index order, making the output bit-identical to an unsharded
-/// evaluation.
+/// [`evaluate_batch`](ShardedEvaluator::evaluate_batch) splits the batch into
+/// consecutive shards of at most [`ShardingOptions::shard_size`] candidates,
+/// publishes them as tasks, and then *participates* in their evaluation through
+/// [`drive_epoch`]: it repeatedly fetches finished results, claims any
+/// unclaimed shard and evaluates it in-process (through the problem's own
+/// `evaluate_batch`, so the local work-stealing scheduler still applies inside
+/// a shard), and — while blocked on shards held by other workers — periodically
+/// asks the transport to recover shards whose holder died. Results are
+/// reassembled in shard-index order, making the output bit-identical to an
+/// unsharded evaluation.
 ///
 /// Transport failures degrade gracefully to local evaluation; a sharded
 /// batch therefore completes (with identical results) even when the data
@@ -575,7 +541,9 @@ impl ShardedEvaluator {
             .collect()
     }
 
-    fn evaluate_sharded(&self, problem: &dyn SizingProblem, batch: &[Vec<f64>]) -> ShardResults {
+    /// Evaluates `batch` against `problem`, one result slot per input, in
+    /// input order; the results equal `problem.evaluate_batch(batch)`.
+    pub fn evaluate_batch(&self, problem: &dyn SizingProblem, batch: &[Vec<f64>]) -> ShardResults {
         let ranges = Self::shard_ranges(batch.len(), self.options.shard_size);
         if ranges.len() < 2 {
             return problem.evaluate_batch(batch);
@@ -669,32 +637,25 @@ impl EpochWork for EvalEpochWork<'_> {
     }
 }
 
-impl BatchEvaluator for ShardedEvaluator {
-    fn evaluate_batch(&self, problem: &dyn SizingProblem, batch: &[Vec<f64>]) -> ShardResults {
-        self.evaluate_sharded(problem, batch)
-    }
-}
-
-/// Binds a [`SizingProblem`] to a [`BatchEvaluator`] strategy behind the
-/// problem trait itself, so every [`Optimizer`](crate::Optimizer) — which
-/// only ever sees `&dyn SizingProblem` — is shard-agnostic.
+/// Binds a [`SizingProblem`] to a [`ShardedEvaluator`] behind the problem
+/// trait itself, so every [`Optimizer`](crate::Optimizer) — which only ever
+/// sees `&dyn SizingProblem` — is shard-agnostic.
 ///
 /// Single-candidate [`SizingProblem::evaluate`] calls go straight to the
-/// wrapped problem; only whole-batch evaluation is routed through the
-/// evaluator.
-pub struct WithEvaluator<P, E> {
+/// wrapped problem; only whole-batch evaluation is sharded.
+pub struct WithEvaluator<P> {
     problem: P,
-    evaluator: E,
+    evaluator: ShardedEvaluator,
 }
 
-impl<P: SizingProblem, E: BatchEvaluator> WithEvaluator<P, E> {
+impl<P: SizingProblem> WithEvaluator<P> {
     /// Binds `problem` to `evaluator`.
-    pub fn new(problem: P, evaluator: E) -> Self {
+    pub fn new(problem: P, evaluator: ShardedEvaluator) -> Self {
         WithEvaluator { problem, evaluator }
     }
 }
 
-impl<P: SizingProblem, E: BatchEvaluator> SizingProblem for WithEvaluator<P, E> {
+impl<P: SizingProblem> SizingProblem for WithEvaluator<P> {
     fn parameter_count(&self) -> usize {
         self.problem.parameter_count()
     }
@@ -708,8 +669,7 @@ impl<P: SizingProblem, E: BatchEvaluator> SizingProblem for WithEvaluator<P, E> 
     }
 
     fn evaluate_batch(&self, batch: &[Vec<f64>]) -> ShardResults {
-        self.evaluator
-            .evaluate_batch(&self.problem as &dyn SizingProblem, batch)
+        self.evaluator.evaluate_batch(&self.problem, batch)
     }
 }
 
@@ -944,10 +904,7 @@ mod tests {
         let sharded =
             ShardedEvaluator::new(Arc::new(transport), ShardingOptions::with_shard_size(4));
         // One shard's worth of work: evaluated locally, no epoch opened.
-        assert_eq!(
-            BatchEvaluator::evaluate_batch(&sharded, &p, &input),
-            expected
-        );
+        assert_eq!(sharded.evaluate_batch(&p, &input), expected);
     }
 
     #[test]
@@ -1006,7 +963,7 @@ mod tests {
         );
         for _ in 0..3 {
             assert_eq!(
-                BatchEvaluator::evaluate_batch(&sharded, &p, &input),
+                sharded.evaluate_batch(&p, &input),
                 expected,
                 "concurrent workers never change results"
             );
@@ -1041,10 +998,7 @@ mod tests {
         );
         // Every shard starts claimed by a dead worker; only the recovery
         // path can finish the batch.
-        assert_eq!(
-            BatchEvaluator::evaluate_batch(&sharded, &p, &input),
-            expected
-        );
+        assert_eq!(sharded.evaluate_batch(&p, &input), expected);
     }
 
     #[test]
@@ -1055,10 +1009,7 @@ mod tests {
         transport.wrong_shape.store(true, Ordering::Relaxed);
         let sharded =
             ShardedEvaluator::new(Arc::new(transport), ShardingOptions::with_shard_size(4));
-        assert_eq!(
-            BatchEvaluator::evaluate_batch(&sharded, &p, &input),
-            p.evaluate_batch(&input)
-        );
+        assert_eq!(sharded.evaluate_batch(&p, &input), p.evaluate_batch(&input));
     }
 
     #[test]
@@ -1070,10 +1021,7 @@ mod tests {
             Arc::new(BrokenTransport),
             ShardingOptions::with_shard_size(4),
         );
-        assert_eq!(
-            BatchEvaluator::evaluate_batch(&sharded, &p, &input),
-            expected
-        );
+        assert_eq!(sharded.evaluate_batch(&p, &input), expected);
     }
 
     #[test]
@@ -1131,10 +1079,7 @@ mod tests {
             let ShardError::Transport(message) = error;
             sink.lock().unwrap().push((shard, message.clone()));
         }));
-        assert_eq!(
-            BatchEvaluator::evaluate_batch(&sharded, &p, &input),
-            expected
-        );
+        assert_eq!(sharded.evaluate_batch(&p, &input), expected);
         let events = events.lock().unwrap();
         assert_eq!(events.len(), 2, "both shards degraded");
         assert!(events.iter().any(|(_, m)| m.contains("connection refused")));

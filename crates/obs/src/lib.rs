@@ -492,8 +492,8 @@ pub fn stderr_line(event: &Event) -> String {
 
 /// Writes `event` to stderr in the shared format, honouring the `AYB_LOG`
 /// severity filter. This is the one formatting path behind
-/// `StderrObserver`, the CLI observers and the job/coordinator console
-/// output.
+/// `StderrObserver` (the CLI's run progress), the CLI's notes and the
+/// job/coordinator console output.
 pub fn log_to_stderr(event: &Event) {
     if event.severity >= stderr_min_severity() {
         eprintln!("{}", stderr_line(event));

@@ -5,7 +5,6 @@
 //!
 //! * [`ProcessVariation`] — global (die-to-die) spreads and Pelgrom-law local
 //!   mismatch coefficients for a generic 0.35 µm CMOS process,
-//! * [`corners`] — deterministic five-corner analysis (TT/FF/SS/FS/SF),
 //! * [`montecarlo`] — a seeded Monte Carlo engine that perturbs model cards
 //!   and per-instance mismatch and evaluates arbitrary user metrics,
 //! * [`statistics`] — summary statistics, quantiles, histograms and
@@ -44,13 +43,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod corners;
 pub mod montecarlo;
 pub mod sampling;
 pub mod statistics;
 pub mod variation;
 
-pub use corners::{apply_corner, Corner};
 pub use montecarlo::{perturb_circuit, MonteCarloConfig, MonteCarloRun};
 pub use statistics::{quantile, yield_estimate, Histogram, Summary};
 pub use variation::{GlobalSpread, MismatchCoefficients, ProcessVariation};

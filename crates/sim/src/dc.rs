@@ -308,19 +308,18 @@ struct MosfetOp {
 }
 
 /// The linearised DC MNA system `A·x = b`: the per-device stamp plan and the
-/// dense matrix and right-hand side it refills. Transient analysis adds its
-/// capacitor companion stamps on top of a [`fill`](DcSystem::fill).
-pub(crate) struct DcSystem {
+/// dense matrix and right-hand side it refills.
+struct DcSystem {
     node_count: usize,
     ops: Vec<DcOp>,
-    pub(crate) matrix: DenseMatrix<f64>,
-    pub(crate) rhs: Vec<f64>,
+    matrix: DenseMatrix<f64>,
+    rhs: Vec<f64>,
 }
 
 impl DcSystem {
     /// Resolves every device stamp to its matrix cells and right-hand side
     /// rows.
-    pub(crate) fn new(circuit: &Circuit, layout: &MnaLayout) -> Self {
+    fn new(circuit: &Circuit, layout: &MnaLayout) -> Self {
         let n = layout.size();
         let node_row = |node: NodeId| layout.node_row(node);
         let pair = |node: Option<usize>, br: usize| node.map(|p| (p * n + br, br * n + p));
@@ -408,7 +407,7 @@ impl DcSystem {
 
     /// Refills the linearised system `A·x = b` at the operating point `x`,
     /// adding each cell's contributions in device order.
-    pub(crate) fn fill(&mut self, x: &[f64], gmin: f64, source_scale: f64) {
+    fn fill(&mut self, x: &[f64], gmin: f64, source_scale: f64) {
         self.matrix.clear();
         self.rhs.iter_mut().for_each(|v| *v = 0.0);
         let n = self.matrix.rows();

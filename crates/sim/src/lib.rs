@@ -8,7 +8,6 @@
 //!   gmin and source stepping,
 //! * [`ac::ac_analysis`] — small-signal frequency sweeps over the linearised
 //!   circuit, assembled once and re-merged as `G + jωC` per frequency,
-//! * [`transient::transient_analysis`] — fixed-step backward-Euler transient,
 //! * [`measure`] — open-loop gain, phase margin, unity-gain frequency and
 //!   bandwidth extraction,
 //! * [`mosfet`] — a Level-1 (square-law) MOSFET model with body effect,
@@ -58,7 +57,6 @@ pub mod measure;
 pub mod mna;
 pub mod mosfet;
 pub mod sweep;
-pub mod transient;
 
 pub use ac::{ac_analysis, ac_analysis_with, AcSolution};
 pub use dc::{dc_operating_point, dc_operating_point_with, DcOptions, DcSolution};
@@ -68,4 +66,3 @@ pub use measure::AcMeasurements;
 pub use mna::MnaLayout;
 pub use mosfet::{MosfetEval, Region};
 pub use sweep::FrequencySweep;
-pub use transient::{transient_analysis, TransientOptions, TransientSolution};

@@ -1,8 +1,8 @@
 //! Linear algebra used by the MNA solver.
 //!
-//! Every MNA system, real (DC, transient) or complex (AC), is assembled
-//! straight into a row-major [`DenseMatrix`] and solved by the one
-//! partial-pivot LU, [`solve_in_place`].
+//! Every MNA system, real (DC) or complex (AC), is assembled straight into a
+//! row-major [`DenseMatrix`] and solved by the one partial-pivot LU,
+//! [`solve_in_place`].
 
 pub mod complex;
 pub mod lu;

@@ -1,9 +1,9 @@
 //! A small blocking HTTP client for the service plane.
 //!
-//! Used by the integration tests and the `ayb-load` generator. Each request
-//! opens a fresh connection with `connection: close` — boring and robust,
-//! which is what a load generator measuring the *server* wants (connection
-//! reuse would measure the client's socket pooling instead).
+//! Used by the integration tests and the benchmark. Each request opens a
+//! fresh connection with `connection: close` — boring and robust, which is
+//! what a client measuring the *server* wants (connection reuse would
+//! measure the client's socket pooling instead).
 
 use crate::http::{self, HttpError};
 use serde::Value;

@@ -5,19 +5,21 @@
 //! keep-alive connections, with hard limits on every dimension so a hostile
 //! or broken client cannot wedge a connection handler:
 //!
-//! | limit                  | value                         |
-//! |------------------------|-------------------------------|
-//! | request/status line    | [`MAX_START_LINE_BYTES`]      |
-//! | header line            | [`MAX_HEADER_LINE_BYTES`]     |
-//! | header count           | [`MAX_HEADERS`]               |
-//! | body (`Content-Length`)| [`MAX_BODY_BYTES`]            |
+//! | limit                   | value                         |
+//! |-------------------------|-------------------------------|
+//! | request/status line     | [`MAX_START_LINE_BYTES`]      |
+//! | header line             | [`MAX_HEADER_LINE_BYTES`]     |
+//! | header count            | [`MAX_HEADERS`]               |
+//! | request body            | [`MAX_BODY_BYTES`]            |
+//! | response body           | [`MAX_RESPONSE_BODY_BYTES`]   |
 //!
 //! Chunked transfer encoding, continuation lines, and HTTP/2 upgrades are
 //! all rejected as malformed. Both sides of the exchange live here: the
-//! server parses [`Request`]s and writes responses, the client (the test
-//! harness and `ayb-load`) writes requests and parses [`Response`]s.
+//! server parses [`Request`]s and writes responses, the client
+//! ([`SvcClient`](crate::SvcClient)) writes requests and parses
+//! [`Response`]s.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Maximum accepted request/status line length in bytes.
 pub const MAX_START_LINE_BYTES: usize = 8 * 1024;
@@ -25,8 +27,12 @@ pub const MAX_START_LINE_BYTES: usize = 8 * 1024;
 pub const MAX_HEADER_LINE_BYTES: usize = 8 * 1024;
 /// Maximum accepted number of headers per message.
 pub const MAX_HEADERS: usize = 64;
-/// Maximum accepted `Content-Length` in bytes (requests and responses).
+/// Maximum accepted request `Content-Length` in bytes.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Maximum accepted response `Content-Length` in bytes. A response can carry
+/// a whole stored result (~2.7 MB at paper scale), so it has its own bound
+/// far above any result the store writes.
+pub const MAX_RESPONSE_BODY_BYTES: usize = 256 * 1024 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -150,8 +156,13 @@ fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> Result<Option<Stri
 type HeaderList = Vec<(String, String)>;
 
 /// Reads the header block (after the start line) and an optional
-/// `Content-Length` body.
-fn read_headers_and_body(reader: &mut impl BufRead) -> Result<(HeaderList, Vec<u8>), HttpError> {
+/// `Content-Length` body of at most `max_body` bytes. The body buffer
+/// reserves at most [`MAX_BODY_BYTES`] up front and grows as further bytes
+/// arrive, so an announced length alone cannot allocate more than that.
+fn read_headers_and_body(
+    reader: &mut impl BufRead,
+    max_body: usize,
+) -> Result<(HeaderList, Vec<u8>), HttpError> {
     let mut headers = Vec::new();
     loop {
         let line = read_line_capped(reader, MAX_HEADER_LINE_BYTES)?
@@ -186,19 +197,18 @@ fn read_headers_and_body(reader: &mut impl BufRead) -> Result<(HeaderList, Vec<u
         ));
     }
     if let Some(len) = content_length {
-        if len > MAX_BODY_BYTES {
+        if len > max_body {
             return Err(HttpError::TooLarge(format!(
-                "content-length {len} exceeds {MAX_BODY_BYTES}"
+                "content-length {len} exceeds {max_body}"
             )));
         }
-        body.resize(len, 0);
-        reader.read_exact(&mut body).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                HttpError::Malformed("body shorter than content-length".to_string())
-            } else {
-                HttpError::Io(e)
-            }
-        })?;
+        body.reserve(len.min(MAX_BODY_BYTES));
+        reader.take(len as u64).read_to_end(&mut body)?;
+        if body.len() < len {
+            return Err(HttpError::Malformed(
+                "body shorter than content-length".to_string(),
+            ));
+        }
     }
     Ok((headers, body))
 }
@@ -232,7 +242,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
     if parts.next().is_some() || !version.starts_with("HTTP/1.") {
         return Err(HttpError::Malformed(format!("bad request line: {start:?}")));
     }
-    let (headers, body) = read_headers_and_body(reader)?;
+    let (headers, body) = read_headers_and_body(reader, MAX_BODY_BYTES)?;
     Ok(Some(Request {
         method: method.to_ascii_uppercase(),
         path: path.to_string(),
@@ -245,7 +255,8 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
 ///
 /// # Errors
 ///
-/// Same taxonomy as [`read_request`]; a clean EOF before the status line is
+/// Same taxonomy as [`read_request`], with the body bounded by
+/// [`MAX_RESPONSE_BODY_BYTES`]; a clean EOF before the status line is
 /// malformed here (the client asked a question and expects an answer).
 pub fn read_response(reader: &mut impl BufRead) -> Result<Response, HttpError> {
     let start = read_line_capped(reader, MAX_START_LINE_BYTES)?
@@ -262,7 +273,7 @@ pub fn read_response(reader: &mut impl BufRead) -> Result<Response, HttpError> {
         .and_then(|s| s.parse::<u16>().ok())
         .filter(|s| (100..600).contains(s))
         .ok_or_else(|| HttpError::Malformed(format!("bad status code: {start:?}")))?;
-    let (headers, body) = read_headers_and_body(reader)?;
+    let (headers, body) = read_headers_and_body(reader, MAX_RESPONSE_BODY_BYTES)?;
     Ok(Response {
         status,
         headers,
@@ -392,6 +403,14 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         assert!(matches!(parse(raw.as_bytes()), Err(HttpError::TooLarge(_))));
+        let raw = format!(
+            "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n",
+            MAX_RESPONSE_BODY_BYTES + 1
+        );
+        assert!(matches!(
+            read_response(&mut BufReader::new(raw.as_bytes())),
+            Err(HttpError::TooLarge(_))
+        ));
     }
 
     #[test]
@@ -418,6 +437,12 @@ mod tests {
         assert_eq!(resp.status, 201);
         assert_eq!(resp.header("content-type"), Some("application/json"));
         assert_eq!(resp.text(), "{\"run_id\":\"r1\"}");
+        // A response may carry more than a request may.
+        let body = "x".repeat(MAX_BODY_BYTES + 1);
+        let mut wire = Vec::new();
+        write_json(&mut wire, 200, &body).unwrap();
+        let resp = read_response(&mut BufReader::new(wire.as_slice())).unwrap();
+        assert_eq!(resp.text(), body);
     }
 
     #[test]

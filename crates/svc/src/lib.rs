@@ -17,8 +17,8 @@
 //!   [`JobServer`](ayb_jobs::JobServer) running
 //!   [`QueuePolicy::WeightedTenant`](ayb_jobs::QueuePolicy) — weighted
 //!   round-robin across tenants with priority lanes, replacing global FIFO.
-//! * **[`client`]** — the blocking client the tests and the `ayb-load`
-//!   generator (this crate's binary) drive the service with.
+//! * **[`client`]** — the blocking client the tests and the benchmark
+//!   drive the service with.
 //!
 //! Everything rides the existing planes: results, checkpoints and claims
 //! are untouched store artefacts; telemetry flows through the shared

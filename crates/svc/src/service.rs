@@ -1502,6 +1502,34 @@ mod tests {
     }
 
     #[test]
+    fn a_result_over_the_request_body_bound_is_served_whole() {
+        let temp = TempStore::new("big-result");
+        // A paper-scale result is ~2.7 MB; this one renders to ~3.8 MB.
+        let result = Value::Array(
+            (0..150_000u32)
+                .map(|i| {
+                    Value::Array(vec![
+                        Value::Int(i64::from(i)),
+                        Value::Float(f64::from(i) / 7.0),
+                    ])
+                })
+                .collect(),
+        );
+        let stored = serde_json::to_string(&result).unwrap();
+        assert!(stored.len() > http::MAX_BODY_BYTES);
+        ResultCache::open(&temp.open())
+            .unwrap()
+            .insert("00000000000000b1", "run-big", &result)
+            .unwrap();
+        let mut server = admission_server(&temp, SvcConfig::default());
+        let client = SvcClient::new(&server.url()).unwrap();
+        let (status, body) = client.run_result("run-big").unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(serde_json::to_string(&body).unwrap(), stored);
+        server.shutdown();
+    }
+
+    #[test]
     fn a_flow_on_the_sparse_kernel_is_a_400_that_enqueues_nothing() {
         let temp = TempStore::new("sparse-flow");
         let mut server = admission_server(&temp, SvcConfig::default());

@@ -61,7 +61,7 @@
 //! `GET /v1/metrics`. Identical submissions deduplicate to one run
 //! (content-addressed digests), per-tenant quotas answer 429, and the
 //! embedded worker pool dispatches weighted round-robin across tenants
-//! instead of global FIFO. The `ayb-load` binary drives it for scale tests.
+//! instead of global FIFO.
 //!
 //! `ayb coordinate` runs the network shard coordinator (the `ayb_net`
 //! crate): a sharded flow submitted with `--transport tcp://HOST:PORT`
@@ -81,7 +81,7 @@
 //! The store directory defaults to `$AYB_STORE` or `./ayb-store`.
 //! Argument parsing is plain `std` — no CLI dependencies.
 
-use ayb_core::{AybError, FlowBuilder, FlowConfig, FlowObserver, FlowResult, FlowStage};
+use ayb_core::{AybError, FlowBuilder, FlowConfig, FlowResult, StderrObserver};
 use ayb_jobs::{JobServer, JobServerConfig};
 use ayb_moo::{CheckpointError, EarlyStop, OptimizerConfig};
 use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
@@ -89,7 +89,6 @@ use ayb_obs::{kind as event_kind, log_to_stderr, Event, Histogram, Severity, Std
 use ayb_store::{ClaimHealth, Manifest, ResultCache, RunStatus, Store};
 use ayb_svc::{SvcConfig, SvcServer, TenantQuota};
 use std::io::Write as _;
-use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -366,39 +365,6 @@ fn parse_number<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, Strin
 // Progress output
 // ---------------------------------------------------------------------------
 
-/// Prints stage transitions and persisted checkpoints to stderr through the
-/// `ayb_obs` event layer — same line format as every other plane, filtered
-/// by `AYB_LOG`.
-struct CliObserver;
-
-impl FlowObserver for CliObserver {
-    fn on_stage_start(&mut self, stage: FlowStage) {
-        log_to_stderr(
-            &Event::new(Severity::Info, "cli", event_kind::STAGE_START).detail(stage.name()),
-        );
-    }
-
-    fn on_stage_complete(&mut self, stage: FlowStage, elapsed: Duration) {
-        log_to_stderr(
-            &Event::new(Severity::Info, "cli", event_kind::STAGE_COMPLETE)
-                .value(elapsed.as_secs_f64())
-                .detail(format!(
-                    "{} completed in {:.2}s",
-                    stage.name(),
-                    elapsed.as_secs_f64()
-                )),
-        );
-    }
-
-    fn on_checkpoint_written(&mut self, generation: usize, _path: &Path) {
-        log_to_stderr(
-            &Event::new(Severity::Info, "cli", event_kind::CHECKPOINT)
-                .value(generation as f64)
-                .detail(format!("checkpoint written for generation {generation}")),
-        );
-    }
-}
-
 /// A `[ayb …]`-style stderr note that is not tied to a flow stage: banners,
 /// hints, periodic coordinator summaries. Routed through the event layer so
 /// `AYB_LOG` filters it like everything else.
@@ -483,7 +449,7 @@ fn cmd_run(args: &CliArgs) -> Result<(), String> {
         .with_store(&store)
         .with_run_id(&run_id);
     if !args.quiet {
-        builder = builder.with_observer(CliObserver);
+        builder = builder.with_observer(StderrObserver);
     }
     if let Some(count) = args.halt_after {
         builder = builder.halt_after_checkpoints(count);
@@ -1193,7 +1159,7 @@ fn cmd_resume(args: &CliArgs) -> Result<(), String> {
                 format!("no usable checkpoint for {run_id}; restarting from scratch"),
             ),
         }
-        builder = builder.with_observer(CliObserver);
+        builder = builder.with_observer(StderrObserver);
     }
     if let Some(count) = args.halt_after {
         builder = builder.halt_after_checkpoints(count);

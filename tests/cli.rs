@@ -349,6 +349,41 @@ fn shown_digest(root: &std::path::Path, id: &str) -> String {
     String::from_utf8_lossy(&output.stdout).trim().to_string()
 }
 
+/// A run whose coordinator is unreachable completes with the serial digest,
+/// and its progress output names the shard it produced locally instead: the
+/// flow never degrades silently.
+#[test]
+fn a_run_with_an_unreachable_coordinator_reports_its_degraded_shard() {
+    let root = temp_store("degraded");
+    // A port that was free a moment ago: nothing listens on it.
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .expect("free port")
+        .port();
+    let url = format!("tcp://127.0.0.1:{port}");
+    let serial = ayb(
+        &root,
+        &["run", "--id", "serial", "--seed", "2008", "--quiet"],
+    );
+    assert!(serial.status.success(), "{serial:?}");
+    let output = Command::new(env!("CARGO_BIN_EXE_ayb"))
+        .args(["run", "--store", root.to_str().expect("utf-8 store path")])
+        .args(["--id", "tcp", "--seed", "2008", "--transport", &url])
+        .env("AYB_LOG", "info")
+        .output()
+        .expect("ayb binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|line| line.contains("shard") && line.contains("degraded")),
+        "stderr must name a degraded shard, got: {stderr}"
+    );
+    assert_eq!(shown_digest(&root, "tcp"), shown_digest(&root, "serial"));
+    let _ = std::fs::remove_dir_all(root);
+}
+
 /// `ayb report`'s Table 2 block.
 fn report_table2(root: &std::path::Path, id: &str) -> String {
     let output = ayb(root, &["report", id]);

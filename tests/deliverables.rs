@@ -1,12 +1,11 @@
 //! Integration tests for the secondary deliverables of the flow: the exported
-//! `.tbl` / Verilog-A package, the SPICE netlist round trip of the generated
-//! circuits, and the deterministic corner analysis on the OTA.
+//! `.tbl` / Verilog-A package and the SPICE netlist round trip of the
+//! generated circuits.
 
 use ayb_behavioral::{generate_module, CombinedOtaModel, ParetoPointData};
 use ayb_circuit::ota::{build_open_loop_testbench, OtaParameters, OtaTestbenchConfig};
 use ayb_circuit::{spice, DesignPoint};
 use ayb_core::measure_testbench;
-use ayb_process::{apply_corner, Corner, ProcessVariation};
 use ayb_sim::FrequencySweep;
 use ayb_table::{TableFile, TableModel};
 
@@ -87,39 +86,4 @@ fn generated_ota_testbench_survives_spice_roundtrip_and_resimulates() {
         roundtrip.gain_db
     );
     assert!((original.phase_margin_deg - roundtrip.phase_margin_deg).abs() < 0.5);
-}
-
-#[test]
-fn process_corners_move_the_ota_bias_in_opposite_directions() {
-    let params = OtaParameters::nominal();
-    let tb = build_open_loop_testbench(&params, &OtaTestbenchConfig::new()).expect("builds");
-    let variation = ProcessVariation::generic_035um();
-    let sweep = FrequencySweep::logarithmic(10.0, 1e9, 4);
-
-    let measure_at = |corner: Corner| {
-        let varied = apply_corner(&tb, &variation, corner, 3.0);
-        measure_testbench(&varied, &sweep).expect("corner simulates")
-    };
-    let tt = measure_at(Corner::Tt);
-    let ff = measure_at(Corner::Ff);
-    let ss = measure_at(Corner::Ss);
-
-    // Fast devices carry more current: the unity-gain frequency rises at FF
-    // and falls at SS relative to typical.
-    assert!(
-        ff.unity_gain_hz > tt.unity_gain_hz,
-        "FF {} vs TT {}",
-        ff.unity_gain_hz,
-        tt.unity_gain_hz
-    );
-    assert!(
-        ss.unity_gain_hz < tt.unity_gain_hz,
-        "SS {} vs TT {}",
-        ss.unity_gain_hz,
-        tt.unity_gain_hz
-    );
-    // All corners keep the amplifier functional (gain well above 20 dB).
-    for perf in [&tt, &ff, &ss] {
-        assert!(perf.gain_db > 20.0);
-    }
 }

@@ -153,6 +153,21 @@ impl FlowConfig {
         }
     }
 
+    /// The preset named `scale` on the command line and in service
+    /// submissions: `reduced`, `demo` or `paper`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message naming the accepted scales for any other name.
+    pub fn from_scale(scale: &str) -> Result<Self, String> {
+        match scale {
+            "reduced" => Ok(FlowConfig::reduced()),
+            "demo" => Ok(FlowConfig::demo_scale()),
+            "paper" => Ok(FlowConfig::paper_scale()),
+            other => Err(format!("unknown scale `{other}` (reduced|demo|paper)")),
+        }
+    }
+
     /// Returns a copy with a different optimisation seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.ga.seed = seed;

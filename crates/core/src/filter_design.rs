@@ -94,9 +94,10 @@ pub fn design_filter(
             Some(vec![report.margin_db(&spec), total_c])
         },
     );
-    // The capacitor sizing runs through the same `Optimizer` abstraction as
-    // the OTA flow, so the two optimisation stages share one code path.
-    let result = OptimizerConfig::Wbga(ga).build().run(&problem);
+    // The capacitor sizing runs through the same `OptimizerConfig` entry
+    // point as the OTA flow, so the two optimisation stages share one code
+    // path.
+    let result = OptimizerConfig::Wbga(ga).run(&problem);
 
     // Candidate pool: every GA evaluation plus a family of analytically sized
     // Butterworth-style seeds (ideal design equations, §5). The analytic seeds

@@ -3,9 +3,8 @@
 //! The five steps of the proposed algorithm are executed in order:
 //!
 //! 1. netlist / objective generation ([`OtaSizingProblem`]),
-//! 2. multi-objective optimisation (§3.2) behind the
-//!    [`Optimizer`](ayb_moo::Optimizer) trait — the paper's WBGA by default,
-//!    NSGA-II or random search via [`OptimizerConfig`],
+//! 2. multi-objective optimisation (§3.2) through [`OptimizerConfig`] — the
+//!    paper's WBGA by default, NSGA-II or random search,
 //! 3. Pareto-front extraction (§3.3),
 //! 4. Monte Carlo variation analysis of every Pareto point (§3.4),
 //! 5. table-model / combined-model generation (§3.5).
@@ -43,10 +42,10 @@ use crate::ota_problem::{measure_testbench, OtaSizingProblem};
 use ayb_behavioral::{CombinedOtaModel, ModelError, ParetoPointData};
 use ayb_circuit::ota::{build_open_loop_testbench, OtaParameters};
 use ayb_moo::{
-    drive_epoch, CachedProblem, Checkpoint, CheckpointControl, CheckpointError, EpochWork,
-    Evaluation, OptimizationResult, OptimizerConfig, ShardError, ShardOutcome, ShardTransport,
-    ShardWork, ShardWorkKind, ShardedEvaluator, ShardingOptions, SizingProblem, VariationOutcome,
-    VariationPointWork, WithEvaluator,
+    drive_epoch, publish_epoch, CachedProblem, Checkpoint, CheckpointControl, CheckpointError,
+    EpochWork, Evaluation, OptimizationResult, OptimizerConfig, ShardError, ShardOutcome,
+    ShardTransport, ShardWork, ShardWorkKind, ShardedEvaluator, ShardingOptions, SizingProblem,
+    VariationOutcome, VariationPointWork, WithEvaluator,
 };
 use ayb_net::TcpTransport;
 use ayb_obs::{kind as event_kind, Event, JsonlSink, Recorder, Severity, SinkGuard};
@@ -1081,7 +1080,7 @@ impl FlowBuilder {
 
         let t0 = Instant::now();
         let mut transport_incidents: Vec<TransportIncident> = Vec::new();
-        let optimizer = self.optimizer.build();
+        let optimizer = &self.optimizer;
         let optimization = match &run {
             None => optimizer.run(sizing),
             Some(handle) => {
@@ -1138,6 +1137,8 @@ impl FlowBuilder {
                 let outcome = optimizer.run_checkpointed(sizing, resume_checkpoint, &mut sink);
                 drain_degraded(
                     &mut self.observers,
+                    &recorder,
+                    Some(handle),
                     &degraded_events,
                     &mut transport_incidents,
                 );
@@ -1172,6 +1173,8 @@ impl FlowBuilder {
         drop(eval_cache); // ends the cache's borrow of `problem`
         drain_degraded(
             &mut self.observers,
+            &recorder,
+            run.as_ref(),
             &degraded_events,
             &mut transport_incidents,
         );
@@ -1485,15 +1488,8 @@ impl OptimizedFlow {
         for observer in &mut self.observers {
             observer.on_transport_degraded(stage, shard, detail);
         }
-        self.recorder.emit(
-            flow_event(
-                self.run.as_ref(),
-                Severity::Warn,
-                event_kind::SHARD_DEGRADED,
-            )
-            .shard(shard as u64)
-            .detail(format!("{}: {detail}", stage.name())),
-        );
+        self.recorder
+            .emit(degraded_event(self.run.as_ref(), stage, shard, detail));
         self.transport_incidents.push(TransportIncident {
             stage: stage.name().to_string(),
             shard,
@@ -1584,27 +1580,32 @@ impl OptimizedFlow {
             .chunks(batch_size)
             .map(|chunk| chunk.to_vec())
             .collect();
-        let Ok(epoch) = plane.open_typed_epoch(ShardWorkKind::Variation, batches.len()) else {
-            let detail = "variation epoch could not be opened; analysing serially".to_string();
-            self.note_transport_degraded(FlowStage::AnalyzeVariation, 0, &detail);
-            return self.variation_serial(pending, slots);
-        };
         let base_seed = self.config.monte_carlo.seed;
-        for (shard, batch) in batches.iter().enumerate() {
-            let point_work = |&index: &usize| VariationPointWork {
-                parameters: self.selected[index].parameters.clone(),
-                mc_seed: point_mc_seed(base_seed, index),
-            };
-            let work = ShardWork::VariationBatch {
-                points: batch.iter().map(point_work).collect(),
-            };
-            if plane.publish_work(&epoch, shard, &work).is_err() {
-                // A half-published epoch is unusable; dispose of it and fall
-                // back to the serial path.
-                let _ = plane.close_epoch(&epoch);
+        let selected = &self.selected;
+        let published = publish_epoch(
+            plane.as_ref(),
+            ShardWorkKind::Variation,
+            batches.len(),
+            |shard| ShardWork::VariationBatch {
+                points: batches[shard]
+                    .iter()
+                    .map(|&index| VariationPointWork {
+                        parameters: selected[index].parameters.clone(),
+                        mc_seed: point_mc_seed(base_seed, index),
+                    })
+                    .collect(),
+            },
+        );
+        let epoch = match published {
+            Ok(epoch) => epoch,
+            Err((shard, error)) => {
+                // Every pending point is analysed serially instead.
+                let ShardError::Transport(detail) = error;
+                let point = batches[shard][0];
+                self.note_transport_degraded(FlowStage::AnalyzeVariation, point, &detail);
                 return self.variation_serial(pending, slots);
             }
-        }
+        };
 
         let options = ShardingOptions::default();
         let shard_count = batches.len();
@@ -1995,11 +1996,20 @@ fn finish_run(
     }
 }
 
+/// The `shard_degraded` event recorded for every shard produced locally.
+fn degraded_event(run: Option<&RunHandle>, stage: FlowStage, shard: usize, detail: &str) -> Event {
+    flow_event(run, Severity::Warn, event_kind::SHARD_DEGRADED)
+        .shard(shard as u64)
+        .detail(format!("{}: {detail}", stage.name()))
+}
+
 /// Drains eval-stage degradation events buffered by the sharded evaluator's
-/// hook into the observers and the flow's incident record (see
-/// [`FlowObserver::on_transport_degraded`]).
+/// hook into the observers, the run's event log and the flow's incident
+/// record (see [`FlowObserver::on_transport_degraded`]).
 fn drain_degraded(
     observers: &mut [Box<dyn FlowObserver>],
+    recorder: &Recorder,
+    run: Option<&RunHandle>,
     events: &Arc<Mutex<Vec<(usize, String)>>>,
     incidents: &mut Vec<TransportIncident>,
 ) {
@@ -2007,6 +2017,7 @@ fn drain_degraded(
         for observer in observers.iter_mut() {
             observer.on_transport_degraded(FlowStage::Optimize, shard, &detail);
         }
+        recorder.emit(degraded_event(run, FlowStage::Optimize, shard, &detail));
         incidents.push(TransportIncident {
             stage: FlowStage::Optimize.name().to_string(),
             shard,

@@ -7,7 +7,7 @@
 //!
 //! The public API is engine-style: the *problem*
 //! ([`OtaSizingProblem`], an `ayb_moo::SizingProblem`), the *optimiser*
-//! (any `ayb_moo::Optimizer`, selected with `ayb_moo::OptimizerConfig`) and
+//! (WBGA, NSGA-II or random search, selected with `ayb_moo::OptimizerConfig`) and
 //! the *flow* ([`FlowBuilder`]) are decoupled layers:
 //!
 //! * [`FlowBuilder`] — staged execution of the five-step flow of Figure 3

@@ -1,19 +1,19 @@
 //! Per-generation optimiser checkpointing.
 //!
-//! Every generational optimiser in this crate ([`Wbga`](crate::Wbga),
-//! [`Nsga2`](crate::Nsga2) and — chunk-wise — [`RandomSearch`](crate::RandomSearch))
-//! can snapshot its complete state between generations as a serializable
-//! [`Checkpoint`] and later resume from one, continuing the *exact* run: the
-//! RNG stream is restored bit-for-bit (via the xoshiro256++ state exposed by
-//! the vendored `rand`), the population round-trips losslessly (JSON floats
-//! use shortest-round-trip formatting), and a resumed run therefore produces
-//! a result identical to the uninterrupted run with the same seed.
+//! Every optimiser in this crate runs through one generation loop
+//! ([`OptimizerConfig::run_checkpointed`](crate::OptimizerConfig::run_checkpointed))
+//! whose whole state is a serializable [`Checkpoint`]: WBGA and NSGA-II
+//! snapshot it between generations, random search between evaluation
+//! chunks. Resuming from one continues the *exact* run: the RNG stream is
+//! restored bit-for-bit (via the xoshiro256++ state exposed by the vendored
+//! `rand`), the population round-trips losslessly (JSON floats use
+//! shortest-round-trip formatting), and a resumed run therefore produces a
+//! result identical to the uninterrupted run with the same seed.
 //!
-//! The entry point is [`Optimizer::run_checkpointed`](crate::Optimizer::run_checkpointed):
-//! checkpoints are pushed into a [`CheckpointSink`] after each completed
-//! generation, and the sink can request a [`CheckpointControl::Halt`] to stop
-//! the run at a well-defined boundary (used by the flow layer to simulate
-//! crashes deterministically and to pause runs).
+//! At each boundary the loop lends its state to a [`CheckpointSink`]
+//! without copying the archive; the sink can request a
+//! [`CheckpointControl::Halt`] to stop the run there (used by the flow
+//! layer to simulate crashes deterministically and to pause runs).
 
 use crate::config::GenerationStats;
 use crate::problem::{Evaluation, Sense};
@@ -82,8 +82,6 @@ pub enum CheckpointError {
     },
     /// The checkpoint does not fit the problem or configuration.
     Incompatible(String),
-    /// The optimiser does not support checkpointed execution.
-    Unsupported(String),
     /// The run was stopped by the sink at a checkpoint boundary (not an
     /// error in the usual sense: the checkpoint with this generation index
     /// holds the complete state and the run can be resumed from it).
@@ -102,9 +100,6 @@ impl fmt::Display for CheckpointError {
             ),
             CheckpointError::Incompatible(reason) => {
                 write!(f, "checkpoint is incompatible: {reason}")
-            }
-            CheckpointError::Unsupported(name) => {
-                write!(f, "optimiser `{name}` does not support checkpointing")
             }
             CheckpointError::Halted { generation } => {
                 write!(
@@ -131,17 +126,9 @@ pub enum CheckpointControl {
 
 /// Receives a [`Checkpoint`] after every completed generation.
 pub trait CheckpointSink {
-    /// Called once per generation boundary with the freshly captured state.
+    /// Called once per generation boundary with the optimiser's state,
+    /// borrowed for the call.
     fn on_checkpoint(&mut self, checkpoint: &Checkpoint) -> CheckpointControl;
-
-    /// Whether this sink wants checkpoints at all. When `false`, the
-    /// optimiser skips both the snapshot construction (which deep-clones
-    /// the population and archive every generation) *and* the
-    /// [`CheckpointSink::on_checkpoint`] call — so a non-wanting sink can
-    /// never halt a run. Defaults to `true`.
-    fn wants_checkpoints(&self) -> bool {
-        true
-    }
 }
 
 impl<F: FnMut(&Checkpoint) -> CheckpointControl> CheckpointSink for F {
@@ -151,18 +138,13 @@ impl<F: FnMut(&Checkpoint) -> CheckpointControl> CheckpointSink for F {
 }
 
 /// A [`CheckpointSink`] that discards every checkpoint and never halts —
-/// checkpointed execution with this sink is exactly a plain run (the
-/// snapshots are not even constructed).
+/// checkpointed execution with this sink is exactly a plain run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DiscardCheckpoints;
 
 impl CheckpointSink for DiscardCheckpoints {
     fn on_checkpoint(&mut self, _checkpoint: &Checkpoint) -> CheckpointControl {
         CheckpointControl::Continue
-    }
-
-    fn wants_checkpoints(&self) -> bool {
-        false
     }
 }
 
@@ -304,11 +286,6 @@ mod tests {
             DiscardCheckpoints.on_checkpoint(&checkpoint),
             CheckpointControl::Continue
         );
-        // Closures want checkpoints by default; the discard sink opts out so
-        // plain runs never pay for snapshot construction.
-        let closure_sink = |_: &Checkpoint| CheckpointControl::Continue;
-        assert!(CheckpointSink::wants_checkpoints(&closure_sink));
-        assert!(!DiscardCheckpoints.wants_checkpoints());
     }
 
     #[test]
@@ -321,8 +298,5 @@ mod tests {
         assert!(CheckpointError::Halted { generation: 7 }
             .to_string()
             .contains('7'));
-        assert!(CheckpointError::Unsupported("x".into())
-            .to_string()
-            .contains("checkpointing"));
     }
 }

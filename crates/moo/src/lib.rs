@@ -7,22 +7,24 @@
 //!   parameter vectors, with a batch evaluation entry point
 //!   ([`SizingProblem::evaluate_batch`] / [`evaluate_batch_parallel`]) so
 //!   expensive evaluations use every core,
-//! * [`Optimizer`] — the common interface every search algorithm implements;
-//!   algorithms are interchangeable behind `&dyn Optimizer` and selected with
-//!   the serde-friendly [`OptimizerConfig`] enum,
-//! * [`Wbga`] — the weight-based genetic algorithm the paper uses, where the
-//!   GA string carries designable parameters *and* objective weights
-//!   (normalised per eq. 4) and fitness is the normalised weighted sum (eq. 5),
-//! * [`Nsga2`] — the NSGA-II baseline for optimiser comparisons,
-//! * [`RandomSearch`] / [`random_search()`](random_search::random_search) — a uniform-sampling baseline,
+//! * [`OptimizerConfig`] — the serde-friendly selection of an algorithm and
+//!   its settings; [`OptimizerConfig::run`] and
+//!   [`OptimizerConfig::run_checkpointed`] drive every algorithm through one
+//!   generation loop (the [`optimizer`] module) to an [`OptimizationResult`],
+//! * the algorithms, each only its breeding and selection: the
+//!   weight-based genetic algorithm the paper uses ([`wbga`]), where the GA
+//!   string carries designable parameters *and* objective weights
+//!   (normalised per eq. 4) and fitness is the normalised weighted sum
+//!   (eq. 5); the NSGA-II baseline for optimiser comparisons ([`nsga2`]);
+//!   and a uniform-sampling baseline ([`random_search`]),
 //! * [`pareto`] — dominance tests, Pareto-front extraction (§3.3), fast
 //!   non-dominated sorting, crowding distance and 2-D hypervolume,
-//! * [`checkpoint`] — serializable per-generation [`Checkpoint`]s: every
-//!   optimiser supports [`Optimizer::run_checkpointed`], which snapshots its
-//!   complete state (population, archive, RNG stream) between generations
-//!   and resumes from any snapshot with bit-identical results; combined with
-//!   the optional [`EarlyStop`] convergence criterion this is the substrate
-//!   for durable, resumable flows (see the `ayb_store` crate),
+//! * [`checkpoint`] — the serializable [`Checkpoint`] that is the loop's
+//!   whole state (population, archive, RNG stream): a [`CheckpointSink`]
+//!   sees it at every generation boundary, and resuming from any snapshot
+//!   gives bit-identical results; combined with the optional [`EarlyStop`]
+//!   convergence criterion this is the substrate for durable, resumable
+//!   flows (see the `ayb_store` crate),
 //! * [`sharding`] — the [`ShardTransport`] data-plane interface with its
 //!   typed [`ShardWork`]/[`ShardOutcome`] payloads, and the
 //!   [`ShardedEvaluator`] under [`SizingProblem::evaluate_batch`], which
@@ -37,21 +39,6 @@
 //! Optimising a two-objective toy trade-off with the paper's algorithm:
 //!
 //! ```
-//! use ayb_moo::{FnProblem, GaConfig, ObjectiveSpec, Wbga};
-//!
-//! let problem = FnProblem::new(
-//!     1,
-//!     vec![ObjectiveSpec::maximize("f1"), ObjectiveSpec::maximize("f2")],
-//!     |x: &[f64]| Some(vec![x[0], 1.0 - x[0] * x[0]]),
-//! );
-//! let result = Wbga::new(GaConfig::small_test()).run(&problem);
-//! let front = result.pareto_front();
-//! assert!(!front.is_empty());
-//! ```
-//!
-//! Selecting the algorithm at run time through the [`Optimizer`] trait:
-//!
-//! ```
 //! use ayb_moo::{FnProblem, GaConfig, ObjectiveSpec, OptimizerConfig};
 //!
 //! let problem = FnProblem::new(
@@ -59,10 +46,35 @@
 //!     vec![ObjectiveSpec::maximize("f1"), ObjectiveSpec::maximize("f2")],
 //!     |x: &[f64]| Some(vec![x[0], 1.0 - x[0] * x[0]]),
 //! );
+//! let result = OptimizerConfig::Wbga(GaConfig::small_test()).run(&problem);
+//! let front = result.pareto_front();
+//! assert!(!front.is_empty());
+//! ```
+//!
+//! Checkpointing a run and resuming it from its first checkpoint:
+//!
+//! ```
+//! use ayb_moo::{
+//!     Checkpoint, CheckpointControl, DiscardCheckpoints, FnProblem, GaConfig, ObjectiveSpec,
+//!     OptimizerConfig,
+//! };
+//!
+//! let problem = FnProblem::new(
+//!     1,
+//!     vec![ObjectiveSpec::maximize("f1"), ObjectiveSpec::maximize("f2")],
+//!     |x: &[f64]| Some(vec![x[0], 1.0 - x[0] * x[0]]),
+//! );
 //! let config = OptimizerConfig::Nsga2(GaConfig::small_test());
-//! let result = config.build().run(&problem);
-//! assert_eq!(result.optimizer, "nsga2");
-//! assert!(!result.pareto_front().is_empty());
+//! let mut first: Option<Checkpoint> = None;
+//! let mut halt_at_first = |checkpoint: &Checkpoint| {
+//!     first = Some(checkpoint.clone());
+//!     CheckpointControl::Halt
+//! };
+//! assert!(config.run_checkpointed(&problem, None, &mut halt_at_first).is_err());
+//! let resumed = config
+//!     .run_checkpointed(&problem, first, &mut DiscardCheckpoints)
+//!     .unwrap();
+//! assert_eq!(resumed.archive, config.run(&problem).archive);
 //! ```
 
 #![deny(missing_docs)]
@@ -86,21 +98,17 @@ pub use checkpoint::{
 };
 pub use config::{EarlyStop, GaConfig, GenerationStats};
 pub use evalcache::CachedProblem;
-pub use nsga2::{Nsga2, Nsga2Result};
-pub use optimizer::{OptimizationResult, Optimizer, OptimizerConfig};
+pub use optimizer::{OptimizationResult, OptimizerConfig};
 pub use pareto::{
     crowding_distance, dominates, fast_non_dominated_sort, hypervolume_2d, non_dominated_indices,
     pareto_front, FrontTracker,
 };
-/// Backwards-compatible alias for [`SizingProblem`] (the pre-redesign name).
-pub use problem::SizingProblem as MultiObjectiveProblem;
 pub use problem::{
     evaluate_batch_parallel, Evaluation, FnProblem, ObjectiveSpec, Sense, SizingProblem,
 };
-pub use random_search::{random_search, RandomSearch, RandomSearchResult};
 pub use sharding::{
-    drive_epoch, DegradedHook, EpochWork, ShardError, ShardOutcome, ShardResults, ShardTransport,
-    ShardWork, ShardWorkKind, ShardedEvaluator, ShardingOptions, TransportStats, VariationOutcome,
-    VariationPointWork, WithEvaluator,
+    drive_epoch, publish_epoch, DegradedHook, EpochWork, ShardError, ShardOutcome, ShardResults,
+    ShardTransport, ShardWork, ShardWorkKind, ShardedEvaluator, ShardingOptions, TransportStats,
+    VariationOutcome, VariationPointWork, WithEvaluator,
 };
-pub use wbga::{normalize_weights, Wbga, WbgaIndividual, WbgaResult};
+pub use wbga::normalize_weights;

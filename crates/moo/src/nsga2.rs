@@ -3,298 +3,135 @@
 //! The paper chooses the WBGA; NSGA-II (Deb, paper ref. \[8\]) is the standard
 //! alternative for multi-objective analogue sizing and is provided here as the
 //! comparison baseline (`ayb run --optimizer nsga2`, then `ayb report`): same
-//! evaluation budget, front quality compared via hypervolume.
+//! evaluation budget, front quality compared via hypervolume. It runs
+//! through [`OptimizerConfig::Nsga2`](crate::OptimizerConfig::Nsga2); this
+//! module holds its breeding and selection.
 
-use crate::checkpoint::{
-    Checkpoint, CheckpointControl, CheckpointError, CheckpointIndividual, CheckpointSink,
-    DiscardCheckpoints,
-};
+use crate::checkpoint::CheckpointIndividual;
 use crate::config::{GaConfig, GenerationStats};
 use crate::operators::{blend_crossover, gaussian_mutation, random_genes};
-use crate::optimizer::{OptimizationResult, Optimizer};
-use crate::pareto::{crowding_distance, fast_non_dominated_sort, pareto_front, FrontTracker};
-use crate::problem::{Evaluation, Sense, SizingProblem};
+use crate::optimizer::Search;
+use crate::pareto::{crowding_distance, fast_non_dominated_sort};
+use crate::problem::{Evaluation, Sense};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use rand::Rng;
 
-/// Result of an NSGA-II run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Nsga2Result {
-    /// Every successful evaluation performed during the run.
-    pub archive: Vec<Evaluation>,
-    /// The final population (after the last environmental selection).
-    pub final_population: Vec<Evaluation>,
-    /// Per-generation statistics (best/mean of the first objective).
-    pub history: Vec<GenerationStats>,
-    /// Number of evaluation attempts, including failures.
-    pub evaluations: usize,
-    /// Number of failed evaluations.
-    pub failed_evaluations: usize,
-    /// Objective senses copied from the problem.
-    pub senses: Vec<Sense>,
-}
-
-impl Nsga2Result {
-    /// Pareto front over the complete evaluation archive.
-    pub fn pareto_front(&self) -> Vec<Evaluation> {
-        pareto_front(&self.archive, &self.senses)
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Candidate {
-    genes: Vec<f64>,
-    objectives: Option<Vec<f64>>,
-}
-
-/// The NSGA-II optimiser.
-#[derive(Debug, Clone)]
-pub struct Nsga2 {
+/// NSGA-II's breeding and selection. A candidate is a
+/// [`CheckpointIndividual`] without weight genes.
+pub(crate) struct Nsga2 {
     config: GaConfig,
+    /// Non-domination rank of each member of the population last closed.
+    ranks: Vec<usize>,
+    /// Crowding distance of each member of the population last closed.
+    crowding: Vec<f64>,
 }
 
 impl Nsga2 {
-    /// Creates an optimiser with the given configuration.
-    pub fn new(config: GaConfig) -> Self {
-        Nsga2 { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &GaConfig {
-        &self.config
-    }
-
-    /// Runs the optimisation.
-    ///
-    /// Populations are evaluated through [`SizingProblem::evaluate_batch`],
-    /// so problems with a parallel batch implementation use every core.
-    pub fn run<P: SizingProblem + ?Sized>(&self, problem: &P) -> Nsga2Result {
-        self.run_resumable(problem, None, &mut DiscardCheckpoints)
-            .expect("a fresh NSGA-II run cannot fail")
-    }
-
-    /// Runs the optimisation with per-generation checkpointing, optionally
-    /// resuming from a previously captured [`Checkpoint`].
-    ///
-    /// Semantics match [`Wbga::run_resumable`](crate::Wbga::run_resumable):
-    /// with [`DiscardCheckpoints`] and no resume state this is exactly
-    /// [`Nsga2::run`], and resuming from any emitted checkpoint reproduces
-    /// the uninterrupted run bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] on an incompatible `resume` state or
-    /// [`CheckpointError::Halted`] when the sink requested a stop.
-    pub fn run_resumable<P: SizingProblem + ?Sized>(
-        &self,
-        problem: &P,
-        resume: Option<Checkpoint>,
-        sink: &mut dyn CheckpointSink,
-    ) -> Result<Nsga2Result, CheckpointError> {
-        let cfg = &self.config;
-        let n_params = problem.parameter_count();
-        let senses: Vec<Sense> = problem.objectives().iter().map(|o| o.sense).collect();
-
-        let evaluate_batch = |genomes: Vec<Vec<f64>>,
-                              archive: &mut Vec<Evaluation>,
-                              evaluations: &mut usize,
-                              failed: &mut usize| {
-            let results = problem.evaluate_batch(&genomes);
-            genomes
-                .into_iter()
-                .zip(results)
-                .map(|(genes, result)| {
-                    *evaluations += 1;
-                    let objectives = match result {
-                        Some(evaluation) => {
-                            let objectives = evaluation.objectives.clone();
-                            archive.push(evaluation);
-                            Some(objectives)
-                        }
-                        None => {
-                            *failed += 1;
-                            None
-                        }
-                    };
-                    Candidate { genes, objectives }
-                })
-                .collect::<Vec<Candidate>>()
-        };
-
-        let mut rng;
-        let mut archive;
-        let mut history;
-        let mut evaluations;
-        let mut failed;
-        let mut stall;
-        let mut population;
-        let start_generation;
-
-        match resume {
-            None => {
-                rng = StdRng::seed_from_u64(cfg.seed);
-                archive = Vec::new();
-                history = Vec::new();
-                evaluations = 0usize;
-                failed = 0usize;
-                stall = 0usize;
-                start_generation = 0;
-                let genomes: Vec<Vec<f64>> = (0..cfg.population_size)
-                    .map(|_| random_genes(&mut rng, n_params))
-                    .collect();
-                population = evaluate_batch(genomes, &mut archive, &mut evaluations, &mut failed);
-            }
-            Some(checkpoint) => {
-                checkpoint.validate("nsga2", n_params, &senses, cfg.generations)?;
-                rng = StdRng::from_state(checkpoint.rng_state);
-                population = checkpoint
-                    .population
-                    .into_iter()
-                    .map(|individual| Candidate {
-                        genes: individual.parameters,
-                        objectives: individual.objectives,
-                    })
-                    .collect();
-                archive = checkpoint.archive;
-                history = checkpoint.history;
-                evaluations = checkpoint.evaluations;
-                failed = checkpoint.failed_evaluations;
-                stall = checkpoint.stall_generations;
-                start_generation = checkpoint.next_generation;
-            }
+    pub(crate) fn new(config: GaConfig) -> Self {
+        Nsga2 {
+            config,
+            ranks: Vec::new(),
+            crowding: Vec::new(),
         }
-
-        let mut tracker = cfg
-            .early_stop
-            .map(|_| FrontTracker::from_archive(&archive, &senses));
-
-        for generation in start_generation..cfg.generations {
-            history.push(stats(generation, &population, &senses));
-            if generation + 1 == cfg.generations {
-                break;
-            }
-            if let Some(early_stop) = &cfg.early_stop {
-                if stall >= early_stop.effective_patience() {
-                    break;
-                }
-            }
-            // Rank the current population to drive mating selection.
-            let (ranks, crowding) = rank_population(&population, &senses);
-
-            // Generate the full offspring genome set, then evaluate one batch.
-            let mut offspring_genomes: Vec<Vec<f64>> = Vec::with_capacity(cfg.population_size);
-            while offspring_genomes.len() < cfg.population_size {
-                let pa = binary_tournament(&mut rng, &ranks, &crowding);
-                let pb = binary_tournament(&mut rng, &ranks, &crowding);
-                let (mut child_a, mut child_b) = if rng.gen::<f64>() < cfg.crossover_rate {
-                    blend_crossover(&mut rng, &population[pa].genes, &population[pb].genes, 0.3)
-                } else {
-                    (population[pa].genes.clone(), population[pb].genes.clone())
-                };
-                gaussian_mutation(
-                    &mut rng,
-                    &mut child_a,
-                    cfg.mutation_rate,
-                    cfg.mutation_sigma,
-                );
-                gaussian_mutation(
-                    &mut rng,
-                    &mut child_b,
-                    cfg.mutation_rate,
-                    cfg.mutation_sigma,
-                );
-                for child in [child_a, child_b] {
-                    if offspring_genomes.len() >= cfg.population_size {
-                        break;
-                    }
-                    offspring_genomes.push(child);
-                }
-            }
-            let archived_before = archive.len();
-            let offspring = evaluate_batch(
-                offspring_genomes,
-                &mut archive,
-                &mut evaluations,
-                &mut failed,
-            );
-            if let Some(tracker) = tracker.as_mut() {
-                let mut improved = false;
-                for evaluation in &archive[archived_before..] {
-                    improved |= tracker.insert(evaluation);
-                }
-                stall = if improved { 0 } else { stall + 1 };
-            }
-
-            // Environmental selection over parents + offspring.
-            let mut combined = population;
-            combined.extend(offspring);
-            population = environmental_selection(combined, cfg.population_size, &senses);
-
-            if sink.wants_checkpoints() {
-                let checkpoint = Checkpoint {
-                    optimizer: "nsga2".to_string(),
-                    next_generation: generation + 1,
-                    rng_state: rng.state(),
-                    population: population
-                        .iter()
-                        .map(|candidate| CheckpointIndividual {
-                            parameters: candidate.genes.clone(),
-                            weight_genes: Vec::new(),
-                            objectives: candidate.objectives.clone(),
-                        })
-                        .collect(),
-                    archive: archive.clone(),
-                    history: history.clone(),
-                    evaluations,
-                    failed_evaluations: failed,
-                    stall_generations: stall,
-                    senses: senses.clone(),
-                };
-                if sink.on_checkpoint(&checkpoint) == CheckpointControl::Halt {
-                    return Err(CheckpointError::Halted {
-                        generation: generation + 1,
-                    });
-                }
-            }
-        }
-
-        let final_population = population
-            .iter()
-            .filter_map(|c| {
-                c.objectives
-                    .as_ref()
-                    .map(|obj| Evaluation::new(c.genes.clone(), obj.clone()))
-            })
-            .collect();
-
-        Ok(Nsga2Result {
-            archive,
-            final_population,
-            history,
-            evaluations,
-            failed_evaluations: failed,
-            senses,
-        })
     }
 }
 
-impl Optimizer for Nsga2 {
-    fn name(&self) -> &'static str {
-        "nsga2"
+fn candidate(genes: Vec<f64>) -> CheckpointIndividual {
+    CheckpointIndividual {
+        parameters: genes,
+        weight_genes: Vec::new(),
+        objectives: None,
+    }
+}
+
+impl Search for Nsga2 {
+    fn generations(&self) -> usize {
+        self.config.generations
     }
 
-    fn run(&self, problem: &dyn SizingProblem) -> OptimizationResult {
-        Nsga2::run(self, problem).into()
+    fn initial(
+        &mut self,
+        rng: &mut StdRng,
+        parameters: usize,
+        _objectives: usize,
+    ) -> Vec<CheckpointIndividual> {
+        (0..self.config.population_size)
+            .map(|_| candidate(random_genes(rng, parameters)))
+            .collect()
     }
 
-    fn run_checkpointed(
-        &self,
-        problem: &dyn SizingProblem,
-        resume: Option<Checkpoint>,
-        sink: &mut dyn CheckpointSink,
-    ) -> Result<OptimizationResult, CheckpointError> {
-        self.run_resumable(problem, resume, sink).map(Into::into)
+    fn close(
+        &mut self,
+        generation: usize,
+        population: &[CheckpointIndividual],
+        senses: &[Sense],
+    ) -> Option<GenerationStats> {
+        // Rank the population to drive mating selection.
+        (self.ranks, self.crowding) = rank_population(population, senses);
+        Some(stats(generation, population, senses))
+    }
+
+    fn breed(
+        &mut self,
+        rng: &mut StdRng,
+        _generation: usize,
+        population: &[CheckpointIndividual],
+        _parameters: usize,
+    ) -> Vec<CheckpointIndividual> {
+        let cfg = &self.config;
+        // Generate the full offspring genome set, then evaluate one batch.
+        let mut offspring: Vec<CheckpointIndividual> = Vec::with_capacity(cfg.population_size);
+        while offspring.len() < cfg.population_size {
+            let pa = binary_tournament(rng, &self.ranks, &self.crowding);
+            let pb = binary_tournament(rng, &self.ranks, &self.crowding);
+            let (mut child_a, mut child_b) = if rng.gen::<f64>() < cfg.crossover_rate {
+                blend_crossover(
+                    rng,
+                    &population[pa].parameters,
+                    &population[pb].parameters,
+                    0.3,
+                )
+            } else {
+                (
+                    population[pa].parameters.clone(),
+                    population[pb].parameters.clone(),
+                )
+            };
+            gaussian_mutation(rng, &mut child_a, cfg.mutation_rate, cfg.mutation_sigma);
+            gaussian_mutation(rng, &mut child_b, cfg.mutation_rate, cfg.mutation_sigma);
+            for child in [child_a, child_b] {
+                if offspring.len() >= cfg.population_size {
+                    break;
+                }
+                offspring.push(candidate(child));
+            }
+        }
+        offspring
+    }
+
+    fn select(
+        &mut self,
+        population: Vec<CheckpointIndividual>,
+        offspring: Vec<CheckpointIndividual>,
+        senses: &[Sense],
+    ) -> Vec<CheckpointIndividual> {
+        // Environmental selection over parents + offspring.
+        let mut combined = population;
+        combined.extend(offspring);
+        environmental_selection(combined, self.config.population_size, senses)
+    }
+
+    fn final_population(&self, population: &[CheckpointIndividual]) -> Option<Vec<Evaluation>> {
+        Some(
+            population
+                .iter()
+                .filter_map(|c| {
+                    c.objectives
+                        .as_ref()
+                        .map(|obj| Evaluation::new(c.parameters.clone(), obj.clone()))
+                })
+                .collect(),
+        )
     }
 }
 
@@ -310,7 +147,10 @@ fn penalty_objectives(senses: &[Sense]) -> Vec<f64> {
         .collect()
 }
 
-fn rank_population(population: &[Candidate], senses: &[Sense]) -> (Vec<usize>, Vec<f64>) {
+fn rank_population(
+    population: &[CheckpointIndividual],
+    senses: &[Sense],
+) -> (Vec<usize>, Vec<f64>) {
     let objectives: Vec<Vec<f64>> = population
         .iter()
         .map(|c| {
@@ -347,10 +187,10 @@ fn binary_tournament<R: Rng + ?Sized>(rng: &mut R, ranks: &[usize], crowding: &[
 }
 
 fn environmental_selection(
-    combined: Vec<Candidate>,
+    combined: Vec<CheckpointIndividual>,
     target: usize,
     senses: &[Sense],
-) -> Vec<Candidate> {
+) -> Vec<CheckpointIndividual> {
     let objectives: Vec<Vec<f64>> = combined
         .iter()
         .map(|c| {
@@ -383,7 +223,11 @@ fn environmental_selection(
     selected.into_iter().map(|i| combined[i].clone()).collect()
 }
 
-fn stats(generation: usize, population: &[Candidate], senses: &[Sense]) -> GenerationStats {
+fn stats(
+    generation: usize,
+    population: &[CheckpointIndividual],
+    senses: &[Sense],
+) -> GenerationStats {
     let values: Vec<f64> = population
         .iter()
         .filter_map(|c| c.objectives.as_ref().map(|o| o[0]))
@@ -415,6 +259,9 @@ fn stats(generation: usize, population: &[Candidate], senses: &[Sense]) -> Gener
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::tests::assert_every_checkpoint_resumes_to_the_full_run;
+    use crate::optimizer::OptimizerConfig;
+    use crate::pareto::pareto_front;
     use crate::problem::{FnProblem, ObjectiveSpec};
 
     /// ZDT1-like problem with three variables (both objectives minimised).
@@ -436,9 +283,12 @@ mod tests {
         let mut cfg = GaConfig::small_test();
         cfg.population_size = 24;
         cfg.generations = 30;
-        let result = Nsga2::new(cfg).run(&zdt1());
+        let result = OptimizerConfig::Nsga2(cfg).run(&zdt1());
         assert_eq!(result.evaluations, cfg.evaluation_budget());
-        let front = pareto_front(&result.final_population, &result.senses);
+        let final_population = result
+            .final_population
+            .expect("NSGA-II reports its population");
+        let front = pareto_front(&final_population, &result.senses);
         assert!(!front.is_empty());
         // On the true front g = 1, i.e. f2 = 1 − sqrt(f1). Check proximity.
         let mean_violation: f64 = front
@@ -455,8 +305,8 @@ mod tests {
     #[test]
     fn final_population_size_is_bounded() {
         let cfg = GaConfig::small_test();
-        let result = Nsga2::new(cfg).run(&zdt1());
-        assert!(result.final_population.len() <= cfg.population_size);
+        let result = OptimizerConfig::Nsga2(cfg).run(&zdt1());
+        assert!(result.final_population.unwrap().len() <= cfg.population_size);
         assert_eq!(result.history.len(), cfg.generations);
     }
 
@@ -473,44 +323,27 @@ mod tests {
                 }
             },
         );
-        let result = Nsga2::new(GaConfig::small_test()).run(&problem);
+        let result = OptimizerConfig::Nsga2(GaConfig::small_test()).run(&problem);
         assert!(result.failed_evaluations > 0);
         assert!(result.pareto_front().iter().all(|e| e.parameters[0] <= 0.8));
     }
 
     #[test]
-    fn reproducible_with_same_seed() {
-        let cfg = GaConfig::small_test();
-        let a = Nsga2::new(cfg).run(&zdt1());
-        let b = Nsga2::new(cfg).run(&zdt1());
-        assert_eq!(a.archive, b.archive);
+    fn resume_from_any_checkpoint_reproduces_the_full_run() {
+        let config = GaConfig::small_test();
+        let (full, checkpoints) = assert_every_checkpoint_resumes_to_the_full_run(
+            &OptimizerConfig::Nsga2(config),
+            &zdt1(),
+        );
+        assert_eq!(checkpoints, config.generations - 1);
+        assert!(full.final_population.is_some());
     }
 
     #[test]
-    fn resume_from_any_checkpoint_reproduces_the_full_run() {
-        let problem = zdt1();
-        let nsga2 = Nsga2::new(GaConfig::small_test());
-        let full = nsga2.run(&problem);
-        let mut checkpoints = Vec::new();
-        let mut sink = |cp: &Checkpoint| {
-            checkpoints.push(cp.clone());
-            CheckpointControl::Continue
-        };
-        let checkpointed = nsga2.run_resumable(&problem, None, &mut sink).unwrap();
-        assert_eq!(checkpointed.archive, full.archive);
-        assert_eq!(checkpointed.final_population, full.final_population);
-
-        for checkpoint in checkpoints {
-            let generation = checkpoint.next_generation;
-            let resumed = nsga2
-                .run_resumable(&problem, Some(checkpoint), &mut DiscardCheckpoints)
-                .unwrap_or_else(|e| panic!("resume from generation {generation} failed: {e}"));
-            assert_eq!(resumed.archive, full.archive, "gen {generation}");
-            assert_eq!(
-                resumed.final_population, full.final_population,
-                "gen {generation}"
-            );
-            assert_eq!(resumed.history, full.history, "gen {generation}");
-        }
+    fn reproducible_with_same_seed() {
+        let cfg = GaConfig::small_test();
+        let a = OptimizerConfig::Nsga2(cfg).run(&zdt1());
+        let b = OptimizerConfig::Nsga2(cfg).run(&zdt1());
+        assert_eq!(a.archive, b.archive);
     }
 }

@@ -67,8 +67,9 @@ impl ObjectiveSpec {
 /// that does not converge); the optimisers treat these as worst-possible
 /// candidates rather than aborting.
 ///
-/// The trait is object safe — every [`Optimizer`](crate::Optimizer) consumes
-/// a `&dyn SizingProblem` — and requires [`Sync`] so that batches can be
+/// The trait is object safe — every optimiser run
+/// ([`OptimizerConfig::run`](crate::OptimizerConfig::run)) consumes a
+/// `&dyn SizingProblem` — and requires [`Sync`] so that batches can be
 /// evaluated on worker threads (see [`SizingProblem::evaluate_batch`] and
 /// [`evaluate_batch_parallel`]).
 pub trait SizingProblem: Sync {

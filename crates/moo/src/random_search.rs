@@ -2,206 +2,90 @@
 //!
 //! The simplest "conventional simulation-based approach": sample the design
 //! space uniformly and keep the non-dominated points. Used to show what the
-//! same evaluation budget buys without an evolutionary search.
+//! same evaluation budget buys without an evolutionary search. It runs
+//! through [`OptimizerConfig::RandomSearch`](crate::OptimizerConfig::RandomSearch).
 
-use crate::checkpoint::{
-    Checkpoint, CheckpointControl, CheckpointError, CheckpointSink, DiscardCheckpoints,
-};
-use crate::optimizer::{OptimizationResult, Optimizer};
-use crate::pareto::pareto_front;
-use crate::problem::{Evaluation, Sense, SizingProblem};
+use crate::checkpoint::CheckpointIndividual;
+use crate::config::GenerationStats;
+use crate::optimizer::Search;
+use crate::problem::Sense;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use rand::Rng;
 
-/// Number of evaluations between two checkpoints of a resumable random
-/// search. Candidates are drawn and evaluated in chunks of this size, which
+/// Number of evaluations between two checkpoints of a random search.
+/// Candidates are drawn and evaluated in chunks of this size, which
 /// produces exactly the same stream (and therefore the same result) as
 /// drawing the whole budget up front.
 pub const RANDOM_SEARCH_CHECKPOINT_CHUNK: usize = 64;
 
-/// Result of a random-search run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RandomSearchResult {
-    /// All successful evaluations.
-    pub archive: Vec<Evaluation>,
-    /// Number of evaluation attempts including failures.
-    pub evaluations: usize,
-    /// Number of failed evaluations.
-    pub failed_evaluations: usize,
-    /// Objective senses copied from the problem.
-    pub senses: Vec<Sense>,
-}
-
-impl RandomSearchResult {
-    /// Pareto front over the archive.
-    pub fn pareto_front(&self) -> Vec<Evaluation> {
-        pareto_front(&self.archive, &self.senses)
-    }
-}
-
-/// Uniform random search as an [`Optimizer`] (stateless apart from its
-/// budget and seed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RandomSearch {
+/// Random search keeps no population: each generation of the loop draws
+/// and evaluates one chunk of [`RANDOM_SEARCH_CHECKPOINT_CHUNK`] candidates,
+/// so a checkpoint's `next_generation` counts completed chunks.
+pub(crate) struct RandomSearch {
     /// Number of evaluation attempts.
-    pub budget: usize,
-    /// RNG seed.
-    pub seed: u64,
+    budget: usize,
 }
 
 impl RandomSearch {
-    /// Creates a random-search optimiser.
-    pub fn new(budget: usize, seed: u64) -> Self {
-        RandomSearch { budget, seed }
-    }
-
-    /// Runs the search (same result as the free [`random_search`] function).
-    pub fn run<P: SizingProblem + ?Sized>(&self, problem: &P) -> RandomSearchResult {
-        self.run_resumable(problem, None, &mut DiscardCheckpoints)
-            .expect("a fresh random search cannot fail")
-    }
-
-    /// Runs the search with a checkpoint after every evaluated chunk of
-    /// [`RANDOM_SEARCH_CHECKPOINT_CHUNK`] candidates, optionally resuming.
-    ///
-    /// Random search has no population: a checkpoint carries the archive,
-    /// the counters and the RNG state, and `next_generation` counts
-    /// completed chunks. Chunked execution draws candidates in the same
-    /// order as the single-batch version, so results are identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] on an incompatible `resume` state or
-    /// [`CheckpointError::Halted`] when the sink requested a stop.
-    pub fn run_resumable<P: SizingProblem + ?Sized>(
-        &self,
-        problem: &P,
-        resume: Option<Checkpoint>,
-        sink: &mut dyn CheckpointSink,
-    ) -> Result<RandomSearchResult, CheckpointError> {
-        let senses: Vec<Sense> = problem.objectives().iter().map(|o| o.sense).collect();
-        let total_chunks = self.budget.div_ceil(RANDOM_SEARCH_CHECKPOINT_CHUNK);
-
-        let mut rng;
-        let mut archive;
-        let mut evaluations;
-        let mut failed;
-        let start_chunk;
-        match resume {
-            None => {
-                rng = StdRng::seed_from_u64(self.seed);
-                archive = Vec::with_capacity(self.budget);
-                evaluations = 0usize;
-                failed = 0usize;
-                start_chunk = 0;
-            }
-            Some(checkpoint) => {
-                checkpoint.validate(
-                    "random_search",
-                    problem.parameter_count(),
-                    &senses,
-                    total_chunks,
-                )?;
-                rng = StdRng::from_state(checkpoint.rng_state);
-                archive = checkpoint.archive;
-                evaluations = checkpoint.evaluations;
-                failed = checkpoint.failed_evaluations;
-                start_chunk = checkpoint.next_generation;
-            }
-        }
-
-        for chunk in start_chunk..total_chunks {
-            let offset = chunk * RANDOM_SEARCH_CHECKPOINT_CHUNK;
-            let len = RANDOM_SEARCH_CHECKPOINT_CHUNK.min(self.budget - offset);
-            let genomes: Vec<Vec<f64>> = (0..len)
-                .map(|_| {
-                    (0..problem.parameter_count())
-                        .map(|_| rng.gen::<f64>())
-                        .collect()
-                })
-                .collect();
-            for result in problem.evaluate_batch(&genomes) {
-                evaluations += 1;
-                match result {
-                    Some(evaluation) => archive.push(evaluation),
-                    None => failed += 1,
-                }
-            }
-
-            // The final chunk completes the run; no checkpoint is needed.
-            if chunk + 1 == total_chunks {
-                break;
-            }
-            if sink.wants_checkpoints() {
-                let checkpoint = Checkpoint {
-                    optimizer: "random_search".to_string(),
-                    next_generation: chunk + 1,
-                    rng_state: rng.state(),
-                    population: Vec::new(),
-                    archive: archive.clone(),
-                    history: Vec::new(),
-                    evaluations,
-                    failed_evaluations: failed,
-                    stall_generations: 0,
-                    senses: senses.clone(),
-                };
-                if sink.on_checkpoint(&checkpoint) == CheckpointControl::Halt {
-                    return Err(CheckpointError::Halted {
-                        generation: chunk + 1,
-                    });
-                }
-            }
-        }
-
-        Ok(RandomSearchResult {
-            archive,
-            evaluations,
-            failed_evaluations: failed,
-            senses,
-        })
+    pub(crate) fn new(budget: usize) -> Self {
+        RandomSearch { budget }
     }
 }
 
-impl Optimizer for RandomSearch {
-    fn name(&self) -> &'static str {
-        "random_search"
+impl Search for RandomSearch {
+    fn generations(&self) -> usize {
+        self.budget.div_ceil(RANDOM_SEARCH_CHECKPOINT_CHUNK)
     }
 
-    fn run(&self, problem: &dyn SizingProblem) -> OptimizationResult {
-        RandomSearch::run(self, problem).into()
+    fn initial(&mut self, _: &mut StdRng, _: usize, _: usize) -> Vec<CheckpointIndividual> {
+        Vec::new()
     }
 
-    fn run_checkpointed(
-        &self,
-        problem: &dyn SizingProblem,
-        resume: Option<Checkpoint>,
-        sink: &mut dyn CheckpointSink,
-    ) -> Result<OptimizationResult, CheckpointError> {
-        self.run_resumable(problem, resume, sink).map(Into::into)
+    fn close(
+        &mut self,
+        _: usize,
+        _: &[CheckpointIndividual],
+        _: &[Sense],
+    ) -> Option<GenerationStats> {
+        None
     }
-}
 
-/// Runs uniform random search with the given evaluation budget and seed.
-///
-/// Candidates are evaluated through [`SizingProblem::evaluate_batch`] in
-/// chunks of [`RANDOM_SEARCH_CHECKPOINT_CHUNK`], so problems with a parallel
-/// batch implementation use every core.
-pub fn random_search<P: SizingProblem + ?Sized>(
-    problem: &P,
-    budget: usize,
-    seed: u64,
-) -> RandomSearchResult {
-    RandomSearch::new(budget, seed).run(problem)
+    fn breed(
+        &mut self,
+        rng: &mut StdRng,
+        chunk: usize,
+        _population: &[CheckpointIndividual],
+        parameters: usize,
+    ) -> Vec<CheckpointIndividual> {
+        let offset = chunk * RANDOM_SEARCH_CHECKPOINT_CHUNK;
+        let len = RANDOM_SEARCH_CHECKPOINT_CHUNK.min(self.budget - offset);
+        (0..len)
+            .map(|_| CheckpointIndividual {
+                parameters: (0..parameters).map(|_| rng.gen::<f64>()).collect(),
+                weight_genes: Vec::new(),
+                objectives: None,
+            })
+            .collect()
+    }
+
+    fn select(
+        &mut self,
+        _: Vec<CheckpointIndividual>,
+        _: Vec<CheckpointIndividual>,
+        _: &[Sense],
+    ) -> Vec<CheckpointIndividual> {
+        Vec::new()
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::RANDOM_SEARCH_CHECKPOINT_CHUNK;
     use crate::config::GaConfig;
+    use crate::optimizer::tests::assert_every_checkpoint_resumes_to_the_full_run;
+    use crate::optimizer::OptimizerConfig;
     use crate::pareto::hypervolume_2d;
     use crate::problem::{FnProblem, ObjectiveSpec};
-    use crate::wbga::Wbga;
 
     fn tradeoff() -> FnProblem<impl Fn(&[f64]) -> Option<Vec<f64>>> {
         FnProblem::new(
@@ -218,8 +102,12 @@ mod tests {
 
     #[test]
     fn budget_and_reproducibility() {
-        let a = random_search(&tradeoff(), 100, 5);
-        let b = random_search(&tradeoff(), 100, 5);
+        let search = OptimizerConfig::RandomSearch {
+            budget: 100,
+            seed: 5,
+        };
+        let a = search.run(&tradeoff());
+        let b = search.run(&tradeoff());
         assert_eq!(a.archive, b.archive);
         assert_eq!(a.evaluations, 100);
         assert_eq!(a.failed_evaluations, 0);
@@ -228,31 +116,15 @@ mod tests {
 
     #[test]
     fn resume_from_any_chunk_reproduces_the_full_run() {
-        let problem = tradeoff();
         // A budget that is not a multiple of the chunk size, so the last
         // chunk is partial.
-        let search = RandomSearch::new(3 * RANDOM_SEARCH_CHECKPOINT_CHUNK + 17, 11);
-        let full = search.run(&problem);
-        assert_eq!(full.evaluations, search.budget);
-
-        let mut checkpoints = Vec::new();
-        let mut sink = |cp: &Checkpoint| {
-            checkpoints.push(cp.clone());
-            CheckpointControl::Continue
-        };
-        let checkpointed = search.run_resumable(&problem, None, &mut sink).unwrap();
-        assert_eq!(checkpointed.archive, full.archive);
+        let budget = 3 * RANDOM_SEARCH_CHECKPOINT_CHUNK + 17;
+        let search = OptimizerConfig::RandomSearch { budget, seed: 11 };
+        let (full, checkpoints) =
+            assert_every_checkpoint_resumes_to_the_full_run(&search, &tradeoff());
+        assert_eq!(full.evaluations, budget);
         // One checkpoint per completed chunk except the last.
-        assert_eq!(checkpoints.len(), 3);
-
-        for checkpoint in checkpoints {
-            let chunk = checkpoint.next_generation;
-            let resumed = search
-                .run_resumable(&problem, Some(checkpoint), &mut DiscardCheckpoints)
-                .unwrap_or_else(|e| panic!("resume from chunk {chunk} failed: {e}"));
-            assert_eq!(resumed.archive, full.archive, "chunk {chunk}");
-            assert_eq!(resumed.evaluations, full.evaluations, "chunk {chunk}");
-        }
+        assert_eq!(checkpoints, 3);
     }
 
     #[test]
@@ -263,8 +135,12 @@ mod tests {
             generations: 20,
             ..GaConfig::small_test()
         };
-        let wbga = Wbga::new(cfg).run(&problem);
-        let random = random_search(&problem, cfg.evaluation_budget(), cfg.seed);
+        let wbga = OptimizerConfig::Wbga(cfg).run(&problem);
+        let random = OptimizerConfig::RandomSearch {
+            budget: cfg.evaluation_budget(),
+            seed: cfg.seed,
+        }
+        .run(&problem);
         let senses = wbga.senses.clone();
         let hv_wbga = hypervolume_2d(&wbga.pareto_front(), [0.0, -1.0], &senses);
         let hv_rand = hypervolume_2d(&random.pareto_front(), [0.0, -1.0], &senses);

@@ -476,6 +476,34 @@ pub fn drive_epoch<W: EpochWork>(
     )
 }
 
+/// Opens an epoch of `shard_count` shards of `kind` on `transport` and
+/// publishes `work(i)` as shard `i`, in index order: the publishing half of
+/// every sharded stage, before [`drive_epoch`] collects the outputs.
+///
+/// # Errors
+///
+/// Returns the shard it failed at with the transport's error — shard 0 when
+/// the epoch cannot be opened, shard `i` when publishing shard `i` fails.
+/// A half-published epoch is unusable, so it is closed before returning;
+/// the caller produces the whole stage locally and reports the fallback.
+pub fn publish_epoch(
+    transport: &dyn ShardTransport,
+    kind: ShardWorkKind,
+    shard_count: usize,
+    mut work: impl FnMut(usize) -> ShardWork,
+) -> Result<String, (usize, ShardError)> {
+    let epoch = transport
+        .open_typed_epoch(kind, shard_count)
+        .map_err(|error| (0, error))?;
+    for shard in 0..shard_count {
+        if let Err(error) = transport.publish_work(&epoch, shard, &work(shard)) {
+            let _ = transport.close_epoch(&epoch);
+            return Err((shard, error));
+        }
+    }
+    Ok(epoch)
+}
+
 /// Shard-aware batch evaluation over a [`ShardTransport`].
 ///
 /// [`evaluate_batch`](ShardedEvaluator::evaluate_batch) splits the batch into
@@ -489,9 +517,10 @@ pub fn drive_epoch<W: EpochWork>(
 /// reassembled in shard-index order, making the output bit-identical to an
 /// unsharded evaluation.
 ///
-/// Transport failures degrade gracefully to local evaluation; a sharded
-/// batch therefore completes (with identical results) even when the data
-/// plane misbehaves or no external worker ever shows up.
+/// Transport failures degrade gracefully to local evaluation, each reported
+/// to the degraded hook; a sharded batch therefore completes (with
+/// identical results) even when the data plane misbehaves or no external
+/// worker ever shows up.
 pub struct ShardedEvaluator {
     transport: Arc<dyn ShardTransport>,
     options: ShardingOptions,
@@ -550,23 +579,24 @@ impl ShardedEvaluator {
         }
         let shards: Vec<&[Vec<f64>]> = ranges.iter().map(|r| &batch[r.clone()]).collect();
 
-        let Ok(epoch) = self
-            .transport
-            .open_typed_epoch(ShardWorkKind::Eval, shards.len())
-        else {
-            return problem.evaluate_batch(batch);
-        };
-        for (index, shard) in shards.iter().enumerate() {
-            let work = ShardWork::Eval {
-                parameters: shard.to_vec(),
-            };
-            if self.transport.publish_work(&epoch, index, &work).is_err() {
-                // A half-published epoch is unusable; evaluate everything
-                // locally and dispose of what was published.
-                let _ = self.transport.close_epoch(&epoch);
+        let published = publish_epoch(
+            self.transport.as_ref(),
+            ShardWorkKind::Eval,
+            shards.len(),
+            |index| ShardWork::Eval {
+                parameters: shards[index].to_vec(),
+            },
+        );
+        let epoch = match published {
+            Ok(epoch) => epoch,
+            Err((shard, error)) => {
+                // The whole batch falls back to local evaluation.
+                if let Some(hook) = &self.degraded_hook {
+                    hook(shard, &error);
+                }
                 return problem.evaluate_batch(batch);
             }
-        }
+        };
 
         let mut work = EvalEpochWork {
             transport: self.transport.as_ref(),
@@ -638,7 +668,7 @@ impl EpochWork for EvalEpochWork<'_> {
 }
 
 /// Binds a [`SizingProblem`] to a [`ShardedEvaluator`] behind the problem
-/// trait itself, so every [`Optimizer`](crate::Optimizer) — which only ever
+/// trait itself, so every optimiser run — which only ever
 /// sees `&dyn SizingProblem` — is shard-agnostic.
 ///
 /// Single-candidate [`SizingProblem::evaluate`] calls go straight to the
@@ -1085,6 +1115,87 @@ mod tests {
         assert!(events.iter().any(|(_, m)| m.contains("connection refused")));
     }
 
+    #[test]
+    fn a_batch_that_cannot_be_published_is_evaluated_locally_and_reported() {
+        /// Refuses the first epoch open, then the publish of shard 1.
+        struct RefusesToPublish {
+            inner: MemTransport,
+            opens: AtomicUsize,
+        }
+        impl ShardTransport for RefusesToPublish {
+            fn open_typed_epoch(
+                &self,
+                kind: ShardWorkKind,
+                shard_count: usize,
+            ) -> Result<String, ShardError> {
+                if self.opens.fetch_add(1, Ordering::Relaxed) == 0 {
+                    return Err(ShardError::Transport("open refused".into()));
+                }
+                self.inner.open_typed_epoch(kind, shard_count)
+            }
+            fn publish_work(&self, e: &str, s: usize, w: &ShardWork) -> Result<(), ShardError> {
+                if s == 1 {
+                    return Err(ShardError::Transport("publish refused".into()));
+                }
+                self.inner.publish_work(e, s, w)
+            }
+            fn try_claim(&self, e: &str, s: usize) -> Result<bool, ShardError> {
+                self.inner.try_claim(e, s)
+            }
+            fn submit_outcome(
+                &self,
+                e: &str,
+                s: usize,
+                o: &ShardOutcome,
+            ) -> Result<(), ShardError> {
+                self.inner.submit_outcome(e, s, o)
+            }
+            fn fetch_outcome(&self, e: &str, s: usize) -> Result<Option<ShardOutcome>, ShardError> {
+                self.inner.fetch_outcome(e, s)
+            }
+            fn recover(&self, e: &str, s: usize) -> Result<bool, ShardError> {
+                self.inner.recover(e, s)
+            }
+            fn close_epoch(&self, e: &str) -> Result<(), ShardError> {
+                self.inner.close_epoch(e)
+            }
+        }
+
+        let p = problem();
+        let input = batch(8);
+        let expected = p.evaluate_batch(&input);
+        let transport = Arc::new(RefusesToPublish {
+            inner: MemTransport::default(),
+            opens: AtomicUsize::new(0),
+        });
+        let events: Arc<Mutex<Vec<(usize, String)>>> = Arc::default();
+        let sink = Arc::clone(&events);
+        let sharded = ShardedEvaluator::new(
+            Arc::clone(&transport) as Arc<dyn ShardTransport>,
+            ShardingOptions::with_shard_size(3),
+        )
+        .with_degraded_hook(Arc::new(move |shard, error| {
+            let ShardError::Transport(message) = error;
+            sink.lock().unwrap().push((shard, message.clone()));
+        }));
+        // First batch: the epoch cannot open. Second: shard 1 cannot publish.
+        assert_eq!(sharded.evaluate_batch(&p, &input), expected);
+        assert_eq!(sharded.evaluate_batch(&p, &input), expected);
+        assert_eq!(
+            *events.lock().unwrap(),
+            vec![
+                (0, "open refused".to_string()),
+                (1, "publish refused".to_string())
+            ]
+        );
+        assert_eq!(
+            transport.inner.closed.load(Ordering::Relaxed),
+            1,
+            "the half-published epoch is closed"
+        );
+        assert!(transport.inner.epochs.lock().unwrap().is_empty());
+    }
+
     /// A direct [`EpochWork`] stub: everything is produced locally, hooks
     /// record landing order and can veto.
     struct CountWork {
@@ -1213,7 +1324,7 @@ mod tests {
                 seed: 9,
             },
         ] {
-            let reference = config.build().run(&plain);
+            let reference = config.run(&plain);
             let sharded = WithEvaluator::new(
                 &plain,
                 ShardedEvaluator::new(
@@ -1221,7 +1332,7 @@ mod tests {
                     ShardingOptions::with_shard_size(3),
                 ),
             );
-            let distributed = config.build().run(&sharded);
+            let distributed = config.run(&sharded);
             assert_eq!(
                 reference.archive,
                 distributed.archive,

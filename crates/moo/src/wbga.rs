@@ -16,39 +16,16 @@
 //!
 //! with the min/max taken over the feasible individuals of the current
 //! generation and the normalisation flipped for minimisation objectives.
+//! It runs through [`OptimizerConfig::Wbga`](crate::OptimizerConfig::Wbga);
+//! this module holds its breeding and selection.
 
-use crate::checkpoint::{
-    Checkpoint, CheckpointControl, CheckpointError, CheckpointIndividual, CheckpointSink,
-    DiscardCheckpoints,
-};
+use crate::checkpoint::{CheckpointError, CheckpointIndividual};
 use crate::config::{GaConfig, GenerationStats};
 use crate::operators::{blend_crossover, gaussian_mutation, random_genes, tournament_select};
-use crate::optimizer::{OptimizationResult, Optimizer};
-use crate::pareto::{pareto_front, FrontTracker};
-use crate::problem::{Evaluation, Sense, SizingProblem};
+use crate::optimizer::Search;
+use crate::problem::Sense;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
-/// One WBGA individual: designable parameters plus objective weights.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WbgaIndividual {
-    /// Normalised designable parameters (the `P` part of the GA string).
-    pub parameters: Vec<f64>,
-    /// Raw (un-normalised) weight genes (the `W` part of the GA string).
-    pub weight_genes: Vec<f64>,
-    /// Raw objective values, `None` if the evaluation failed.
-    pub objectives: Option<Vec<f64>>,
-    /// Scalar fitness of eq. 5 (set during fitness assignment).
-    pub fitness: f64,
-}
-
-impl WbgaIndividual {
-    /// Weights normalised per eq. 4 (`w_i ← w_i / Σ_j w_j`).
-    pub fn normalized_weights(&self) -> Vec<f64> {
-        normalize_weights(&self.weight_genes)
-    }
-}
+use rand::Rng;
 
 /// Normalises a weight vector so its entries sum to one (paper eq. 4).
 ///
@@ -61,357 +38,154 @@ pub fn normalize_weights(weight_genes: &[f64]) -> Vec<f64> {
     weight_genes.iter().map(|w| w.max(0.0) / sum).collect()
 }
 
-/// Result of a WBGA run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WbgaResult {
-    /// Every successful evaluation performed during the run (the "10 000
-    /// individuals" of Figure 7).
-    pub archive: Vec<Evaluation>,
-    /// Per-generation statistics.
-    pub history: Vec<GenerationStats>,
-    /// Number of evaluation attempts (including failed ones).
-    pub evaluations: usize,
-    /// Number of failed (infeasible) evaluations.
-    pub failed_evaluations: usize,
-    /// Objective senses copied from the problem, for downstream Pareto extraction.
-    pub senses: Vec<Sense>,
-}
-
-impl WbgaResult {
-    /// Extracts the Pareto front (§3.3) from the evaluation archive.
-    pub fn pareto_front(&self) -> Vec<Evaluation> {
-        pareto_front(&self.archive, &self.senses)
-    }
-
-    /// The archived evaluation with the best value of objective `index`.
-    pub fn best_by_objective(&self, index: usize) -> Option<&Evaluation> {
-        let sense = *self.senses.get(index)?;
-        self.archive.iter().max_by(|a, b| {
-            let (va, vb) = (a.objectives[index], b.objectives[index]);
-            let ord = va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal);
-            match sense {
-                Sense::Maximize => ord,
-                Sense::Minimize => ord.reverse(),
-            }
-        })
-    }
-}
-
-/// The weight-based genetic algorithm.
-#[derive(Debug, Clone)]
-pub struct Wbga {
+/// The weight-based genetic algorithm's breeding and selection. An
+/// individual is a [`CheckpointIndividual`]: normalised designable
+/// parameters (the `P` part of the GA string) plus raw weight genes (the
+/// `W` part).
+pub(crate) struct Wbga {
     config: GaConfig,
+    /// Eq.-5 fitness of the population last closed.
+    fitness: Vec<f64>,
 }
 
 impl Wbga {
-    /// Creates a WBGA with the given configuration.
-    pub fn new(config: GaConfig) -> Self {
-        Wbga { config }
+    pub(crate) fn new(config: GaConfig) -> Self {
+        Wbga {
+            config,
+            fitness: Vec::new(),
+        }
+    }
+}
+
+impl Search for Wbga {
+    fn generations(&self) -> usize {
+        self.config.generations
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &GaConfig {
-        &self.config
-    }
-
-    /// Runs the optimisation against a problem.
-    ///
-    /// Candidate generations are evaluated through
-    /// [`SizingProblem::evaluate_batch`], so problems that override the batch
-    /// entry point (e.g. circuit simulation) spread GA evaluations across all
-    /// cores without affecting reproducibility.
-    pub fn run<P: SizingProblem + ?Sized>(&self, problem: &P) -> WbgaResult {
-        self.run_resumable(problem, None, &mut DiscardCheckpoints)
-            .expect("a fresh WBGA run cannot fail")
-    }
-
-    /// Runs the optimisation with per-generation checkpointing, optionally
-    /// resuming from a previously captured [`Checkpoint`].
-    ///
-    /// `sink` receives a checkpoint after every bred-and-evaluated
-    /// generation; resuming from any of them continues the *identical* run
-    /// (same RNG stream, same archive, same result) — with
-    /// [`DiscardCheckpoints`] this is exactly [`Wbga::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] when `resume` does not fit this
-    /// optimiser/problem/configuration, or [`CheckpointError::Halted`] when
-    /// the sink requested a stop.
-    pub fn run_resumable<P: SizingProblem + ?Sized>(
+    fn check_population(
         &self,
-        problem: &P,
-        resume: Option<Checkpoint>,
-        sink: &mut dyn CheckpointSink,
-    ) -> Result<WbgaResult, CheckpointError> {
-        let cfg = &self.config;
-        let n_params = problem.parameter_count();
-        let n_obj = problem.objective_count();
-        let senses: Vec<Sense> = problem.objectives().iter().map(|o| o.sense).collect();
-
-        let mut rng;
-        let mut archive: Vec<Evaluation>;
-        let mut history: Vec<GenerationStats>;
-        let mut evaluations;
-        let mut failed;
-        let mut stall;
-        let mut population: Vec<WbgaIndividual>;
-        let start_generation;
-
-        match resume {
-            None => {
-                rng = StdRng::seed_from_u64(cfg.seed);
-                archive = Vec::with_capacity(cfg.evaluation_budget());
-                history = Vec::with_capacity(cfg.generations);
-                evaluations = 0usize;
-                failed = 0usize;
-                stall = 0usize;
-                start_generation = 0;
-                // Initial population: random parameters and random weight genes.
-                population = (0..cfg.population_size)
-                    .map(|_| WbgaIndividual {
-                        parameters: random_genes(&mut rng, n_params),
-                        weight_genes: random_genes(&mut rng, n_obj),
-                        objectives: None,
-                        fitness: f64::NEG_INFINITY,
-                    })
-                    .collect();
-                evaluate_population(
-                    problem,
-                    &mut population,
-                    &mut archive,
-                    &mut evaluations,
-                    &mut failed,
-                );
-            }
-            Some(checkpoint) => {
-                checkpoint.validate("wbga", n_params, &senses, cfg.generations)?;
-                for individual in &checkpoint.population {
-                    if individual.weight_genes.len() != n_obj {
-                        return Err(CheckpointError::Incompatible(format!(
-                            "WBGA individual has {} weight genes, problem has {} objectives",
-                            individual.weight_genes.len(),
-                            n_obj
-                        )));
-                    }
-                }
-                rng = StdRng::from_state(checkpoint.rng_state);
-                population = checkpoint
-                    .population
-                    .into_iter()
-                    .map(|individual| WbgaIndividual {
-                        parameters: individual.parameters,
-                        weight_genes: individual.weight_genes,
-                        objectives: individual.objectives,
-                        // Fitness is a pure function of the population's
-                        // objectives; `assign_fitness` recomputes it below.
-                        fitness: f64::NEG_INFINITY,
-                    })
-                    .collect();
-                archive = checkpoint.archive;
-                history = checkpoint.history;
-                evaluations = checkpoint.evaluations;
-                failed = checkpoint.failed_evaluations;
-                stall = checkpoint.stall_generations;
-                start_generation = checkpoint.next_generation;
+        population: &[CheckpointIndividual],
+        objectives: usize,
+    ) -> Result<(), CheckpointError> {
+        for individual in population {
+            if individual.weight_genes.len() != objectives {
+                return Err(CheckpointError::Incompatible(format!(
+                    "WBGA individual has {} weight genes, problem has {} objectives",
+                    individual.weight_genes.len(),
+                    objectives
+                )));
             }
         }
+        Ok(())
+    }
 
-        // Early-stopping front tracker: replaying the archive reproduces the
-        // exact tracker state the uninterrupted run had at this point.
-        let mut tracker = cfg
-            .early_stop
-            .map(|_| FrontTracker::from_archive(&archive, &senses));
+    fn initial(
+        &mut self,
+        rng: &mut StdRng,
+        parameters: usize,
+        objectives: usize,
+    ) -> Vec<CheckpointIndividual> {
+        // Initial population: random parameters and random weight genes.
+        (0..self.config.population_size)
+            .map(|_| CheckpointIndividual {
+                parameters: random_genes(rng, parameters),
+                weight_genes: random_genes(rng, objectives),
+                objectives: None,
+            })
+            .collect()
+    }
 
-        for generation in start_generation..cfg.generations {
-            assign_fitness(&mut population, &senses);
-            history.push(generation_stats(generation, &population));
+    fn close(
+        &mut self,
+        generation: usize,
+        population: &[CheckpointIndividual],
+        senses: &[Sense],
+    ) -> Option<GenerationStats> {
+        self.fitness = fitness(population, senses);
+        Some(generation_stats(generation, population, &self.fitness))
+    }
 
-            if generation + 1 == cfg.generations {
-                break;
-            }
-            if let Some(early_stop) = &cfg.early_stop {
-                if stall >= early_stop.effective_patience() {
+    fn breed(
+        &mut self,
+        rng: &mut StdRng,
+        _generation: usize,
+        population: &[CheckpointIndividual],
+        parameters: usize,
+    ) -> Vec<CheckpointIndividual> {
+        let cfg = &self.config;
+        let elites = cfg.elitism.min(population.len());
+        // Generate the full set of offspring first, then evaluate them as
+        // one batch.
+        let mut offspring: Vec<CheckpointIndividual> = Vec::with_capacity(cfg.population_size);
+        while elites + offspring.len() < cfg.population_size {
+            let pa = &population[tournament_select(rng, &self.fitness, cfg.tournament_size)];
+            let pb = &population[tournament_select(rng, &self.fitness, cfg.tournament_size)];
+            // Crossover acts on the full GA string (parameters + weights),
+            // exactly as in Figure 4 of the paper.
+            let genome_a: Vec<f64> = pa
+                .parameters
+                .iter()
+                .chain(pa.weight_genes.iter())
+                .copied()
+                .collect();
+            let genome_b: Vec<f64> = pb
+                .parameters
+                .iter()
+                .chain(pb.weight_genes.iter())
+                .copied()
+                .collect();
+            let (mut child_a, mut child_b) = if rng.gen::<f64>() < cfg.crossover_rate {
+                blend_crossover(rng, &genome_a, &genome_b, 0.3)
+            } else {
+                (genome_a.clone(), genome_b.clone())
+            };
+            gaussian_mutation(rng, &mut child_a, cfg.mutation_rate, cfg.mutation_sigma);
+            gaussian_mutation(rng, &mut child_b, cfg.mutation_rate, cfg.mutation_sigma);
+            for child in [child_a, child_b] {
+                if elites + offspring.len() >= cfg.population_size {
                     break;
                 }
-            }
-
-            // Selection / crossover / mutation to build the next generation.
-            let fitness: Vec<f64> = population.iter().map(|i| i.fitness).collect();
-            let mut next: Vec<WbgaIndividual> = Vec::with_capacity(cfg.population_size);
-
-            // Elitism: carry over the best individuals unchanged (they are
-            // not re-evaluated and not re-archived).
-            let mut order: Vec<usize> = (0..population.len()).collect();
-            order.sort_by(|&a, &b| {
-                population[b]
-                    .fitness
-                    .partial_cmp(&population[a].fitness)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            for &idx in order.iter().take(cfg.elitism.min(population.len())) {
-                next.push(population[idx].clone());
-            }
-
-            // Generate the full set of offspring first, then evaluate them as
-            // one batch.
-            let mut offspring: Vec<WbgaIndividual> = Vec::with_capacity(cfg.population_size);
-            while next.len() + offspring.len() < cfg.population_size {
-                let pa = &population[tournament_select(&mut rng, &fitness, cfg.tournament_size)];
-                let pb = &population[tournament_select(&mut rng, &fitness, cfg.tournament_size)];
-                // Crossover acts on the full GA string (parameters + weights),
-                // exactly as in Figure 4 of the paper.
-                let genome_a: Vec<f64> = pa
-                    .parameters
-                    .iter()
-                    .chain(pa.weight_genes.iter())
-                    .copied()
-                    .collect();
-                let genome_b: Vec<f64> = pb
-                    .parameters
-                    .iter()
-                    .chain(pb.weight_genes.iter())
-                    .copied()
-                    .collect();
-                let (mut child_a, mut child_b) = if rng.gen::<f64>() < cfg.crossover_rate {
-                    blend_crossover(&mut rng, &genome_a, &genome_b, 0.3)
-                } else {
-                    (genome_a.clone(), genome_b.clone())
-                };
-                gaussian_mutation(
-                    &mut rng,
-                    &mut child_a,
-                    cfg.mutation_rate,
-                    cfg.mutation_sigma,
-                );
-                gaussian_mutation(
-                    &mut rng,
-                    &mut child_b,
-                    cfg.mutation_rate,
-                    cfg.mutation_sigma,
-                );
-                for child in [child_a, child_b] {
-                    if next.len() + offspring.len() >= cfg.population_size {
-                        break;
-                    }
-                    offspring.push(WbgaIndividual {
-                        parameters: child[..n_params].to_vec(),
-                        weight_genes: child[n_params..].to_vec(),
-                        objectives: None,
-                        fitness: f64::NEG_INFINITY,
-                    });
-                }
-            }
-            let archived_before = archive.len();
-            evaluate_population(
-                problem,
-                &mut offspring,
-                &mut archive,
-                &mut evaluations,
-                &mut failed,
-            );
-            if let Some(tracker) = tracker.as_mut() {
-                let mut improved = false;
-                for evaluation in &archive[archived_before..] {
-                    improved |= tracker.insert(evaluation);
-                }
-                stall = if improved { 0 } else { stall + 1 };
-            }
-            next.append(&mut offspring);
-            population = next;
-
-            if sink.wants_checkpoints() {
-                let checkpoint = Checkpoint {
-                    optimizer: "wbga".to_string(),
-                    next_generation: generation + 1,
-                    rng_state: rng.state(),
-                    population: population
-                        .iter()
-                        .map(|individual| CheckpointIndividual {
-                            parameters: individual.parameters.clone(),
-                            weight_genes: individual.weight_genes.clone(),
-                            objectives: individual.objectives.clone(),
-                        })
-                        .collect(),
-                    archive: archive.clone(),
-                    history: history.clone(),
-                    evaluations,
-                    failed_evaluations: failed,
-                    stall_generations: stall,
-                    senses: senses.clone(),
-                };
-                if sink.on_checkpoint(&checkpoint) == CheckpointControl::Halt {
-                    return Err(CheckpointError::Halted {
-                        generation: generation + 1,
-                    });
-                }
+                offspring.push(CheckpointIndividual {
+                    parameters: child[..parameters].to_vec(),
+                    weight_genes: child[parameters..].to_vec(),
+                    objectives: None,
+                });
             }
         }
+        offspring
+    }
 
-        Ok(WbgaResult {
-            archive,
-            history,
-            evaluations,
-            failed_evaluations: failed,
-            senses,
-        })
+    fn select(
+        &mut self,
+        population: Vec<CheckpointIndividual>,
+        offspring: Vec<CheckpointIndividual>,
+        _senses: &[Sense],
+    ) -> Vec<CheckpointIndividual> {
+        // Elitism: carry over the best individuals unchanged (they are not
+        // re-evaluated and not re-archived).
+        let mut order: Vec<usize> = (0..population.len()).collect();
+        order.sort_by(|&a, &b| {
+            self.fitness[b]
+                .partial_cmp(&self.fitness[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let mut next: Vec<CheckpointIndividual> = order
+            .iter()
+            .take(self.config.elitism.min(population.len()))
+            .map(|&idx| population[idx].clone())
+            .collect();
+        next.extend(offspring);
+        next
     }
 }
 
-impl Optimizer for Wbga {
-    fn name(&self) -> &'static str {
-        "wbga"
-    }
-
-    fn run(&self, problem: &dyn SizingProblem) -> OptimizationResult {
-        Wbga::run(self, problem).into()
-    }
-
-    fn run_checkpointed(
-        &self,
-        problem: &dyn SizingProblem,
-        resume: Option<Checkpoint>,
-        sink: &mut dyn CheckpointSink,
-    ) -> Result<OptimizationResult, CheckpointError> {
-        self.run_resumable(problem, resume, sink).map(Into::into)
-    }
-}
-
-/// Evaluates `individuals` as one batch, recording results in the archive and
-/// the evaluation counters.
-fn evaluate_population<P: SizingProblem + ?Sized>(
-    problem: &P,
-    individuals: &mut [WbgaIndividual],
-    archive: &mut Vec<Evaluation>,
-    evaluations: &mut usize,
-    failed: &mut usize,
-) {
-    let batch: Vec<Vec<f64>> = individuals
-        .iter()
-        .map(|individual| individual.parameters.clone())
-        .collect();
-    for (individual, result) in individuals.iter_mut().zip(problem.evaluate_batch(&batch)) {
-        *evaluations += 1;
-        match result {
-            Some(evaluation) => {
-                individual.objectives = Some(evaluation.objectives.clone());
-                archive.push(evaluation);
-            }
-            None => {
-                *failed += 1;
-                individual.objectives = None;
-            }
-        }
-    }
-}
-
-/// Assigns eq.-5 fitness values to a population in place.
-fn assign_fitness(population: &mut [WbgaIndividual], senses: &[Sense]) {
+/// Eq.-5 fitness of every individual of a population (−∞ when infeasible).
+fn fitness(population: &[CheckpointIndividual], senses: &[Sense]) -> Vec<f64> {
     let n_obj = senses.len();
     // Objective ranges over the feasible part of the population.
     let mut min = vec![f64::INFINITY; n_obj];
     let mut max = vec![f64::NEG_INFINITY; n_obj];
-    for individual in population.iter() {
+    for individual in population {
         if let Some(objectives) = &individual.objectives {
             for (j, &value) in objectives.iter().enumerate() {
                 min[j] = min[j].min(value);
@@ -419,8 +193,9 @@ fn assign_fitness(population: &mut [WbgaIndividual], senses: &[Sense]) {
             }
         }
     }
-    for individual in population.iter_mut() {
-        individual.fitness = match &individual.objectives {
+    population
+        .iter()
+        .map(|individual| match &individual.objectives {
             None => f64::NEG_INFINITY,
             Some(objectives) => {
                 let weights = normalize_weights(&individual.weight_genes);
@@ -437,15 +212,20 @@ fn assign_fitness(population: &mut [WbgaIndividual], senses: &[Sense]) {
                     })
                     .sum()
             }
-        };
-    }
+        })
+        .collect()
 }
 
-fn generation_stats(generation: usize, population: &[WbgaIndividual]) -> GenerationStats {
+fn generation_stats(
+    generation: usize,
+    population: &[CheckpointIndividual],
+    fitness: &[f64],
+) -> GenerationStats {
     let feasible: Vec<f64> = population
         .iter()
-        .filter(|i| i.objectives.is_some())
-        .map(|i| i.fitness)
+        .zip(fitness)
+        .filter(|(i, _)| i.objectives.is_some())
+        .map(|(_, &f)| f)
         .collect();
     // An all-infeasible generation records 0.0, not -inf: checkpoints are
     // JSON and non-finite floats do not survive the round-trip, which would
@@ -471,6 +251,11 @@ fn generation_stats(generation: usize, population: &[WbgaIndividual]) -> Generat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{Checkpoint, CheckpointControl, DiscardCheckpoints};
+    use crate::optimizer::tests::{
+        assert_every_checkpoint_resumes_to_the_full_run, run_keeping_checkpoints,
+    };
+    use crate::optimizer::OptimizerConfig;
     use crate::problem::{FnProblem, ObjectiveSpec};
 
     /// A two-objective problem with a known concave trade-off:
@@ -497,7 +282,7 @@ mod tests {
     #[test]
     fn archive_size_matches_evaluation_budget() {
         let config = GaConfig::small_test();
-        let result = Wbga::new(config).run(&tradeoff_problem());
+        let result = OptimizerConfig::Wbga(config).run(&tradeoff_problem());
         assert_eq!(result.evaluations, config.exact_evaluations());
         assert_eq!(result.archive.len(), result.evaluations);
         assert_eq!(result.failed_evaluations, 0);
@@ -509,23 +294,23 @@ mod tests {
         no_elite.elitism = 0;
         no_elite.population_size = 10;
         no_elite.generations = 5;
-        let result = Wbga::new(no_elite).run(&tradeoff_problem());
+        let result = OptimizerConfig::Wbga(no_elite).run(&tradeoff_problem());
         assert_eq!(result.evaluations, 50);
     }
 
     #[test]
     fn run_is_reproducible_with_fixed_seed() {
         let config = GaConfig::small_test();
-        let a = Wbga::new(config).run(&tradeoff_problem());
-        let b = Wbga::new(config).run(&tradeoff_problem());
+        let a = OptimizerConfig::Wbga(config).run(&tradeoff_problem());
+        let b = OptimizerConfig::Wbga(config).run(&tradeoff_problem());
         assert_eq!(a.archive, b.archive);
-        let c = Wbga::new(config.with_seed(99)).run(&tradeoff_problem());
+        let c = OptimizerConfig::Wbga(config.with_seed(99)).run(&tradeoff_problem());
         assert_ne!(a.archive, c.archive);
     }
 
     #[test]
     fn pareto_front_approaches_known_tradeoff_curve() {
-        let result = Wbga::new(GaConfig::small_test()).run(&tradeoff_problem());
+        let result = OptimizerConfig::Wbga(GaConfig::small_test()).run(&tradeoff_problem());
         let front = result.pareto_front();
         assert!(!front.is_empty());
         // Every front point satisfies f2 = 1 − f1² by construction; the front
@@ -543,7 +328,7 @@ mod tests {
 
     #[test]
     fn fitness_improves_over_generations() {
-        let result = Wbga::new(GaConfig::small_test()).run(&tradeoff_problem());
+        let result = OptimizerConfig::Wbga(GaConfig::small_test()).run(&tradeoff_problem());
         let first = result.history.first().unwrap().best_fitness;
         let last = result.history.last().unwrap().best_fitness;
         assert!(
@@ -552,9 +337,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn infeasible_evaluations_are_counted_and_skipped() {
-        let problem = FnProblem::new(
+    /// A linear trade-off that is infeasible below `x = 0.5`.
+    fn half_feasible_problem() -> FnProblem<impl Fn(&[f64]) -> Option<Vec<f64>>> {
+        FnProblem::new(
             1,
             vec![ObjectiveSpec::maximize("f1"), ObjectiveSpec::maximize("f2")],
             |x: &[f64]| {
@@ -564,8 +349,12 @@ mod tests {
                     Some(vec![x[0], 1.0 - x[0]])
                 }
             },
-        );
-        let result = Wbga::new(GaConfig::small_test()).run(&problem);
+        )
+    }
+
+    #[test]
+    fn infeasible_evaluations_are_counted_and_skipped() {
+        let result = OptimizerConfig::Wbga(GaConfig::small_test()).run(&half_feasible_problem());
         assert!(result.failed_evaluations > 0);
         assert_eq!(
             result.archive.len() + result.failed_evaluations,
@@ -576,65 +365,30 @@ mod tests {
     }
 
     #[test]
-    fn best_by_objective_respects_sense() {
-        let result = Wbga::new(GaConfig::small_test()).run(&tradeoff_problem());
-        let best_f1 = result.best_by_objective(0).unwrap().objectives[0];
-        assert!(result
-            .archive
-            .iter()
-            .all(|e| e.objectives[0] <= best_f1 + 1e-12));
-        assert!(result.best_by_objective(5).is_none());
-    }
-
-    #[test]
     fn checkpointed_run_without_resume_equals_plain_run() {
-        let problem = tradeoff_problem();
-        let wbga = Wbga::new(GaConfig::small_test());
-        let plain = wbga.run(&problem);
-        let mut checkpoints = Vec::new();
-        let mut sink = |cp: &Checkpoint| {
-            checkpoints.push(cp.clone());
-            CheckpointControl::Continue
-        };
-        let checkpointed = wbga.run_resumable(&problem, None, &mut sink).unwrap();
-        assert_eq!(plain.archive, checkpointed.archive);
-        assert_eq!(plain.history, checkpointed.history);
-        assert_eq!(plain.evaluations, checkpointed.evaluations);
+        // Infeasible members travel through the checkpoints too.
+        let config = GaConfig::small_test();
+        let (plain, checkpoints) =
+            run_keeping_checkpoints(&OptimizerConfig::Wbga(config), &half_feasible_problem());
+        assert!(plain.failed_evaluations > 0);
         // One checkpoint per bred generation.
-        assert_eq!(checkpoints.len(), GaConfig::small_test().generations - 1);
+        assert_eq!(checkpoints.len(), config.generations - 1);
     }
 
     #[test]
     fn resume_from_any_checkpoint_reproduces_the_full_run() {
-        let problem = tradeoff_problem();
-        let wbga = Wbga::new(GaConfig::small_test());
-        let full = wbga.run(&problem);
-        let mut checkpoints = Vec::new();
-        let mut sink = |cp: &Checkpoint| {
-            checkpoints.push(cp.clone());
-            CheckpointControl::Continue
-        };
-        wbga.run_resumable(&problem, None, &mut sink).unwrap();
-
-        for checkpoint in checkpoints {
-            let generation = checkpoint.next_generation;
-            let resumed = wbga
-                .run_resumable(&problem, Some(checkpoint), &mut DiscardCheckpoints)
-                .unwrap_or_else(|e| panic!("resume from generation {generation} failed: {e}"));
-            assert_eq!(resumed.archive, full.archive, "gen {generation}");
-            assert_eq!(resumed.history, full.history, "gen {generation}");
-            assert_eq!(resumed.evaluations, full.evaluations, "gen {generation}");
-            assert_eq!(
-                resumed.failed_evaluations, full.failed_evaluations,
-                "gen {generation}"
-            );
-        }
+        let config = GaConfig::small_test();
+        let (_, checkpoints) = assert_every_checkpoint_resumes_to_the_full_run(
+            &OptimizerConfig::Wbga(config),
+            &tradeoff_problem(),
+        );
+        assert_eq!(checkpoints, config.generations - 1);
     }
 
     #[test]
     fn halt_request_stops_at_the_boundary_and_resume_completes_the_run() {
         let problem = tradeoff_problem();
-        let wbga = Wbga::new(GaConfig::small_test());
+        let wbga = OptimizerConfig::Wbga(GaConfig::small_test());
         let full = wbga.run(&problem);
 
         let mut last: Option<Checkpoint> = None;
@@ -646,13 +400,13 @@ mod tests {
                 CheckpointControl::Continue
             }
         };
-        let halted = wbga.run_resumable(&problem, None, &mut sink);
+        let halted = wbga.run_checkpointed(&problem, None, &mut sink);
         assert!(matches!(
             halted,
             Err(CheckpointError::Halted { generation: 4 })
         ));
         let resumed = wbga
-            .run_resumable(&problem, last, &mut DiscardCheckpoints)
+            .run_checkpointed(&problem, last, &mut DiscardCheckpoints)
             .unwrap();
         assert_eq!(resumed.archive, full.archive);
         assert_eq!(resumed.history, full.history);
@@ -661,26 +415,26 @@ mod tests {
     #[test]
     fn resume_rejects_foreign_and_misshapen_checkpoints() {
         let problem = tradeoff_problem();
-        let wbga = Wbga::new(GaConfig::small_test());
+        let wbga = OptimizerConfig::Wbga(GaConfig::small_test());
         let mut checkpoint = None;
         let mut sink = |cp: &Checkpoint| {
             checkpoint.get_or_insert_with(|| cp.clone());
             CheckpointControl::Continue
         };
-        wbga.run_resumable(&problem, None, &mut sink).unwrap();
+        wbga.run_checkpointed(&problem, None, &mut sink).unwrap();
         let checkpoint = checkpoint.unwrap();
 
         let mut foreign = checkpoint.clone();
         foreign.optimizer = "nsga2".to_string();
         assert!(matches!(
-            wbga.run_resumable(&problem, Some(foreign), &mut DiscardCheckpoints),
+            wbga.run_checkpointed(&problem, Some(foreign), &mut DiscardCheckpoints),
             Err(CheckpointError::OptimizerMismatch { .. })
         ));
 
         let mut misshapen = checkpoint;
         misshapen.population[0].weight_genes.push(0.5);
         assert!(matches!(
-            wbga.run_resumable(&problem, Some(misshapen), &mut DiscardCheckpoints),
+            wbga.run_checkpointed(&problem, Some(misshapen), &mut DiscardCheckpoints),
             Err(CheckpointError::Incompatible(_))
         ));
     }
@@ -697,14 +451,14 @@ mod tests {
         );
         let config =
             GaConfig::small_test().with_early_stop(EarlyStop::after_stalled_generations(2));
-        let result = Wbga::new(config).run(&problem);
+        let result = OptimizerConfig::Wbga(config).run(&problem);
         // The run stalls from the first breeding, so it stops after
         // `patience + 1` recorded generations.
         assert_eq!(result.history.len(), 3);
         // On the trade-off problem every distinct point is non-dominated
         // (f2 is a decreasing function of f1), so the front keeps improving
         // and the same criterion never triggers.
-        let improving = Wbga::new(config).run(&tradeoff_problem());
+        let improving = OptimizerConfig::Wbga(config).run(&tradeoff_problem());
         assert_eq!(improving.history.len(), config.generations);
     }
 }

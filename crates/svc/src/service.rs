@@ -63,7 +63,7 @@ use ayb_jobs::{
 };
 use ayb_moo::OptimizerConfig;
 use ayb_obs::{kind, Event, Recorder, Severity};
-use ayb_store::{ClaimHealth, ResultCache, RunStatus, Store, StoreError};
+use ayb_store::{ClaimHealth, ResultCache, RunHandle, RunStatus, Store, StoreError};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
@@ -321,6 +321,7 @@ impl SvcShared {
         } = submission;
         let digest = submission_digest(PROBLEM_ID, seed, &optimizer, &flow);
 
+        let hex = digest_hex(digest);
         let metrics = self.recorder.metrics();
         let mut admission = self.admission.lock().expect("admission lock");
 
@@ -332,7 +333,12 @@ impl SvcShared {
         if let Some(existing) = admission.dedup.get(&digest).cloned() {
             if let Ok(handle) = self.store.run(&existing) {
                 if let Ok(status) = handle.status() {
-                    if status != RunStatus::Failed {
+                    // A run that completed before its completion event
+                    // moved it into the cache is moved here, and answered
+                    // from the cache below like every completed digest.
+                    let cached = status == RunStatus::Completed
+                        && cache_completed(&self.cache, &handle, &hex);
+                    if status != RunStatus::Failed && !cached {
                         metrics.inc("ayb_svc_dedup_hits_total");
                         drop(admission);
                         self.emit(
@@ -363,7 +369,6 @@ impl SvcShared {
         // directory GC, so identical resubmissions never re-execute. A hit
         // is one entry read, one existence check and one hit count (under
         // this lock, so counts stay exact); the result itself is never read.
-        let hex = digest_hex(digest);
         if let Ok(Some(entry)) = self.cache.lookup(&hex) {
             if self.cache.has_result(&entry) {
                 let _ = self.cache.record_hit(&hex);
@@ -708,12 +713,7 @@ fn parse_submission(value: &Value) -> Result<Submission, String> {
         Some(v) => FlowConfig::from_value(v).map_err(|e| format!("bad flow config: {e}"))?,
         None => match value.get("scale") {
             None => FlowConfig::reduced(),
-            Some(Value::Str(scale)) => match scale.as_str() {
-                "reduced" => FlowConfig::reduced(),
-                "demo" => FlowConfig::demo_scale(),
-                "paper" => FlowConfig::paper_scale(),
-                other => return Err(format!("unknown scale `{other}` (reduced|demo|paper)")),
-            },
+            Some(Value::Str(scale)) => FlowConfig::from_scale(scale)?,
             Some(other) => {
                 return Err(format!(
                     "bad scale: expected string, found {}",
@@ -732,15 +732,7 @@ fn parse_submission(value: &Value) -> Result<Submission, String> {
             ))
         }
     };
-    let mut optimizer = match optimizer_name.as_str() {
-        "wbga" => OptimizerConfig::Wbga(flow.ga),
-        "nsga2" => OptimizerConfig::Nsga2(flow.ga),
-        "random" | "random_search" => OptimizerConfig::RandomSearch {
-            budget: flow.ga.evaluation_budget(),
-            seed: flow.ga.seed,
-        },
-        other => return Err(format!("unknown optimizer `{other}` (wbga|nsga2|random)")),
-    };
+    let mut optimizer = OptimizerConfig::from_name(&optimizer_name, flow.ga)?;
     let priority = match value.get("priority") {
         None => Priority::Normal,
         Some(Value::Str(p)) => Priority::parse(p).map_err(|e| format!("bad priority: {e}"))?,
@@ -850,12 +842,9 @@ impl SvcServer {
                     else {
                         return;
                     };
-                    if let Ok(result) = handle.load_result::<Value>() {
-                        if hook_cache.insert(&hex, &run_id, &result).is_ok() {
-                            if let Ok(count) = hook_cache.entry_count() {
-                                hook_metrics
-                                    .set_gauge("ayb_svc_result_cache_entries", count as f64);
-                            }
+                    if cache_completed(&hook_cache, &handle, &hex) {
+                        if let Ok(count) = hook_cache.entry_count() {
+                            hook_metrics.set_gauge("ayb_svc_result_cache_entries", count as f64);
                         }
                     }
                     if let Some(key) = parse_digest_hex(&hex) {
@@ -979,6 +968,18 @@ impl Drop for SvcServer {
     }
 }
 
+/// Puts a completed run's result into the persistent cache under its
+/// submission digest `hex`, unless the digest is cached already. Returns
+/// whether the cache now holds it.
+fn cache_completed(cache: &ResultCache, handle: &RunHandle, hex: &str) -> bool {
+    if matches!(cache.lookup(hex), Ok(Some(_))) {
+        return true;
+    }
+    handle
+        .load_result::<Value>()
+        .is_ok_and(|result| cache.insert(hex, handle.id(), &result).is_ok())
+}
+
 /// Rebuilds the dedup index and tenant counters from the manifests on disk,
 /// so a restarted service keeps deduplicating against (and counting) runs
 /// admitted by a previous life.
@@ -1004,11 +1005,7 @@ fn rebuild_admission(store: &Store, cache: &ResultCache) -> Result<Admission, St
         if let Ok(Some(Value::Str(hex))) = handle.manifest_extra("submission_digest") {
             match status {
                 RunStatus::Completed => {
-                    if matches!(cache.lookup(&hex), Ok(None)) {
-                        if let Ok(result) = handle.load_result::<Value>() {
-                            let _ = cache.insert(&hex, &id, &result);
-                        }
-                    }
+                    cache_completed(cache, &handle, &hex);
                 }
                 RunStatus::Failed => {}
                 _ => {
@@ -1458,6 +1455,33 @@ mod tests {
     }
 
     #[test]
+    fn a_run_completed_before_its_completion_event_is_answered_from_the_cache() {
+        let temp = TempStore::new("completed-live");
+        let mut server = admission_server(&temp, SvcConfig::default());
+        let client = SvcClient::new(&server.url()).unwrap();
+        let (status, first) = client.submit_seed(7, "reduced").unwrap();
+        assert_eq!(status, 201);
+        let run_id = str_field(&first, "run_id");
+        // The state between a flow's final status write and the completion
+        // event that moves the run into the cache.
+        let handle = temp.open().run(&run_id).unwrap();
+        handle.save_result(&Value::Str("done".to_string())).unwrap();
+        handle.set_status(RunStatus::Completed).unwrap();
+
+        let (status, hit) = client.submit_seed(7, "reduced").unwrap();
+        assert_eq!(status, 200, "{hit:?}");
+        assert_eq!(hit.get("served_from_cache"), Some(&Value::Bool(true)));
+        assert_eq!(str_field(&hit, "run_id"), run_id);
+        let entry = ResultCache::open(&temp.open())
+            .unwrap()
+            .lookup(&str_field(&first, "digest"))
+            .unwrap()
+            .expect("the completed run is cached");
+        assert_eq!(entry.hits, 1);
+        server.shutdown();
+    }
+
+    #[test]
     fn http_status_mapping_is_distinct_per_failure() {
         let temp = TempStore::new("statuses");
         let mut server = admission_server(&temp, SvcConfig::default());
@@ -1483,6 +1507,21 @@ mod tests {
         ] {
             let (status, _) = client.submit_raw(body).unwrap();
             assert_eq!(status, 400, "body {body:?} must be a 400");
+        }
+        // An unknown scale or optimizer is named with the message the CLI
+        // prints too.
+        for (body, message) in [
+            (
+                "{\"seed\": 1, \"scale\": \"galactic\"}",
+                FlowConfig::from_scale("galactic").unwrap_err(),
+            ),
+            (
+                "{\"seed\": 1, \"optimizer\": \"sgd\"}",
+                OptimizerConfig::from_name("sgd", FlowConfig::reduced().ga).unwrap_err(),
+            ),
+        ] {
+            let (_, answer) = client.submit_raw(body).unwrap();
+            assert_eq!(str_field(&answer, "detail"), message, "body {body:?}");
         }
         // 409: result of a run that has not completed.
         let (_, submitted) = client.submit_seed(1, "reduced").unwrap();

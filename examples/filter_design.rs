@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Step 3: size C1-C3 against the behavioural filter (30 x 40 in the
-    // paper). `design_filter` drives the same `Optimizer` machinery the OTA
+    // paper). `design_filter` drives the same `OptimizerConfig` loop the OTA
     // flow used in step 1.
     let mut ga = GaConfig::paper_filter();
     ga.population_size = 20;

@@ -382,12 +382,7 @@ fn cli_note(severity: Severity, detail: impl Into<String>) {
 /// server); both paths therefore seed identically, and a submitted run
 /// digests exactly like a directly executed one.
 fn build_flow_setup(args: &CliArgs) -> Result<(FlowConfig, OptimizerConfig), String> {
-    let mut config = match args.scale.as_deref().unwrap_or("reduced") {
-        "reduced" => FlowConfig::reduced(),
-        "demo" => FlowConfig::demo_scale(),
-        "paper" => FlowConfig::paper_scale(),
-        other => return Err(format!("unknown scale `{other}` (reduced|demo|paper)")),
-    };
+    let mut config = FlowConfig::from_scale(args.scale.as_deref().unwrap_or("reduced"))?;
     if let Some(threads) = args.threads {
         config.threads = threads.max(1);
     }
@@ -411,15 +406,8 @@ fn build_flow_setup(args: &CliArgs) -> Result<(FlowConfig, OptimizerConfig), Str
         config.sharded = true;
     }
 
-    let mut optimizer = match args.optimizer.as_deref().unwrap_or("wbga") {
-        "wbga" => OptimizerConfig::Wbga(config.ga),
-        "nsga2" => OptimizerConfig::Nsga2(config.ga),
-        "random" | "random_search" => OptimizerConfig::RandomSearch {
-            budget: config.ga.evaluation_budget(),
-            seed: config.ga.seed,
-        },
-        other => return Err(format!("unknown optimizer `{other}` (wbga|nsga2|random)")),
-    };
+    let mut optimizer =
+        OptimizerConfig::from_name(args.optimizer.as_deref().unwrap_or("wbga"), config.ga)?;
 
     // Same semantics as `FlowBuilder::with_seed`: the seed drives the
     // optimiser and the Monte Carlo engine end to end.

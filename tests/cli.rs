@@ -350,8 +350,9 @@ fn shown_digest(root: &std::path::Path, id: &str) -> String {
 }
 
 /// A run whose coordinator is unreachable completes with the serial digest,
-/// and its progress output names the shard it produced locally instead: the
-/// flow never degrades silently.
+/// and both its progress output and `ayb status` name the shards every
+/// stage produced locally instead — the optimise stage's populations as
+/// well as the variation points: the flow never degrades silently.
 #[test]
 fn a_run_with_an_unreachable_coordinator_reports_its_degraded_shard() {
     let root = temp_store("degraded");
@@ -374,13 +375,55 @@ fn a_run_with_an_unreachable_coordinator_reports_its_degraded_shard() {
         .expect("ayb binary runs");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(output.status.success(), "{stderr}");
+    for stage in ["optimize", "analyze_variation"] {
+        assert!(
+            stderr
+                .lines()
+                .any(|line| line.contains(&format!("{stage}: shard")) && line.contains("degraded")),
+            "stderr must name a degraded {stage} shard, got: {stderr}"
+        );
+    }
+    let status = ayb(&root, &["status", "tcp"]);
+    assert!(status.status.success(), "{status:?}");
+    let status = String::from_utf8_lossy(&status.stdout);
     assert!(
-        stderr
-            .lines()
-            .any(|line| line.contains("shard") && line.contains("degraded")),
-        "stderr must name a degraded shard, got: {stderr}"
+        status.contains("transport_degraded: optimize shard"),
+        "`ayb status` must list the optimise stage's local fallbacks, got: {status}"
     );
     assert_eq!(shown_digest(&root, "tcp"), shown_digest(&root, "serial"));
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// An unknown `--optimizer` or `--scale` fails before any run is created,
+/// with the message the service answers too.
+#[test]
+fn run_rejects_an_unknown_optimizer_or_scale_with_the_shared_message() {
+    let root = temp_store("unknown-names");
+    for (flag, value, message) in [
+        (
+            "--optimizer",
+            "sgd",
+            ayb_moo::OptimizerConfig::from_name("sgd", ayb_core::FlowConfig::reduced().ga)
+                .unwrap_err(),
+        ),
+        (
+            "--scale",
+            "galactic",
+            ayb_core::FlowConfig::from_scale("galactic").unwrap_err(),
+        ),
+    ] {
+        let output = ayb(&root, &["run", "--id", "bad", flag, value, "--quiet"]);
+        assert!(
+            !output.status.success(),
+            "`ayb run {flag} {value}` must fail"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&message),
+            "expected {message:?}, got: {stderr}"
+        );
+        assert!(!root.join("runs").join("bad").exists());
+    }
     let _ = std::fs::remove_dir_all(root);
 }
 

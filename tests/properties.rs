@@ -266,7 +266,7 @@ proptest! {
             OptimizerConfig::Nsga2(ga),
             OptimizerConfig::RandomSearch { budget: 64, seed },
         ] {
-            let reference = config.build().run(&problem);
+            let reference = config.run(&problem);
 
             let dir = std::env::temp_dir().join(format!(
                 "ayb-prop-shard-{}-{seed}-{shard_size}-{}",
@@ -281,7 +281,7 @@ proptest! {
                     ShardingOptions::with_shard_size(shard_size),
                 ),
             );
-            let sharded = config.build().run(&sharded_problem);
+            let sharded = config.run(&sharded_problem);
             let _ = std::fs::remove_dir_all(&dir);
 
             prop_assert!(
@@ -564,7 +564,7 @@ proptest! {
             OptimizerConfig::Nsga2(ga),
             OptimizerConfig::RandomSearch { budget: 64, seed },
         ] {
-            let reference = config.build().run(&problem);
+            let reference = config.run(&problem);
 
             let transport = TcpTransport::connect(coordinator.local_addr().to_string());
             let sharded_problem = WithEvaluator::new(
@@ -574,7 +574,7 @@ proptest! {
                     ShardingOptions::with_shard_size(shard_size),
                 ),
             );
-            let sharded = config.build().run(&sharded_problem);
+            let sharded = config.run(&sharded_problem);
 
             prop_assert!(
                 reference.archive == sharded.archive,

@@ -110,22 +110,6 @@ impl From<CheckpointError> for AybError {
     }
 }
 
-impl AybError {
-    /// Projects the unified error back onto [`FlowError`] for the
-    /// `generate_model` compatibility wrapper.
-    pub fn into_flow_error(self) -> FlowError {
-        match self {
-            AybError::Flow(e) => e,
-            AybError::Model(e) => FlowError::Model(e),
-            AybError::Sim(e) => FlowError::Circuit(e.to_string()),
-            AybError::Table(e) => FlowError::Model(ModelError::Table(e)),
-            AybError::Circuit(e) => FlowError::Circuit(e.to_string()),
-            AybError::Store(e) => FlowError::Persistence(e.to_string()),
-            AybError::Checkpoint(e) => FlowError::Persistence(e.to_string()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,35 +155,13 @@ mod tests {
     }
 
     #[test]
-    fn flow_error_projection_is_lossless_where_possible() {
-        let flow = AybError::Flow(FlowError::NoFeasibleCandidates);
-        assert_eq!(flow.into_flow_error(), FlowError::NoFeasibleCandidates);
-        let model = AybError::Model(ModelError::NotEnoughData(1));
-        assert!(matches!(model.into_flow_error(), FlowError::Model(_)));
-        let table = AybError::Table(TableError::Dimension("x".into()));
-        assert!(matches!(
-            table.into_flow_error(),
-            FlowError::Model(ModelError::Table(_))
-        ));
-        let sim = AybError::Sim(SimError::Circuit("bad".into()));
-        assert!(matches!(sim.into_flow_error(), FlowError::Circuit(_)));
-    }
-
-    #[test]
-    fn store_and_checkpoint_errors_wrap_and_project() {
+    fn store_and_checkpoint_errors_wrap() {
         let store = AybError::from(StoreError::RunNotFound("run-0001".into()));
         assert!(store.to_string().contains("run-0001"));
         assert!(store.source().is_some());
-        assert!(matches!(
-            store.into_flow_error(),
-            FlowError::Persistence(message) if message.contains("run-0001")
-        ));
 
         let halted = AybError::from(CheckpointError::Halted { generation: 5 });
         assert!(halted.to_string().contains('5'));
-        assert!(matches!(
-            halted.into_flow_error(),
-            FlowError::Persistence(_)
-        ));
+        assert!(halted.source().is_some());
     }
 }

@@ -26,15 +26,21 @@
 //! # }
 //! ```
 //!
-//! [`generate_model`] remains as a thin compatibility wrapper that runs all
-//! stages with the default (WBGA) optimiser.
+//! [`FlowBuilder::run`] executes all stages in one call.
 //!
 //! Flows become *durable* by attaching a run store
 //! ([`FlowBuilder::with_store`]): the configuration is recorded in a
 //! manifest, every optimiser generation is checkpointed to disk, the final
 //! [`FlowResult`] is persisted, and an interrupted run is continued with
 //! [`FlowBuilder::resume`] — producing a result bit-identical to the
-//! same-seed uninterrupted run (see `tests/resumable_flow.rs`).
+//! same-seed uninterrupted run (see `tests/resumable_flow.rs`). That holds
+//! for a killed process too: the resume breaks the claim its dead holder
+//! left behind.
+//!
+//! One private run session carries a run through the three stage types:
+//! it reports every stage boundary, checkpoint, point and degradation to
+//! the observers and the recorder together, fences every durable write, and
+//! ends the run — status, `run_*` event, claim release — at every exit.
 
 use crate::config::FlowConfig;
 use crate::error::AybError;
@@ -50,7 +56,10 @@ use ayb_moo::{
 use ayb_net::TcpTransport;
 use ayb_obs::{kind as event_kind, Event, JsonlSink, Recorder, Severity, SinkGuard};
 use ayb_process::{montecarlo, Summary};
-use ayb_store::{ClaimHeartbeat, ClaimInfo, Manifest, RunHandle, RunStatus, Store, StoreError};
+use ayb_store::{
+    ClaimHeartbeat, ClaimInfo, Manifest, RunHandle, RunStatus, Store, StoreError,
+    CLAIM_MAX_HEARTBEAT_AGE,
+};
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,8 +77,6 @@ pub enum FlowError {
     Model(ModelError),
     /// A circuit could not be constructed.
     Circuit(String),
-    /// Persisting or resuming a durable run failed.
-    Persistence(String),
 }
 
 impl std::fmt::Display for FlowError {
@@ -84,7 +91,6 @@ impl std::fmt::Display for FlowError {
             ),
             FlowError::Model(e) => write!(f, "model construction failed: {e}"),
             FlowError::Circuit(e) => write!(f, "circuit construction failed: {e}"),
-            FlowError::Persistence(e) => write!(f, "run persistence failed: {e}"),
         }
     }
 }
@@ -450,20 +456,6 @@ pub fn analyse_variation_point(
     })
 }
 
-/// Runs the Monte Carlo variation analysis (§3.4) for one Pareto point with
-/// the flow's base Monte Carlo seed.
-///
-/// Standalone-analysis convenience over [`analyse_variation_point`]; the
-/// flow's variation *stage* derives a per-point seed with [`point_mc_seed`]
-/// instead, so its points are statistically independent.
-pub fn analyse_pareto_point(
-    problem: &OtaSizingProblem,
-    point: &Evaluation,
-    config: &FlowConfig,
-) -> Option<ParetoPointData> {
-    analyse_variation_point(problem, &point.parameters, config, config.monte_carlo.seed)
-}
-
 /// One analysed Pareto point as persisted per-point in
 /// `checkpoints/variation_NNNN.json` (durable runs) and carried over the
 /// shard plane (sharded runs).
@@ -675,16 +667,13 @@ impl FlowObserver for StderrObserver {
 pub struct FlowBuilder {
     config: FlowConfig,
     optimizer: OptimizerConfig,
-    observers: Vec<Box<dyn FlowObserver>>,
     seed: Option<u64>,
     store: Option<Store>,
     run_id: Option<String>,
     resume_from: Option<(RunHandle, Option<Checkpoint>)>,
     halt_after_checkpoints: Option<usize>,
-    halt_signal: Option<Arc<AtomicBool>>,
-    variation_halt: Option<VariationHaltHook>,
     claim_owner: Option<String>,
-    recorder: Option<Recorder>,
+    session: RunSession,
 }
 
 impl FlowBuilder {
@@ -694,16 +683,13 @@ impl FlowBuilder {
         FlowBuilder {
             config,
             optimizer,
-            observers: Vec::new(),
             seed: None,
             store: None,
             run_id: None,
             resume_from: None,
             halt_after_checkpoints: None,
-            halt_signal: None,
-            variation_halt: None,
             claim_owner: None,
-            recorder: None,
+            session: RunSession::default(),
         }
     }
 
@@ -724,18 +710,11 @@ impl FlowBuilder {
         let manifest: Manifest<FlowConfig> = handle.manifest()?;
         let checkpoint = handle.latest_checkpoint()?;
         Ok(FlowBuilder {
-            config: manifest.flow,
             optimizer: manifest.optimizer,
-            observers: Vec::new(),
             seed: Some(manifest.seed),
             store: Some(store.clone()),
-            run_id: None,
             resume_from: Some((handle, checkpoint)),
-            halt_after_checkpoints: None,
-            halt_signal: None,
-            variation_halt: None,
-            claim_owner: None,
-            recorder: None,
+            ..FlowBuilder::new(manifest.flow)
         })
     }
 
@@ -766,7 +745,7 @@ impl FlowBuilder {
     /// Registers a progress observer (may be called multiple times).
     #[must_use]
     pub fn with_observer(mut self, observer: impl FlowObserver + 'static) -> Self {
-        self.observers.push(Box::new(observer));
+        self.session.observers.push(Box::new(observer));
         self
     }
 
@@ -827,7 +806,7 @@ impl FlowBuilder {
     /// are in.
     #[must_use]
     pub fn halt_when(mut self, signal: Arc<AtomicBool>) -> Self {
-        self.halt_signal = Some(signal);
+        self.session.halt_signal = Some(signal);
         self
     }
 
@@ -841,7 +820,7 @@ impl FlowBuilder {
     /// harness to script crash schedules.
     #[must_use]
     pub fn halt_variation_when(mut self, hook: VariationHaltHook) -> Self {
-        self.variation_halt = Some(hook);
+        self.session.variation_halt = Some(hook);
         self
     }
 
@@ -850,13 +829,13 @@ impl FlowBuilder {
     /// and metrics through it, and — for durable runs — persists the
     /// events to `runs/<id>/events.jsonl` alongside the result. Telemetry
     /// is strictly observational: enabling it never changes a
-    /// [`FlowResult::determinism_digest`]. Without this call a durable run
+    /// [`FlowResult::determinism_digest`]. Without this call a flow
     /// records through a private recorder of its own; pass one explicitly
     /// to share it (a job server funnelling many runs into one stream, a
     /// test asserting on events).
     #[must_use]
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = Some(recorder);
+        self.session.recorder = recorder;
         self
     }
 
@@ -909,161 +888,90 @@ impl FlowBuilder {
     ///
     /// Returns [`FlowError::NoFeasibleCandidates`] (wrapped in [`AybError`])
     /// when not a single candidate evaluated successfully.
-    pub fn optimize(mut self) -> Result<OptimizedFlow, AybError> {
-        let problem = OtaSizingProblem::new(self.config.testbench, self.config.sweep.clone())
-            .with_threads(self.config.threads);
-        let recorder = self.recorder.take().unwrap_or_default();
-
-        notify_start(&mut self.observers, FlowStage::Optimize);
+    pub fn optimize(self) -> Result<OptimizedFlow, AybError> {
+        let FlowBuilder {
+            config,
+            optimizer,
+            store,
+            run_id,
+            resume_from,
+            halt_after_checkpoints,
+            claim_owner,
+            mut session,
+            ..
+        } = self;
+        let problem = OtaSizingProblem::new(config.testbench, config.sweep.clone())
+            .with_threads(config.threads);
 
         // Open (resume) or create the durable run when a store is attached.
         // Either way the run is *claimed* for the whole execution: a second
         // process resuming (or a job-server worker picking up) the same run
         // fails fast with `StoreError::RunClaimed` instead of silently
-        // executing it twice. The claim is released at every terminal state.
-        let claim_owner = self
-            .claim_owner
-            .take()
-            .unwrap_or_else(|| format!("flow-{}", std::process::id()));
-        // The fenced `ClaimInfo` minted by `try_claim` is kept for the whole
-        // execution: every durable write below re-checks it, so a recovery
-        // pass that presumed this process hung and stole the claim fences
-        // this writer off instead of letting two executors fight over one
-        // run's files.
-        let (run, run_claim, resume_checkpoint) =
-            match (self.store.as_ref(), self.resume_from.take()) {
-                (_, Some((handle, checkpoint))) => {
-                    let minted = handle.try_claim(&claim_owner)?;
-                    // Under the claim, re-check for a result: the run may
-                    // have been completed by another worker between this
-                    // builder's construction and the claim; re-executing it
-                    // would be wasted (if bit-identical) work.
-                    if handle.has_result() {
-                        let _ = handle.break_claim(&minted);
-                        return Err(AybError::Store(StoreError::AlreadyCompleted(
-                            handle.id().to_string(),
-                        )));
-                    }
-                    if let Err(error) = handle.set_status(RunStatus::Running) {
-                        let _ = handle.break_claim(&minted);
-                        return Err(error.into());
-                    }
-                    (Some(handle), Some(minted), checkpoint)
+        // executing it twice. The session releases the claim at every exit.
+        let owner = claim_owner.unwrap_or_else(|| format!("flow-{}", std::process::id()));
+        let resume_checkpoint = match (store, resume_from) {
+            (_, Some((handle, checkpoint))) => {
+                let claim = claim_for_resume(&handle, &owner)?;
+                // Under the claim, re-check for a result: the run may have
+                // been completed by another worker between this builder's
+                // construction and the claim; re-executing it would be
+                // wasted (if bit-identical) work.
+                let handle = session.open(handle, claim);
+                let started = if handle.has_result() {
+                    Err(StoreError::AlreadyCompleted(handle.id().to_string()))
+                } else {
+                    handle.set_status(RunStatus::Running)
+                };
+                if let Err(error) = started {
+                    let _ = session.end(None);
+                    return Err(error.into());
                 }
-                (Some(store), None) => {
-                    let seed = self.optimizer.seed();
-                    let handle = match &self.run_id {
-                        Some(id) => {
-                            store.create_run_with_id(id, seed, &self.optimizer, &self.config)
-                        }
-                        None => store.create_run(seed, &self.optimizer, &self.config),
-                    }?;
-                    let minted = handle.try_claim(&claim_owner)?;
-                    (Some(handle), Some(minted), None)
-                }
-                (None, None) => (None, None, None),
-            };
-
-        // Heartbeat the run claim for as long as this flow holds it (all
-        // stages), so recovery passes — here or on other hosts — can tell
-        // this live execution from a dead one.
-        let claim_heartbeat = run
-            .as_ref()
-            .map(|handle| handle.start_claim_heartbeat(CLAIM_HEARTBEAT_INTERVAL));
-
-        // Durable runs persist their event stream next to the result. The
-        // sink is scoped: carried through all stages and detached when the
-        // flow ends, so a recorder shared across runs (a job server's) never
-        // leaks one run's sink into the next. Every (re-)entry marks a new
-        // attempt boundary in the file — `ayb trace` splits on it.
-        let events_guard = run
-            .as_ref()
-            .map(|handle| recorder.add_scoped_sink(Box::new(JsonlSink::new(handle.events_path()))));
-        recorder.emit(
-            flow_event(run.as_ref(), Severity::Info, event_kind::FLOW_START)
-                .detail(format!("flow started (owner `{claim_owner}`)")),
-        );
-        recorder.emit(
-            flow_event(run.as_ref(), Severity::Info, event_kind::STAGE_START)
-                .detail(FlowStage::Optimize.name()),
-        );
-
-        // With sharding enabled (and a durable run to host the data plane),
-        // batch evaluation goes through the shard data plane — on disk, or
-        // over TCP when the config selects a coordinator. The plane is built
-        // once and carried through all stages, so its traffic and fencing
-        // counters cover the whole flow.
-        let shard_plane = match &run {
-            Some(handle) if self.config.sharded => {
-                // This flow holds the run's exclusive claim, so any shard
-                // epochs still on disk belong to a dead predecessor.
-                let _ = handle.sweep_shards();
-                let tcp = self.config.transport.as_deref().and_then(|url| {
-                    TcpTransport::from_url(url)
-                        .map_err(|reason| {
-                            // A malformed selector degrades to the disk
-                            // plane — noisily, so a typo'd URL never passes
-                            // for a working coordinator (the CLI validates
-                            // up front; this guards configs edited by hand).
-                            let detail = format!("{reason}; using the disk data plane");
-                            for observer in &mut self.observers {
-                                observer.on_transport_degraded(FlowStage::Optimize, 0, &detail);
-                            }
-                        })
-                        .ok()
-                });
-                Some(match tcp {
-                    Some(transport) => {
-                        let context = serde::Serialize::to_value(&self.config);
-                        ShardPlane {
-                            label: transport.url(),
-                            transport: Arc::new(
-                                transport
-                                    .with_run_context(handle.id(), context)
-                                    .with_recorder(recorder.clone()),
-                            ),
-                        }
-                    }
-                    None => ShardPlane {
-                        label: "disk".to_string(),
-                        transport: Arc::new(
-                            handle
-                                .shard_plane(SHARD_CLAIM_STALE_AFTER)
-                                .with_recorder(recorder.clone()),
-                        ),
-                    },
-                })
+                checkpoint
             }
-            _ => None,
+            (Some(store), None) => {
+                let seed = optimizer.seed();
+                let handle = match &run_id {
+                    Some(id) => store.create_run_with_id(id, seed, &optimizer, &config),
+                    None => store.create_run(seed, &optimizer, &config),
+                }?;
+                let claim = handle.try_claim(&owner)?;
+                session.open(handle, claim);
+                None
+            }
+            (None, None) => None,
         };
+        session.recorder.emit(
+            session
+                .event(Severity::Info, event_kind::FLOW_START)
+                .detail(format!("flow started (owner `{owner}`)")),
+        );
+        session.stage_start(FlowStage::Optimize);
+        session.open_plane(&config);
 
         // Degradations inside the optimiser's batch evaluations are buffered
         // (the evaluator is shared behind `&self` while the checkpoint sink
-        // holds the observers) and drained into the observers at every exit
-        // from this stage.
-        let degraded_events: Arc<Mutex<Vec<(usize, String)>>> = Arc::default();
+        // holds the session) and recorded once the optimiser returns.
+        let degraded: Arc<Mutex<Vec<(usize, String)>>> = Arc::default();
         // Optional cross-generation evaluation cache under the optimiser:
         // repeated candidates skip the solve. A hit is served only for
         // bit-identical raw parameters, so enabling the cache never changes
         // results or the determinism digest (see `ayb_moo::evalcache`).
-        let eval_cache = self
-            .config
+        let eval_cache = config
             .eval_cache
             .map(|step| CachedProblem::new(&problem, step));
         let base: &dyn SizingProblem = match &eval_cache {
             Some(cached) => cached,
             None => &problem,
         };
-        // The wrapper borrows `problem` (through the cache, when enabled),
-        // so the optimisation runs in its own scope; results are identical
-        // sharded or not (see `ayb_moo::sharding`).
-        let sharded = shard_plane.as_ref().map(|plane| {
-            let sink = Arc::clone(&degraded_events);
+        // With a shard data plane, batch evaluation goes through it; results
+        // are identical sharded or not (see `ayb_moo::sharding`).
+        let sharded = session.transport().map(|transport| {
+            let sink = Arc::clone(&degraded);
             WithEvaluator::new(
                 base,
                 ShardedEvaluator::new(
-                    Arc::clone(&plane.transport),
-                    ShardingOptions::with_shard_size(self.config.shard_size),
+                    transport,
+                    ShardingOptions::with_shard_size(config.shard_size),
                 )
                 .with_degraded_hook(Arc::new(move |shard, error| {
                     let ShardError::Transport(detail) = error;
@@ -1079,91 +987,29 @@ impl FlowBuilder {
         };
 
         let t0 = Instant::now();
-        let mut transport_incidents: Vec<TransportIncident> = Vec::new();
-        let optimizer = &self.optimizer;
-        let optimization = match &run {
-            None => optimizer.run(sizing),
-            Some(handle) => {
-                let mut written = 0usize;
-                let mut write_error: Option<StoreError> = None;
-                let observers = &mut self.observers;
-                let halt_after = self.halt_after_checkpoints;
-                let halt_signal = self.halt_signal.clone();
-                let minted = run_claim.as_ref();
-                let sink_recorder = recorder.clone();
-                let mut sink = |checkpoint: &Checkpoint| {
-                    let started = Instant::now();
-                    match guard_claim(handle, minted)
-                        .and_then(|()| handle.save_checkpoint(checkpoint))
-                    {
-                        Ok(saved) => {
-                            let metrics = sink_recorder.metrics();
-                            metrics.add(CHECKPOINT_BYTES_METRIC, saved.bytes);
-                            metrics.observe(
-                                CHECKPOINT_SECONDS_METRIC,
-                                started.elapsed().as_secs_f64(),
-                            );
-                            written += 1;
-                            for observer in observers.iter_mut() {
-                                observer
-                                    .on_checkpoint_written(checkpoint.next_generation, &saved.path);
-                            }
-                            sink_recorder.emit(
-                                Event::new(Severity::Debug, "flow", event_kind::CHECKPOINT)
-                                    .run(handle.id())
-                                    .value(checkpoint.next_generation as f64)
-                                    .detail(format!(
-                                        "generation {} checkpoint written",
-                                        checkpoint.next_generation
-                                    )),
-                            );
-                            let count_reached =
-                                matches!(halt_after, Some(limit) if written >= limit);
-                            let signalled = halt_signal
-                                .as_ref()
-                                .is_some_and(|signal| signal.load(Ordering::Relaxed));
-                            if count_reached || signalled {
-                                CheckpointControl::Halt
-                            } else {
-                                CheckpointControl::Continue
-                            }
-                        }
-                        Err(error) => {
-                            write_error = Some(error);
-                            CheckpointControl::Halt
-                        }
-                    }
-                };
-                let outcome = optimizer.run_checkpointed(sizing, resume_checkpoint, &mut sink);
-                drain_degraded(
-                    &mut self.observers,
-                    &recorder,
-                    Some(handle),
-                    &degraded_events,
-                    &mut transport_incidents,
-                );
-                if let Some(error) = write_error {
-                    finish_run(&recorder, handle, run_claim.as_ref(), RunStatus::Failed);
-                    return Err(AybError::Store(error));
-                }
-                match outcome {
-                    Ok(result) => result,
-                    Err(halted @ CheckpointError::Halted { .. }) => {
-                        finish_run(
-                            &recorder,
-                            handle,
-                            run_claim.as_ref(),
-                            RunStatus::Interrupted,
-                        );
-                        return Err(AybError::Checkpoint(halted));
-                    }
-                    Err(error) => {
-                        finish_run(&recorder, handle, run_claim.as_ref(), RunStatus::Failed);
-                        return Err(AybError::Checkpoint(error));
+        let mut written = 0usize;
+        let mut write_error: Option<StoreError> = None;
+        let outcome = optimizer.run_checkpointed(
+            sizing,
+            resume_checkpoint,
+            &mut |checkpoint: &Checkpoint| match session.checkpoint_generation(checkpoint) {
+                Ok(false) => CheckpointControl::Continue,
+                Ok(true) => {
+                    written += 1;
+                    let count_reached =
+                        matches!(halt_after_checkpoints, Some(limit) if written >= limit);
+                    if count_reached || session.halt_signalled() {
+                        CheckpointControl::Halt
+                    } else {
+                        CheckpointControl::Continue
                     }
                 }
-            }
-        };
+                Err(error) => {
+                    write_error = Some(error);
+                    CheckpointControl::Halt
+                }
+            },
+        );
         let optimization_time = t0.elapsed();
         drop(sharded); // ends the wrapper's borrow of the (cached) problem
         let (eval_cache_hits, eval_cache_lookups) = eval_cache
@@ -1171,44 +1017,31 @@ impl FlowBuilder {
             .map(|cache| (cache.hits(), cache.lookups()))
             .unwrap_or((0, 0));
         drop(eval_cache); // ends the cache's borrow of `problem`
-        drain_degraded(
-            &mut self.observers,
-            &recorder,
-            run.as_ref(),
-            &degraded_events,
-            &mut transport_incidents,
-        );
+        let buffered = std::mem::take(&mut *degraded.lock().expect("degradation event lock"));
+        for (shard, detail) in buffered {
+            session.degraded(FlowStage::Optimize, shard, &detail);
+        }
+        if let Some(error) = write_error {
+            return Err(session.stop(error));
+        }
+        let optimization = match outcome {
+            Ok(optimization) => optimization,
+            Err(error) => return Err(session.stop(error)),
+        };
         if optimization.archive.is_empty() {
-            if let Some(handle) = &run {
-                finish_run(&recorder, handle, run_claim.as_ref(), RunStatus::Failed);
-            }
-            return Err(AybError::Flow(FlowError::NoFeasibleCandidates));
+            return Err(session.stop(FlowError::NoFeasibleCandidates));
         }
         let pareto = optimization.pareto_front();
-        let selected = subsample_front(&pareto, self.config.max_pareto_points);
-        notify_complete(&mut self.observers, FlowStage::Optimize, optimization_time);
-        recorder.emit(
-            flow_event(run.as_ref(), Severity::Info, event_kind::STAGE_COMPLETE)
-                .value(optimization_time.as_secs_f64())
-                .detail(FlowStage::Optimize.name()),
-        );
+        let selected = subsample_front(&pareto, config.max_pareto_points);
+        session.stage_complete(FlowStage::Optimize, optimization_time);
 
         Ok(OptimizedFlow {
-            config: self.config,
-            observers: self.observers,
+            config,
             problem,
             optimization,
             pareto,
             selected,
-            run,
-            run_claim,
-            shard_plane,
-            transport_incidents,
-            claim_heartbeat,
-            halt_signal: self.halt_signal,
-            variation_halt: self.variation_halt,
-            recorder,
-            events_guard,
+            session,
             timings: FlowTimings {
                 optimization: optimization_time,
                 eval_cache_hits,
@@ -1232,39 +1065,46 @@ impl FlowBuilder {
 /// variation analysis has not run yet.
 pub struct OptimizedFlow {
     config: FlowConfig,
-    observers: Vec<Box<dyn FlowObserver>>,
     problem: OtaSizingProblem,
     optimization: OptimizationResult,
     pareto: Vec<Evaluation>,
     selected: Vec<Evaluation>,
-    run: Option<RunHandle>,
-    run_claim: Option<ClaimInfo>,
-    shard_plane: Option<ShardPlane>,
-    transport_incidents: Vec<TransportIncident>,
-    claim_heartbeat: Option<ClaimHeartbeat>,
-    halt_signal: Option<Arc<AtomicBool>>,
-    variation_halt: Option<VariationHaltHook>,
-    recorder: Recorder,
-    events_guard: Option<SinkGuard>,
+    session: RunSession,
     timings: FlowTimings,
 }
 
-/// How the variation stage's analysis loop ended.
-enum VariationStageOutcome {
-    /// Every pending point was analysed and recorded.
-    Done,
+/// Why the variation stage stopped before every pending point was
+/// recorded.
+enum VariationStop {
     /// A halt signal or fault-injection hook stopped the stage at a
-    /// boundary; `analysed` points are safely on disk.
-    Halted {
-        /// Points recorded (restored + newly analysed) at the halt.
-        analysed: usize,
-    },
+    /// boundary; every recorded point is safely on disk.
+    Halted,
     /// A variation checkpoint could not be persisted.
     Failed(StoreError),
 }
 
 fn recorded_points(slots: &[Option<VariationPointRecord>]) -> usize {
     slots.iter().filter(|slot| slot.is_some()).count()
+}
+
+/// Restores the per-point checkpoints of an interrupted predecessor into
+/// `slots`. A torn or zero-length record, which a machine crash can leave,
+/// counts as absent: its point is analysed again.
+fn restore_points(
+    handle: &RunHandle,
+    slots: &mut [Option<VariationPointRecord>],
+) -> Result<(), StoreError> {
+    for index in handle.variation_checkpoint_indices()? {
+        if index >= slots.len() {
+            continue;
+        }
+        match handle.load_variation_checkpoint(index) {
+            Ok(record) => slots[index] = Some(record),
+            Err(StoreError::Json { .. }) => {}
+            Err(error) => return Err(error),
+        }
+    }
+    Ok(())
 }
 
 impl OptimizedFlow {
@@ -1307,83 +1147,38 @@ impl OptimizedFlow {
     /// signal or fault hook stopped the stage at a point boundary, and
     /// [`AybError::Store`] when a variation checkpoint cannot be persisted.
     pub fn analyze_variation(mut self) -> Result<AnalyzedFlow, AybError> {
-        notify_start(&mut self.observers, FlowStage::AnalyzeVariation);
-        self.recorder.emit(
-            flow_event(self.run.as_ref(), Severity::Info, event_kind::STAGE_START)
-                .detail(FlowStage::AnalyzeVariation.name()),
-        );
+        self.session.stage_start(FlowStage::AnalyzeVariation);
         let t0 = Instant::now();
         let total = self.selected.len();
         let mut slots: Vec<Option<VariationPointRecord>> = vec![None; total];
 
-        // Restore per-point checkpoints of an interrupted predecessor: those
-        // points are *not* re-analysed (their derived seeds make the
-        // remainder independent of them, so the final result is still
-        // bit-identical to an uninterrupted run). A torn or zero-length
-        // record, which a machine crash can leave, counts as absent: its
-        // point is analysed again.
-        if let Some(handle) = &self.run {
-            let restored = (|| -> Result<(), StoreError> {
-                for index in handle.variation_checkpoint_indices()? {
-                    if index >= total {
-                        continue;
-                    }
-                    match handle.load_variation_checkpoint(index) {
-                        Ok(record) => slots[index] = Some(record),
-                        Err(StoreError::Json { .. }) => {}
-                        Err(error) => return Err(error),
-                    }
-                }
-                Ok(())
-            })();
-            if let Err(error) = restored {
-                drop(self.claim_heartbeat.take());
-                finish_run(
-                    &self.recorder,
-                    handle,
-                    self.run_claim.as_ref(),
-                    RunStatus::Failed,
-                );
-                return Err(AybError::Store(error));
+        // Points an interrupted predecessor checkpointed are *not*
+        // re-analysed: their derived seeds make the remainder independent of
+        // them, so the final result is still bit-identical to an
+        // uninterrupted run.
+        if let Some(handle) = self.session.run() {
+            if let Err(error) = restore_points(handle, &mut slots) {
+                return Err(self.session.stop(error));
             }
         }
 
         let pending: Vec<usize> = (0..total).filter(|&index| slots[index].is_none()).collect();
-        let outcome = if pending.is_empty() {
-            VariationStageOutcome::Done
-        } else if self.config.sharded && self.run.is_some() && pending.len() > 1 {
-            self.variation_sharded(&pending, &mut slots)
-        } else {
-            self.variation_serial(&pending, &mut slots)
+        // The plane built in `optimize`, so traffic and fencing stats keep
+        // accumulating across stages.
+        let analysed = match self.session.transport() {
+            Some(plane) if pending.len() > 1 => {
+                self.variation_sharded(plane.as_ref(), &pending, &mut slots)
+            }
+            _ => self.variation_serial(&pending, &mut slots),
         };
-        match outcome {
-            VariationStageOutcome::Done => {}
-            VariationStageOutcome::Halted { analysed } => {
-                drop(self.claim_heartbeat.take());
-                if let Some(handle) = &self.run {
-                    finish_run(
-                        &self.recorder,
-                        handle,
-                        self.run_claim.as_ref(),
-                        RunStatus::Interrupted,
-                    );
-                }
-                return Err(AybError::Checkpoint(CheckpointError::Halted {
-                    generation: analysed,
-                }));
-            }
-            VariationStageOutcome::Failed(error) => {
-                drop(self.claim_heartbeat.take());
-                if let Some(handle) = &self.run {
-                    finish_run(
-                        &self.recorder,
-                        handle,
-                        self.run_claim.as_ref(),
-                        RunStatus::Failed,
-                    );
-                }
-                return Err(AybError::Store(error));
-            }
+        if let Err(stop) = analysed {
+            let error = match stop {
+                VariationStop::Halted => AybError::Checkpoint(CheckpointError::Halted {
+                    generation: recorded_points(&slots),
+                }),
+                VariationStop::Failed(error) => AybError::Store(error),
+            };
+            return Err(self.session.stop(error));
         }
 
         let mut pareto_data = Vec::with_capacity(total);
@@ -1398,71 +1193,20 @@ impl OptimizedFlow {
         self.timings.monte_carlo = t0.elapsed();
         self.timings.mc_points = total;
         self.timings.mc_point_seconds = mc_point_seconds;
-        notify_complete(
-            &mut self.observers,
-            FlowStage::AnalyzeVariation,
-            self.timings.monte_carlo,
-        );
-        self.recorder.emit(
-            flow_event(
-                self.run.as_ref(),
-                Severity::Info,
-                event_kind::STAGE_COMPLETE,
-            )
-            .value(self.timings.monte_carlo.as_secs_f64())
-            .detail(FlowStage::AnalyzeVariation.name()),
-        );
+        self.session
+            .stage_complete(FlowStage::AnalyzeVariation, self.timings.monte_carlo);
         if pareto_data.len() < 3 {
-            drop(self.claim_heartbeat.take());
-            if let Some(handle) = &self.run {
-                finish_run(
-                    &self.recorder,
-                    handle,
-                    self.run_claim.as_ref(),
-                    RunStatus::Failed,
-                );
-            }
-            return Err(AybError::Flow(FlowError::InsufficientParetoData(
-                pareto_data.len(),
-            )));
+            let error = FlowError::InsufficientParetoData(pareto_data.len());
+            return Err(self.session.stop(error));
         }
         Ok(AnalyzedFlow {
             config: self.config,
-            observers: self.observers,
             optimization: self.optimization,
             pareto: self.pareto,
             pareto_data,
-            run: self.run,
-            run_claim: self.run_claim,
-            shard_plane: self.shard_plane,
-            transport_incidents: self.transport_incidents,
-            claim_heartbeat: self.claim_heartbeat,
-            recorder: self.recorder,
-            events_guard: self.events_guard,
+            session: self.session,
             timings: self.timings,
         })
-    }
-
-    /// Whether the flow must halt at `boundary` (fault hook or external halt
-    /// signal).
-    ///
-    /// The external halt signal is only honoured by durable runs: halting a
-    /// store-less flow would discard everything with nothing to resume,
-    /// which is worse than finishing the stage. The fault-injection hook is
-    /// unconditional — it exists precisely to script halts.
-    fn variation_should_halt(&self, boundary: VariationBoundary) -> bool {
-        if self
-            .variation_halt
-            .as_ref()
-            .is_some_and(|hook| hook(boundary))
-        {
-            return true;
-        }
-        self.run.is_some()
-            && self
-                .halt_signal
-                .as_ref()
-                .is_some_and(|signal| signal.load(Ordering::Relaxed))
     }
 
     /// Analyses one selected point in-process (the shared kernel of both
@@ -1481,78 +1225,32 @@ impl OptimizedFlow {
         }
     }
 
-    /// Reports one shard's degradation to local production: observers hear
-    /// it immediately, and the incident lands in the run's persisted
-    /// [`TransportReport`].
-    fn note_transport_degraded(&mut self, stage: FlowStage, shard: usize, detail: &str) {
-        for observer in &mut self.observers {
-            observer.on_transport_degraded(stage, shard, detail);
-        }
-        self.recorder
-            .emit(degraded_event(self.run.as_ref(), stage, shard, detail));
-        self.transport_incidents.push(TransportIncident {
-            stage: stage.name().to_string(),
-            shard,
-            detail: detail.to_string(),
-        });
-    }
-
-    /// Persists (durable runs) and slots one landed point, ticking the
-    /// progress observers.
-    fn record_point(
-        &mut self,
-        slots: &mut [Option<VariationPointRecord>],
-        index: usize,
-        record: VariationPointRecord,
-    ) -> Result<(), StoreError> {
-        if let Some(handle) = &self.run {
-            guard_claim(handle, self.run_claim.as_ref())?;
-            handle.save_variation_checkpoint(index, &record)?;
-        }
-        let elapsed_seconds = record.elapsed_seconds;
-        slots[index] = Some(record);
-        let done = recorded_points(slots);
-        let total = slots.len();
-        for observer in &mut self.observers {
-            observer.on_progress(FlowStage::AnalyzeVariation, done, total);
-        }
-        self.recorder.emit(
-            flow_event(
-                self.run.as_ref(),
-                Severity::Debug,
-                event_kind::VARIATION_POINT,
-            )
-            .shard(index as u64)
-            .value(elapsed_seconds)
-            .detail(format!("point {index} analysed ({done}/{total})")),
-        );
-        Ok(())
-    }
-
     /// The serial variation path: analyse pending points in index order,
     /// checkpointing each as it completes.
     fn variation_serial(
         &mut self,
         pending: &[usize],
         slots: &mut [Option<VariationPointRecord>],
-    ) -> VariationStageOutcome {
+    ) -> Result<(), VariationStop> {
         for &index in pending {
-            if self.variation_should_halt(VariationBoundary::Claim { point: index }) {
-                return VariationStageOutcome::Halted {
-                    analysed: recorded_points(slots),
-                };
+            if self
+                .session
+                .halts_at(VariationBoundary::Claim { point: index })
+            {
+                return Err(VariationStop::Halted);
             }
             let record = self.analyse_one(index);
-            if let Err(error) = self.record_point(slots, index, record) {
-                return VariationStageOutcome::Failed(error);
-            }
-            if self.variation_should_halt(VariationBoundary::ResultWrite { point: index }) {
-                return VariationStageOutcome::Halted {
-                    analysed: recorded_points(slots),
-                };
+            self.session
+                .record_point(slots, index, record)
+                .map_err(VariationStop::Failed)?;
+            if self
+                .session
+                .halts_at(VariationBoundary::ResultWrite { point: index })
+            {
+                return Err(VariationStop::Halted);
             }
         }
-        VariationStageOutcome::Done
+        Ok(())
     }
 
     /// The sharded variation path: chunk the pending points into
@@ -1563,18 +1261,10 @@ impl OptimizedFlow {
     /// serial path — the stage always completes, with identical results.
     fn variation_sharded(
         &mut self,
+        plane: &dyn ShardTransport,
         pending: &[usize],
         slots: &mut [Option<VariationPointRecord>],
-    ) -> VariationStageOutcome {
-        // The transport built in `optimize`, so traffic and fencing stats
-        // keep accumulating across stages.
-        let Some(plane) = self
-            .shard_plane
-            .as_ref()
-            .map(|plane| Arc::clone(&plane.transport))
-        else {
-            return self.variation_serial(pending, slots);
-        };
+    ) -> Result<(), VariationStop> {
         let batch_size = self.config.variation_batch.max(1);
         let batches: Vec<Vec<usize>> = pending
             .chunks(batch_size)
@@ -1582,11 +1272,8 @@ impl OptimizedFlow {
             .collect();
         let base_seed = self.config.monte_carlo.seed;
         let selected = &self.selected;
-        let published = publish_epoch(
-            plane.as_ref(),
-            ShardWorkKind::Variation,
-            batches.len(),
-            |shard| ShardWork::VariationBatch {
+        let published = publish_epoch(plane, ShardWorkKind::Variation, batches.len(), |shard| {
+            ShardWork::VariationBatch {
                 points: batches[shard]
                     .iter()
                     .map(|&index| VariationPointWork {
@@ -1594,61 +1281,44 @@ impl OptimizedFlow {
                         mc_seed: point_mc_seed(base_seed, index),
                     })
                     .collect(),
-            },
-        );
+            }
+        });
         let epoch = match published {
             Ok(epoch) => epoch,
-            Err((shard, error)) => {
+            Err((shard, ShardError::Transport(detail))) => {
                 // Every pending point is analysed serially instead.
-                let ShardError::Transport(detail) = error;
                 let point = batches[shard][0];
-                self.note_transport_degraded(FlowStage::AnalyzeVariation, point, &detail);
+                self.session
+                    .degraded(FlowStage::AnalyzeVariation, point, &detail);
                 return self.variation_serial(pending, slots);
             }
         };
 
-        let options = ShardingOptions::default();
-        let shard_count = batches.len();
         let mut work = VariationEpochWork {
             flow: self,
-            plane: plane.as_ref(),
+            plane,
             epoch: &epoch,
             batches: &batches,
             slots,
-            abort: None,
+            stop: None,
         };
-        let driven = drive_epoch(&mut work, shard_count, &options);
-        let abort = work.abort;
+        let driven = drive_epoch(&mut work, batches.len(), &ShardingOptions::default());
+        let stop = work.stop;
         match driven {
             Some(_) => {
-                if self.variation_should_halt(VariationBoundary::EpochClose) {
+                if self.session.halts_at(VariationBoundary::EpochClose) {
                     // Halt *before* disposal, like a crash at this boundary:
                     // the leftover epoch is swept when the run resumes.
-                    return VariationStageOutcome::Halted {
-                        analysed: recorded_points(slots),
-                    };
+                    return Err(VariationStop::Halted);
                 }
                 let _ = plane.close_epoch(&epoch);
-                VariationStageOutcome::Done
+                Ok(())
             }
             // Aborted mid-epoch: leave the epoch on disk (exactly what a
             // crash leaves behind); the resumed flow sweeps it.
-            None => match abort {
-                Some(VariationAbort::Failed(error)) => VariationStageOutcome::Failed(error),
-                _ => VariationStageOutcome::Halted {
-                    analysed: recorded_points(slots),
-                },
-            },
+            None => Err(stop.unwrap_or(VariationStop::Halted)),
         }
     }
-}
-
-/// Why a variation epoch drive aborted (see [`VariationEpochWork`]).
-enum VariationAbort {
-    /// A halt signal or fault hook fired at a boundary.
-    Halted,
-    /// A variation checkpoint could not be persisted.
-    Failed(StoreError),
 }
 
 /// [`EpochWork`] binding of the variation stage: one shard = one batch of
@@ -1664,7 +1334,7 @@ struct VariationEpochWork<'a> {
     /// Pending point indices, chunked as published (`batches[shard]`).
     batches: &'a [Vec<usize>],
     slots: &'a mut [Option<VariationPointRecord>],
-    abort: Option<VariationAbort>,
+    stop: Option<VariationStop>,
 }
 
 impl EpochWork for VariationEpochWork<'_> {
@@ -1726,9 +1396,10 @@ impl EpochWork for VariationEpochWork<'_> {
         for &point in &self.batches[shard] {
             if self
                 .flow
-                .variation_should_halt(VariationBoundary::Claim { point })
+                .session
+                .halts_at(VariationBoundary::Claim { point })
             {
-                self.abort = Some(VariationAbort::Halted);
+                self.stop = Some(VariationStop::Halted);
                 return false;
             }
         }
@@ -1740,14 +1411,14 @@ impl EpochWork for VariationEpochWork<'_> {
         // boundary between points exactly like the serial path: a mid-batch
         // halt leaves the earlier points durably checkpointed and the rest
         // for the resumed flow.
+        let session = &mut self.flow.session;
         for (&index, record) in self.batches[shard].iter().zip(records) {
-            if let Err(error) = self.flow.record_point(self.slots, index, record.clone()) {
-                self.abort = Some(VariationAbort::Failed(error));
+            if let Err(error) = session.record_point(self.slots, index, record.clone()) {
+                self.stop = Some(VariationStop::Failed(error));
                 return false;
             }
-            let boundary = VariationBoundary::ResultWrite { point: index };
-            if self.flow.variation_should_halt(boundary) {
-                self.abort = Some(VariationAbort::Halted);
+            if session.halts_at(VariationBoundary::ResultWrite { point: index }) {
+                self.stop = Some(VariationStop::Halted);
                 return false;
             }
         }
@@ -1758,7 +1429,8 @@ impl EpochWork for VariationEpochWork<'_> {
         let ShardError::Transport(detail) = error;
         let point = self.batches[shard][0];
         self.flow
-            .note_transport_degraded(FlowStage::AnalyzeVariation, point, detail);
+            .session
+            .degraded(FlowStage::AnalyzeVariation, point, detail);
     }
 }
 
@@ -1766,20 +1438,10 @@ impl EpochWork for VariationEpochWork<'_> {
 /// combined model has not been built yet.
 pub struct AnalyzedFlow {
     config: FlowConfig,
-    observers: Vec<Box<dyn FlowObserver>>,
     optimization: OptimizationResult,
     pareto: Vec<Evaluation>,
     pareto_data: Vec<ParetoPointData>,
-    run: Option<RunHandle>,
-    run_claim: Option<ClaimInfo>,
-    shard_plane: Option<ShardPlane>,
-    transport_incidents: Vec<TransportIncident>,
-    claim_heartbeat: Option<ClaimHeartbeat>,
-    recorder: Recorder,
-    /// Held, not read: keeps the run's events.jsonl sink attached to the
-    /// recorder until the flow ends (detached on drop).
-    #[allow(dead_code)]
-    events_guard: Option<SinkGuard>,
+    session: RunSession,
     timings: FlowTimings,
 }
 
@@ -1797,58 +1459,27 @@ impl AnalyzedFlow {
     /// Returns the [`ModelError`] (wrapped in [`AybError`]) when the model
     /// cannot be constructed from the analysed points.
     pub fn build_model(mut self) -> Result<FlowResult, AybError> {
-        notify_start(&mut self.observers, FlowStage::BuildModel);
-        self.recorder.emit(
-            flow_event(self.run.as_ref(), Severity::Info, event_kind::STAGE_START)
-                .detail(FlowStage::BuildModel.name()),
-        );
+        self.session.stage_start(FlowStage::BuildModel);
         let t0 = Instant::now();
         let model = match CombinedOtaModel::from_pareto_data(
             self.pareto_data.clone(),
             self.config.sigma_level,
         ) {
             Ok(model) => model,
-            Err(error) => {
-                drop(self.claim_heartbeat.take());
-                if let Some(handle) = &self.run {
-                    finish_run(
-                        &self.recorder,
-                        handle,
-                        self.run_claim.as_ref(),
-                        RunStatus::Failed,
-                    );
-                }
-                return Err(error.into());
-            }
+            Err(error) => return Err(self.session.stop(error)),
         };
         self.timings.model_build = t0.elapsed();
-        notify_complete(
-            &mut self.observers,
-            FlowStage::BuildModel,
-            self.timings.model_build,
-        );
-        self.recorder.emit(
-            flow_event(
-                self.run.as_ref(),
-                Severity::Info,
-                event_kind::STAGE_COMPLETE,
-            )
-            .value(self.timings.model_build.as_secs_f64())
-            .detail(FlowStage::BuildModel.name()),
-        );
+        self.session
+            .stage_complete(FlowStage::BuildModel, self.timings.model_build);
         // Shard-plane accounting, accumulated over every stage. Timings are
         // excluded from determinism digests, so recording traffic here can
         // never perturb a result.
-        let plane_stats = self
-            .shard_plane
-            .as_ref()
-            .map(|plane| plane.transport.stats());
-        if let Some(stats) = plane_stats {
+        if let Some(stats) = self.session.transport().map(|plane| plane.stats()) {
             self.timings.shard_requests = stats.requests;
             self.timings.shard_request_seconds = stats.request_seconds;
             self.timings.shards_fenced = stats.fenced_rejections;
         }
-        self.timings.shards_degraded = self.transport_incidents.len();
+        self.timings.shards_degraded = self.session.incidents.len();
         let result = FlowResult {
             archive: self.optimization.archive.clone(),
             pareto: self.pareto,
@@ -1857,44 +1488,10 @@ impl AnalyzedFlow {
             timings: self.timings,
             optimization: self.optimization,
         };
-        drop(self.claim_heartbeat.take());
-        if let Some(handle) = &self.run {
-            // Every epoch was assembled (or abandoned) by now; anything left
-            // under `shards/` is debris from an epoch disposal that lost the
-            // race against a worker's in-flight claim. Re-verify the claim
-            // first: if a recovery pass stole it (this flow was presumed
-            // hung), a successor owns these files now and this writer must
-            // not touch them — not even to sweep.
-            let persisted = guard_claim(handle, self.run_claim.as_ref()).and_then(|()| {
-                let _ = handle.sweep_shards();
-                if let (Some(plane), Some(stats)) = (&self.shard_plane, plane_stats) {
-                    // Diagnostic only — failure to write the report must not
-                    // fail a completed flow.
-                    let _ = handle.save_transport_report(&TransportReport {
-                        transport: plane.label.clone(),
-                        incidents: self.transport_incidents.clone(),
-                        requests: stats.requests,
-                        request_seconds: stats.request_seconds,
-                        fenced_rejections: stats.fenced_rejections,
-                    });
-                }
-                handle.save_result(&result)?;
-                handle.set_status(RunStatus::Completed)
-            });
-            if persisted.is_ok() {
-                self.recorder.emit(
-                    Event::new(Severity::Info, "flow", event_kind::RUN_COMPLETED)
-                        .run(handle.id())
-                        .value(result.timings.total().as_secs_f64()),
-                );
-            }
-            // Compare-and-delete: releases only the claim this flow minted,
-            // never a successor's.
-            if let Some(minted) = self.run_claim.as_ref() {
-                let _ = handle.break_claim(minted);
-            }
-            persisted?;
+        if let Err(error) = self.session.persist(&result) {
+            return Err(self.session.stop(error));
         }
+        self.session.end(Some(RunStatus::Completed))?;
         Ok(result)
     }
 }
@@ -1964,128 +1561,389 @@ pub struct TransportReport {
     pub fenced_rejections: u64,
 }
 
-/// Terminal-state bookkeeping for a durable run: record the status and
-/// release the execution claim taken in [`FlowBuilder::optimize`].
+/// Claims a stored run for resumption.
 ///
-/// When the minted claim is known and no longer on disk — a recovery pass
-/// stole it from this presumed-hung process — the run now belongs to a
-/// successor and is left entirely alone: writing a terminal status over the
-/// successor's `Running` (or deleting its claim) is exactly the split-brain
-/// the fencing tokens exist to prevent.
-fn finish_run(
-    recorder: &Recorder,
-    handle: &RunHandle,
-    minted: Option<&ClaimInfo>,
-    status: RunStatus,
-) {
-    let (severity, kind) = match status {
-        RunStatus::Completed => (Severity::Info, event_kind::RUN_COMPLETED),
-        RunStatus::Interrupted => (Severity::Warn, event_kind::RUN_INTERRUPTED),
-        _ => (Severity::Error, event_kind::RUN_FAILED),
-    };
-    recorder.emit(Event::new(severity, "flow", kind).run(handle.id()));
-    if let Some(minted) = minted {
-        if !handle.claim_is(minted).unwrap_or(false) {
+/// A claim whose holder is provably gone ([`ayb_store::ClaimHealth::Dead`]:
+/// a dead pid on this host, or another host's heartbeat older than
+/// [`CLAIM_MAX_HEARTBEAT_AGE`]) is what a SIGKILL leaves behind: it is
+/// broken with the compare-and-delete [`RunHandle::break_claim`] and the
+/// run claimed once more. An alive or hung holder keeps its claim and the
+/// resume gets [`StoreError::RunClaimed`]; only a job server's recovery
+/// pass steals from a hung one. An unclaimed run costs no extra I/O.
+fn claim_for_resume(handle: &RunHandle, owner: &str) -> Result<ClaimInfo, StoreError> {
+    match handle.try_claim(owner) {
+        Err(claimed @ StoreError::RunClaimed { .. }) => {
+            match handle.stale_claim(CLAIM_MAX_HEARTBEAT_AGE) {
+                Ok(Some(dead)) => {
+                    handle.break_claim(&dead)?;
+                    handle.try_claim(owner)
+                }
+                _ => Err(claimed),
+            }
+        }
+        claimed => claimed,
+    }
+}
+
+/// The run a flow carries through its three stages, in one place: who
+/// hears about it (observers and recorder), what degraded on the way, when
+/// to halt and — for a stored run — the run itself.
+///
+/// Each stage start and end, checkpoint, variation point and degradation is
+/// reported here to the observers and the recorder together, every durable
+/// write passes the session's fence check first, and every exit — success,
+/// failure or halt — ends the run through [`RunSession::end`].
+#[derive(Default)]
+struct RunSession {
+    observers: Vec<Box<dyn FlowObserver>>,
+    recorder: Recorder,
+    /// Every shard that degraded to local production, for the run's
+    /// [`TransportReport`].
+    incidents: Vec<TransportIncident>,
+    halt_signal: Option<Arc<AtomicBool>>,
+    variation_halt: Option<VariationHaltHook>,
+    /// Summed stage wall clock of this attempt (what
+    /// [`FlowTimings::total`] reports), the value of the `run_completed`
+    /// event.
+    elapsed: Duration,
+    durable: Option<DurableRun>,
+}
+
+/// The stored part of a [`RunSession`], held from the claim to the end of
+/// the run.
+struct DurableRun {
+    handle: RunHandle,
+    /// The fenced claim minted for this execution. Every durable write
+    /// re-checks it, so a recovery pass that presumed this process hung and
+    /// stole the claim fences this writer off instead of letting two
+    /// executors fight over one run's files.
+    claim: ClaimInfo,
+    /// Refreshes the claim's heartbeat, so recovery passes — here or on
+    /// other hosts — can tell this live execution from a dead one.
+    heartbeat: ClaimHeartbeat,
+    /// Keeps the run's `events.jsonl` attached to the recorder until the
+    /// run ends (detached on drop).
+    _events: SinkGuard,
+    /// The shard data plane of a sharded run.
+    plane: Option<ShardPlane>,
+}
+
+impl DurableRun {
+    /// Pre-write fence check for durable-run files: verifies this flow still
+    /// holds the claim it minted, so a fenced-off (stolen-claim) writer
+    /// fails with [`StoreError::RunClaimed`] instead of corrupting its
+    /// successor's state. The check-then-write window is a single stat — the
+    /// successor's first act is its own fence-stamped claim, which this
+    /// comparison can never match.
+    fn fence(&self) -> Result<(), StoreError> {
+        if self.handle.claim_is(&self.claim)? {
+            return Ok(());
+        }
+        let owner = self
+            .handle
+            .claim()
+            .ok()
+            .flatten()
+            .map_or_else(|| "unknown".to_string(), |claim| claim.owner);
+        Err(StoreError::RunClaimed {
+            run_id: self.handle.id().to_string(),
+            owner,
+        })
+    }
+}
+
+impl RunSession {
+    /// The stored run, when there is one.
+    fn run(&self) -> Option<&RunHandle> {
+        self.durable.as_ref().map(|durable| &durable.handle)
+    }
+
+    /// The shard data plane's transport, when the run has one.
+    fn transport(&self) -> Option<Arc<dyn ShardTransport>> {
+        let plane = self.durable.as_ref()?.plane.as_ref()?;
+        Some(Arc::clone(&plane.transport))
+    }
+
+    /// An [`Event`] stamped with the flow's source label and, for a stored
+    /// run, its id.
+    fn event(&self, severity: Severity, kind: &str) -> Event {
+        let event = Event::new(severity, "flow", kind);
+        match self.run() {
+            Some(handle) => event.run(handle.id()),
+            None => event,
+        }
+    }
+
+    /// Opens the stored part of the session on a freshly claimed run: starts
+    /// the claim heartbeat and attaches the run's `events.jsonl` to the
+    /// recorder. The sink is scoped to the run, so a recorder shared across
+    /// runs (a job server's) never leaks one run's sink into the next; every
+    /// (re-)entry marks a new attempt boundary in the file with its
+    /// `flow_start` event, which `ayb trace` splits on.
+    fn open(&mut self, handle: RunHandle, claim: ClaimInfo) -> &RunHandle {
+        let heartbeat = handle.start_claim_heartbeat(CLAIM_HEARTBEAT_INTERVAL);
+        let events = self
+            .recorder
+            .add_scoped_sink(Box::new(JsonlSink::new(handle.events_path())));
+        &self
+            .durable
+            .insert(DurableRun {
+                handle,
+                claim,
+                heartbeat,
+                _events: events,
+                plane: None,
+            })
+            .handle
+    }
+
+    /// Builds the shard data plane of a sharded stored run — the store's
+    /// disk plane, or a TCP coordinator when the config names one — once,
+    /// so its traffic and fencing counters cover every stage. Runs that are
+    /// not sharded, or not stored, get none.
+    fn open_plane(&mut self, config: &FlowConfig) {
+        if !config.sharded || self.durable.is_none() {
             return;
         }
-        let _ = handle.set_status(status);
-        let _ = handle.break_claim(minted);
-    } else {
-        let _ = handle.set_status(status);
-        let _ = handle.release_claim();
-    }
-}
-
-/// The `shard_degraded` event recorded for every shard produced locally.
-fn degraded_event(run: Option<&RunHandle>, stage: FlowStage, shard: usize, detail: &str) -> Event {
-    flow_event(run, Severity::Warn, event_kind::SHARD_DEGRADED)
-        .shard(shard as u64)
-        .detail(format!("{}: {detail}", stage.name()))
-}
-
-/// Drains eval-stage degradation events buffered by the sharded evaluator's
-/// hook into the observers, the run's event log and the flow's incident
-/// record (see [`FlowObserver::on_transport_degraded`]).
-fn drain_degraded(
-    observers: &mut [Box<dyn FlowObserver>],
-    recorder: &Recorder,
-    run: Option<&RunHandle>,
-    events: &Arc<Mutex<Vec<(usize, String)>>>,
-    incidents: &mut Vec<TransportIncident>,
-) {
-    for (shard, detail) in events.lock().expect("degradation event lock").drain(..) {
-        for observer in observers.iter_mut() {
-            observer.on_transport_degraded(FlowStage::Optimize, shard, &detail);
-        }
-        recorder.emit(degraded_event(run, FlowStage::Optimize, shard, &detail));
-        incidents.push(TransportIncident {
-            stage: FlowStage::Optimize.name().to_string(),
-            shard,
-            detail,
+        let tcp = match config.transport.as_deref().map(TcpTransport::from_url) {
+            Some(Ok(transport)) => Some(transport),
+            Some(Err(reason)) => {
+                // A malformed selector degrades to the disk plane — noisily,
+                // so a typo'd URL never passes for a working coordinator (the
+                // CLI validates up front; this guards configs edited by hand).
+                let detail = format!("{reason}; using the disk data plane");
+                self.degraded(FlowStage::Optimize, 0, &detail);
+                None
+            }
+            None => None,
+        };
+        let recorder = self.recorder.clone();
+        let Some(durable) = self.durable.as_mut() else {
+            return;
+        };
+        // This flow holds the run's exclusive claim, so any shard epochs
+        // still on disk belong to a dead predecessor.
+        let _ = durable.handle.sweep_shards();
+        durable.plane = Some(match tcp {
+            Some(transport) => ShardPlane {
+                label: transport.url(),
+                transport: Arc::new(
+                    transport
+                        .with_run_context(durable.handle.id(), Serialize::to_value(config))
+                        .with_recorder(recorder),
+                ),
+            },
+            None => ShardPlane {
+                label: "disk".to_string(),
+                transport: Arc::new(
+                    durable
+                        .handle
+                        .shard_plane(SHARD_CLAIM_STALE_AFTER)
+                        .with_recorder(recorder),
+                ),
+            },
         });
     }
-}
 
-/// Pre-write fence check for durable-run files: verifies this flow still
-/// holds the claim it minted, so a fenced-off (stolen-claim) writer fails
-/// with [`StoreError::RunClaimed`] instead of corrupting its successor's
-/// state. The check-then-write window is a single stat — the successor's
-/// first act is its own fence-stamped claim, which this comparison can never
-/// match.
-fn guard_claim(handle: &RunHandle, minted: Option<&ClaimInfo>) -> Result<(), StoreError> {
-    let Some(minted) = minted else {
-        return Ok(());
-    };
-    if handle.claim_is(minted)? {
-        return Ok(());
+    /// Reports the start of `stage` to the observers and the recorder.
+    fn stage_start(&mut self, stage: FlowStage) {
+        for observer in &mut self.observers {
+            observer.on_stage_start(stage);
+        }
+        self.recorder.emit(
+            self.event(Severity::Info, event_kind::STAGE_START)
+                .detail(stage.name()),
+        );
     }
-    let owner = handle
-        .claim()
-        .ok()
-        .flatten()
-        .map_or_else(|| "unknown".to_string(), |claim| claim.owner);
-    Err(StoreError::RunClaimed {
-        run_id: handle.id().to_string(),
-        owner,
-    })
-}
 
-/// An [`Event`] stamped with the flow's source label and, when the run is
-/// durable, its run id.
-fn flow_event(run: Option<&RunHandle>, severity: Severity, kind: &str) -> Event {
-    let event = Event::new(severity, "flow", kind);
-    match run {
-        Some(handle) => event.run(handle.id()),
-        None => event,
+    /// Reports the completion of `stage` after `elapsed` to the observers
+    /// and the recorder.
+    fn stage_complete(&mut self, stage: FlowStage, elapsed: Duration) {
+        self.elapsed += elapsed;
+        for observer in &mut self.observers {
+            observer.on_stage_complete(stage, elapsed);
+        }
+        self.recorder.emit(
+            self.event(Severity::Info, event_kind::STAGE_COMPLETE)
+                .value(elapsed.as_secs_f64())
+                .detail(stage.name()),
+        );
     }
-}
 
-fn notify_start(observers: &mut [Box<dyn FlowObserver>], stage: FlowStage) {
-    for observer in observers {
-        observer.on_stage_start(stage);
+    /// Records one shard's degradation to local production, once for
+    /// everyone: the observers hear it, the recorder gets a
+    /// `shard_degraded` event, and the incident lands in the run's persisted
+    /// [`TransportReport`] (see [`FlowObserver::on_transport_degraded`]).
+    fn degraded(&mut self, stage: FlowStage, shard: usize, detail: &str) {
+        for observer in &mut self.observers {
+            observer.on_transport_degraded(stage, shard, detail);
+        }
+        self.recorder.emit(
+            self.event(Severity::Warn, event_kind::SHARD_DEGRADED)
+                .shard(shard as u64)
+                .detail(format!("{}: {detail}", stage.name())),
+        );
+        self.incidents.push(TransportIncident {
+            stage: stage.name().to_string(),
+            shard,
+            detail: detail.to_string(),
+        });
     }
-}
 
-fn notify_complete(observers: &mut [Box<dyn FlowObserver>], stage: FlowStage, elapsed: Duration) {
-    for observer in observers {
-        observer.on_stage_complete(stage, elapsed);
+    /// Whether the external halt signal is raised. Only stored runs honour
+    /// it: halting a store-less flow would discard everything with nothing
+    /// to resume, which is worse than finishing.
+    fn halt_signalled(&self) -> bool {
+        self.durable.is_some()
+            && self
+                .halt_signal
+                .as_ref()
+                .is_some_and(|signal| signal.load(Ordering::Relaxed))
     }
-}
 
-/// Runs the complete model-generation flow with the paper's WBGA.
-///
-/// Thin compatibility wrapper over [`FlowBuilder`]: `generate_model(&config)`
-/// is exactly `FlowBuilder::new(config.clone()).run()` with the error
-/// projected onto [`FlowError`], and produces an identical [`FlowResult`].
-///
-/// # Errors
-///
-/// Returns an error if the optimisation finds no feasible candidates, too few
-/// Pareto points survive the variation analysis, or model construction fails.
-pub fn generate_model(config: &FlowConfig) -> Result<FlowResult, FlowError> {
-    FlowBuilder::new(config.clone())
-        .run()
-        .map_err(AybError::into_flow_error)
+    /// Whether the flow halts at variation `boundary`: the fault-injection
+    /// hook decides unconditionally (it exists precisely to script halts),
+    /// the halt signal as [`RunSession::halt_signalled`] says.
+    fn halts_at(&self, boundary: VariationBoundary) -> bool {
+        self.variation_halt
+            .as_ref()
+            .is_some_and(|hook| hook(boundary))
+            || self.halt_signalled()
+    }
+
+    /// Persists a generation checkpoint of a stored run behind the fence and
+    /// reports it. `Ok(false)`: a store-less run keeps no checkpoints.
+    fn checkpoint_generation(&mut self, checkpoint: &Checkpoint) -> Result<bool, StoreError> {
+        let Some(durable) = &self.durable else {
+            return Ok(false);
+        };
+        let started = Instant::now();
+        durable.fence()?;
+        let saved = durable.handle.save_checkpoint(checkpoint)?;
+        let metrics = self.recorder.metrics();
+        metrics.add(CHECKPOINT_BYTES_METRIC, saved.bytes);
+        metrics.observe(CHECKPOINT_SECONDS_METRIC, started.elapsed().as_secs_f64());
+        let generation = checkpoint.next_generation;
+        for observer in &mut self.observers {
+            observer.on_checkpoint_written(generation, &saved.path);
+        }
+        self.recorder.emit(
+            self.event(Severity::Debug, event_kind::CHECKPOINT)
+                .value(generation as f64)
+                .detail(format!("generation {generation} checkpoint written")),
+        );
+        Ok(true)
+    }
+
+    /// Persists (stored runs, behind the fence) and slots one landed
+    /// variation point, ticking the progress observers.
+    fn record_point(
+        &mut self,
+        slots: &mut [Option<VariationPointRecord>],
+        index: usize,
+        record: VariationPointRecord,
+    ) -> Result<(), StoreError> {
+        if let Some(durable) = &self.durable {
+            durable.fence()?;
+            durable.handle.save_variation_checkpoint(index, &record)?;
+        }
+        let elapsed_seconds = record.elapsed_seconds;
+        slots[index] = Some(record);
+        let done = recorded_points(slots);
+        let total = slots.len();
+        for observer in &mut self.observers {
+            observer.on_progress(FlowStage::AnalyzeVariation, done, total);
+        }
+        self.recorder.emit(
+            self.event(Severity::Debug, event_kind::VARIATION_POINT)
+                .shard(index as u64)
+                .value(elapsed_seconds)
+                .detail(format!("point {index} analysed ({done}/{total})")),
+        );
+        Ok(())
+    }
+
+    /// Persists the result of a stored run behind the fence, with the
+    /// transport report of a sharded run beside it. Store-less runs persist
+    /// nothing.
+    fn persist(&self, result: &FlowResult) -> Result<(), StoreError> {
+        let Some(durable) = &self.durable else {
+            return Ok(());
+        };
+        // The fence comes first: if a recovery pass stole the claim (this
+        // flow was presumed hung), a successor owns these files now and
+        // this writer must not touch them — not even to sweep.
+        durable.fence()?;
+        // Every epoch was assembled (or abandoned) by now; anything left
+        // under `shards/` is debris from an epoch disposal that lost the
+        // race against a worker's in-flight claim.
+        let _ = durable.handle.sweep_shards();
+        if let Some(plane) = &durable.plane {
+            // Diagnostic only — failure to write the report must not fail a
+            // completed flow.
+            let _ = durable.handle.save_transport_report(&TransportReport {
+                transport: plane.label.clone(),
+                incidents: self.incidents.clone(),
+                requests: result.timings.shard_requests,
+                request_seconds: result.timings.shard_request_seconds,
+                fenced_rejections: result.timings.shards_fenced,
+            });
+        }
+        durable.handle.save_result(result)
+    }
+
+    /// Ends the run at a failure or halt exit and hands back the error for
+    /// the stage to return: a halt ([`CheckpointError::Halted`]) leaves the
+    /// run [`RunStatus::Interrupted`], anything else [`RunStatus::Failed`].
+    fn stop(self, error: impl Into<AybError>) -> AybError {
+        let error = error.into();
+        let status = match error {
+            AybError::Checkpoint(CheckpointError::Halted { .. }) => RunStatus::Interrupted,
+            _ => RunStatus::Failed,
+        };
+        let _ = self.end(Some(status));
+        error
+    }
+
+    /// Ends a stored run: stops the claim heartbeat, emits the run event of
+    /// the terminal `status`, records the status and breaks the claim.
+    /// `None` ends a run that never started — a resume that found a result
+    /// or could not mark the run running — by releasing the claim alone.
+    ///
+    /// A claim that is no longer on disk as minted — a recovery pass stole
+    /// it from this presumed-hung process — leaves the run to its successor:
+    /// writing a status over the successor's `Running` (or deleting its
+    /// claim) is exactly the split-brain the fencing tokens exist to
+    /// prevent. A store-less run has nothing to end.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`StoreError`] of recording the status.
+    fn end(self, status: Option<RunStatus>) -> Result<(), StoreError> {
+        let Some(durable) = self.durable else {
+            return Ok(());
+        };
+        drop(durable.heartbeat);
+        if let Some(status) = status {
+            let (severity, kind) = match status {
+                RunStatus::Completed => (Severity::Info, event_kind::RUN_COMPLETED),
+                RunStatus::Interrupted => (Severity::Warn, event_kind::RUN_INTERRUPTED),
+                _ => (Severity::Error, event_kind::RUN_FAILED),
+            };
+            let event = Event::new(severity, "flow", kind).run(durable.handle.id());
+            self.recorder.emit(match status {
+                RunStatus::Completed => event.value(self.elapsed.as_secs_f64()),
+                _ => event,
+            });
+        }
+        if !durable.handle.claim_is(&durable.claim).unwrap_or(false) {
+            return Ok(());
+        }
+        let recorded = status.map_or(Ok(()), |status| durable.handle.set_status(status));
+        // Compare-and-delete: releases only the claim this flow minted.
+        let _ = durable.handle.break_claim(&durable.claim);
+        recorded
+    }
 }
 
 #[cfg(test)]
@@ -2331,5 +2189,57 @@ mod tests {
             seed_first.config().monte_carlo.seed,
             seed_last.config().monte_carlo.seed
         );
+    }
+
+    /// A malformed coordinator URL falls back to the disk plane and is
+    /// recorded like every other degradation: the observers hear it, and
+    /// the run's events, transport report and timings count it.
+    #[test]
+    fn a_malformed_transport_url_is_recorded_like_any_degradation() {
+        #[derive(Clone, Default)]
+        struct Heard(Arc<Mutex<Vec<String>>>);
+        impl FlowObserver for Heard {
+            fn on_transport_degraded(&mut self, stage: FlowStage, shard: usize, detail: &str) {
+                let line = format!("{} {shard}: {detail}", stage.name());
+                self.0.lock().unwrap().push(line);
+            }
+        }
+
+        let root = std::env::temp_dir().join(format!("ayb-flow-malformed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = Store::open(&root).unwrap();
+        let mut config = FlowConfig::reduced();
+        config.ga.generations = 3;
+        config.monte_carlo.samples = 4;
+        config.max_pareto_points = 4;
+        config.transport = Some("udp://127.0.0.1:1".to_string());
+        let heard = Heard::default();
+        let result = FlowBuilder::new(config)
+            .with_store(&store)
+            .with_run_id("malformed")
+            .sharded(true)
+            .with_observer(heard.clone())
+            .run()
+            .expect("the flow completes on the disk plane");
+
+        let heard = heard.0.lock().unwrap().clone();
+        assert_eq!(heard.len(), 1, "{heard:?}");
+        assert!(heard[0].starts_with("optimize 0: transport `udp://127.0.0.1:1`"));
+        assert!(heard[0].ends_with("; using the disk data plane"));
+        assert_eq!(result.timings.shards_degraded, 1);
+        let handle = store.run("malformed").unwrap();
+        let events = ayb_obs::read_events(&handle.events_path()).unwrap();
+        let degraded: Vec<&Event> = events
+            .iter()
+            .filter(|event| event.kind == event_kind::SHARD_DEGRADED)
+            .collect();
+        assert_eq!(degraded.len(), 1);
+        assert_eq!(degraded[0].shard, Some(0));
+        assert!(degraded[0].detail.ends_with("; using the disk data plane"));
+        let report = handle.transport_report_value().unwrap().unwrap();
+        let report = TransportReport::from_value(&report).unwrap();
+        assert_eq!(report.transport, "disk");
+        assert_eq!(report.incidents.len(), 1);
+        let _ = std::fs::remove_dir_all(root);
     }
 }

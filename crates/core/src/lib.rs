@@ -21,9 +21,7 @@
 //!   additionally shard their batch evaluation across any number of worker
 //!   processes and machines sharing the store
 //!   ([`FlowBuilder::sharded`], `ayb serve --shards-only`) — still
-//!   bit-identical,
-//! * [`generate_model`] — thin compatibility wrapper running all stages with
-//!   the paper's WBGA,
+//!   bit-identical; [`FlowBuilder::run`] executes all stages in one call,
 //! * [`AybError`] — the unified error that wraps `FlowError`, `ModelError`,
 //!   `SimError`, `TableError` and `CircuitError` with `From` impls,
 //! * [`OtaSizingProblem`] — the paper's benchmark problem: size the
@@ -105,10 +103,10 @@ pub use conventional::{compare_approaches, conventional_ota_yield, ApproachCompa
 pub use error::AybError;
 pub use filter_design::{design_filter, verify_filter_yield, FilterDesignResult};
 pub use flow::{
-    analyse_pareto_point, analyse_variation_point, generate_model, point_mc_seed, AnalyzedFlow,
-    FlowBuilder, FlowError, FlowObserver, FlowResult, FlowStage, FlowSummary, FlowTimings,
-    OptimizedFlow, StderrObserver, TransportIncident, TransportReport, VariationBoundary,
-    VariationHaltHook, VariationPointRecord, CHECKPOINT_BYTES_METRIC, CHECKPOINT_SECONDS_METRIC,
+    analyse_variation_point, point_mc_seed, AnalyzedFlow, FlowBuilder, FlowError, FlowObserver,
+    FlowResult, FlowStage, FlowSummary, FlowTimings, OptimizedFlow, StderrObserver,
+    TransportIncident, TransportReport, VariationBoundary, VariationHaltHook, VariationPointRecord,
+    CHECKPOINT_BYTES_METRIC, CHECKPOINT_SECONDS_METRIC,
 };
 pub use ota_problem::{
     evaluate_ota, measure_testbench, measure_testbench_with, OtaPerformance, OtaSizingProblem,

@@ -96,7 +96,7 @@ use ayb_moo::{
 };
 use ayb_net::{ClaimPulse, TcpTransport};
 use ayb_obs::{Event, Recorder, Severity};
-use ayb_store::{Manifest, RunHandle, RunStatus, Store, StoreError};
+use ayb_store::{Manifest, RunHandle, RunStatus, Store, StoreError, CLAIM_MAX_HEARTBEAT_AGE};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
@@ -166,11 +166,6 @@ pub struct JobServerConfig {
     /// so runs stranded *after* startup — a peer server shut down or died —
     /// are picked up without waiting for a restart.
     pub recovery_interval: Duration,
-    /// When `true` (the default), idle workers service shard evaluation
-    /// tasks of sharded flows — *shard-first*: the data plane is always
-    /// drained before a worker takes new control-plane work, so a fleet
-    /// whose workers all hold runs still makes evaluation progress.
-    pub service_shards: bool,
     /// When `true`, the server never claims whole runs — it is a pure
     /// evaluation worker servicing shard tasks (`ayb serve --shards-only`).
     /// Extra machines sharing the store run in this mode to scale a sharded
@@ -199,9 +194,8 @@ impl Default for JobServerConfig {
             poll_interval: Duration::from_millis(200),
             drain: false,
             owner: format!("ayb-serve-{}", std::process::id()),
-            reclaim_grace: Duration::from_secs(30),
+            reclaim_grace: CLAIM_MAX_HEARTBEAT_AGE,
             recovery_interval: Duration::from_secs(30),
-            service_shards: true,
             shards_only: false,
             transport: None,
             queue_policy: QueuePolicy::Fifo,
@@ -755,13 +749,12 @@ impl JobServer {
                 return Ok(());
             }
             if self.config.drain && no_new_work && queue_empty && busy == 0 {
-                // A shards-only (or shard-servicing) drain server is done
-                // only when the data plane is drained too — the on-disk one
-                // and, with a transport configured, the coordinator's (an
-                // unreachable coordinator counts as drained: there is
-                // nothing this server could service there anyway).
-                let disk_drained =
-                    !self.config.service_shards || self.shared.store.open_shard_tasks()?.is_empty();
+                // A drain server is done only when the data plane is
+                // drained too — the on-disk one and, with a transport
+                // configured, the coordinator's (an unreachable coordinator
+                // counts as drained: there is nothing this server could
+                // service there anyway).
+                let disk_drained = self.shared.store.open_shard_tasks()?.is_empty();
                 let net_drained = match net {
                     Some(net) => net
                         .coordinator_stats()
@@ -913,13 +906,13 @@ fn worker_loop(
         // other processes) block on their shards; servicing those first
         // keeps every in-flight run progressing even when all run-executing
         // workers are occupied.
-        if config.service_shards && service_one_shard(shared, config, worker, report) {
+        if service_one_shard(shared, config, worker, report) {
             continue;
         }
         // The network data plane gets the same priority: a coordinator task
         // is some run's in-flight population or variation point.
         if let Some(net) = net {
-            if config.service_shards && service_one_net_shard(shared, config, worker, net, report) {
+            if service_one_net_shard(shared, config, worker, net, report) {
                 continue;
             }
         }
@@ -1242,14 +1235,13 @@ mod tests {
         assert!(config.workers >= 1);
         assert!(!config.drain);
         assert!(config.owner.contains(&std::process::id().to_string()));
-        assert!(config.service_shards);
         assert!(!config.shards_only);
         let drain = JobServerConfig::drain_with_workers(4);
         assert_eq!(drain.workers, 4);
         assert!(drain.drain);
         let shards = JobServerConfig::shards_only_with_workers(3);
         assert_eq!(shards.workers, 3);
-        assert!(shards.shards_only && shards.service_shards && !shards.drain);
+        assert!(shards.shards_only && !shards.drain);
         assert!(config.transport.is_none());
     }
 

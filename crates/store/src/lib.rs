@@ -1453,6 +1453,13 @@ impl RunHandle {
     }
 }
 
+/// Heartbeat age past which a run claim no longer proves a live holder
+/// ([`ClaimHealth`]): the one threshold that `ayb status`, the service's
+/// admission rebuild, a job server's default `reclaim_grace` and a resume's
+/// dead-claim check all judge claims by. Holders refresh the heartbeat
+/// every second, so this leaves a loaded host ample margin.
+pub const CLAIM_MAX_HEARTBEAT_AGE: Duration = Duration::from_secs(30);
+
 /// Health judgment of a claim, combining pid liveness and heartbeat age
 /// (see [`RunHandle::claim_health`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -63,7 +63,9 @@ use ayb_jobs::{
 };
 use ayb_moo::OptimizerConfig;
 use ayb_obs::{kind, Event, Recorder, Severity};
-use ayb_store::{ClaimHealth, ResultCache, RunHandle, RunStatus, Store, StoreError};
+use ayb_store::{
+    ClaimHealth, ResultCache, RunHandle, RunStatus, Store, StoreError, CLAIM_MAX_HEARTBEAT_AGE,
+};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
@@ -80,9 +82,6 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// The single optimisation problem the service currently exposes; part of
 /// the dedup key so a second problem can never collide with the first.
 const PROBLEM_ID: &str = "ota";
-/// Heartbeat age past which a run claim no longer proves a live holder when
-/// the admission ledger is rebuilt (matches the CLI's recovery threshold).
-const CLAIM_ALIVE_MAX_HEARTBEAT_AGE: Duration = Duration::from_secs(30);
 
 /// Queued/running admission limits for one tenant (`0` = unlimited).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1021,7 +1020,7 @@ fn rebuild_admission(store: &Store, cache: &ResultCache) -> Result<Admission, St
             }
             RunStatus::Running => {
                 let holder_alive = matches!(
-                    handle.claim_health(CLAIM_ALIVE_MAX_HEARTBEAT_AGE),
+                    handle.claim_health(CLAIM_MAX_HEARTBEAT_AGE),
                     Ok(Some((_, ClaimHealth::Alive | ClaimHealth::Hung)))
                 );
                 if holder_alive {

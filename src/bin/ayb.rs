@@ -86,7 +86,7 @@ use ayb_jobs::{JobServer, JobServerConfig};
 use ayb_moo::{CheckpointError, EarlyStop, OptimizerConfig};
 use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 use ayb_obs::{kind as event_kind, log_to_stderr, Event, Histogram, Severity, StderrSink};
-use ayb_store::{ClaimHealth, Manifest, ResultCache, RunStatus, Store};
+use ayb_store::{ClaimHealth, Manifest, ResultCache, RunStatus, Store, CLAIM_MAX_HEARTBEAT_AGE};
 use ayb_svc::{SvcConfig, SvcServer, TenantQuota};
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -689,7 +689,7 @@ fn cmd_status(args: &CliArgs) -> Result<(), String> {
     for id in &ids {
         let row = store.run(id).and_then(|handle| {
             let status = handle.status()?;
-            let claim = handle.claim_health(CLAIM_HEALTH_MAX_HEARTBEAT_AGE)?;
+            let claim = handle.claim_health(CLAIM_MAX_HEARTBEAT_AGE)?;
             let checkpoints = handle.checkpoint_generations()?.len();
             let shards = handle.shard_summary()?;
             Ok((status, claim, checkpoints, shards))
@@ -734,10 +734,6 @@ fn cmd_status(args: &CliArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Heartbeat age beyond which `ayb status` reports a claim as hung/stale
-/// (matches the job server's default `reclaim_grace`).
-const CLAIM_HEALTH_MAX_HEARTBEAT_AGE: Duration = Duration::from_secs(30);
-
 fn render_claim_health(health: ClaimHealth) -> &'static str {
     match health {
         ClaimHealth::Alive => "alive",
@@ -752,7 +748,7 @@ fn status_of_run(store: &Store, id: &str) -> Result<(), String> {
     println!("run_id: {id}");
     println!("status: {status}");
     match handle
-        .claim_health(CLAIM_HEALTH_MAX_HEARTBEAT_AGE)
+        .claim_health(CLAIM_MAX_HEARTBEAT_AGE)
         .map_err(|e| e.to_string())?
     {
         Some((claim, health)) => println!(
@@ -977,7 +973,7 @@ fn top_once(store: &Store, transport: Option<&str>) -> Result<(), String> {
     for id in &ids {
         let row = store.run(id).and_then(|handle| {
             let status = handle.status()?;
-            let claim = handle.claim_health(CLAIM_HEALTH_MAX_HEARTBEAT_AGE)?;
+            let claim = handle.claim_health(CLAIM_MAX_HEARTBEAT_AGE)?;
             let checkpoints = handle.checkpoint_generations()?.len();
             let shards = handle.shard_summary()?;
             let events = std::fs::read_to_string(handle.events_path())

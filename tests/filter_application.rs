@@ -3,7 +3,7 @@
 //! verifying it at transistor level.
 
 use ayb_behavioral::{FilterSpec, OtaSpec};
-use ayb_core::{design_filter, filter_design, generate_model, FlowConfig};
+use ayb_core::{design_filter, filter_design, FlowBuilder, FlowConfig};
 use ayb_moo::GaConfig;
 
 fn reduced_config() -> FlowConfig {
@@ -17,7 +17,9 @@ fn reduced_config() -> FlowConfig {
 #[test]
 fn hierarchical_filter_design_from_generated_model() {
     let config = reduced_config();
-    let flow = generate_model(&config).expect("model generation succeeds");
+    let flow = FlowBuilder::new(config.clone())
+        .run()
+        .expect("model generation succeeds");
     let model = &flow.model;
 
     // Choose an OTA spec the reduced model can serve (§5 uses 50 dB / 60°;

@@ -1,11 +1,11 @@
 //! End-to-end integration test of the paper's flow at reduced scale:
 //! optimisation → Pareto front → Monte Carlo variation → combined model
-//! → retargeting → transistor-level verification, plus the FlowBuilder /
-//! generate_model equivalence and optimiser-interchangeability contracts.
+//! → retargeting → transistor-level verification, plus the one-call /
+//! staged FlowBuilder equivalence and optimiser-interchangeability
+//! contracts.
 
 use ayb_core::{
-    generate_model, report, verify_accuracy, verify_ota_yield, FlowBuilder, FlowConfig,
-    FlowObserver, FlowStage,
+    report, verify_accuracy, verify_ota_yield, FlowBuilder, FlowConfig, FlowObserver, FlowStage,
 };
 use ayb_moo::{dominates, GaConfig, OptimizerConfig, Sense};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,7 +23,9 @@ fn reduced_config() -> FlowConfig {
 #[test]
 fn flow_produces_model_with_paper_shaped_artifacts() {
     let config = reduced_config();
-    let result = generate_model(&config).expect("flow completes at reduced scale");
+    let result = FlowBuilder::new(config.clone())
+        .run()
+        .expect("flow completes at reduced scale");
 
     // Figure 7: archive of evaluated candidates plus a non-empty Pareto front.
     assert!(
@@ -80,7 +82,9 @@ fn flow_produces_model_with_paper_shaped_artifacts() {
 #[test]
 fn model_use_retargets_and_verifies_against_transistor_level() {
     let config = reduced_config();
-    let result = generate_model(&config).expect("flow completes");
+    let result = FlowBuilder::new(config.clone())
+        .run()
+        .expect("flow completes");
     let model = &result.model;
 
     // Pick a specification safely inside the modelled performance region so
@@ -152,7 +156,9 @@ impl FlowObserver for CountingObserver {
 fn builder_and_compat_wrapper_produce_identical_results() {
     let config = reduced_config();
 
-    let via_wrapper = generate_model(&config).expect("wrapper flow completes");
+    let via_run = FlowBuilder::new(config.clone())
+        .run()
+        .expect("one-call flow completes");
     let observer = CountingObserver::default();
     let via_builder = FlowBuilder::new(config.clone())
         .with_observer(observer.clone())
@@ -164,20 +170,20 @@ fn builder_and_compat_wrapper_produce_identical_results() {
         .expect("model stage");
 
     // Deterministic artifacts are identical for the same seed and config.
-    assert_eq!(via_wrapper.archive, via_builder.archive);
-    assert_eq!(via_wrapper.pareto, via_builder.pareto);
-    assert_eq!(via_wrapper.pareto_data, via_builder.pareto_data);
+    assert_eq!(via_run.archive, via_builder.archive);
+    assert_eq!(via_run.pareto, via_builder.pareto);
+    assert_eq!(via_run.pareto_data, via_builder.pareto_data);
     assert_eq!(
-        via_wrapper.optimization.evaluations,
+        via_run.optimization.evaluations,
         via_builder.optimization.evaluations
     );
-    assert_eq!(via_wrapper.optimization.optimizer, "wbga");
+    assert_eq!(via_run.optimization.optimizer, "wbga");
 
     // The Table 5 summaries agree on every deterministic column (wall-clock
     // time is the only field that can differ between two runs).
-    let summary_wrapper = via_wrapper.summary(&config).without_timing();
+    let summary_run = via_run.summary(&config).without_timing();
     let summary_builder = via_builder.summary(&config).without_timing();
-    assert_eq!(summary_wrapper, summary_builder);
+    assert_eq!(summary_run, summary_builder);
 
     // All three stages reported through the observer, including per-point
     // Monte Carlo progress.

@@ -10,7 +10,7 @@ use ayb_core::{
 };
 use ayb_moo::{CheckpointError, EarlyStop, OptimizerConfig};
 use ayb_obs::Recorder;
-use ayb_store::{Manifest, RunHandle, RunStatus, Store};
+use ayb_store::{ClaimInfo, Manifest, RunHandle, RunStatus, Store, StoreError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -404,5 +404,79 @@ fn checkpoint_metrics_count_every_byte_written() {
         .histogram(CHECKPOINT_SECONDS_METRIC)
         .expect("save durations recorded");
     assert_eq!(seconds.count() as usize, config.ga.generations - 1);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Halts a reduced seed-2008 run after three checkpoints and leaves it as a
+/// killed executor would: status `Running`, and `claim.json` naming
+/// `holder`.
+fn killed_run(store: &Store, run_id: &str, holder: &ClaimInfo) -> RunHandle {
+    let halted = FlowBuilder::new(FlowConfig::reduced())
+        .with_seed(2008)
+        .with_store(store)
+        .with_run_id(run_id)
+        .halt_after_checkpoints(3)
+        .run();
+    assert!(matches!(
+        halted,
+        Err(AybError::Checkpoint(CheckpointError::Halted { .. }))
+    ));
+    let run = store.run(run_id).expect("halted run exists");
+    run.set_status(RunStatus::Running).unwrap();
+    let claim = serde_json::to_string(holder).expect("claim serializes");
+    std::fs::write(run.dir().join("claim.json"), claim).unwrap();
+    run
+}
+
+/// A SIGKILLed run keeps its `Running` status and the claim of a process
+/// that no longer exists. `FlowBuilder::resume` breaks that dead claim
+/// itself, with no server's recovery pass, and completes to the
+/// uninterrupted run's digest.
+#[test]
+fn resume_breaks_the_claim_of_a_killed_executor() {
+    let (root, store) = temp_store("killed");
+    let clean = FlowBuilder::new(FlowConfig::reduced())
+        .with_seed(2008)
+        .run()
+        .expect("clean flow completes");
+    let dead = ClaimInfo {
+        // No Linux pid can be u32::MAX (pid_max tops out at 2^22), so this
+        // holder is reliably not running.
+        pid: u32::MAX,
+        ..ClaimInfo::for_this_process("flow-killed")
+    };
+    let run = killed_run(&store, "killed", &dead);
+
+    let resumed = FlowBuilder::resume(&store, "killed")
+        .expect("resume builder")
+        .run()
+        .expect("a dead holder's claim does not block the resume");
+    assert_eq!(resumed.determinism_digest(), clean.determinism_digest());
+    assert_eq!(run.status().unwrap(), RunStatus::Completed);
+    assert_eq!(run.claim().unwrap(), None, "the resume released its claim");
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A live holder keeps its claim: the resume gets `RunClaimed` and leaves
+/// the run as it found it.
+#[test]
+fn resume_leaves_a_live_holders_claim_alone() {
+    let (root, store) = temp_store("live");
+    let live = ClaimInfo::for_this_process("live-holder");
+    let run = killed_run(&store, "live", &live);
+
+    match FlowBuilder::resume(&store, "live")
+        .expect("resume builder")
+        .run()
+    {
+        Err(AybError::Store(StoreError::RunClaimed { owner, .. })) => {
+            assert_eq!(owner, "live-holder")
+        }
+        Err(other) => panic!("expected RunClaimed, got {other}"),
+        Ok(_) => panic!("expected RunClaimed, the resume completed"),
+    }
+    assert_eq!(run.claim().unwrap(), Some(live));
+    assert_eq!(run.status().unwrap(), RunStatus::Running);
+    assert!(!run.has_result());
     let _ = std::fs::remove_dir_all(root);
 }

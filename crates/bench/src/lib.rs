@@ -28,36 +28,19 @@ pub struct KernelReport {
 }
 
 /// A complete `bench` report — the unit committed as `BENCH_<date>.json`.
-///
-/// `Deserialize` is implemented by hand so baselines written before
-/// `generated_unix` existed still load (the stamp defaults to `0`, which
-/// sorts every legacy baseline before any stamped one).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchReport {
     /// Report format version.
     pub schema_version: u64,
     /// `quick` or `full`.
     pub mode: String,
     /// When the report was generated, seconds since the Unix epoch
-    /// (`0` on baselines predating the field).
+    /// (`0` on baselines predating the field, which sorts every legacy
+    /// baseline before any stamped one).
+    #[serde(default)]
     pub generated_unix: u64,
     /// Every timed kernel, in execution order.
     pub kernels: Vec<KernelReport>,
-}
-
-impl Deserialize for BenchReport {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let generated_unix = match value.get("generated_unix") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => 0,
-        };
-        Ok(BenchReport {
-            schema_version: Deserialize::from_value(serde::__field(value, "schema_version")?)?,
-            mode: Deserialize::from_value(serde::__field(value, "mode")?)?,
-            generated_unix,
-            kernels: Deserialize::from_value(serde::__field(value, "kernels")?)?,
-        })
-    }
 }
 
 /// Picks the newest baseline among `(path, report)` candidates.

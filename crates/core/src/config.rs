@@ -8,10 +8,11 @@ use serde::{Deserialize, Serialize};
 
 /// Configuration of the complete model-generation flow (paper §3).
 ///
-/// `Deserialize` is implemented by hand so that manifests written before the
-/// sharding fields existed still load: absent `sharded`/`shard_size` fields
-/// default to unsharded evaluation instead of failing the whole store.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Manifests written before the sharding, transport, solver, batching and
+/// cache fields existed still load: each absent field reads as the
+/// behaviour that predates it (unsharded, the disk plane, the dense kernel,
+/// one variation point per task, no cache).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowConfig {
     /// Genetic-algorithm settings for the OTA sizing optimisation (§3.2).
     pub ga: GaConfig,
@@ -44,10 +45,12 @@ pub struct FlowConfig {
     /// index order; variation points carry per-point derived seeds), only
     /// where the work is computed; without a store the flag falls back to
     /// local execution.
+    #[serde(default)]
     pub sharded: bool,
     /// Maximum number of candidates per shard when [`FlowConfig::sharded`]
     /// is set (minimum 1; batches at most one shard long are evaluated
     /// locally).
+    #[serde(default = "legacy_shard_size")]
     pub shard_size: usize,
     /// Where a sharded flow's data plane lives. `None` (the default) keeps
     /// shard epochs on the run store's filesystem, serviced by workers that
@@ -58,18 +61,21 @@ pub struct FlowConfig {
     /// coordinator degrades (noisily, via
     /// [`FlowObserver::on_transport_degraded`](crate::FlowObserver)) to
     /// local evaluation.
+    #[serde(default)]
     pub transport: Option<String>,
     /// The linear-solver kernel every DC operating point and AC sweep in the
     /// flow runs on. [`SolverKind::Dense`] is the only kernel; the field
     /// stays so that manifests and submission digests record which kernel
     /// computed a run, and a manifest naming any other kernel fails to load
     /// instead of resuming on this one.
+    #[serde(default)]
     pub solver: SolverKind,
     /// Number of Monte Carlo variation points carried per shard task when
     /// the sharded variation stage runs (minimum 1 = one point per task,
     /// the historical shape). Larger batches amortise task claim/commit
     /// overhead; per-point checkpoints are preserved, so batching never
     /// changes results or resumability.
+    #[serde(default = "legacy_variation_batch")]
     pub variation_batch: usize,
     /// Quantization step of the in-process evaluation cache
     /// ([`ayb_moo::CachedProblem`]). `None` (the default) disables the
@@ -78,6 +84,7 @@ pub struct FlowConfig {
     /// parameters — so the cache skips repeated solves without ever
     /// changing results or the determinism digest. Hits are reported in
     /// [`FlowTimings::eval_cache_hits`](crate::FlowTimings).
+    #[serde(default)]
     pub eval_cache: Option<f64>,
 }
 
@@ -181,61 +188,15 @@ impl Default for FlowConfig {
     }
 }
 
-impl Deserialize for FlowConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        // The sharding knobs postdate the first durable stores; treat their
-        // absence as "unsharded" so pre-existing manifests stay resumable.
-        let sharded = match value.get("sharded") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => false,
-        };
-        let shard_size = match value.get("shard_size") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => 25,
-        };
-        // The transport selector postdates the sharding knobs; absent (or
-        // explicit null) means the disk data plane, as before.
-        let transport = match value.get("transport") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => None,
-        };
-        // The solver kernel and variation batching postdate the transport
-        // selector; absent fields mean the dense kernel with one variation
-        // point per shard task.
-        let solver = match value.get("solver") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => SolverKind::Dense,
-        };
-        let variation_batch = match value.get("variation_batch") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => 1,
-        };
-        // The evaluation cache postdates everything above; absent (or
-        // explicit null) means "cache off", the historical behaviour.
-        let eval_cache = match value.get("eval_cache") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => None,
-        };
-        Ok(FlowConfig {
-            ga: Deserialize::from_value(serde::__field(value, "ga")?)?,
-            monte_carlo: Deserialize::from_value(serde::__field(value, "monte_carlo")?)?,
-            variation: Deserialize::from_value(serde::__field(value, "variation")?)?,
-            testbench: Deserialize::from_value(serde::__field(value, "testbench")?)?,
-            sweep: Deserialize::from_value(serde::__field(value, "sweep")?)?,
-            sigma_level: Deserialize::from_value(serde::__field(value, "sigma_level")?)?,
-            max_pareto_points: Deserialize::from_value(serde::__field(
-                value,
-                "max_pareto_points",
-            )?)?,
-            threads: Deserialize::from_value(serde::__field(value, "threads")?)?,
-            sharded,
-            shard_size,
-            transport,
-            solver,
-            variation_batch,
-            eval_cache,
-        })
-    }
+/// `FlowConfig::shard_size` of manifests that predate it.
+fn legacy_shard_size() -> usize {
+    25
+}
+
+/// `FlowConfig::variation_batch` of manifests that predate it: one point
+/// per shard task.
+fn legacy_variation_batch() -> usize {
+    1
 }
 
 #[cfg(test)]

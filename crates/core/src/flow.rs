@@ -54,7 +54,7 @@ use ayb_moo::{
     VariationOutcome, VariationPointWork, WithEvaluator,
 };
 use ayb_net::TcpTransport;
-use ayb_obs::{kind as event_kind, Event, JsonlSink, Recorder, Severity, SinkGuard};
+use ayb_obs::{kind as event_kind, Event, EventSink, JsonlSink, Recorder, Severity, SinkGuard};
 use ayb_process::{montecarlo, Summary};
 use ayb_store::{
     ClaimHeartbeat, ClaimInfo, Manifest, RunHandle, RunStatus, Store, StoreError,
@@ -104,11 +104,9 @@ impl From<ModelError> for FlowError {
 }
 
 /// Wall-clock timings of the flow stages (Table 5's CPU-time column).
-///
-/// `Deserialize` is implemented by hand so results persisted before the
-/// per-point work accounting existed still load (absent fields default to
-/// zero).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+/// Results persisted before the per-point work accounting existed still
+/// load: its absent fields read as zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FlowTimings {
     /// Multi-objective optimisation time.
     pub optimization: Duration,
@@ -122,28 +120,36 @@ pub struct FlowTimings {
     /// Number of Pareto points that went through Monte Carlo analysis
     /// (including points whose analysis produced no data, and points
     /// restored from variation checkpoints on resume).
+    #[serde(default)]
     pub mc_points: usize,
     /// Summed per-point analysis wall-clock seconds, counted by whichever
     /// process analysed each point — so serial and sharded runs report
     /// comparable work even though their submitter wall clocks differ.
+    #[serde(default)]
     pub mc_point_seconds: f64,
     /// Shard requests this flow sent over a TCP data plane (0 for disk
     /// planes and unsharded flows).
+    #[serde(default)]
     pub shard_requests: u64,
     /// Summed round-trip seconds of those shard requests.
+    #[serde(default)]
     pub shard_request_seconds: f64,
     /// Late writes from stolen shard claims the data plane fenced off and
     /// discarded during this flow.
+    #[serde(default)]
     pub shards_fenced: u64,
     /// Shards that degraded from the data plane to local production (each
     /// one also lands in the run's transport report with its cause).
+    #[serde(default)]
     pub shards_degraded: usize,
     /// Optimiser evaluations answered by the in-process evaluation cache
     /// (0 when [`FlowConfig::eval_cache`](crate::FlowConfig::eval_cache) is
     /// off). Timing-only accounting: served values are bit-identical to
     /// recomputation, so the determinism digest never depends on this.
+    #[serde(default)]
     pub eval_cache_hits: u64,
     /// Optimiser evaluations that consulted the cache (hits + misses).
+    #[serde(default)]
     pub eval_cache_lookups: u64,
 }
 
@@ -151,58 +157,6 @@ impl FlowTimings {
     /// Total flow time.
     pub fn total(&self) -> Duration {
         self.optimization + self.monte_carlo + self.model_build
-    }
-}
-
-impl Deserialize for FlowTimings {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        // The per-point accounting postdates the first persisted results;
-        // absent fields mean "not recorded", not a malformed file.
-        let mc_points = match value.get("mc_points") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => 0,
-        };
-        let mc_point_seconds = match value.get("mc_point_seconds") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => 0.0,
-        };
-        let shard_requests = match value.get("shard_requests") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => 0,
-        };
-        let shard_request_seconds = match value.get("shard_request_seconds") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => 0.0,
-        };
-        let shards_fenced = match value.get("shards_fenced") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => 0,
-        };
-        let shards_degraded = match value.get("shards_degraded") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => 0,
-        };
-        let eval_cache_hits = match value.get("eval_cache_hits") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => 0,
-        };
-        let eval_cache_lookups = match value.get("eval_cache_lookups") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => 0,
-        };
-        Ok(FlowTimings {
-            optimization: Deserialize::from_value(serde::__field(value, "optimization")?)?,
-            monte_carlo: Deserialize::from_value(serde::__field(value, "monte_carlo")?)?,
-            model_build: Deserialize::from_value(serde::__field(value, "model_build")?)?,
-            mc_points,
-            mc_point_seconds,
-            shard_requests,
-            shard_request_seconds,
-            shards_fenced,
-            shards_degraded,
-            eval_cache_hits,
-            eval_cache_lookups,
-        })
     }
 }
 
@@ -950,8 +904,15 @@ impl FlowBuilder {
 
         // Degradations inside the optimiser's batch evaluations are buffered
         // (the evaluator is shared behind `&self` while the checkpoint sink
-        // holds the session) and recorded once the optimiser returns.
+        // holds the session) and recorded at the next generation's
+        // checkpoint, the rest once the optimiser returns.
         let degraded: Arc<Mutex<Vec<(usize, String)>>> = Arc::default();
+        let report_degraded = |session: &mut RunSession| {
+            let buffered = std::mem::take(&mut *degraded.lock().expect("degradation event lock"));
+            for (shard, detail) in buffered {
+                session.degraded(FlowStage::Optimize, shard, &detail);
+            }
+        };
         // Optional cross-generation evaluation cache under the optimiser:
         // repeated candidates skip the solve. A hit is served only for
         // bit-identical raw parameters, so enabling the cache never changes
@@ -992,21 +953,24 @@ impl FlowBuilder {
         let outcome = optimizer.run_checkpointed(
             sizing,
             resume_checkpoint,
-            &mut |checkpoint: &Checkpoint| match session.checkpoint_generation(checkpoint) {
-                Ok(false) => CheckpointControl::Continue,
-                Ok(true) => {
-                    written += 1;
-                    let count_reached =
-                        matches!(halt_after_checkpoints, Some(limit) if written >= limit);
-                    if count_reached || session.halt_signalled() {
-                        CheckpointControl::Halt
-                    } else {
-                        CheckpointControl::Continue
+            &mut |checkpoint: &Checkpoint| {
+                report_degraded(&mut session);
+                match session.checkpoint_generation(checkpoint) {
+                    Ok(false) => CheckpointControl::Continue,
+                    Ok(true) => {
+                        written += 1;
+                        let count_reached =
+                            matches!(halt_after_checkpoints, Some(limit) if written >= limit);
+                        if count_reached || session.halt_signalled() {
+                            CheckpointControl::Halt
+                        } else {
+                            CheckpointControl::Continue
+                        }
                     }
-                }
-                Err(error) => {
-                    write_error = Some(error);
-                    CheckpointControl::Halt
+                    Err(error) => {
+                        write_error = Some(error);
+                        CheckpointControl::Halt
+                    }
                 }
             },
         );
@@ -1017,10 +981,7 @@ impl FlowBuilder {
             .map(|cache| (cache.hits(), cache.lookups()))
             .unwrap_or((0, 0));
         drop(eval_cache); // ends the cache's borrow of `problem`
-        let buffered = std::mem::take(&mut *degraded.lock().expect("degradation event lock"));
-        for (shard, detail) in buffered {
-            session.degraded(FlowStage::Optimize, shard, &detail);
-        }
+        report_degraded(&mut session);
         if let Some(error) = write_error {
             return Err(session.stop(error));
         }
@@ -1628,6 +1589,20 @@ struct DurableRun {
     plane: Option<ShardPlane>,
 }
 
+/// A run's `events.jsonl` sink: appends only the events of that run.
+struct RunEvents {
+    run_id: String,
+    file: JsonlSink,
+}
+
+impl EventSink for RunEvents {
+    fn record(&mut self, event: &Event) {
+        if event.run_id.as_deref() == Some(self.run_id.as_str()) {
+            self.file.record(event);
+        }
+    }
+}
+
 impl DurableRun {
     /// Pre-write fence check for durable-run files: verifies this flow still
     /// holds the claim it minted, so a fenced-off (stolen-claim) writer
@@ -1676,15 +1651,17 @@ impl RunSession {
 
     /// Opens the stored part of the session on a freshly claimed run: starts
     /// the claim heartbeat and attaches the run's `events.jsonl` to the
-    /// recorder. The sink is scoped to the run, so a recorder shared across
-    /// runs (a job server's) never leaks one run's sink into the next; every
+    /// recorder. The sink is scoped to the run and keeps only the events
+    /// stamped with its id, so on a recorder shared across runs (a job
+    /// server's) each run's file holds that run's events alone; every
     /// (re-)entry marks a new attempt boundary in the file with its
     /// `flow_start` event, which `ayb trace` splits on.
     fn open(&mut self, handle: RunHandle, claim: ClaimInfo) -> &RunHandle {
         let heartbeat = handle.start_claim_heartbeat(CLAIM_HEARTBEAT_INTERVAL);
-        let events = self
-            .recorder
-            .add_scoped_sink(Box::new(JsonlSink::new(handle.events_path())));
+        let events = self.recorder.add_scoped_sink(Box::new(RunEvents {
+            run_id: handle.id().to_string(),
+            file: JsonlSink::new(handle.events_path()),
+        }));
         &self
             .durable
             .insert(DurableRun {

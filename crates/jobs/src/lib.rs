@@ -87,9 +87,9 @@
 
 pub mod sched;
 
-pub use sched::{Priority, QueuePolicy, RunQueue, TenantPolicy, WrrQueue};
+pub use sched::{Priority, QueuePolicy, TenantPolicy, WrrQueue};
 
-use ayb_core::{AybError, FlowBuilder, FlowConfig, FlowObserver, OtaSizingProblem};
+use ayb_core::{AybError, FlowBuilder, FlowConfig, OtaSizingProblem};
 use ayb_moo::{
     CheckpointError, OptimizerConfig, ShardOutcome, ShardWork, ShardWorkKind, SizingProblem,
     VariationOutcome,
@@ -97,10 +97,9 @@ use ayb_moo::{
 use ayb_net::{ClaimPulse, TcpTransport};
 use ayb_obs::{Event, Recorder, Severity};
 use ayb_store::{Manifest, RunHandle, RunStatus, Store, StoreError, CLAIM_MAX_HEARTBEAT_AGE};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::HashSet;
 use std::fmt;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -178,12 +177,11 @@ pub struct JobServerConfig {
     /// filesystem shared with the submitter (`ayb serve --transport
     /// tcp://…`). `None` (the default) services the on-disk plane only.
     pub transport: Option<String>,
-    /// How queued runs are ordered for dispatch: the historical global FIFO
-    /// ([`QueuePolicy::Fifo`], the default), or weighted round-robin across
-    /// tenants with priority lanes ([`QueuePolicy::WeightedTenant`], used by
-    /// the `ayb-svc` service plane). Tenant and priority come from the
-    /// optional `tenant`/`priority` keys of each run's manifest; runs
-    /// without them dispatch as tenant `default` at normal priority.
+    /// Weights and running caps of the weighted round-robin that orders
+    /// queued runs for dispatch (see [`sched`]). Tenant and priority come
+    /// from the optional `tenant`/`priority` keys of each run's manifest;
+    /// runs without them dispatch as tenant `default` at normal priority,
+    /// in submission order.
     pub queue_policy: QueuePolicy,
 }
 
@@ -198,7 +196,7 @@ impl Default for JobServerConfig {
             recovery_interval: Duration::from_secs(30),
             shards_only: false,
             transport: None,
-            queue_policy: QueuePolicy::Fifo,
+            queue_policy: QueuePolicy::default(),
         }
     }
 }
@@ -235,7 +233,7 @@ pub enum JobEvent {
         /// Status the run had before it was re-queued.
         from: RunStatus,
     },
-    /// A queued run was picked up into the in-memory FIFO.
+    /// A queued run was picked up into the in-memory dispatch queue.
     Enqueued {
         /// The run.
         run_id: String,
@@ -246,13 +244,6 @@ pub enum JobEvent {
         run_id: String,
         /// Index of the executing worker.
         worker: usize,
-    },
-    /// A per-generation checkpoint of an executing run was persisted.
-    CheckpointWritten {
-        /// The run.
-        run_id: String,
-        /// The checkpoint's generation index.
-        generation: usize,
     },
     /// A run finished; its result and `Completed` status are on disk.
     Completed {
@@ -317,7 +308,6 @@ impl JobEvent {
             JobEvent::Requeued { run_id, .. }
             | JobEvent::Enqueued { run_id }
             | JobEvent::Started { run_id, .. }
-            | JobEvent::CheckpointWritten { run_id, .. }
             | JobEvent::Completed { run_id, .. }
             | JobEvent::Interrupted { run_id, .. }
             | JobEvent::Skipped { run_id, .. }
@@ -335,7 +325,6 @@ fn job_obs_event(event: &JobEvent) -> Event {
         JobEvent::Requeued { .. } => (Severity::Warn, "job_requeued"),
         JobEvent::Enqueued { .. } => (Severity::Info, "job_enqueued"),
         JobEvent::Started { .. } => (Severity::Info, "job_started"),
-        JobEvent::CheckpointWritten { .. } => (Severity::Debug, "job_checkpoint"),
         JobEvent::Completed { .. } => (Severity::Info, "job_completed"),
         JobEvent::Interrupted { .. } => (Severity::Warn, "job_interrupted"),
         JobEvent::Skipped { .. } => (Severity::Info, "job_skipped"),
@@ -346,7 +335,6 @@ fn job_obs_event(event: &JobEvent) -> Event {
     match event {
         JobEvent::Requeued { from, .. } => out.detail(format!("re-queued from {from:?}")),
         JobEvent::Started { worker, .. } => out.detail(format!("worker {worker}")),
-        JobEvent::CheckpointWritten { generation, .. } => out.value(*generation as f64),
         JobEvent::Completed { worker, digest, .. } => {
             out.detail(format!("worker {worker}, digest {digest:016x}"))
         }
@@ -434,9 +422,8 @@ impl ShutdownHandle {
 type EventHook = Box<dyn Fn(&JobEvent) + Send + Sync>;
 
 struct QueueState {
-    /// Run ids waiting for a worker, ordered by the configured
-    /// [`QueuePolicy`].
-    queue: RunQueue,
+    /// Run ids waiting for a worker, in the round-robin's dispatch order.
+    queue: WrrQueue,
     /// Every id this server has ever enqueued (so the poll scan never
     /// enqueues a run twice, including runs another process is executing).
     seen: HashSet<String>,
@@ -478,21 +465,6 @@ impl Shared {
     }
 }
 
-/// Forwards per-run flow progress into [`JobEvent`]s.
-struct RunEvents {
-    shared: Arc<Shared>,
-    run_id: String,
-}
-
-impl FlowObserver for RunEvents {
-    fn on_checkpoint_written(&mut self, generation: usize, _path: &Path) {
-        self.shared.emit(JobEvent::CheckpointWritten {
-            run_id: self.run_id.clone(),
-            generation,
-        });
-    }
-}
-
 /// What one worker execution of one run amounted to.
 enum Outcome {
     Completed(u64),
@@ -501,7 +473,8 @@ enum Outcome {
     Failed(String),
 }
 
-/// A FIFO queue + worker pool executing durable runs from a [`Store`].
+/// A tenant round-robin queue + worker pool executing durable runs from a
+/// [`Store`].
 ///
 /// See the crate docs for the execution and recovery guarantees. The server
 /// is driven by [`JobServer::run`], which blocks until drained (batch mode)
@@ -527,7 +500,7 @@ impl JobServer {
             shared: Arc::new(Shared {
                 store,
                 queue: Mutex::new(QueueState {
-                    queue: RunQueue::from_policy(&config.queue_policy),
+                    queue: WrrQueue::new(config.queue_policy.clone()),
                     seen: HashSet::new(),
                     busy: 0,
                 }),
@@ -697,37 +670,18 @@ impl JobServer {
                 let state = self.shared.queue.lock().expect("queue lock");
                 (true, state.busy)
             } else {
+                // The scan reads every live manifest outside the queue lock
+                // (the first scan of a loaded store may carry thousands of
+                // fresh runs, and workers must not stall on that file I/O);
+                // tenant and priority come from the manifests it parsed.
                 let scan = self.shared.store.poll_queued(&mut terminal)?;
-                // Tenant/priority metadata lives in each run's manifest;
-                // read it *outside* the queue lock (the first scan of a
-                // loaded store may carry thousands of fresh runs, and
-                // workers must not stall on that file I/O). The FIFO policy
-                // is tenant-blind and skips the reads entirely.
-                let needs_meta =
-                    matches!(self.config.queue_policy, QueuePolicy::WeightedTenant { .. });
-                let unseen: Vec<String> = {
-                    let state = self.shared.queue.lock().expect("queue lock");
-                    scan.into_iter()
-                        .filter(|id| !state.seen.contains(id))
-                        .collect()
-                };
-                let annotated: Vec<(String, String, Priority)> = unseen
-                    .into_iter()
-                    .map(|id| {
-                        let (tenant, priority) = if needs_meta {
-                            run_dispatch_meta(&self.shared.store, &id)
-                        } else {
-                            (String::new(), Priority::Normal)
-                        };
-                        (id, tenant, priority)
-                    })
-                    .collect();
                 let mut fresh = Vec::new();
                 let snapshot = {
                     let mut state = self.shared.queue.lock().expect("queue lock");
-                    for (id, tenant, priority) in annotated {
+                    for (id, manifest) in scan {
                         if state.seen.insert(id.clone()) {
-                            state.queue.push(id.clone(), &tenant, priority);
+                            let (tenant, priority) = dispatch_meta(&manifest);
+                            state.queue.push(id.clone(), tenant, priority);
                             fresh.push(id);
                         }
                     }
@@ -851,24 +805,17 @@ impl JobServer {
 /// The tenant and priority a queued run dispatches under, from the optional
 /// `tenant`/`priority` extras of its manifest (written by the service plane
 /// at submission). Runs without them — every directly `ayb submit`ted run —
-/// dispatch as tenant `default` at normal priority; an unreadable manifest
-/// does too, so a torn write degrades scheduling, never dispatch.
-fn run_dispatch_meta(store: &Store, run_id: &str) -> (String, Priority) {
-    let value = store
-        .run(run_id)
-        .ok()
-        .and_then(|handle| handle.manifest_value().ok());
-    let tenant = value
-        .as_ref()
-        .and_then(|v| v.get("tenant"))
-        .and_then(|v| String::from_value(v).ok())
-        .unwrap_or_else(|| "default".to_string());
-    let priority = value
-        .as_ref()
-        .and_then(|v| v.get("priority"))
-        .and_then(|v| String::from_value(v).ok())
-        .and_then(|name| Priority::parse(&name).ok())
-        .unwrap_or_default();
+/// dispatch as tenant `default` at normal priority; so does a malformed
+/// extra, which degrades scheduling, never dispatch.
+fn dispatch_meta(manifest: &Value) -> (&str, Priority) {
+    let tenant = match manifest.get("tenant") {
+        Some(Value::Str(tenant)) => tenant.as_str(),
+        _ => "default",
+    };
+    let priority = match manifest.get("priority") {
+        Some(Value::Str(name)) => Priority::parse(name).unwrap_or_default(),
+        _ => Priority::Normal,
+    };
     (tenant, priority)
 }
 
@@ -946,8 +893,8 @@ fn worker_loop(
         let outcome = execute_run(shared, config, worker, &run_id);
         {
             let mut state = shared.queue.lock().expect("queue lock");
-            // Release the WRR running slot whatever the outcome — a skipped
-            // or failed run must not pin its tenant's cap forever.
+            // Release the tenant's running slot whatever the outcome — a
+            // skipped or failed run must not pin its tenant's cap forever.
             state.queue.finished(&run_id);
             state.busy -= 1;
         }
@@ -1202,14 +1149,9 @@ fn execute_run(
         Ok(builder) => builder,
         Err(error) => return Outcome::Failed(error.to_string()),
     };
-    let observer = RunEvents {
-        shared: Arc::clone(shared),
-        run_id: run_id.to_string(),
-    };
     let outcome = builder
         .with_claim_owner(format!("{}/worker-{}", config.owner, worker))
         .halt_when(Arc::clone(&shared.halt_runs))
-        .with_observer(observer)
         .with_recorder(shared.recorder.clone())
         .run();
     match outcome {

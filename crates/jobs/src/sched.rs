@@ -1,12 +1,8 @@
 //! Tenant-aware run scheduling: priority lanes and weighted round-robin.
 //!
-//! The job server's historical dispatch order is a single global FIFO — fine
-//! for one user draining a batch, hopeless for a shared service where one
-//! tenant can flood the queue and starve everyone else. This module supplies
-//! the replacement: a [`RunQueue`] that is either the plain FIFO
-//! ([`QueuePolicy::Fifo`], the default — existing behaviour, bit for bit) or
-//! a [`WrrQueue`] implementing **weighted round-robin across tenants with
-//! priority lanes within each tenant**:
+//! [`WrrQueue`] is the job server's one dispatch queue, for plain
+//! `ayb serve` and the `ayb-svc` service alike. It implements **weighted
+//! round-robin across tenants with priority lanes within each tenant**:
 //!
 //! * every tenant owns three lanes (`high` → `normal` → `low`); within a
 //!   tenant, a higher lane always dispatches before a lower one, FIFO within
@@ -22,6 +18,13 @@
 //! * a per-tenant `max_running` cap (0 = unlimited) holds back dispatch —
 //!   not admission — so a tenant's queued backlog waits while its slots are
 //!   full and other tenants' work flows past it.
+//!
+//! Weights and caps come from a [`QueuePolicy`]. Its default — weight 1 and
+//! no cap for every tenant — is what plain `ayb serve` runs with; the
+//! service passes its configured weights and running quotas. Runs without
+//! `tenant`/`priority` manifest extras (everything `ayb submit` and
+//! `JobServer::submit` write) form one tenant with one lane, so they start
+//! in submission order.
 //!
 //! The structure is purely in-memory and deterministic: dispatch order is a
 //! function of the push/pop/finish call sequence alone, which is what lets
@@ -85,8 +88,7 @@ impl fmt::Display for Priority {
     }
 }
 
-/// Scheduling parameters of one tenant under
-/// [`QueuePolicy::WeightedTenant`].
+/// Scheduling parameters of one tenant in a [`QueuePolicy`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantPolicy {
     /// Dispatches per round-robin cycle (min 1); a weight-3 tenant gets
@@ -108,20 +110,15 @@ impl Default for TenantPolicy {
     }
 }
 
-/// How the job server orders queued runs for dispatch.
+/// The round-robin's configuration: the policy of every tenant without an
+/// override, and the overrides. The default (weight 1, no running cap, no
+/// overrides) is plain `ayb serve`'s.
 #[derive(Debug, Clone, Default)]
-pub enum QueuePolicy {
-    /// The historical single global FIFO (submission order, tenant-blind).
-    #[default]
-    Fifo,
-    /// Weighted round-robin across tenants with priority lanes (see the
-    /// module docs).
-    WeightedTenant {
-        /// Policy applied to tenants not listed in `tenants`.
-        default: TenantPolicy,
-        /// Per-tenant overrides, by tenant name.
-        tenants: Vec<(String, TenantPolicy)>,
-    },
+pub struct QueuePolicy {
+    /// Policy applied to tenants not listed in `tenants`.
+    pub default: TenantPolicy,
+    /// Per-tenant overrides, by tenant name.
+    pub tenants: Vec<(String, TenantPolicy)>,
 }
 
 /// One tenant's queue state inside a [`WrrQueue`].
@@ -154,8 +151,7 @@ impl TenantLanes {
 /// Weighted round-robin queue across tenants (see the module docs).
 #[derive(Debug, Default)]
 pub struct WrrQueue {
-    default_policy: TenantPolicy,
-    overrides: HashMap<String, TenantPolicy>,
+    policy: QueuePolicy,
     /// `BTreeMap` so the rotation order is deterministic (lexicographic by
     /// tenant name), independent of insertion order.
     tenants: BTreeMap<String, TenantLanes>,
@@ -167,33 +163,29 @@ pub struct WrrQueue {
 }
 
 impl WrrQueue {
-    /// An empty queue with the given default policy and per-tenant
-    /// overrides.
-    pub fn new(default: TenantPolicy, overrides: Vec<(String, TenantPolicy)>) -> WrrQueue {
+    /// An empty queue dispatching under `policy`.
+    pub fn new(policy: QueuePolicy) -> WrrQueue {
         WrrQueue {
-            default_policy: default,
-            overrides: overrides.into_iter().collect(),
+            policy,
             ..WrrQueue::default()
         }
     }
 
     fn lanes_mut(&mut self, tenant: &str) -> &mut TenantLanes {
-        if !self.tenants.contains_key(tenant) {
-            let policy = self
-                .overrides
-                .get(tenant)
-                .cloned()
-                .unwrap_or_else(|| self.default_policy.clone());
-            self.tenants.insert(
-                tenant.to_string(),
-                TenantLanes {
-                    credit: policy.weight.max(1),
-                    policy,
-                    ..TenantLanes::default()
-                },
-            );
-        }
-        self.tenants.get_mut(tenant).expect("tenant just inserted")
+        let policy = &self.policy;
+        self.tenants.entry(tenant.to_string()).or_insert_with(|| {
+            let policy = policy
+                .tenants
+                .iter()
+                .find(|(name, _)| name == tenant)
+                .map_or(&policy.default, |(_, policy)| policy)
+                .clone();
+            TenantLanes {
+                credit: policy.weight.max(1),
+                policy,
+                ..TenantLanes::default()
+            }
+        })
     }
 
     /// Enqueues a run at the back of `tenant`'s `priority` lane.
@@ -295,89 +287,14 @@ impl WrrQueue {
     }
 }
 
-/// The job server's in-memory dispatch queue: plain FIFO or tenant WRR,
-/// selected by [`QueuePolicy`]. The FIFO arm ignores tenants and priorities
-/// entirely, preserving the historical dispatch order bit for bit.
-#[derive(Debug)]
-pub enum RunQueue {
-    /// Global submission-order FIFO.
-    Fifo(VecDeque<String>),
-    /// Weighted round-robin across tenants.
-    Wrr(WrrQueue),
-}
-
-impl RunQueue {
-    /// Builds the queue a policy calls for.
-    pub fn from_policy(policy: &QueuePolicy) -> RunQueue {
-        match policy {
-            QueuePolicy::Fifo => RunQueue::Fifo(VecDeque::new()),
-            QueuePolicy::WeightedTenant { default, tenants } => {
-                RunQueue::Wrr(WrrQueue::new(default.clone(), tenants.clone()))
-            }
-        }
-    }
-
-    /// Enqueues a run (tenant/priority are ignored by the FIFO arm).
-    pub fn push(&mut self, run_id: String, tenant: &str, priority: Priority) {
-        match self {
-            RunQueue::Fifo(queue) => queue.push_back(run_id),
-            RunQueue::Wrr(queue) => queue.push(run_id, tenant, priority),
-        }
-    }
-
-    /// Dispatches the next run, if any is eligible.
-    pub fn pop(&mut self) -> Option<String> {
-        match self {
-            RunQueue::Fifo(queue) => queue.pop_front(),
-            RunQueue::Wrr(queue) => queue.pop(),
-        }
-    }
-
-    /// Removes a queued run, returning whether it was present.
-    pub fn remove(&mut self, run_id: &str) -> bool {
-        match self {
-            RunQueue::Fifo(queue) => {
-                if let Some(at) = queue.iter().position(|id| id == run_id) {
-                    queue.remove(at);
-                    true
-                } else {
-                    false
-                }
-            }
-            RunQueue::Wrr(queue) => queue.remove(run_id),
-        }
-    }
-
-    /// Marks a dispatched run finished (no-op for the FIFO arm).
-    pub fn finished(&mut self, run_id: &str) {
-        match self {
-            RunQueue::Fifo(_) => {}
-            RunQueue::Wrr(queue) => queue.finished(run_id),
-        }
-    }
-
-    /// Number of queued (undispatched) runs.
-    pub fn len(&self) -> usize {
-        match self {
-            RunQueue::Fifo(queue) => queue.len(),
-            RunQueue::Wrr(queue) => queue.len(),
-        }
-    }
-
-    /// Whether no run is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn wrr(pairs: &[(&str, u32, usize)]) -> WrrQueue {
-        WrrQueue::new(
-            TenantPolicy::default(),
-            pairs
+        WrrQueue::new(QueuePolicy {
+            default: TenantPolicy::default(),
+            tenants: pairs
                 .iter()
                 .map(|(name, weight, cap)| {
                     (
@@ -389,7 +306,7 @@ mod tests {
                     )
                 })
                 .collect(),
-        )
+        })
     }
 
     fn drain(queue: &mut WrrQueue) -> Vec<String> {
@@ -508,26 +425,30 @@ mod tests {
 
     #[test]
     fn fifo_queue_preserves_submission_order() {
-        let mut queue = RunQueue::from_policy(&QueuePolicy::Fifo);
-        queue.push("a".into(), "z-tenant", Priority::Low);
-        queue.push("b".into(), "a-tenant", Priority::High);
-        assert_eq!(queue.len(), 2);
+        // Untagged runs are one tenant with one lane under the default
+        // policy: the round-robin degenerates to submission order.
+        let mut queue = WrrQueue::new(QueuePolicy::default());
+        for id in ["a", "b", "c", "d"] {
+            queue.push(id.into(), "default", Priority::Normal);
+        }
+        assert_eq!(queue.len(), 4);
         assert_eq!(queue.pop().as_deref(), Some("a"));
-        queue.finished("a"); // no-op
-        assert!(queue.remove("b"));
+        assert_eq!(queue.pop().as_deref(), Some("b"), "no running cap binds");
+        assert!(queue.remove("c"));
+        assert_eq!(drain(&mut queue), vec!["d"]);
         assert!(queue.is_empty());
         assert_eq!(queue.pop(), None);
     }
 
     #[test]
     fn unknown_tenants_use_the_default_policy() {
-        let mut queue = WrrQueue::new(
-            TenantPolicy {
+        let mut queue = WrrQueue::new(QueuePolicy {
+            default: TenantPolicy {
                 weight: 2,
                 max_running: 1,
             },
-            Vec::new(),
-        );
+            tenants: Vec::new(),
+        });
         queue.push("x0".into(), "anybody", Priority::Normal);
         queue.push("x1".into(), "anybody", Priority::Normal);
         assert_eq!(queue.pop().as_deref(), Some("x0"));

@@ -20,9 +20,10 @@ use serde::{Deserialize, Serialize};
 /// There is one kernel, the dense LU. A manifest that names any other
 /// kernel fails to load (``unknown variant `Sparse` for SolverKind``)
 /// rather than resuming on a kernel it was not computed with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SolverKind {
     /// Dense assembly and the partial-pivot LU of [`solve_in_place`].
+    #[default]
     Dense,
 }
 

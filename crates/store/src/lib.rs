@@ -850,20 +850,26 @@ impl Store {
     ///
     /// Returns [`StoreError::Io`] when the runs directory cannot be read.
     pub fn queued_run_ids(&self) -> Result<Vec<String>, StoreError> {
-        self.poll_queued(&mut HashSet::new())
+        let queued = self.poll_queued(&mut HashSet::new())?;
+        Ok(queued.into_iter().map(|(id, _)| id).collect())
     }
 
-    /// [`Store::queued_run_ids`] for repeated polling: ids in `terminal`
-    /// are skipped without touching their manifests, and runs observed
-    /// `Completed`/`Failed` are added to it. A job server polling a store
-    /// with thousands of finished runs therefore reads each dead manifest
-    /// once, not once per tick — each poll is O(live runs).
+    /// [`Store::queued_run_ids`] for repeated polling, each id with the
+    /// manifest the scan parsed (so a caller reads, e.g., its extras without
+    /// a second read). Ids in `terminal` are skipped without touching their
+    /// manifests, and runs observed `Completed`/`Failed` are added to it. A
+    /// job server polling a store with thousands of finished runs therefore
+    /// reads each dead manifest once, not once per tick — each poll is
+    /// O(live runs).
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] when the runs directory cannot be read.
-    pub fn poll_queued(&self, terminal: &mut HashSet<String>) -> Result<Vec<String>, StoreError> {
-        let mut queued: Vec<(u64, usize, String)> = Vec::new();
+    pub fn poll_queued(
+        &self,
+        terminal: &mut HashSet<String>,
+    ) -> Result<Vec<(String, Value)>, StoreError> {
+        let mut queued: Vec<(u64, usize, String, Value)> = Vec::new();
         for (index, id) in self.run_ids()?.into_iter().enumerate() {
             if terminal.contains(&id) {
                 continue;
@@ -881,7 +887,7 @@ impl Store {
                         .get("created_unix")
                         .and_then(|v| u64::from_value(v).ok())
                         .unwrap_or(0);
-                    queued.push((created, index, id));
+                    queued.push((created, index, id, value));
                 }
                 Some(RunStatus::Completed) | Some(RunStatus::Failed) => {
                     terminal.insert(id);
@@ -889,8 +895,11 @@ impl Store {
                 _ => {}
             }
         }
-        queued.sort();
-        Ok(queued.into_iter().map(|(_, _, id)| id).collect())
+        queued.sort_by_key(|(created, index, _, _)| (*created, *index));
+        Ok(queued
+            .into_iter()
+            .map(|(_, _, id, value)| (id, value))
+            .collect())
     }
 
     /// Removes stale `*.tmp` files left behind by killed writers, in every
@@ -1478,11 +1487,7 @@ pub enum ClaimHealth {
 }
 
 /// Contents of a run's `claim.json` lock file: who is executing the run.
-///
-/// `Deserialize` is implemented by hand so claims written before the `host`
-/// field existed still load: an absent host defaults to *this* host, which
-/// preserves the pre-heartbeat pid-based liveness semantics for old claims.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClaimInfo {
     /// Caller-supplied label of the claiming worker (for diagnostics).
     pub owner: String,
@@ -1490,7 +1495,9 @@ pub struct ClaimInfo {
     pub pid: u32,
     /// Hostname of the claiming process — pid liveness checks are only
     /// meaningful on the claimant's own host; stores shared between machines
-    /// rely on the claim heartbeat instead.
+    /// rely on the claim heartbeat instead. Claims written before the field
+    /// existed read as *this* host, which keeps their pid-based liveness.
+    #[serde(default = "this_host")]
     pub host: String,
     /// Claim time, seconds since the Unix epoch.
     pub claimed_unix: u64,
@@ -1503,6 +1510,7 @@ pub struct ClaimInfo {
     /// stale-heartbeat) claim becomes safe: if the hung holder wakes up
     /// after the steal, its claim no longer matches and its late write is
     /// discarded. Claims written before fencing deserialize with token 0.
+    #[serde(default)]
     pub fence: u64,
 }
 
@@ -1513,7 +1521,7 @@ impl ClaimInfo {
         ClaimInfo {
             owner: owner.to_string(),
             pid: std::process::id(),
-            host: local_host().to_string(),
+            host: this_host(),
             claimed_unix: now_unix(),
             fence: 0,
         }
@@ -1592,28 +1600,9 @@ impl ClaimInfo {
     }
 }
 
-impl Deserialize for ClaimInfo {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        // Claims written before the heartbeat work carried no host; treating
-        // them as local preserves their original pid-based semantics.
-        let host = match value.get("host") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => local_host().to_string(),
-        };
-        // Claims written before fencing carry no token; 0 ("never fenced")
-        // keeps them comparable without ever colliding with a minted token.
-        let fence = match value.get("fence") {
-            Some(field) => Deserialize::from_value(field)?,
-            None => 0,
-        };
-        Ok(ClaimInfo {
-            owner: Deserialize::from_value(serde::__field(value, "owner")?)?,
-            pid: Deserialize::from_value(serde::__field(value, "pid")?)?,
-            host,
-            claimed_unix: Deserialize::from_value(serde::__field(value, "claimed_unix")?)?,
-            fence,
-        })
-    }
+/// [`local_host`], owned.
+fn this_host() -> String {
+    local_host().to_string()
 }
 
 /// This machine's hostname, as recorded in claim files: read once from
@@ -2054,6 +2043,24 @@ mod tests {
             ClaimHealth::Hung,
             "an alive pid that stopped heartbeating is hung, not dead"
         );
+    }
+
+    #[test]
+    fn a_claim_without_host_and_fence_loads_as_this_hosts_unfenced_claim() {
+        let (root, store) = temp_store();
+        let run = store.create_run(7, &optimizer(), &fake_flow()).unwrap();
+        fs::write(
+            run.dir().join("claim.json"),
+            r#"{"owner": "old-worker", "pid": 4242, "claimed_unix": 1700000000}"#,
+        )
+        .unwrap();
+        let claim = run.claim().unwrap().expect("the legacy claim loads");
+        assert_eq!(claim.owner, "old-worker");
+        assert_eq!(claim.pid, 4242);
+        assert_eq!(claim.host, local_host());
+        assert_eq!(claim.fence, 0);
+        assert_eq!(claim.claimed_unix, 1_700_000_000);
+        let _ = fs::remove_dir_all(root);
     }
 
     #[test]

@@ -201,16 +201,19 @@ impl ShardDataPlane {
         self
     }
 
+    /// Builds an epoch event pre-stamped with this plane's run id.
+    fn epoch_event(&self, severity: Severity, kind: &str, epoch: &str) -> Event {
+        let event = Event::new(severity, "shards", kind).epoch(epoch);
+        match &self.run_id {
+            Some(run_id) => event.run(run_id),
+            None => event,
+        }
+    }
+
     /// Builds a shard event pre-stamped with this plane's run id and the
     /// shard coordinates.
     fn shard_event(&self, severity: Severity, kind: &str, epoch: &str, shard: usize) -> Event {
-        let mut event = Event::new(severity, "shards", kind)
-            .epoch(epoch)
-            .shard(shard as u64);
-        if let Some(run_id) = &self.run_id {
-            event = event.run(run_id);
-        }
-        event
+        self.epoch_event(severity, kind, epoch).shard(shard as u64)
     }
 
     /// Emits `event` when a recorder is attached.
@@ -244,15 +247,10 @@ impl ShardTransport for ShardDataPlane {
         );
         let dir = self.epoch_dir(&epoch);
         fs::create_dir_all(&dir).map_err(|e| transport_error(io_error(&dir, e)))?;
-        if let Some(recorder) = &self.recorder {
-            let mut event = Event::new(Severity::Debug, "shards", event_kind::EPOCH_OPEN)
-                .epoch(&epoch)
-                .detail(format!("{} epoch opened", kind.as_str()));
-            if let Some(run_id) = &self.run_id {
-                event = event.run(run_id);
-            }
-            recorder.emit(event);
-        }
+        self.emit(
+            self.epoch_event(Severity::Debug, event_kind::EPOCH_OPEN, &epoch)
+                .detail(format!("{} epoch opened", kind.as_str())),
+        );
         Ok(epoch)
     }
 
@@ -370,7 +368,7 @@ impl ShardTransport for ShardDataPlane {
 
     fn close_epoch(&self, epoch: &str) -> Result<(), ShardError> {
         remove_epoch_dir(&self.epoch_dir(epoch)).map_err(transport_error)?;
-        self.emit(Event::new(Severity::Debug, "shards", event_kind::EPOCH_CLOSE).epoch(epoch));
+        self.emit(self.epoch_event(Severity::Debug, event_kind::EPOCH_CLOSE, epoch));
         // Opportunistically drop the now-empty `shards/` parent, so idle
         // workers can dismiss this run with a single stat instead of a
         // directory scan (fails harmlessly if another epoch is open).

@@ -14,9 +14,10 @@
 //! * **[`service`]** — [`SvcServer`]: admission
 //!   (dedup → per-tenant quotas → atomic enqueue with `tenant` / `priority`
 //!   / `submission_digest` manifest extras) in front of an embedded
-//!   [`JobServer`](ayb_jobs::JobServer) running
-//!   [`QueuePolicy::WeightedTenant`](ayb_jobs::QueuePolicy) — weighted
-//!   round-robin across tenants with priority lanes, replacing global FIFO.
+//!   [`JobServer`](ayb_jobs::JobServer), whose one dispatch queue is a
+//!   weighted round-robin across tenants with priority lanes; the service
+//!   sets its weights and per-tenant running caps
+//!   ([`QueuePolicy`](ayb_jobs::QueuePolicy)).
 //! * **[`client`]** — the blocking client the tests and the benchmark
 //!   drive the service with.
 //!

@@ -20,8 +20,8 @@
 //!      │  store enqueue      │   tenant / priority / digest extras
 //!      └──────────┬──────────┘
 //!                 │ (store poll)
-//!        JobServer with QueuePolicy::WeightedTenant
-//!        — weighted round-robin across tenants, priority lanes
+//!        JobServer — weighted round-robin across tenants,
+//!        priority lanes, per-tenant running caps
 //! ```
 //!
 //! Endpoints:
@@ -109,10 +109,8 @@ pub struct SvcConfig {
     pub default_quota: TenantQuota,
     /// Per-tenant quota overrides.
     pub quotas: Vec<(String, TenantQuota)>,
-    /// Scheduler weight for tenants without an explicit entry in
-    /// [`SvcConfig::weights`] (minimum 1).
-    pub default_weight: u32,
-    /// Per-tenant scheduler-weight overrides.
+    /// Per-tenant scheduler-weight overrides; every other tenant has
+    /// weight 1.
     pub weights: Vec<(String, u32)>,
     /// Store poll interval of the embedded job server.
     pub poll_interval: Duration,
@@ -128,7 +126,6 @@ impl Default for SvcConfig {
             max_connections: 256,
             default_quota: TenantQuota::default(),
             quotas: Vec::new(),
-            default_weight: 1,
             weights: Vec::new(),
             poll_interval: Duration::from_millis(25),
             owner: format!("ayb-svc-{}", std::process::id()),
@@ -149,33 +146,25 @@ impl SvcConfig {
     /// Translates the service's weights and quotas into the job server's
     /// queue policy (weighted round-robin with per-tenant running caps).
     fn queue_policy(&self) -> QueuePolicy {
-        let mut tenants: Vec<(String, TenantPolicy)> = Vec::new();
-        let policy_of = |name: &str| -> TenantPolicy {
-            let weight = self
+        let policy_of = |name: &str| TenantPolicy {
+            weight: self
                 .weights
                 .iter()
                 .find(|(n, _)| n == name)
-                .map(|(_, w)| *w)
-                .unwrap_or(self.default_weight);
-            TenantPolicy {
-                weight,
-                max_running: self.quota_for(name).max_running,
-            }
+                .map_or(1, |(_, w)| *w),
+            max_running: self.quota_for(name).max_running,
         };
-        for (name, _) in &self.weights {
+        let mut tenants: Vec<(String, TenantPolicy)> = Vec::new();
+        let named = self.weights.iter().map(|(n, _)| n);
+        for name in named.chain(self.quotas.iter().map(|(n, _)| n)) {
             if !tenants.iter().any(|(n, _)| n == name) {
                 tenants.push((name.clone(), policy_of(name)));
             }
         }
-        for (name, _) in &self.quotas {
-            if !tenants.iter().any(|(n, _)| n == name) {
-                tenants.push((name.clone(), policy_of(name)));
-            }
-        }
-        QueuePolicy::WeightedTenant {
+        QueuePolicy {
             default: TenantPolicy {
-                weight: self.default_weight.max(1),
                 max_running: self.default_quota.max_running,
+                ..TenantPolicy::default()
             },
             tenants,
         }

@@ -60,8 +60,9 @@
 //! `GET /v1/runs/{id}`, fetch results, cancel queued runs, and scrape
 //! `GET /v1/metrics`. Identical submissions deduplicate to one run
 //! (content-addressed digests), per-tenant quotas answer 429, and the
-//! embedded worker pool dispatches weighted round-robin across tenants
-//! instead of global FIFO.
+//! embedded worker pool dispatches weighted round-robin across tenants —
+//! the same rotation a plain `ayb serve` runs, at weight 1 and with no
+//! running caps.
 //!
 //! `ayb coordinate` runs the network shard coordinator (the `ayb_net`
 //! crate): a sharded flow submitted with `--transport tcp://HOST:PORT`

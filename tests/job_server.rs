@@ -4,14 +4,16 @@
 //! resumes to the identical digest, graceful shutdown halts at checkpoint
 //! boundaries, two servers sharing one store never execute a run twice, and
 //! a shards-only worker services every shard shape on both data planes.
+//! Each run's `events.jsonl` holds that run's events alone.
 
 use ayb_core::{analyse_variation_point, FlowBuilder, FlowConfig, FlowResult, OtaSizingProblem};
-use ayb_jobs::{JobEvent, JobReport, JobServer, JobServerConfig};
+use ayb_jobs::{JobEvent, JobReport, JobServer, JobServerConfig, ShutdownHandle};
 use ayb_moo::{
     CheckpointError, OptimizerConfig, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind,
     SizingProblem, VariationPointWork,
 };
 use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
+use ayb_obs::{kind, Event, EventSink};
 use ayb_store::{RunStatus, Store};
 use serde::Serialize;
 use std::path::PathBuf;
@@ -90,6 +92,32 @@ fn served_runs_digest_identically_to_sequential_runs() {
             stored_digest(&store, run_id),
             *expected,
             "{run_id}: a multi-worker server changes nothing about the result"
+        );
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn each_runs_event_log_holds_only_its_own_flow() {
+    let (root, store) = temp_store("events");
+    let submitted: Vec<String> = [1u64, 2].iter().map(|&seed| submit(&store, seed)).collect();
+    // Two workers execute both runs at once through one shared recorder.
+    let server = JobServer::new(store.clone(), JobServerConfig::drain_with_workers(2));
+    let report = server.run().expect("server drains");
+    assert_eq!(report.completed.len(), 2, "report: {report:?}");
+    for run_id in &submitted {
+        let path = store.run(run_id).unwrap().events_path();
+        let events = ayb_obs::read_events(&path).expect("events.jsonl parses");
+        let foreign: Vec<&Event> = events
+            .iter()
+            .filter(|event| event.run_id.as_deref() != Some(run_id.as_str()))
+            .collect();
+        assert!(foreign.is_empty(), "{run_id}: foreign events {foreign:?}");
+        let starts = events.iter().filter(|e| e.kind == kind::FLOW_START).count();
+        assert_eq!(starts, 1, "{run_id}: one attempt, one flow_start");
+        assert!(
+            !events.iter().any(|event| event.kind == "job_checkpoint"),
+            "{run_id}: checkpoints are logged once, by the flow"
         );
     }
     let _ = std::fs::remove_dir_all(root);
@@ -186,8 +214,16 @@ fn graceful_shutdown_halts_at_a_checkpoint_and_the_run_resumes() {
     let expected = reference_digest(55);
     let run_id = submit(&store, 55);
 
-    // Serve in poll mode; shut the server down from its own event stream as
-    // soon as the run's first checkpoint lands.
+    // Serve in poll mode; shut the server down from the flow's own event
+    // stream as soon as the run's first checkpoint lands.
+    struct ShutdownAtCheckpoint(ShutdownHandle);
+    impl EventSink for ShutdownAtCheckpoint {
+        fn record(&mut self, event: &Event) {
+            if event.kind == kind::CHECKPOINT {
+                self.0.shutdown();
+            }
+        }
+    }
     let config = JobServerConfig {
         workers: 1,
         poll_interval: Duration::from_millis(20),
@@ -195,12 +231,9 @@ fn graceful_shutdown_halts_at_a_checkpoint_and_the_run_resumes() {
     };
     let server = JobServer::new(store.clone(), config);
     let shutdown = server.shutdown_handle();
-    let trigger = shutdown.clone();
-    server.set_event_hook(move |event| {
-        if matches!(event, JobEvent::CheckpointWritten { .. }) {
-            trigger.shutdown();
-        }
-    });
+    server
+        .recorder()
+        .add_sink(Box::new(ShutdownAtCheckpoint(shutdown.clone())));
     let report = std::thread::spawn(move || server.run().expect("server stops cleanly"))
         .join()
         .expect("server thread joins");

@@ -7,7 +7,9 @@
 //!   and the flooding tenant's quota produces structured 429s;
 //! * content-addressed dedup collapses duplicate submissions to one run;
 //! * the weighted round-robin dispatcher honours its starvation bound for a
-//!   victim tenant competing with a flooder;
+//!   victim tenant competing with a flooder, and a plain job server (`ayb
+//!   serve`) dispatches the service's tagged runs through the same
+//!   rotation;
 //! * every run the service *executed* is digest-identical to the same seed
 //!   run serially through `FlowBuilder` — the service plane is allowed to
 //!   reorder work, never to change results;
@@ -16,6 +18,7 @@
 //!   is a miss that the next completion repairs.
 
 use ayb_core::{FlowBuilder, FlowConfig};
+use ayb_jobs::{JobEvent, JobServer, JobServerConfig};
 use ayb_moo::OptimizerConfig;
 use ayb_store::{ResultCache, RunStatus, Store};
 use ayb_svc::{digest_hex, submission_digest, SvcClient, SvcConfig, SvcServer, TenantQuota};
@@ -23,7 +26,7 @@ use serde::Value;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Barrier, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// The admission-latency test times wall-clock answers, so it runs alone:
@@ -654,6 +657,82 @@ fn admission_only(store: &Store) -> SvcServer {
         },
     )
     .expect("service starts")
+}
+
+/// The order in which a default one-worker drain job server — plain
+/// `ayb serve --drain --workers 1` — starts the store's queued runs.
+fn plain_serve_start_order(store: &Store) -> Vec<String> {
+    let server = JobServer::new(store.clone(), JobServerConfig::drain_with_workers(1));
+    let started = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&started);
+    server.set_event_hook(move |event| {
+        if let JobEvent::Started { run_id, .. } = event {
+            log.lock().expect("start log").push(run_id.clone());
+        }
+    });
+    server.run().expect("server drains");
+    let order = started.lock().expect("start log").clone();
+    order
+}
+
+/// The service's deployment with a separate execution fleet: an
+/// admission-only service records four `flood` runs, one `victim` run and
+/// one `flood` run at high priority; a plain job server then starts the
+/// high-priority run first, the victim's second, and the rest of the flood
+/// in submission order — not the six in submission order.
+#[test]
+fn plain_serve_rotates_the_services_runs_by_tenant_and_priority() {
+    let _shared = shared_slot();
+    let (root, store) = temp_store("plain-serve");
+    {
+        let mut admission = admission_only(&store);
+        let client = |tenant: &str| {
+            SvcClient::new(&admission.url())
+                .expect("client url")
+                .with_tenant(tenant)
+        };
+        let high = |seed: u64| tiny_body(seed).replacen('{', "{\"priority\": \"high\", ", 1);
+        let submissions = [
+            ("flood", tiny_body(1)),
+            ("flood", tiny_body(2)),
+            ("flood", tiny_body(3)),
+            ("flood", tiny_body(4)),
+            ("victim", tiny_body(9)),
+            ("flood", high(5)),
+        ];
+        for (tenant, body) in &submissions {
+            let (status, value) = client(tenant).submit_raw(body).expect("submits");
+            assert_eq!(status, 201, "{value:?}");
+        }
+        admission.shutdown();
+    }
+    assert_eq!(
+        plain_serve_start_order(&store),
+        ["run-0006", "run-0005", "run-0001", "run-0002", "run-0003", "run-0004"]
+    );
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Runs without tenant or priority extras — what `ayb submit` writes — are
+/// one tenant with one lane: a plain job server starts them in submission
+/// order.
+#[test]
+fn plain_serve_starts_untagged_runs_in_submission_order() {
+    let _shared = shared_slot();
+    let (root, store) = temp_store("untagged");
+    for seed in [4u64, 3, 2, 1] {
+        let mut flow = tiny_config();
+        flow.ga.seed = seed;
+        let optimizer = OptimizerConfig::Wbga(flow.ga);
+        store
+            .enqueue_run(seed, &optimizer, &flow)
+            .expect("enqueues");
+    }
+    assert_eq!(
+        plain_serve_start_order(&store),
+        ["run-0001", "run-0002", "run-0003", "run-0004"]
+    );
+    let _ = std::fs::remove_dir_all(root);
 }
 
 /// Phase D — a cache hit is an existence check: while one client resubmits

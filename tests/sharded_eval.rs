@@ -101,6 +101,24 @@ fn single_process_sharded_run_digests_identically_to_unsharded() {
 }
 
 #[test]
+fn every_event_of_a_disk_sharded_run_carries_its_id() {
+    let (root, store) = temp_store("events");
+    FlowBuilder::new(sharded_config())
+        .with_seed(44)
+        .with_store(&store)
+        .with_run_id("sharded-events")
+        .run()
+        .expect("sharded flow completes");
+    let path = store.run("sharded-events").unwrap().events_path();
+    let events = ayb_obs::read_events(&path).expect("events.jsonl parses");
+    assert!(events.iter().any(|event| event.kind == "epoch_close"));
+    for event in &events {
+        assert_eq!(event.run_id.as_deref(), Some("sharded-events"), "{event:?}");
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
 fn builder_flags_enable_sharding_without_touching_the_config() {
     let (root, store) = temp_store("flags");
     let expected = reference_digest(43);

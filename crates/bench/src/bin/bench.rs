@@ -34,7 +34,7 @@ use ayb_bench::{load_newest_baseline, BenchReport, KernelReport, BENCH_SCHEMA_VE
 use ayb_circuit::ota::{build_open_loop_testbench, OtaParameters, OtaTestbenchConfig};
 use ayb_circuit::{Mosfet, MosfetModelCard, NodeId};
 use ayb_core::{measure_testbench, FlowBuilder, FlowConfig, OtaSizingProblem};
-use ayb_moo::{CachedProblem, Evaluation, ShardTransport, SizingProblem};
+use ayb_moo::{Evaluation, ShardTransport, SizingProblem};
 use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 use ayb_process::montecarlo::{self, MonteCarloConfig};
 use ayb_process::ProcessVariation;
@@ -190,47 +190,6 @@ fn bench_batch_evaluate(iters: u64) -> KernelReport {
     let batch = gene_batch(16, problem.parameter_count());
     time_kernel("batch_evaluate_16", iters, 1, || {
         black_box(problem.evaluate_batch(black_box(&batch)));
-    })
-}
-
-/// A revisit-heavy synthetic batch: 16 distinct candidates, each appearing
-/// 8 times (128 evaluations, 16 unique) — the shape a converging optimiser
-/// produces once elites recur generation after generation.
-fn revisit_batch(problem: &OtaSizingProblem) -> Vec<Vec<f64>> {
-    let unique = gene_batch(16, problem.parameter_count());
-    (0..8).flat_map(|_| unique.iter().cloned()).collect()
-}
-
-/// The revisit-heavy batch solved straight: all 128 evaluations pay a full
-/// circuit solve. The uncached half of the eval-cache trajectory pair.
-fn bench_batch_evaluate_revisit(iters: u64) -> KernelReport {
-    let problem = OtaSizingProblem::new(
-        OtaTestbenchConfig::new(),
-        FrequencySweep::logarithmic(10.0, 1e9, 8),
-    )
-    .with_threads(2);
-    let batch = revisit_batch(&problem);
-    time_kernel("batch_evaluate_16x8_uncached", iters, 1, || {
-        black_box(problem.evaluate_batch(black_box(&batch)));
-    })
-}
-
-/// The same 128-evaluation batch through the in-process evaluation cache
-/// (`FlowConfig::eval_cache` machinery): 16 solves, 112 served as hits. A
-/// fresh cache per iteration keeps every iteration's work identical. The
-/// committed trajectory expects this kernel at least ~2× faster than
-/// `batch_evaluate_16x8_uncached` — the revisit speedup the cache exists
-/// for, with the determinism digest unchanged (hits are exact-bits only).
-fn bench_batch_evaluate_revisit_cached(iters: u64) -> KernelReport {
-    let problem = OtaSizingProblem::new(
-        OtaTestbenchConfig::new(),
-        FrequencySweep::logarithmic(10.0, 1e9, 8),
-    )
-    .with_threads(2);
-    let batch = revisit_batch(&problem);
-    time_kernel("batch_evaluate_16x8_cached", iters, 1, || {
-        let cached = CachedProblem::new(&problem, 1e-9);
-        black_box(cached.evaluate_batch(black_box(&batch)));
     })
 }
 
@@ -405,8 +364,6 @@ fn run_all(quick: bool) -> BenchReport {
             bench_ac_sweep(micro),
             bench_mc_point(macro_),
             bench_batch_evaluate(macro_),
-            bench_batch_evaluate_revisit(macro_),
-            bench_batch_evaluate_revisit_cached(macro_),
             bench_shard_roundtrip_disk(macro_),
             bench_variation_batch_roundtrip_disk(macro_),
             bench_shard_roundtrip_tcp(macro_),

@@ -8,10 +8,10 @@ use serde::{Deserialize, Serialize};
 
 /// Configuration of the complete model-generation flow (paper §3).
 ///
-/// Manifests written before the sharding, transport, solver, batching and
-/// cache fields existed still load: each absent field reads as the
-/// behaviour that predates it (unsharded, the disk plane, the dense kernel,
-/// one variation point per task, no cache).
+/// Manifests written before the sharding, transport, solver and batching
+/// fields existed still load: each absent field reads as the behaviour that
+/// predates it (unsharded, the disk plane, the dense kernel, one variation
+/// point per task). Keys that no field reads are ignored on load.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowConfig {
     /// Genetic-algorithm settings for the OTA sizing optimisation (§3.2).
@@ -77,15 +77,6 @@ pub struct FlowConfig {
     /// changes results or resumability.
     #[serde(default = "legacy_variation_batch")]
     pub variation_batch: usize,
-    /// Quantization step of the in-process evaluation cache
-    /// ([`ayb_moo::CachedProblem`]). `None` (the default) disables the
-    /// cache; `Some(step)` memoises evaluations keyed by the parameter
-    /// vector quantized at `step`, serving a hit only on bit-identical raw
-    /// parameters — so the cache skips repeated solves without ever
-    /// changing results or the determinism digest. Hits are reported in
-    /// [`FlowTimings::eval_cache_hits`](crate::FlowTimings).
-    #[serde(default)]
-    pub eval_cache: Option<f64>,
 }
 
 impl FlowConfig {
@@ -106,7 +97,6 @@ impl FlowConfig {
             transport: None,
             solver: SolverKind::Dense,
             variation_batch: 8,
-            eval_cache: None,
         }
     }
 
@@ -138,7 +128,6 @@ impl FlowConfig {
             transport: None,
             solver: SolverKind::Dense,
             variation_batch: 3,
-            eval_cache: None,
         }
     }
 
@@ -237,7 +226,6 @@ mod tests {
         config.shard_size = 7;
         config.transport = Some("tcp://127.0.0.1:4710".to_string());
         config.variation_batch = 5;
-        config.eval_cache = Some(1e-9);
         let serde::Value::Object(mut pairs) = serde::Serialize::to_value(&config) else {
             panic!("FlowConfig serializes to an object");
         };
@@ -247,7 +235,6 @@ mod tests {
                 && key != "transport"
                 && key != "solver"
                 && key != "variation_batch"
-                && key != "eval_cache"
         });
         let legacy = serde::Value::Object(pairs);
         let back: FlowConfig = serde::Deserialize::from_value(&legacy).expect("legacy loads");
@@ -256,7 +243,6 @@ mod tests {
         assert_eq!(back.transport, None);
         assert_eq!(back.solver, SolverKind::Dense);
         assert_eq!(back.variation_batch, 1);
-        assert_eq!(back.eval_cache, None);
         assert_eq!(back.ga, config.ga);
         assert_eq!(back.threads, config.threads);
 
@@ -264,5 +250,15 @@ mod tests {
         let roundtrip: FlowConfig =
             serde::Deserialize::from_value(&serde::Serialize::to_value(&config)).unwrap();
         assert_eq!(roundtrip, config);
+
+        // A manifest that still carries the retired `eval_cache` key loads
+        // as one without it.
+        let serde::Value::Object(mut pairs) = serde::Serialize::to_value(&config) else {
+            panic!("FlowConfig serializes to an object");
+        };
+        pairs.push(("eval_cache".to_string(), serde::Value::Float(1e-9)));
+        let retired: FlowConfig = serde::Deserialize::from_value(&serde::Value::Object(pairs))
+            .expect("a manifest with the retired key loads");
+        assert_eq!(retired, config);
     }
 }

@@ -48,10 +48,10 @@ use crate::ota_problem::{measure_testbench, OtaSizingProblem};
 use ayb_behavioral::{CombinedOtaModel, ModelError, ParetoPointData};
 use ayb_circuit::ota::{build_open_loop_testbench, OtaParameters};
 use ayb_moo::{
-    drive_epoch, publish_epoch, CachedProblem, Checkpoint, CheckpointControl, CheckpointError,
-    EpochWork, Evaluation, OptimizationResult, OptimizerConfig, ShardError, ShardOutcome,
-    ShardTransport, ShardWork, ShardWorkKind, ShardedEvaluator, ShardingOptions, SizingProblem,
-    VariationOutcome, VariationPointWork, WithEvaluator,
+    drive_epoch, publish_epoch, Checkpoint, CheckpointControl, CheckpointError, EpochWork,
+    Evaluation, OptimizationResult, OptimizerConfig, ShardError, ShardOutcome, ShardTransport,
+    ShardWork, ShardWorkKind, ShardedEvaluator, ShardingOptions, SizingProblem, VariationOutcome,
+    VariationPointWork, WithEvaluator,
 };
 use ayb_net::TcpTransport;
 use ayb_obs::{kind as event_kind, Event, EventSink, JsonlSink, Recorder, Severity, SinkGuard};
@@ -142,15 +142,6 @@ pub struct FlowTimings {
     /// one also lands in the run's transport report with its cause).
     #[serde(default)]
     pub shards_degraded: usize,
-    /// Optimiser evaluations answered by the in-process evaluation cache
-    /// (0 when [`FlowConfig::eval_cache`](crate::FlowConfig::eval_cache) is
-    /// off). Timing-only accounting: served values are bit-identical to
-    /// recomputation, so the determinism digest never depends on this.
-    #[serde(default)]
-    pub eval_cache_hits: u64,
-    /// Optimiser evaluations that consulted the cache (hits + misses).
-    #[serde(default)]
-    pub eval_cache_lookups: u64,
 }
 
 impl FlowTimings {
@@ -913,23 +904,12 @@ impl FlowBuilder {
                 session.degraded(FlowStage::Optimize, shard, &detail);
             }
         };
-        // Optional cross-generation evaluation cache under the optimiser:
-        // repeated candidates skip the solve. A hit is served only for
-        // bit-identical raw parameters, so enabling the cache never changes
-        // results or the determinism digest (see `ayb_moo::evalcache`).
-        let eval_cache = config
-            .eval_cache
-            .map(|step| CachedProblem::new(&problem, step));
-        let base: &dyn SizingProblem = match &eval_cache {
-            Some(cached) => cached,
-            None => &problem,
-        };
         // With a shard data plane, batch evaluation goes through it; results
         // are identical sharded or not (see `ayb_moo::sharding`).
         let sharded = session.transport().map(|transport| {
             let sink = Arc::clone(&degraded);
             WithEvaluator::new(
-                base,
+                &problem,
                 ShardedEvaluator::new(
                     transport,
                     ShardingOptions::with_shard_size(config.shard_size),
@@ -944,7 +924,7 @@ impl FlowBuilder {
         });
         let sizing: &dyn SizingProblem = match &sharded {
             Some(wrapped) => wrapped,
-            None => base,
+            None => &problem,
         };
 
         let t0 = Instant::now();
@@ -975,12 +955,7 @@ impl FlowBuilder {
             },
         );
         let optimization_time = t0.elapsed();
-        drop(sharded); // ends the wrapper's borrow of the (cached) problem
-        let (eval_cache_hits, eval_cache_lookups) = eval_cache
-            .as_ref()
-            .map(|cache| (cache.hits(), cache.lookups()))
-            .unwrap_or((0, 0));
-        drop(eval_cache); // ends the cache's borrow of `problem`
+        drop(sharded); // ends the wrapper's borrow of `problem`
         report_degraded(&mut session);
         if let Some(error) = write_error {
             return Err(session.stop(error));
@@ -1005,8 +980,6 @@ impl FlowBuilder {
             session,
             timings: FlowTimings {
                 optimization: optimization_time,
-                eval_cache_hits,
-                eval_cache_lookups,
                 ..FlowTimings::default()
             },
         })
@@ -2035,8 +2008,6 @@ mod tests {
             shard_request_seconds: 0.5,
             shards_fenced: 1,
             shards_degraded: 2,
-            eval_cache_hits: 12,
-            eval_cache_lookups: 30,
         };
         let serde::Value::Object(mut pairs) = serde::Serialize::to_value(&timings) else {
             panic!("FlowTimings serializes to an object");
@@ -2048,8 +2019,6 @@ mod tests {
                 && key != "shard_request_seconds"
                 && key != "shards_fenced"
                 && key != "shards_degraded"
-                && key != "eval_cache_hits"
-                && key != "eval_cache_lookups"
         });
         let legacy = serde::Value::Object(pairs);
         let back: FlowTimings = serde::Deserialize::from_value(&legacy).expect("legacy loads");
@@ -2059,14 +2028,23 @@ mod tests {
         assert_eq!(back.shard_request_seconds, 0.0);
         assert_eq!(back.shards_fenced, 0);
         assert_eq!(back.shards_degraded, 0);
-        assert_eq!(back.eval_cache_hits, 0);
-        assert_eq!(back.eval_cache_lookups, 0);
         assert_eq!(back.monte_carlo, timings.monte_carlo);
 
         // And the current shape round-trips unchanged.
         let roundtrip: FlowTimings =
             serde::Deserialize::from_value(&serde::Serialize::to_value(&timings)).unwrap();
         assert_eq!(roundtrip, timings);
+
+        // A result persisted with the retired evaluation-cache counters
+        // loads as one without them.
+        let serde::Value::Object(mut pairs) = serde::Serialize::to_value(&timings) else {
+            panic!("FlowTimings serializes to an object");
+        };
+        pairs.push(("eval_cache_hits".to_string(), serde::Value::Int(12)));
+        pairs.push(("eval_cache_lookups".to_string(), serde::Value::Int(30)));
+        let retired: FlowTimings = serde::Deserialize::from_value(&serde::Value::Object(pairs))
+            .expect("a result with the retired counters loads");
+        assert_eq!(retired, timings);
     }
 
     #[test]
@@ -2111,37 +2089,6 @@ mod tests {
         assert_eq!(reseeded.optimizer().seed(), 0xabcd);
         assert_eq!(reseeded.config().monte_carlo.seed, 0xabcd);
         assert_eq!(reseeded.optimizer().name(), "random_search");
-    }
-
-    #[test]
-    fn eval_cache_is_digest_neutral_and_observable_in_timings() {
-        let mut config = FlowConfig::reduced();
-        config.ga.generations = 3;
-        config.sweep = ayb_sim::FrequencySweep::logarithmic(10.0, 1e9, 4);
-        config.monte_carlo.samples = 4;
-        config.max_pareto_points = 4;
-
-        let off = FlowBuilder::new(config.clone())
-            .with_seed(5)
-            .run()
-            .expect("uncached flow completes");
-        config.eval_cache = Some(1e-9);
-        let on = FlowBuilder::new(config)
-            .with_seed(5)
-            .run()
-            .expect("cached flow completes");
-
-        assert_eq!(
-            off.determinism_digest(),
-            on.determinism_digest(),
-            "the evaluation cache must never change results"
-        );
-        // The cache is off by default (no lookups recorded)…
-        assert_eq!(off.timings.eval_cache_lookups, 0);
-        assert_eq!(off.timings.eval_cache_hits, 0);
-        // …and on when configured: every optimiser evaluation consults it.
-        assert!(on.timings.eval_cache_lookups > 0);
-        assert!(on.timings.eval_cache_hits <= on.timings.eval_cache_lookups);
     }
 
     #[test]

@@ -94,9 +94,11 @@ use ayb_moo::{
     CheckpointError, OptimizerConfig, ShardOutcome, ShardWork, ShardWorkKind, SizingProblem,
     VariationOutcome,
 };
-use ayb_net::{ClaimPulse, TcpTransport};
+use ayb_net::TcpTransport;
 use ayb_obs::{Event, Recorder, Severity};
-use ayb_store::{Manifest, RunHandle, RunStatus, Store, StoreError, CLAIM_MAX_HEARTBEAT_AGE};
+use ayb_store::{
+    ClaimHeartbeat, Manifest, RunHandle, RunStatus, Store, StoreError, CLAIM_MAX_HEARTBEAT_AGE,
+};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashSet;
 use std::fmt;
@@ -1094,7 +1096,13 @@ fn service_one_net_shard(
     }
     // Heartbeat the claim while evaluating, so the coordinator's recovery
     // never mistakes a slow evaluation for a hung worker.
-    let pulse = ClaimPulse::start(net.clone(), &task, Duration::from_secs(1));
+    let (transport, epoch, shard, token) =
+        (net.clone(), task.epoch.clone(), task.shard, task.token);
+    let pulse = ClaimHeartbeat::new(Duration::from_secs(1), move || {
+        // Best effort: a missed beat at worst lets the claim be stolen,
+        // which fencing makes safe.
+        let _ = transport.heartbeat(&epoch, shard, token);
+    });
     let serviced = match task.context.as_ref().map(FlowConfig::from_value) {
         Some(Ok(flow)) => {
             let at = (&*task.run_id, &*task.epoch, task.shard, worker);

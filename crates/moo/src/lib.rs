@@ -82,7 +82,6 @@
 
 pub mod checkpoint;
 pub mod config;
-pub mod evalcache;
 pub mod nsga2;
 pub mod operators;
 pub mod optimizer;
@@ -97,7 +96,6 @@ pub use checkpoint::{
     DiscardCheckpoints,
 };
 pub use config::{EarlyStop, GaConfig, GenerationStats};
-pub use evalcache::CachedProblem;
 pub use optimizer::{OptimizationResult, OptimizerConfig};
 pub use pareto::{
     crowding_distance, dominates, fast_non_dominated_sort, hypervolume_2d, non_dominated_indices,

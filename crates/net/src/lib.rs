@@ -41,7 +41,7 @@ pub use ayb_moo::{
     ShardOutcome, ShardWork, ShardWorkKind, TransportStats, VariationOutcome, VariationPointWork,
 };
 pub use coordinator::{Coordinator, CoordinatorConfig};
-pub use transport::{ClaimPulse, TcpTransport};
+pub use transport::TcpTransport;
 pub use wire::{CoordinatorStats, NetShardTask, Request, Response};
 
 /// Parses a `tcp://host:port` transport URL into its `host:port` socket

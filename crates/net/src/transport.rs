@@ -18,8 +18,7 @@
 
 use std::collections::HashMap;
 use std::net::TcpStream;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ayb_moo::{ShardError, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind, TransportStats};
@@ -412,60 +411,5 @@ impl ShardTransport for TcpTransport {
     /// Counters shared by every clone of this transport.
     fn stats(&self) -> TransportStats {
         *self.stats.lock().expect("transport stats lock")
-    }
-}
-
-/// A guard refreshing one network claim's heartbeat every `interval` from a
-/// background thread, for as long as it lives — the network analogue of the
-/// store's `ClaimHeartbeat`. Job workers hold one while servicing a
-/// [`NetShardTask`] so a long evaluation is not mistaken for a hang.
-pub struct ClaimPulse {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl ClaimPulse {
-    /// Starts heartbeating `task`'s claim through `transport`.
-    pub fn start(transport: TcpTransport, task: &NetShardTask, interval: Duration) -> ClaimPulse {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_stop = Arc::clone(&stop);
-        let (epoch, shard, token) = (task.epoch.clone(), task.shard, task.token);
-        let thread = std::thread::Builder::new()
-            .name("ayb-net-pulse".to_string())
-            .spawn(move || {
-                let (lock, signal) = &*thread_stop;
-                let mut stopped = lock.lock().expect("claim pulse lock");
-                loop {
-                    let (next, timeout) = signal
-                        .wait_timeout(stopped, interval)
-                        .expect("claim pulse lock");
-                    stopped = next;
-                    if *stopped {
-                        return;
-                    }
-                    if timeout.timed_out() {
-                        // Release the lock across the network call so a
-                        // concurrent Drop is never blocked behind a slow
-                        // coordinator. Best effort: a missed beat at worst
-                        // lets the claim be stolen, which fencing makes safe.
-                        drop(stopped);
-                        let _ = transport.heartbeat(&epoch, shard, token);
-                        stopped = lock.lock().expect("claim pulse lock");
-                    }
-                }
-            })
-            .ok();
-        ClaimPulse { stop, thread }
-    }
-}
-
-impl Drop for ClaimPulse {
-    fn drop(&mut self) {
-        let (lock, signal) = &*self.stop;
-        *lock.lock().expect("claim pulse lock") = true;
-        signal.notify_all();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
     }
 }

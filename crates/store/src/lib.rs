@@ -373,8 +373,10 @@ fn touch_claim_file(path: &Path) {
     }
 }
 
-/// A background thread refreshing a claim file's modification time — the
-/// claim *heartbeat* — every `interval`, until the guard is dropped.
+/// A background thread refreshing a claim — the claim *heartbeat* — every
+/// `interval`, until the guard is dropped: [`ClaimHeartbeat::start`]
+/// touches the claim file's modification time, and [`ClaimHeartbeat::new`]
+/// runs any beat, such as a network claim's heartbeat to its coordinator.
 ///
 /// Liveness of a claim holder is judged two ways: by pid (authoritative, but
 /// only on the holder's own host) and by the claim file's modification time
@@ -391,20 +393,27 @@ pub struct ClaimHeartbeat {
 impl ClaimHeartbeat {
     /// Starts a heartbeat thread touching `path` every `interval`.
     pub fn start(path: PathBuf, interval: Duration) -> ClaimHeartbeat {
+        ClaimHeartbeat::new(interval, move || touch_claim_file(&path))
+    }
+
+    /// Starts a heartbeat thread calling `beat` every `interval`. The beat
+    /// runs without the guard's lock held, so dropping the guard waits for
+    /// at most the beat in flight.
+    pub fn new(interval: Duration, mut beat: impl FnMut() + Send + 'static) -> ClaimHeartbeat {
         let stop = Arc::new((StdMutex::new(false), Condvar::new()));
         let thread_stop = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
             let (lock, wake) = &*thread_stop;
-            let mut stopped = lock.lock().expect("heartbeat lock");
             loop {
-                let (next, _) = wake
-                    .wait_timeout(stopped, interval)
+                let stopped = lock.lock().expect("heartbeat lock");
+                let (stopped, _) = wake
+                    .wait_timeout_while(stopped, interval, |stopped| !*stopped)
                     .expect("heartbeat lock");
-                stopped = next;
                 if *stopped {
                     return;
                 }
-                touch_claim_file(&path);
+                drop(stopped);
+                beat();
             }
         });
         ClaimHeartbeat {
@@ -632,7 +641,7 @@ impl Store {
         optimizer: &OptimizerConfig,
         flow: &C,
     ) -> Result<RunHandle, StoreError> {
-        self.create_sequential(seed, optimizer, flow, RunStatus::Running)
+        self.create_sequential(seed, optimizer, flow, RunStatus::Running, &[])
     }
 
     /// Creates a run with a fresh sequential id and status
@@ -672,27 +681,7 @@ impl Store {
         flow: &C,
         extras: &[(String, Value)],
     ) -> Result<RunHandle, StoreError> {
-        let mut id = self.next_run_id()?;
-        for _ in 0..CREATE_RUN_ATTEMPTS {
-            match self.create_with_status_and_extras(
-                &id,
-                seed,
-                optimizer,
-                flow,
-                RunStatus::Queued,
-                extras,
-            ) {
-                Err(StoreError::RunExists(taken)) => {
-                    let n = taken
-                        .strip_prefix("run-")
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or(0);
-                    id = format!("run-{:04}", n + 1);
-                }
-                other => return other,
-            }
-        }
-        Err(StoreError::RunExists(id))
+        self.create_sequential(seed, optimizer, flow, RunStatus::Queued, extras)
     }
 
     /// Creates a run under a caller-chosen id with status
@@ -709,7 +698,7 @@ impl Store {
         optimizer: &OptimizerConfig,
         flow: &C,
     ) -> Result<RunHandle, StoreError> {
-        self.create_with_status(id, seed, optimizer, flow, RunStatus::Queued)
+        self.create(id, seed, optimizer, flow, RunStatus::Queued, &[])
     }
 
     fn create_sequential<C: Serialize>(
@@ -718,10 +707,11 @@ impl Store {
         optimizer: &OptimizerConfig,
         flow: &C,
         status: RunStatus,
+        extras: &[(String, Value)],
     ) -> Result<RunHandle, StoreError> {
         let mut id = self.next_run_id()?;
         for _ in 0..CREATE_RUN_ATTEMPTS {
-            match self.create_with_status(&id, seed, optimizer, flow, status) {
+            match self.create(&id, seed, optimizer, flow, status, extras) {
                 Err(StoreError::RunExists(taken)) => {
                     // Lost the id to a concurrent creator; advance past it.
                     let n = taken
@@ -751,21 +741,10 @@ impl Store {
         optimizer: &OptimizerConfig,
         flow: &C,
     ) -> Result<RunHandle, StoreError> {
-        self.create_with_status(id, seed, optimizer, flow, RunStatus::Running)
+        self.create(id, seed, optimizer, flow, RunStatus::Running, &[])
     }
 
-    fn create_with_status<C: Serialize>(
-        &self,
-        id: &str,
-        seed: u64,
-        optimizer: &OptimizerConfig,
-        flow: &C,
-        status: RunStatus,
-    ) -> Result<RunHandle, StoreError> {
-        self.create_with_status_and_extras(id, seed, optimizer, flow, status, &[])
-    }
-
-    fn create_with_status_and_extras<C: Serialize>(
+    fn create<C: Serialize>(
         &self,
         id: &str,
         seed: u64,
@@ -803,20 +782,16 @@ impl Store {
             dir,
             archive_log: Arc::default(),
         };
-        if extras.is_empty() {
-            write_json_pretty(&handle.manifest_path(), &manifest)?;
-        } else {
-            let mut value = manifest.to_value();
-            if let Value::Object(pairs) = &mut value {
-                for (key, extra) in extras {
-                    if manifest_core_key(key) || pairs.iter().any(|(k, _)| k == key) {
-                        continue;
-                    }
-                    pairs.push((key.clone(), extra.clone()));
+        let mut value = manifest.to_value();
+        if let Value::Object(pairs) = &mut value {
+            for (key, extra) in extras {
+                if manifest_core_key(key) || pairs.iter().any(|(k, _)| k == key) {
+                    continue;
                 }
+                pairs.push((key.clone(), extra.clone()));
             }
-            write_json_pretty(&handle.manifest_path(), &value)?;
         }
+        write_json_pretty(&handle.manifest_path(), &value)?;
         Ok(handle)
     }
 

@@ -22,8 +22,20 @@
 //! is pushed into `ga.seed`, `monte_carlo.seed`, and the optimizer — same
 //! semantics as `FlowBuilder::with_seed`), so `{"seed": 7}` and a full flow
 //! spelling of the same run collapse to one key.
+//!
+//! **Retired keys.** Deleting a `FlowConfig` field would change every
+//! digest, and with it every key the result cache and the dedup index
+//! hold. So the deleted field's key goes on `RETIRED_FLOW_KEYS`, and a flow
+//! value that lacks it hashes it as `null`, the value it had in every
+//! submission that did not set it: each key computed before the deletion
+//! stays valid. A model-version bump changes every key anyway and can
+//! empty the list.
 
 use serde::{Serialize, Value};
+
+/// Keys of deleted `FlowConfig` fields, hashed as `null` when absent (see
+/// the module docs).
+const RETIRED_FLOW_KEYS: [&str; 1] = ["eval_cache"];
 
 /// Returns a copy of `value` with every object's keys sorted recursively.
 ///
@@ -66,8 +78,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// a test can mutate individual fields without constructing impossible typed
 /// configs.
 pub fn submission_digest_value(problem: &str, seed: u64, optimizer: &Value, flow: &Value) -> u64 {
+    let mut flow = flow.clone();
+    if let Value::Object(pairs) = &mut flow {
+        for key in RETIRED_FLOW_KEYS {
+            if !pairs.iter().any(|(k, _)| k == key) {
+                pairs.push((key.to_string(), Value::Null));
+            }
+        }
+    }
     let envelope = Value::Object(vec![
-        ("flow".to_string(), flow.clone()),
+        ("flow".to_string(), flow),
         ("optimizer".to_string(), optimizer.clone()),
         ("problem".to_string(), Value::Str(problem.to_string())),
         ("seed".to_string(), seed.to_value()),
@@ -105,13 +125,18 @@ mod tests {
     /// the field exists so a second problem cannot collide with the first).
     const PROBLEM: &str = "ota";
 
-    fn baseline() -> (FlowConfig, OptimizerConfig, u64) {
-        let mut flow = FlowConfig::reduced();
-        flow.ga.seed = 42;
-        flow.monte_carlo.seed = 42;
-        let optimizer = OptimizerConfig::Wbga(flow.ga).with_seed(42);
-        let digest = submission_digest(PROBLEM, 42, &optimizer, &flow);
+    /// The submission `{"seed": seed}` on `flow` with the default WBGA, as
+    /// the service normalises it.
+    fn submission(mut flow: FlowConfig, seed: u64) -> (FlowConfig, OptimizerConfig, u64) {
+        flow.ga.seed = seed;
+        flow.monte_carlo.seed = seed;
+        let optimizer = OptimizerConfig::Wbga(flow.ga).with_seed(seed);
+        let digest = submission_digest(PROBLEM, seed, &optimizer, &flow);
         (flow, optimizer, digest)
+    }
+
+    fn baseline() -> (FlowConfig, OptimizerConfig, u64) {
+        submission(FlowConfig::reduced(), 42)
     }
 
     /// Recursively reverses object pair order — a worst-case reordering.
@@ -205,6 +230,15 @@ mod tests {
     }
 
     #[test]
+    fn keys_computed_while_flow_config_had_eval_cache_still_hold() {
+        // What `serve-http` returned for `{"seed": 42}` and
+        // `{"seed": 42, "scale": "paper"}` before `eval_cache` was deleted.
+        assert_eq!(digest_hex(baseline().2), "8993e2ec1c97a525");
+        let (_, _, paper) = submission(FlowConfig::paper_scale(), 42);
+        assert_eq!(digest_hex(paper), "5d88cd4bf357348d");
+    }
+
+    #[test]
     fn flow_config_field_inventory_is_what_this_module_documents() {
         // If this fails, a FlowConfig field was added/renamed: check that the
         // dedup key still means "same run", then update this inventory.
@@ -216,7 +250,6 @@ mod tests {
         assert_eq!(
             keys,
             vec![
-                "eval_cache",
                 "ga",
                 "max_pareto_points",
                 "monte_carlo",

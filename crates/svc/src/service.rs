@@ -1529,6 +1529,22 @@ mod tests {
     }
 
     #[test]
+    fn a_result_cached_before_eval_cache_was_deleted_is_still_served() {
+        let temp = TempStore::new("retired-key");
+        // The key `{"seed": 42}` had while `FlowConfig` carried `eval_cache`.
+        ResultCache::open(&temp.open())
+            .unwrap()
+            .insert("8993e2ec1c97a525", "run-0001", &Value::Int(42))
+            .unwrap();
+        let mut server = admission_server(&temp, SvcConfig::default());
+        let client = SvcClient::new(&server.url()).unwrap();
+        let (status, body) = client.submit_raw(r#"{"seed": 42}"#).unwrap();
+        server.shutdown();
+        assert_eq!(status, 200);
+        assert_eq!(body.get("served_from_cache"), Some(&Value::Bool(true)));
+    }
+
+    #[test]
     fn a_result_over_the_request_body_bound_is_served_whole() {
         let temp = TempStore::new("big-result");
         // A paper-scale result is ~2.7 MB; this one renders to ~3.8 MB.

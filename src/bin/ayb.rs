@@ -93,6 +93,37 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
+/// Writes `text` to stdout. A reader that closed the pipe early
+/// (`ayb status … | grep -q`) has read all it wanted, so the process ends
+/// with status 0; any other write error ends it with a message and status 1.
+fn write_stdout(text: std::fmt::Arguments<'_>) {
+    if let Err(error) = std::io::stdout().lock().write_fmt(text) {
+        if error.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {error}");
+        std::process::exit(1);
+    }
+}
+
+// These `print!` and `println!` shadow the standard ones, which panic when
+// a write fails, so every stdout write in this file goes through
+// `write_stdout`.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 const USAGE: &str = "\
 ayb — durable, resumable model-generation runs (DATE'08 flow)
 
@@ -1319,11 +1350,6 @@ fn cmd_report(args: &CliArgs) -> Result<(), String> {
         })
         .map_err(|e| format!("cannot report run `{run_id}`: {e}"))?;
     let report = ayb_core::report::render_flow_report(&result, &config);
-    // A reader that stops early (`ayb report ID | head`) is not an error.
-    match std::io::stdout().lock().write_all(report.as_bytes()) {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
-            Err(format!("cannot write the report: {e}"))
-        }
-        _ => Ok(()),
-    }
+    print!("{report}");
+    Ok(())
 }

@@ -86,6 +86,34 @@ fn status_of_a_service_submitted_run_shows_the_svc_annotations() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A reader that closes its end early (`ayb status … | grep -q` under
+/// `pipefail`) has read all it wanted: the CLI exits 0, without a panic.
+#[test]
+fn a_stdout_closed_by_its_reader_ends_the_cli_with_status_zero() {
+    let root = temp_store("closed-stdout");
+    let store = ayb_store::Store::open(&root).expect("open store");
+    let config = ayb_core::FlowConfig::reduced();
+    let optimizer = ayb_moo::OptimizerConfig::Wbga(config.ga);
+    let handle = store
+        .enqueue_run(7, &optimizer, &config)
+        .expect("enqueue run");
+    for args in [&["list"][..], &["status", handle.id()]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let output = Command::new(env!("CARGO_BIN_EXE_ayb"))
+            .arg(args[0])
+            .args(["--store", root.to_str().expect("utf-8 store path")])
+            .args(&args[1..])
+            .stdout(writer)
+            .output()
+            .expect("ayb binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "`ayb {args:?}`: {output:?}");
+        assert!(!stderr.contains("panicked"), "`ayb {args:?}`: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
+
 #[test]
 fn serve_http_rejects_malformed_quota_and_weight_specs() {
     let root = temp_store("serve-http-flags");
@@ -442,13 +470,27 @@ fn report_table2(root: &std::path::Path, id: &str) -> String {
     table
 }
 
+/// Sets `key` of the object `value` to `to`, adding the key when absent.
+fn set_key(value: &mut serde::Value, key: &str, to: serde::Value) {
+    let serde::Value::Object(pairs) = value else {
+        panic!("`{key}` belongs to an object");
+    };
+    match pairs.iter_mut().find(|(k, _)| k == key) {
+        Some((_, slot)) => *slot = to,
+        None => pairs.push((key.to_string(), to)),
+    }
+}
+
 /// A store written before checkpoints were split into a snapshot and an
-/// archive log, and before `result.json` stored its archive once: every
-/// `gen_NNNN.json` holds the full archive and `result.json` carries
-/// `optimization.archive`. Such a run still resumes (twice, halted at a
-/// generation boundary in between, without duplicating an evaluation in
-/// the log), and its result still answers `show --digest`, `report` and
-/// `GET /v1/runs/{id}/result` with the uninterrupted run's digest.
+/// archive log, before `result.json` stored its archive once, and before
+/// the evaluation cache was retired: every `gen_NNNN.json` holds the full
+/// archive, the manifest's flow carries `eval_cache`, and `result.json`
+/// carries `optimization.archive` and the cache's two timing counters.
+/// Such a run still resumes (twice, halted at a generation boundary in
+/// between, without duplicating an evaluation in the log), and its result
+/// still answers `show --digest`, `report` and `GET /v1/runs/{id}/result`
+/// with the digest of the uninterrupted run, whose manifest has no
+/// `eval_cache`.
 #[test]
 fn a_store_in_the_older_layout_still_resumes_and_reads() {
     use ayb_core::FlowResult;
@@ -483,6 +525,22 @@ fn a_store_in_the_older_layout_still_resumes_and_reads() {
         .unwrap();
     }
     std::fs::remove_file(checkpoints.join("archive.jsonl")).unwrap();
+    let manifest_path = old.dir().join("manifest.json");
+    let mut manifest: Value =
+        serde_json::from_str(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
+    let Value::Object(fields) = &mut manifest else {
+        panic!("a manifest is an object");
+    };
+    for (key, value) in fields {
+        if key == "flow" {
+            set_key(value, "eval_cache", Value::Float(1e-9));
+        }
+    }
+    std::fs::write(
+        &manifest_path,
+        serde_json::to_string_pretty(&manifest).unwrap(),
+    )
+    .unwrap();
 
     let halted = ayb(&root, &["resume", "old", "--halt-after", "2", "--quiet"]);
     assert!(
@@ -505,14 +563,20 @@ fn a_store_in_the_older_layout_still_resumes_and_reads() {
     let latest = old.latest_checkpoint().unwrap().expect("checkpoints");
     assert_eq!(replayed, latest.archive.len(), "no duplicate record");
 
-    // The result, rewritten with both archive copies and indented.
+    // The result, rewritten with both archive copies, the cache counters
+    // and indented.
     let result: FlowResult = old.load_result().unwrap();
     let Value::Object(mut fields) = result.to_value() else {
         panic!("a result serializes to an object");
     };
     for (key, value) in &mut fields {
-        if let ("optimization", Value::Object(optimization)) = (key.as_str(), value) {
-            optimization.push(("archive".to_string(), result.archive.to_value()));
+        match key.as_str() {
+            "optimization" => set_key(value, "archive", result.archive.to_value()),
+            "timings" => {
+                set_key(value, "eval_cache_hits", Value::Int(12));
+                set_key(value, "eval_cache_lookups", Value::Int(30));
+            }
+            _ => {}
         }
     }
     std::fs::write(

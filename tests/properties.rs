@@ -460,72 +460,6 @@ proptest! {
 }
 
 proptest! {
-    // Each case runs six complete flows (three optimisers, cache off vs
-    // on); a small case count keeps the suite fast.
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// The evaluation cache is digest-neutral: enabling
-    /// `FlowConfig::eval_cache` must reproduce the cache-off determinism
-    /// digest bit-for-bit for all three optimisers, whatever the seed and
-    /// front size — the cache may skip duplicate solves, never change
-    /// results. The timing counters prove the cache actually engaged
-    /// (lookups > 0) rather than passing vacuously.
-    #[test]
-    fn eval_cache_never_perturbs_the_determinism_digest(
-        seed in 0u64..10_000,
-        front_limit in 3usize..7,
-    ) {
-        use ayb_core::{FlowBuilder, FlowConfig};
-        use ayb_moo::{GaConfig, OptimizerConfig};
-
-        let mut config = FlowConfig::reduced();
-        config.ga = GaConfig {
-            generations: 3,
-            ..config.ga
-        };
-        config.sweep = ayb_sim::FrequencySweep::logarithmic(10.0, 1e9, 4);
-        config.monte_carlo.samples = 6;
-        config.max_pareto_points = front_limit;
-
-        for optimizer in [
-            OptimizerConfig::Wbga(config.ga),
-            OptimizerConfig::Nsga2(config.ga),
-            OptimizerConfig::RandomSearch {
-                budget: config.ga.evaluation_budget(),
-                seed,
-            },
-        ] {
-            let off = FlowBuilder::new(config.clone())
-                .with_optimizer(optimizer.clone())
-                .with_seed(seed)
-                .run()
-                .expect("cache-off flow completes");
-            prop_assert_eq!(off.timings.eval_cache_lookups, 0);
-
-            let mut cached_config = config.clone();
-            cached_config.eval_cache = Some(1e-9);
-            let on = FlowBuilder::new(cached_config)
-                .with_optimizer(optimizer.clone())
-                .with_seed(seed)
-                .run()
-                .expect("cache-on flow completes");
-
-            prop_assert!(
-                off.determinism_digest() == on.determinism_digest(),
-                "{}: the evaluation cache changed the digest",
-                optimizer.name()
-            );
-            prop_assert!(
-                on.timings.eval_cache_lookups > 0,
-                "{}: the cache never engaged",
-                optimizer.name()
-            );
-            prop_assert!(on.timings.eval_cache_hits <= on.timings.eval_cache_lookups);
-        }
-    }
-}
-
-proptest! {
     // Each case runs three optimisations against an in-process TCP
     // coordinator; a small case count keeps the suite fast.
     #![proptest_config(ProptestConfig::with_cases(6))]

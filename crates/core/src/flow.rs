@@ -50,8 +50,8 @@ use ayb_circuit::ota::{build_open_loop_testbench, OtaParameters};
 use ayb_moo::{
     drive_epoch, publish_epoch, Checkpoint, CheckpointControl, CheckpointError, EpochWork,
     Evaluation, OptimizationResult, OptimizerConfig, ShardError, ShardOutcome, ShardTransport,
-    ShardWork, ShardWorkKind, ShardedEvaluator, ShardingOptions, SizingProblem, VariationOutcome,
-    VariationPointWork, WithEvaluator,
+    ShardWork, ShardWorkKind, ShardedEvaluator, SizingProblem, VariationOutcome,
+    VariationPointWork, WithEvaluator, SHARD_CLAIM_STALE_AFTER,
 };
 use ayb_net::TcpTransport;
 use ayb_obs::{kind as event_kind, Event, EventSink, JsonlSink, Recorder, Severity, SinkGuard};
@@ -910,16 +910,14 @@ impl FlowBuilder {
             let sink = Arc::clone(&degraded);
             WithEvaluator::new(
                 &problem,
-                ShardedEvaluator::new(
-                    transport,
-                    ShardingOptions::with_shard_size(config.shard_size),
-                )
-                .with_degraded_hook(Arc::new(move |shard, error| {
-                    let ShardError::Transport(detail) = error;
-                    sink.lock()
-                        .expect("degradation event lock")
-                        .push((shard, detail.clone()));
-                })),
+                ShardedEvaluator::new(transport, config.shard_size).with_degraded_hook(Arc::new(
+                    move |shard, error| {
+                        let ShardError::Transport(detail) = error;
+                        sink.lock()
+                            .expect("degradation event lock")
+                            .push((shard, detail.clone()));
+                    },
+                )),
             )
         });
         let sizing: &dyn SizingProblem = match &sharded {
@@ -1236,7 +1234,7 @@ impl OptimizedFlow {
             slots,
             stop: None,
         };
-        let driven = drive_epoch(&mut work, batches.len(), &ShardingOptions::default());
+        let driven = drive_epoch(&mut work, batches.len());
         let stop = work.stop;
         match driven {
             Some(_) => {
@@ -1316,10 +1314,6 @@ impl EpochWork for VariationEpochWork<'_> {
                 .collect(),
         };
         self.plane.submit_outcome(self.epoch, shard, &outcome)
-    }
-
-    fn recover(&mut self, shard: usize) -> Result<bool, ShardError> {
-        self.plane.recover(self.epoch, shard)
     }
 
     fn on_claimed(&mut self, shard: usize) -> bool {
@@ -1443,13 +1437,6 @@ pub const CHECKPOINT_SECONDS_METRIC: &str = "ayb_flow_checkpoint_seconds";
 /// [`ayb_store::ClaimHeartbeat`]): recovery thresholds are tens of seconds,
 /// so one touch per second gives ample margin.
 const CLAIM_HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
-
-/// How long a *shard* claim may go without a heartbeat before the submitter
-/// presumes its holder dead and re-evaluates the shard. Duplicate shard
-/// evaluation is benign (pure evaluations, atomic result writes), so this is
-/// deliberately more aggressive than run-claim recovery; workers heartbeat
-/// their shard claims every second while evaluating.
-const SHARD_CLAIM_STALE_AFTER: Duration = Duration::from_secs(60);
 
 /// The shard data plane a sharded flow drives its epochs through, selected
 /// by [`FlowConfig::transport`]: the store's on-disk plane (workers share

@@ -1037,8 +1037,8 @@ fn service_one_shard(
             let mut state = shared.queue.lock().expect("queue lock");
             state.busy += 1;
         }
-        // Heartbeat the shard claim while evaluating, so an aggressive
-        // recovery pass never mistakes a slow evaluation for a dead worker.
+        // Heartbeat the shard claim while evaluating, so a slow evaluation
+        // never goes stale and is never taken over by another claim.
         let heartbeat = task.start_claim_heartbeat(Duration::from_secs(1));
         let serviced = match task.load_work() {
             Ok(Some(work)) => run_flow(&shared.store, task.run_id()).is_some_and(|flow| {
@@ -1074,8 +1074,8 @@ fn service_one_shard(
 /// submitting run's flow configuration, so the problem is rebuilt from the
 /// task itself and the worker never touches the submitter's store — this is
 /// what lets a fleet run with no shared filesystem at all. A task without a
-/// usable configuration is left to expire, so the submitter's local
-/// fallback picks it up.
+/// usable configuration is left to go stale, and the submitter's next claim
+/// takes it over.
 fn service_one_net_shard(
     shared: &Arc<Shared>,
     config: &JobServerConfig,
@@ -1094,8 +1094,8 @@ fn service_one_net_shard(
         let mut state = shared.queue.lock().expect("queue lock");
         state.busy += 1;
     }
-    // Heartbeat the claim while evaluating, so the coordinator's recovery
-    // never mistakes a slow evaluation for a hung worker.
+    // Heartbeat the claim while evaluating, so a slow evaluation never goes
+    // stale and is never taken over by another claim.
     let (transport, epoch, shard, token) =
         (net.clone(), task.epoch.clone(), task.shard, task.token);
     let pulse = ClaimHeartbeat::new(Duration::from_secs(1), move || {
@@ -1114,7 +1114,7 @@ fn service_one_net_shard(
     };
     drop(pulse);
     // An abandoned claim needs no release call: once its heartbeat stops,
-    // the coordinator's recovery expires it and the shard is re-claimable.
+    // it goes stale and the shard's next claim takes it over.
     {
         let mut state = shared.queue.lock().expect("queue lock");
         state.busy -= 1;

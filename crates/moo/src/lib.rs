@@ -106,7 +106,7 @@ pub use problem::{
 };
 pub use sharding::{
     drive_epoch, publish_epoch, DegradedHook, EpochWork, ShardError, ShardOutcome, ShardResults,
-    ShardTransport, ShardWork, ShardWorkKind, ShardedEvaluator, ShardingOptions, TransportStats,
-    VariationOutcome, VariationPointWork, WithEvaluator,
+    ShardTransport, ShardWork, ShardWorkKind, ShardedEvaluator, TransportStats, VariationOutcome,
+    VariationPointWork, WithEvaluator, SHARD_CLAIM_STALE_AFTER,
 };
 pub use wbga::normalize_weights;

@@ -30,13 +30,13 @@
 //! Binding a problem to a transport, and the shard layout it gets:
 //!
 //! ```
-//! use ayb_moo::{ShardTransport, ShardedEvaluator, ShardingOptions, SizingProblem, WithEvaluator};
+//! use ayb_moo::{ShardTransport, ShardedEvaluator, SizingProblem, WithEvaluator};
 //! use std::sync::Arc;
 //!
 //! /// Every optimiser run on the result evaluates its populations in shards
 //! /// of at most 3 candidates over `transport`.
 //! fn sharded<P: SizingProblem>(problem: P, transport: Arc<dyn ShardTransport>) -> impl SizingProblem {
-//!     WithEvaluator::new(problem, ShardedEvaluator::new(transport, ShardingOptions::with_shard_size(3)))
+//!     WithEvaluator::new(problem, ShardedEvaluator::new(transport, 3))
 //! }
 //!
 //! assert_eq!(ShardedEvaluator::shard_ranges(7, 3), vec![0..3, 3..6, 6..7]);
@@ -46,7 +46,7 @@ use crate::problem::{Evaluation, ObjectiveSpec, SizingProblem};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Per-shard evaluation results: one entry per candidate, in input order
 /// (`None` marks an infeasible candidate).
@@ -213,17 +213,24 @@ pub struct TransportStats {
 /// ([`ShardedEvaluator`]) and the `ayb_core` variation stage both drive
 /// their epochs through this one interface.
 ///
-/// Implementations must provide:
+/// Every implementation follows one claim rule, the lease-plus-fencing-token
+/// discipline of Gray & Cheriton, "Leases" (SOSP 1989). A claim is *live*
+/// while its holder is alive and has been heard from within the plane's
+/// staleness bound ([`SHARD_CLAIM_STALE_AFTER`] for a flow's planes):
 ///
-/// * **atomic, exclusive claims** — of any number of processes racing
-///   [`ShardTransport::try_claim`] for one shard, exactly one wins;
-/// * **atomic, fenced outcomes** — an outcome visible through
-///   [`ShardTransport::fetch_outcome`] is complete, never torn, and a
-///   submit from a claim that has since changed hands is discarded;
-/// * **staleness-aware recovery** — [`ShardTransport::recover`] breaks a
-///   shard's claim when its holder is provably dead or has been silent
-///   longer than the transport's staleness bound, making the shard
-///   claimable again.
+/// * a claim is granted if and only if the shard is published, has no
+///   outcome, and has no live claim; a refused claim mints nothing;
+/// * a claim granted over a stale claim mints the shard's next token and
+///   reports `shard_recover`, so a claim is the only way a shard changes
+///   hands;
+/// * a submit is accepted if and only if its claim is still the shard's
+///   newest one; a superseded holder's submit is discarded and counted in
+///   [`TransportStats::fenced_rejections`].
+///
+/// Claims are exclusive — of any number of processes racing
+/// [`ShardTransport::try_claim`] for one shard, exactly one wins — and an
+/// outcome visible through [`ShardTransport::fetch_outcome`] is complete,
+/// never torn.
 ///
 /// The implementations are the run store's on-disk plane (`ayb_store`:
 /// epoch directories, hard-link claim files) and the TCP client of the
@@ -241,9 +248,9 @@ pub trait ShardTransport: Send + Sync {
     /// Publishes shard `shard`'s work into `epoch`.
     fn publish_work(&self, epoch: &str, shard: usize, work: &ShardWork) -> Result<(), ShardError>;
 
-    /// Attempts to claim shard `shard` for production by this process.
-    /// Returns `false` when another worker holds the claim (or the shard is
-    /// gone).
+    /// Attempts to claim shard `shard` for production by this process,
+    /// taking over a stale claim. Returns `false` when the claim rule
+    /// refuses it: the shard is unpublished, finished, live-claimed or gone.
     fn try_claim(&self, epoch: &str, shard: usize) -> Result<bool, ShardError>;
 
     /// Stores shard `shard`'s outcome and releases this process's claim on
@@ -258,10 +265,6 @@ pub trait ShardTransport: Send + Sync {
     /// Fetches shard `shard`'s outcome, if some worker has submitted it.
     fn fetch_outcome(&self, epoch: &str, shard: usize) -> Result<Option<ShardOutcome>, ShardError>;
 
-    /// Breaks shard `shard`'s claim if its holder is presumed dead (crashed
-    /// process, stale heartbeat). Returns whether a claim was broken.
-    fn recover(&self, epoch: &str, shard: usize) -> Result<bool, ShardError>;
-
     /// Disposes of the epoch's tasks, claims and outcomes once the batch has
     /// been assembled.
     fn close_epoch(&self, epoch: &str) -> Result<(), ShardError>;
@@ -273,45 +276,18 @@ pub trait ShardTransport: Send + Sync {
     }
 }
 
-/// Tuning knobs of a [`ShardedEvaluator`].
-#[derive(Debug, Clone, Copy)]
-pub struct ShardingOptions {
-    /// Maximum number of candidates per shard (minimum 1). Batches at most
-    /// one shard long are evaluated locally without touching the transport.
-    pub shard_size: usize,
-    /// How long the submitter sleeps between polls while every remaining
-    /// shard is claimed by other workers.
-    pub poll_interval: Duration,
-    /// How often the submitter asks the transport to recover shards whose
-    /// claim holder died (checked only while no progress is being made).
-    pub recovery_interval: Duration,
-}
-
-impl Default for ShardingOptions {
-    fn default() -> Self {
-        ShardingOptions {
-            shard_size: 25,
-            poll_interval: Duration::from_millis(10),
-            recovery_interval: Duration::from_secs(1),
-        }
-    }
-}
-
-impl ShardingOptions {
-    /// Options with a specific shard size and default polling behaviour.
-    pub fn with_shard_size(shard_size: usize) -> Self {
-        ShardingOptions {
-            shard_size: shard_size.max(1),
-            ..ShardingOptions::default()
-        }
-    }
-}
+/// How long a shard claim may go unheard from before it is stale and the
+/// shard's next claim takes it over: the bound of a flow's planes, of disk
+/// workers and of `ayb coordinate`. Workers heartbeat their shard claims
+/// every second while evaluating, so only a dead or hung holder goes this
+/// long unheard.
+pub const SHARD_CLAIM_STALE_AFTER: Duration = Duration::from_secs(60);
 
 /// One submitter-side stage binding for [`drive_epoch`]: how to fetch,
-/// claim, locally produce, submit and recover one epoch's shards, plus
-/// boundary hooks fired as the drive progresses.
+/// claim, locally produce and submit one epoch's shards, plus boundary
+/// hooks fired as the drive progresses.
 ///
-/// This is the *generic* claim→evaluate→poll→recover protocol shared by
+/// This is the *generic* claim→evaluate→poll protocol shared by
 /// every distributed stage — GA population evaluation
 /// ([`ShardedEvaluator`]) and per-Pareto-point variation analysis (the
 /// `ayb_core` flow) bind it to their own payloads. Implementations are
@@ -327,7 +303,8 @@ pub trait EpochWork {
     /// unusable to `Ok(None)` so the shard stays pending.
     fn fetch(&mut self, shard: usize) -> Result<Option<Self::Output>, ShardError>;
 
-    /// Attempts to claim shard `shard` for local production.
+    /// Attempts to claim shard `shard` for local production (taking over a
+    /// stale claim, by the [`ShardTransport`] claim rule).
     fn try_claim(&mut self, shard: usize) -> Result<bool, ShardError>;
 
     /// Produces shard `shard`'s output in-process (the submitter
@@ -337,10 +314,6 @@ pub trait EpochWork {
     /// Publishes a locally produced output (failure is benign: the local
     /// copy is used regardless).
     fn submit(&mut self, shard: usize, output: &Self::Output) -> Result<(), ShardError>;
-
-    /// Breaks shard `shard`'s claim if its holder is presumed dead.
-    /// Returns whether a claim was broken.
-    fn recover(&mut self, shard: usize) -> Result<bool, ShardError>;
 
     /// Boundary hook: this process just won shard `shard`'s claim. Returning
     /// `false` aborts the drive (the fault-injection seam used by the chaos
@@ -369,32 +342,30 @@ pub trait EpochWork {
     }
 }
 
+/// How long [`drive_epoch`] sleeps after a pass that made no progress:
+/// every remaining shard is live-claimed by other workers.
+const POLL_INTERVAL: Duration = Duration::from_millis(10);
+
 /// Drives one epoch of `shard_count` published shards to completion: the
-/// generic claim-poll-recover loop extracted from [`ShardedEvaluator`] and
-/// shared with the variation stage.
+/// generic claim-poll loop extracted from [`ShardedEvaluator`] and shared
+/// with the variation stage.
 ///
 /// Each pass over the pending shards fetches finished results, claims and
-/// locally evaluates unclaimed ones, and falls back to pure local evaluation
+/// locally evaluates claimable ones — a dead or hung worker's stale claim
+/// is taken over by that claim — and falls back to pure local evaluation
 /// for any shard whose transport errored three times (a broken data plane
 /// must never wedge an epoch — duplicate production is benign because
-/// outputs are deterministic). While no progress is being made, dead
-/// workers' claims are recovered every
-/// [`ShardingOptions::recovery_interval`].
+/// outputs are deterministic).
 ///
 /// Returns the outputs in shard-index order, or `None` when a boundary hook
 /// aborted the drive (simulated crash): already-landed outputs were already
 /// seen by [`EpochWork::on_result`], so an aborted drive loses nothing that
 /// was persisted there.
-pub fn drive_epoch<W: EpochWork>(
-    work: &mut W,
-    shard_count: usize,
-    options: &ShardingOptions,
-) -> Option<Vec<W::Output>> {
+pub fn drive_epoch<W: EpochWork>(work: &mut W, shard_count: usize) -> Option<Vec<W::Output>> {
     let mut slots: Vec<Option<W::Output>> = Vec::with_capacity(shard_count);
     slots.resize_with(shard_count, || None);
     let mut errors = vec![0usize; shard_count];
     let mut last_error: Vec<Option<ShardError>> = vec![None; shard_count];
-    let mut last_recovery = Instant::now();
     while slots.iter().any(Option::is_none) {
         let mut progressed = false;
         for index in 0..shard_count {
@@ -457,15 +428,7 @@ pub fn drive_epoch<W: EpochWork>(
             break;
         }
         if !progressed {
-            if last_recovery.elapsed() >= options.recovery_interval {
-                for (index, slot) in slots.iter().enumerate() {
-                    if slot.is_none() {
-                        let _ = work.recover(index);
-                    }
-                }
-                last_recovery = Instant::now();
-            }
-            std::thread::sleep(options.poll_interval);
+            std::thread::sleep(POLL_INTERVAL);
         }
     }
     Some(
@@ -507,13 +470,12 @@ pub fn publish_epoch(
 /// Shard-aware batch evaluation over a [`ShardTransport`].
 ///
 /// [`evaluate_batch`](ShardedEvaluator::evaluate_batch) splits the batch into
-/// consecutive shards of at most [`ShardingOptions::shard_size`] candidates,
-/// publishes them as tasks, and then *participates* in their evaluation through
+/// consecutive shards of at most `shard_size` candidates, publishes them as
+/// tasks, and then *participates* in their evaluation through
 /// [`drive_epoch`]: it repeatedly fetches finished results, claims any
-/// unclaimed shard and evaluates it in-process (through the problem's own
-/// `evaluate_batch`, so the local work-stealing scheduler still applies inside
-/// a shard), and — while blocked on shards held by other workers — periodically
-/// asks the transport to recover shards whose holder died. Results are
+/// claimable shard — taking over a dead worker's stale claim — and evaluates
+/// it in-process (through the problem's own `evaluate_batch`, so the local
+/// work-stealing scheduler still applies inside a shard). Results are
 /// reassembled in shard-index order, making the output bit-identical to an
 /// unsharded evaluation.
 ///
@@ -523,7 +485,7 @@ pub fn publish_epoch(
 /// worker ever shows up.
 pub struct ShardedEvaluator {
     transport: Arc<dyn ShardTransport>,
-    options: ShardingOptions,
+    shard_size: usize,
     degraded_hook: Option<DegradedHook>,
 }
 
@@ -535,14 +497,14 @@ pub type DegradedHook = Arc<dyn Fn(usize, &ShardError) + Send + Sync>;
 
 impl ShardedEvaluator {
     /// Creates a sharded evaluator over `transport` (shared, so the caller
-    /// can keep driving other epochs and reading its counters).
-    pub fn new(transport: Arc<dyn ShardTransport>, options: ShardingOptions) -> Self {
+    /// can keep driving other epochs and reading its counters) that splits
+    /// batches into shards of at most `shard_size` candidates (minimum 1).
+    /// Batches at most one shard long are evaluated locally without touching
+    /// the transport.
+    pub fn new(transport: Arc<dyn ShardTransport>, shard_size: usize) -> Self {
         ShardedEvaluator {
             transport,
-            options: ShardingOptions {
-                shard_size: options.shard_size.max(1),
-                ..options
-            },
+            shard_size: shard_size.max(1),
             degraded_hook: None,
         }
     }
@@ -553,11 +515,6 @@ impl ShardedEvaluator {
     pub fn with_degraded_hook(mut self, hook: DegradedHook) -> Self {
         self.degraded_hook = Some(hook);
         self
-    }
-
-    /// The evaluator's tuning knobs.
-    pub fn options(&self) -> &ShardingOptions {
-        &self.options
     }
 
     /// Splits `len` candidates into consecutive shard ranges of at most
@@ -573,7 +530,7 @@ impl ShardedEvaluator {
     /// Evaluates `batch` against `problem`, one result slot per input, in
     /// input order; the results equal `problem.evaluate_batch(batch)`.
     pub fn evaluate_batch(&self, problem: &dyn SizingProblem, batch: &[Vec<f64>]) -> ShardResults {
-        let ranges = Self::shard_ranges(batch.len(), self.options.shard_size);
+        let ranges = Self::shard_ranges(batch.len(), self.shard_size);
         if ranges.len() < 2 {
             return problem.evaluate_batch(batch);
         }
@@ -605,8 +562,8 @@ impl ShardedEvaluator {
             shards: &shards,
             degraded_hook: self.degraded_hook.as_ref(),
         };
-        let slots = drive_epoch(&mut work, shards.len(), &self.options)
-            .expect("evaluation epochs have no aborting hooks");
+        let slots =
+            drive_epoch(&mut work, shards.len()).expect("evaluation epochs have no aborting hooks");
         let _ = self.transport.close_epoch(&epoch);
 
         let mut assembled = Vec::with_capacity(batch.len());
@@ -654,10 +611,6 @@ impl EpochWork for EvalEpochWork<'_> {
             results: results.clone(),
         };
         self.transport.submit_outcome(self.epoch, shard, &outcome)
-    }
-
-    fn recover(&mut self, shard: usize) -> Result<bool, ShardError> {
-        self.transport.recover(self.epoch, shard)
     }
 
     fn on_degraded(&mut self, shard: usize, error: &ShardError) {
@@ -745,12 +698,13 @@ mod tests {
         epochs: Mutex<HashMap<String, Vec<MemShard>>>,
         next_epoch: AtomicUsize,
         /// When set, every shard starts out with a claim held by a "dead"
-        /// foreign worker, so only recovery can make progress.
+        /// foreign worker, so only a takeover can make progress.
         claim_all_as_dead: AtomicBool,
         /// When set, every fetch answers with a variation outcome, the
         /// wrong shape for an evaluation epoch.
         wrong_shape: AtomicBool,
-        recoveries: AtomicUsize,
+        /// Claims granted over a dead worker's claim.
+        takeovers: AtomicUsize,
         closed: AtomicUsize,
     }
 
@@ -791,15 +745,22 @@ mod tests {
             Ok(())
         }
 
+        /// The claim rule: a published, unfinished shard is granted unless
+        /// a live claim holds it; a dead worker's claim is taken over.
         fn try_claim(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
             let mut epochs = self.epochs.lock().unwrap();
             let Some(shards) = epochs.get_mut(epoch) else {
                 return Ok(false);
             };
-            if shards[shard].claimed {
+            let slot = &mut shards[shard];
+            if slot.work.is_none() || slot.outcome.is_some() || slot.claimed && !slot.dead_claim {
                 return Ok(false);
             }
-            shards[shard].claimed = true;
+            if slot.dead_claim {
+                slot.dead_claim = false;
+                self.takeovers.fetch_add(1, Ordering::Relaxed);
+            }
+            slot.claimed = true;
             Ok(true)
         }
 
@@ -831,20 +792,6 @@ mod tests {
                 .and_then(|shards| shards[shard].outcome.clone()))
         }
 
-        fn recover(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
-            self.recoveries.fetch_add(1, Ordering::Relaxed);
-            let mut epochs = self.epochs.lock().unwrap();
-            let Some(shards) = epochs.get_mut(epoch) else {
-                return Ok(false);
-            };
-            if shards[shard].dead_claim {
-                shards[shard].dead_claim = false;
-                shards[shard].claimed = false;
-                return Ok(true);
-            }
-            Ok(false)
-        }
-
         fn close_epoch(&self, epoch: &str) -> Result<(), ShardError> {
             self.closed.fetch_add(1, Ordering::Relaxed);
             self.epochs.lock().unwrap().remove(epoch);
@@ -873,9 +820,6 @@ mod tests {
             broken()
         }
         fn fetch_outcome(&self, _: &str, _: usize) -> Result<Option<ShardOutcome>, ShardError> {
-            broken()
-        }
-        fn recover(&self, _: &str, _: usize) -> Result<bool, ShardError> {
             broken()
         }
         fn close_epoch(&self, _: &str) -> Result<(), ShardError> {
@@ -913,10 +857,7 @@ mod tests {
         let p = problem();
         let input = batch(23);
         let expected = p.evaluate_batch(&input);
-        let sharded = ShardedEvaluator::new(
-            Arc::new(MemTransport::default()),
-            ShardingOptions::with_shard_size(4),
-        );
+        let sharded = ShardedEvaluator::new(Arc::new(MemTransport::default()), 4);
         let bound = WithEvaluator::new(&p, sharded);
         assert_eq!(bound.evaluate_batch(&input), expected);
         // Single-candidate evaluation delegates to the problem unchanged.
@@ -931,8 +872,7 @@ mod tests {
         let transport = MemTransport::default();
         let input = batch(3);
         let expected = p.evaluate_batch(&input);
-        let sharded =
-            ShardedEvaluator::new(Arc::new(transport), ShardingOptions::with_shard_size(4));
+        let sharded = ShardedEvaluator::new(Arc::new(transport), 4);
         // One shard's worth of work: evaluated locally, no epoch opened.
         assert_eq!(sharded.evaluate_batch(&p, &input), expected);
     }
@@ -983,14 +923,7 @@ mod tests {
             serviced
         });
 
-        let sharded = ShardedEvaluator::new(
-            Arc::clone(&transport) as Arc<dyn ShardTransport>,
-            ShardingOptions {
-                shard_size: 4,
-                poll_interval: Duration::from_millis(1),
-                recovery_interval: Duration::from_millis(50),
-            },
-        );
+        let sharded = ShardedEvaluator::new(Arc::clone(&transport) as Arc<dyn ShardTransport>, 4);
         for _ in 0..3 {
             assert_eq!(
                 sharded.evaluate_batch(&p, &input),
@@ -1016,19 +949,13 @@ mod tests {
         let p = problem();
         let input = batch(12);
         let expected = p.evaluate_batch(&input);
-        let transport = MemTransport::default();
+        let transport = Arc::new(MemTransport::default());
         transport.claim_all_as_dead.store(true, Ordering::Relaxed);
-        let sharded = ShardedEvaluator::new(
-            Arc::new(transport),
-            ShardingOptions {
-                shard_size: 4,
-                poll_interval: Duration::from_millis(1),
-                recovery_interval: Duration::from_millis(1),
-            },
-        );
-        // Every shard starts claimed by a dead worker; only the recovery
-        // path can finish the batch.
+        let sharded = ShardedEvaluator::new(Arc::clone(&transport) as Arc<dyn ShardTransport>, 4);
+        // Every shard starts claimed by a dead worker; only a claim that
+        // takes the dead claim over can finish the batch.
         assert_eq!(sharded.evaluate_batch(&p, &input), expected);
+        assert_eq!(transport.takeovers.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -1037,8 +964,7 @@ mod tests {
         let input = batch(12);
         let transport = MemTransport::default();
         transport.wrong_shape.store(true, Ordering::Relaxed);
-        let sharded =
-            ShardedEvaluator::new(Arc::new(transport), ShardingOptions::with_shard_size(4));
+        let sharded = ShardedEvaluator::new(Arc::new(transport), 4);
         assert_eq!(sharded.evaluate_batch(&p, &input), p.evaluate_batch(&input));
     }
 
@@ -1047,10 +973,7 @@ mod tests {
         let p = problem();
         let input = batch(17);
         let expected = p.evaluate_batch(&input);
-        let sharded = ShardedEvaluator::new(
-            Arc::new(BrokenTransport),
-            ShardingOptions::with_shard_size(4),
-        );
+        let sharded = ShardedEvaluator::new(Arc::new(BrokenTransport), 4);
         assert_eq!(sharded.evaluate_batch(&p, &input), expected);
     }
 
@@ -1086,9 +1009,6 @@ mod tests {
             fn fetch_outcome(&self, _: &str, _: usize) -> Result<Option<ShardOutcome>, ShardError> {
                 Err(ShardError::Transport("connection refused".into()))
             }
-            fn recover(&self, _: &str, _: usize) -> Result<bool, ShardError> {
-                Err(ShardError::Transport("connection refused".into()))
-            }
             fn close_epoch(&self, e: &str) -> Result<(), ShardError> {
                 self.inner.close_epoch(e)
             }
@@ -1103,7 +1023,7 @@ mod tests {
             Arc::new(DeadAfterOpen {
                 inner: MemTransport::default(),
             }),
-            ShardingOptions::with_shard_size(4),
+            4,
         )
         .with_degraded_hook(Arc::new(move |shard, error| {
             let ShardError::Transport(message) = error;
@@ -1153,9 +1073,6 @@ mod tests {
             fn fetch_outcome(&self, e: &str, s: usize) -> Result<Option<ShardOutcome>, ShardError> {
                 self.inner.fetch_outcome(e, s)
             }
-            fn recover(&self, e: &str, s: usize) -> Result<bool, ShardError> {
-                self.inner.recover(e, s)
-            }
             fn close_epoch(&self, e: &str) -> Result<(), ShardError> {
                 self.inner.close_epoch(e)
             }
@@ -1170,14 +1087,11 @@ mod tests {
         });
         let events: Arc<Mutex<Vec<(usize, String)>>> = Arc::default();
         let sink = Arc::clone(&events);
-        let sharded = ShardedEvaluator::new(
-            Arc::clone(&transport) as Arc<dyn ShardTransport>,
-            ShardingOptions::with_shard_size(3),
-        )
-        .with_degraded_hook(Arc::new(move |shard, error| {
-            let ShardError::Transport(message) = error;
-            sink.lock().unwrap().push((shard, message.clone()));
-        }));
+        let sharded = ShardedEvaluator::new(Arc::clone(&transport) as Arc<dyn ShardTransport>, 3)
+            .with_degraded_hook(Arc::new(move |shard, error| {
+                let ShardError::Transport(message) = error;
+                sink.lock().unwrap().push((shard, message.clone()));
+            }));
         // First batch: the epoch cannot open. Second: shard 1 cannot publish.
         assert_eq!(sharded.evaluate_batch(&p, &input), expected);
         assert_eq!(sharded.evaluate_batch(&p, &input), expected);
@@ -1246,10 +1160,6 @@ mod tests {
             Ok(())
         }
 
-        fn recover(&mut self, _shard: usize) -> Result<bool, ShardError> {
-            Ok(false)
-        }
-
         fn on_claimed(&mut self, shard: usize) -> bool {
             self.claimed.push(shard);
             self.abort_on_claim != Some(shard)
@@ -1267,7 +1177,7 @@ mod tests {
     #[test]
     fn drive_epoch_collects_outputs_in_index_order() {
         let mut work = CountWork::new();
-        let outputs = drive_epoch(&mut work, 5, &ShardingOptions::default());
+        let outputs = drive_epoch(&mut work, 5);
         assert_eq!(outputs, Some(vec![0, 10, 20, 30, 40]));
         assert_eq!(work.claimed, vec![0, 1, 2, 3, 4]);
         assert_eq!(work.landed, vec![0, 1, 2, 3, 4]);
@@ -1277,7 +1187,7 @@ mod tests {
     fn drive_epoch_aborts_when_the_result_hook_vetoes() {
         let mut work = CountWork::new();
         work.abort_after_results = Some(2);
-        assert_eq!(drive_epoch(&mut work, 5, &ShardingOptions::default()), None);
+        assert_eq!(drive_epoch(&mut work, 5), None);
         // Exactly two results landed before the simulated crash.
         assert_eq!(work.landed, vec![0, 1]);
     }
@@ -1286,7 +1196,7 @@ mod tests {
     fn drive_epoch_aborts_when_the_claim_hook_vetoes() {
         let mut work = CountWork::new();
         work.abort_on_claim = Some(3);
-        assert_eq!(drive_epoch(&mut work, 5, &ShardingOptions::default()), None);
+        assert_eq!(drive_epoch(&mut work, 5), None);
         // Shards 0..=2 landed; the crash hit between claiming 3 and
         // producing it.
         assert_eq!(work.landed, vec![0, 1, 2]);
@@ -1297,15 +1207,10 @@ mod tests {
     fn drive_epoch_survives_a_dead_transport_via_local_fallback() {
         let mut work = CountWork::new();
         work.fail_transport = true;
-        let options = ShardingOptions {
-            poll_interval: Duration::from_millis(1),
-            recovery_interval: Duration::from_millis(1),
-            ..ShardingOptions::default()
-        };
         // Every transport call errors; after three strikes per shard the
         // driver produces each shard locally — the epoch still completes
         // with identical outputs, and every landing still fires the hook.
-        let outputs = drive_epoch(&mut work, 3, &options);
+        let outputs = drive_epoch(&mut work, 3);
         assert_eq!(outputs, Some(vec![0, 10, 20]));
         assert_eq!(work.landed.len(), 3);
     }
@@ -1327,10 +1232,7 @@ mod tests {
             let reference = config.run(&plain);
             let sharded = WithEvaluator::new(
                 &plain,
-                ShardedEvaluator::new(
-                    Arc::new(MemTransport::default()),
-                    ShardingOptions::with_shard_size(3),
-                ),
+                ShardedEvaluator::new(Arc::new(MemTransport::default()), 3),
             );
             let distributed = config.run(&sharded);
             assert_eq!(

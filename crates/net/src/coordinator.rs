@@ -7,12 +7,14 @@
 //! scratch space for one batch, and the flow's `drive_epoch` loop already
 //! survives total state loss (every request errors, the per-shard fallback
 //! services the work locally, the digest is unchanged). What the coordinator
-//! adds over the disk plane is **fencing**: every claim carries a
-//! per-shard monotonic token, a claim whose heartbeat lapses can be stolen
-//! by re-claiming at a higher token, and a submission is accepted only from
-//! the highest token ever issued — so a hung worker that wakes up after its
-//! claim was stolen has its late write *rejected*, not merged. The disk
-//! plane can only surface that hazard; the coordinator closes it.
+//! adds over the disk plane is an atomic **fence check**: both planes follow
+//! the claim rule of [`ShardTransport`](ayb_moo::ShardTransport) — every
+//! claim carries a per-shard monotonic token, a claim whose heartbeat lapses
+//! is taken over by the next claim at a higher token, and a submission is
+//! accepted only from the highest token ever issued — but here the check
+//! and the write are one step under one lock, so a hung worker that wakes
+//! up after its claim was taken over has its late write *rejected*, never
+//! merged.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -26,20 +28,23 @@ use ayb_moo::{ShardOutcome, ShardWork, ShardWorkKind};
 use ayb_obs::{kind as event_kind, Event, Recorder, Severity};
 use serde::Value;
 
-use crate::wire::{read_frame, write_frame, CoordinatorStats, NetShardTask, Request, Response};
+use crate::wire::{
+    read_frame, write_frame, CoordinatorStats, NetShardTask, Request, Response, MAX_EPOCH_SHARDS,
+};
 
 /// Tuning knobs for a [`Coordinator`].
 #[derive(Debug, Clone, Copy)]
 pub struct CoordinatorConfig {
-    /// A claim whose heartbeat is older than this is considered abandoned
-    /// and may be expired (then re-claimed at a higher fencing token).
+    /// A claim whose heartbeat is older than this is stale: the shard's next
+    /// claim takes it over at a higher fencing token.
     pub stale_after: Duration,
 }
 
 impl Default for CoordinatorConfig {
+    /// The flow's bound, [`ayb_moo::SHARD_CLAIM_STALE_AFTER`].
     fn default() -> Self {
         CoordinatorConfig {
-            stale_after: Duration::from_secs(60),
+            stale_after: ayb_moo::SHARD_CLAIM_STALE_AFTER,
         }
     }
 }
@@ -65,35 +70,34 @@ struct ShardSlot {
     last_token: u64,
 }
 
-impl ShardSlot {
-    /// Drops the claim if its heartbeat lapsed. Returns whether it did.
-    /// The token counter is *not* rewound: the next claim supersedes the
-    /// expired one, which is what fences its holder off.
-    fn expire_claim(&mut self, stale_after: Duration) -> bool {
-        match &self.claim {
-            Some(claim) if claim.heartbeat.elapsed() > stale_after => {
-                self.claim = None;
-                true
-            }
-            _ => false,
-        }
-    }
+/// A claim [`ShardSlot::grant`] handed out.
+struct Grant {
+    /// The fencing token minted for it.
+    token: u64,
+    /// The stale claim it took over, if any.
+    taken_over: Option<ClaimSlot>,
+}
 
-    /// Grants `owner` a claim at the shard's next fencing token, after
-    /// expiring a lapsed one, when the shard still needs a worker
-    /// (published, unfinished, unclaimed). Returns the token.
-    fn grant(&mut self, owner: &str, stale_after: Duration) -> Option<u64> {
-        self.expire_claim(stale_after);
-        if self.work.is_none() || self.outcome.is_some() || self.claim.is_some() {
+impl ShardSlot {
+    /// Grants `owner` a claim at the shard's next fencing token by the claim
+    /// rule: when the shard is published, unfinished and holds no claim
+    /// heard from within `stale_after`. A stale claim is taken over; the
+    /// token counter is never rewound, which is what fences its holder off.
+    fn grant(&mut self, owner: &str, stale_after: Duration) -> Option<Grant> {
+        let live = |claim: &ClaimSlot| claim.heartbeat.elapsed() <= stale_after;
+        if self.work.is_none() || self.outcome.is_some() || self.claim.as_ref().is_some_and(live) {
             return None;
         }
         self.last_token += 1;
-        self.claim = Some(ClaimSlot {
+        let taken_over = self.claim.replace(ClaimSlot {
             token: self.last_token,
             owner: owner.to_string(),
             heartbeat: Instant::now(),
         });
-        Some(self.last_token)
+        Some(Grant {
+            token: self.last_token,
+            taken_over,
+        })
     }
 }
 
@@ -370,28 +374,31 @@ fn handle_request(shared: &CoordShared, request: Request) -> Response {
     response
 }
 
-/// Counts and announces one granted claim.
+/// Counts and announces one granted claim, after a `shard_recover` event
+/// for the stale claim it took over, if any.
 fn note_claim(
     shared: &CoordShared,
     claims_issued: &mut u64,
     run_id: &str,
     epoch: &str,
     shard: usize,
-    token: u64,
     owner: &str,
+    grant: &Grant,
 ) {
     *claims_issued += 1;
     shared.recorder.metrics().inc("ayb_coord_claims_total");
+    let event = |severity: Severity, kind: &str| coord_event(severity, kind, run_id, epoch, shard);
+    if let Some(stale) = &grant.taken_over {
+        shared.recorder.emit(
+            event(Severity::Warn, event_kind::SHARD_RECOVER)
+                .fence(stale.token)
+                .detail(format!("stale claim of `{}` taken over", stale.owner)),
+        );
+    }
     shared.recorder.emit(
-        coord_event(
-            Severity::Debug,
-            event_kind::SHARD_CLAIM,
-            run_id,
-            epoch,
-            shard,
-        )
-        .fence(token)
-        .detail(format!("claim granted to `{owner}`")),
+        event(Severity::Debug, event_kind::SHARD_CLAIM)
+            .fence(grant.token)
+            .detail(format!("claim granted to `{owner}`")),
     );
 }
 
@@ -400,6 +407,13 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
     let state = &mut *guard;
     let stale_after = shared.config.stale_after;
     match request {
+        Request::OpenEpoch { shard_count, .. } if shard_count > MAX_EPOCH_SHARDS => {
+            Response::Error {
+                message: format!(
+                    "an epoch of {shard_count} shards exceeds the {MAX_EPOCH_SHARDS}-shard bound"
+                ),
+            }
+        }
         Request::OpenEpoch {
             kind,
             shard_count,
@@ -426,16 +440,15 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
             );
             Response::EpochOpened { epoch }
         }
-        Request::Publish { epoch, shard, work } => match state.epochs.get_mut(&epoch) {
-            Some(slot) => {
-                if shard >= slot.shards.len() {
-                    slot.shards.resize_with(shard + 1, ShardSlot::default);
+        Request::Publish { epoch, shard, work } => {
+            match shard_slot(&mut state.epochs, &epoch, shard) {
+                Some((slot, _)) => {
+                    slot.work = Some(work);
+                    Response::Ok
                 }
-                slot.shards[shard].work = Some(work);
-                Response::Ok
+                None => unknown_shard(&epoch, shard),
             }
-            None => unknown_epoch(&epoch),
-        },
+        }
         Request::TryClaim {
             epoch,
             shard,
@@ -445,12 +458,12 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
                 return unknown_shard(&epoch, shard);
             };
             match slot.grant(&owner, stale_after) {
-                Some(token) => {
+                Some(grant) => {
                     let issued = &mut state.claims_issued;
-                    note_claim(shared, issued, run_id, &epoch, shard, token, &owner);
+                    note_claim(shared, issued, run_id, &epoch, shard, &owner, &grant);
                     Response::ClaimGranted {
                         granted: true,
-                        token,
+                        token: grant.token,
                     }
                 }
                 None => Response::ClaimGranted {
@@ -528,58 +541,35 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
             },
             None => unknown_shard(&epoch, shard),
         },
-        Request::Recover { epoch, shard } => match shard_slot(&mut state.epochs, &epoch, shard) {
-            Some((slot, run_id)) => {
-                let owner = slot.claim.as_ref().map(|claim| claim.owner.clone());
-                let expired = slot.expire_claim(stale_after);
-                if expired {
-                    shared.recorder.emit(
-                        coord_event(
-                            Severity::Warn,
-                            event_kind::SHARD_RECOVER,
-                            run_id,
-                            &epoch,
-                            shard,
-                        )
-                        .detail(format!(
-                            "stale claim of `{}` expired",
-                            owner.unwrap_or_default()
-                        )),
-                    );
-                }
-                Response::Recovered { expired }
-            }
-            None => unknown_shard(&epoch, shard),
-        },
         Request::CloseEpoch { epoch } => {
             state.epochs.remove(&epoch);
             Response::Ok
         }
         Request::ClaimNext { owner } => {
-            let task = state.epochs.iter_mut().find_map(|(name, epoch)| {
+            let claimed = state.epochs.iter_mut().find_map(|(name, epoch)| {
                 epoch
                     .shards
                     .iter_mut()
                     .enumerate()
                     .find_map(|(shard, slot)| {
-                        let token = slot.grant(&owner, stale_after)?;
-                        Some(NetShardTask {
+                        let grant = slot.grant(&owner, stale_after)?;
+                        let task = NetShardTask {
                             run_id: epoch.run_id.clone(),
                             epoch: name.clone(),
                             shard,
-                            token,
+                            token: grant.token,
                             work: slot.work.clone().expect("a granted shard has work"),
                             context: epoch.context.clone(),
-                        })
+                        };
+                        Some((task, grant))
                     })
             });
-            if let Some(task) = &task {
+            let task = claimed.map(|(task, grant)| {
                 let issued = &mut state.claims_issued;
                 let (run_id, epoch) = (&task.run_id, &task.epoch);
-                note_claim(
-                    shared, issued, run_id, epoch, task.shard, task.token, &owner,
-                );
-            }
+                note_claim(shared, issued, run_id, epoch, task.shard, &owner, &grant);
+                task
+            });
             Response::Task { task }
         }
         Request::Stats => Response::Stats {
@@ -602,12 +592,6 @@ fn shard_slot<'a>(
 ) -> Option<(&'a mut ShardSlot, &'a str)> {
     let slot = epochs.get_mut(epoch)?;
     Some((slot.shards.get_mut(shard)?, &slot.run_id))
-}
-
-fn unknown_epoch(epoch: &str) -> Response {
-    Response::Error {
-        message: format!("unknown epoch `{epoch}` (closed, or the coordinator restarted)"),
-    }
 }
 
 fn unknown_shard(epoch: &str, shard: usize) -> Response {
@@ -689,19 +673,19 @@ mod tests {
         std::thread::sleep(Duration::from_millis(25));
         plane.heartbeat(&epoch, 0, first).unwrap();
         std::thread::sleep(Duration::from_millis(25));
-        assert!(
-            !plane.recover(&epoch, 0).unwrap(),
+        assert_eq!(
+            plane.try_claim_token(&epoch, 0, "w2").unwrap(),
+            None,
             "heartbeat kept it fresh"
         );
-        // ...then the worker hangs: the heartbeat lapses and recovery expires
-        // the claim.
+        // ...then the worker hangs: the heartbeat lapses and the next claim
+        // takes the claim over.
         std::thread::sleep(Duration::from_millis(60));
-        assert!(plane.recover(&epoch, 0).unwrap());
         let second = plane
             .try_claim_token(&epoch, 0, "w2")
             .unwrap()
-            .expect("shard reclaimable after expiry");
-        assert!(second > first, "fencing tokens are monotonic per shard");
+            .expect("a stale claim is taken over");
+        assert_eq!(second, first + 1, "a refused claim mints no token");
     }
 
     #[test]
@@ -717,11 +701,10 @@ mod tests {
             .unwrap()
             .expect("zombie claims first");
         std::thread::sleep(Duration::from_millis(60));
-        assert!(plane.recover(&epoch, 0).unwrap(), "hung claim expired");
         let fresh = plane
             .try_claim_token(&epoch, 0, "steward")
             .unwrap()
-            .expect("steward re-claims");
+            .expect("steward takes the hung claim over");
         // The zombie wakes up and submits: rejected, nothing stored.
         let results = eval_outcome(vec![None, None]);
         assert!(!plane
@@ -815,7 +798,6 @@ mod tests {
             .unwrap();
         let zombie = plane.try_claim_token(&epoch, 0, "zombie").unwrap().unwrap();
         std::thread::sleep(Duration::from_millis(60));
-        assert!(plane.recover(&epoch, 0).unwrap());
         let fresh = plane
             .try_claim_token(&epoch, 0, "steward")
             .unwrap()
@@ -875,7 +857,6 @@ mod tests {
             .unwrap();
         let zombie = plane.try_claim_token(&epoch, 0, "zombie").unwrap().unwrap();
         std::thread::sleep(Duration::from_millis(60));
-        assert!(plane.recover(&epoch, 0).unwrap());
         let fresh = plane
             .try_claim_token(&epoch, 0, "steward")
             .unwrap()
@@ -905,6 +886,58 @@ mod tests {
             .histogram("ayb_shard_request_seconds")
             .expect("request latency histogram exists");
         assert_eq!(histogram.count(), plane.stats().requests);
+    }
+
+    #[test]
+    fn malformed_frames_get_errors_and_leave_the_coordinator_serving() {
+        let coordinator = coordinator(Duration::from_secs(60));
+        let plane = transport(&coordinator);
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        let frames = [
+            Request::OpenEpoch {
+                kind: ShardWorkKind::Eval,
+                shard_count: usize::MAX,
+                run_id: String::new(),
+                context: None,
+            },
+            Request::OpenEpoch {
+                kind: ShardWorkKind::Eval,
+                shard_count: MAX_EPOCH_SHARDS + 1,
+                run_id: String::new(),
+                context: None,
+            },
+            Request::Publish {
+                epoch: epoch.clone(),
+                shard: 1,
+                work: eval_work(&[vec![1.0]]),
+            },
+            Request::Publish {
+                epoch: epoch.clone(),
+                shard: usize::MAX,
+                work: eval_work(&[vec![1.0]]),
+            },
+        ];
+        for frame in &frames {
+            let mut stream = TcpStream::connect(coordinator.local_addr()).unwrap();
+            write_frame(&mut stream, frame).unwrap();
+            let response: Response =
+                read_frame(&mut stream).unwrap_or_else(|e| panic!("no response to {frame:?}: {e}"));
+            assert!(
+                matches!(response, Response::Error { .. }),
+                "{frame:?} got {response:?}"
+            );
+        }
+        // An ordinary epoch round trip still succeeds, and the state lock is
+        // not poisoned.
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![1.0]]))
+            .unwrap();
+        assert!(plane.try_claim(&epoch, 0).unwrap());
+        let outcome = eval_outcome(vec![None]);
+        plane.submit_outcome(&epoch, 0, &outcome).unwrap();
+        assert_eq!(plane.fetch_outcome(&epoch, 0).unwrap(), Some(outcome));
+        plane.close_epoch(&epoch).unwrap();
+        assert_eq!(coordinator.stats().epochs, 0);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * **[`Coordinator`]** — a thread-per-connection TCP server owning epoch
 //!   state *in memory*: it opens typed epochs ([`ShardWorkKind`]) of
 //!   [`ShardWork`] payloads, hands out claims stamped with **monotonic
-//!   fencing tokens**, expires claims whose heartbeats lapse, and accepts a
+//!   fencing tokens**, lets the next claim take over a claim whose
+//!   heartbeat lapsed, and accepts a
 //!   shard's result only from the holder of the *highest* token ever issued
 //!   for that shard — a late write from a stolen (hung, then superseded)
 //!   claim is rejected, not merged;

@@ -389,16 +389,6 @@ impl ShardTransport for TcpTransport {
         }
     }
 
-    fn recover(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
-        match self.call(&Request::Recover {
-            epoch: epoch.to_string(),
-            shard,
-        })? {
-            Response::Recovered { expired } => Ok(expired),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
     fn close_epoch(&self, epoch: &str) -> Result<(), ShardError> {
         match self.call(&Request::CloseEpoch {
             epoch: epoch.to_string(),

@@ -22,6 +22,12 @@ use serde::{Deserialize, Serialize, Value};
 /// than the allocation attempted.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
+/// Hard upper bound on one epoch's shard count (65 536), far above any
+/// flow's: a paper-scale generation or variation stage has a few hundred
+/// shards at most. A peer asking for more is malformed or hostile; it gets
+/// a [`Response::Error`] rather than the allocation attempted.
+pub const MAX_EPOCH_SHARDS: usize = 65_536;
+
 /// Writes one frame: 4-byte big-endian length, then the JSON payload.
 ///
 /// # Errors
@@ -76,22 +82,23 @@ pub fn read_frame<T: Deserialize>(stream: &mut TcpStream) -> io::Result<T> {
 /// A request frame, client → coordinator. One request per connection.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
-    /// Opens a new typed epoch of `shard_count` shards (the count may grow
-    /// via [`Request::Publish`]). `run_id` and `context` travel to workers
+    /// Opens a new typed epoch of `shard_count` shards, at most
+    /// [`MAX_EPOCH_SHARDS`]. `run_id` and `context` travel to workers
     /// verbatim through [`Request::ClaimNext`]; the context is the run's
     /// serialized flow configuration, which is what lets a worker rebuild
     /// the sizing problem with no access to the run store.
     OpenEpoch {
         /// The stage this epoch belongs to (evaluation or variation).
         kind: ShardWorkKind,
-        /// Number of shards the epoch starts with.
+        /// Number of shards in the epoch.
         shard_count: usize,
         /// The submitting run's identifier (diagnostics, worker events).
         run_id: String,
         /// Opaque submitter context forwarded to workers (the flow config).
         context: Option<Value>,
     },
-    /// Publishes shard `shard`'s work payload into `epoch`.
+    /// Publishes shard `shard`'s work payload into `epoch`; a shard outside
+    /// the epoch's `0..shard_count` gets a [`Response::Error`].
     Publish {
         /// Epoch identifier from [`Response::EpochOpened`].
         epoch: String,
@@ -100,8 +107,10 @@ pub enum Request {
         /// The typed work payload.
         work: ShardWork,
     },
-    /// Attempts to claim shard `shard` of `epoch` for `owner`. Granted
-    /// claims carry a fencing token (see [`Response::ClaimGranted`]).
+    /// Attempts to claim shard `shard` of `epoch` for `owner`, by the claim
+    /// rule of [`ShardTransport`](ayb_moo::ShardTransport): a stale claim is
+    /// taken over. Granted claims carry a fencing token (see
+    /// [`Response::ClaimGranted`]).
     TryClaim {
         /// Epoch identifier.
         epoch: String,
@@ -111,7 +120,7 @@ pub enum Request {
         owner: String,
     },
     /// Refreshes the heartbeat of the claim holding `token` on a shard.
-    /// A mismatched token is ignored: the claim was already stolen.
+    /// A mismatched token is ignored: the claim was already taken over.
     Heartbeat {
         /// Epoch identifier.
         epoch: String,
@@ -122,7 +131,8 @@ pub enum Request {
     },
     /// Submits shard `shard`'s outcome under fencing token `token`. The
     /// coordinator accepts it only if `token` is the *highest* token ever
-    /// issued for the shard — a zombie whose claim was stolen is fenced off.
+    /// issued for the shard — a zombie whose claim was taken over is fenced
+    /// off.
     Submit {
         /// Epoch identifier.
         epoch: String,
@@ -140,22 +150,14 @@ pub enum Request {
         /// Shard index within the epoch.
         shard: usize,
     },
-    /// Expires shard `shard`'s claim if its heartbeat lapsed, freeing the
-    /// shard for re-claiming (at a higher token).
-    Recover {
-        /// Epoch identifier.
-        epoch: String,
-        /// Shard index within the epoch.
-        shard: usize,
-    },
     /// Drops the epoch and all its state; the batch has been assembled.
     CloseEpoch {
         /// Epoch identifier.
         epoch: String,
     },
-    /// Worker entry point: atomically finds *any* open epoch with an
-    /// unclaimed, unfinished shard, claims it for `owner`, and returns the
-    /// work plus everything needed to service it store-free.
+    /// Worker entry point: atomically finds *any* open epoch with a shard the
+    /// claim rule grants, claims it for `owner`, and returns the work plus
+    /// everything needed to service it store-free.
     ClaimNext {
         /// Label of the claiming worker (diagnostics).
         owner: String,
@@ -179,7 +181,6 @@ impl Request {
             Request::Heartbeat { .. } => "heartbeat",
             Request::Submit { .. } => "submit",
             Request::Fetch { .. } => "fetch",
-            Request::Recover { .. } => "recover",
             Request::CloseEpoch { .. } => "close_epoch",
             Request::ClaimNext { .. } => "claim_next",
             Request::Stats => "stats",
@@ -215,11 +216,6 @@ pub enum Response {
     Outcome {
         /// The shard's result, if one has been accepted.
         outcome: Option<ShardOutcome>,
-    },
-    /// Outcome of a [`Request::Recover`].
-    Recovered {
-        /// Whether a stale claim was expired.
-        expired: bool,
     },
     /// Outcome of a [`Request::ClaimNext`].
     Task {

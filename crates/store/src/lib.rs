@@ -290,7 +290,6 @@ fn take_claim_file(dir: &Path, path: &Path, info: &ClaimInfo) -> Result<bool, St
     }
 }
 
-/// Reads the claim at `path`, `None` when no claim exists.
 /// Mints the next fencing token from a fence file (a JSON counter living
 /// next to the claim file it fences): reads the current value (0 when the
 /// file does not exist yet), advances it, writes it back atomically and
@@ -316,6 +315,7 @@ pub fn next_fence(fence_path: &Path) -> Result<u64, StoreError> {
     Ok(fence)
 }
 
+/// Reads the claim at `path`, `None` when no claim exists.
 fn read_claim_file(path: &Path) -> Result<Option<ClaimInfo>, StoreError> {
     match fs::read_to_string(path) {
         Ok(text) => serde_json::from_str(&text)
@@ -1452,8 +1452,10 @@ pub enum ClaimHealth {
     /// from anywhere.
     Alive,
     /// The holder's pid is alive on this host but its heartbeat went stale:
-    /// the process is hung (or never heartbeats). Not safe to steal — it may
-    /// wake up — but worth surfacing to operators.
+    /// the process is hung (or never heartbeats), and may yet wake up. Shard
+    /// claims and recovery passes steal it, because their holders' writes
+    /// are fenced ([`ClaimInfo::fence`]); a resume does not
+    /// ([`RunHandle::stale_claim`]).
     Hung,
     /// The holder is provably (or presumably) gone: dead pid on this host,
     /// or a foreign-host claim whose heartbeat went stale. Recovery may

@@ -20,17 +20,17 @@
 //! has assembled every shard's results. Claims use the same atomic
 //! hard-link lock files as run claims, so any number of worker processes —
 //! `ayb serve` on this machine or on other hosts mounting the same store —
-//! race safely for shards: exactly one wins each, and a worker that dies
-//! mid-shard is recovered (its claim broken, the shard re-evaluated) without
-//! changing any result, because candidate evaluation is pure and results are
-//! written atomically.
+//! race safely for shards: exactly one wins each, and the claim of a worker
+//! that dies or hangs mid-shard is taken over by the shard's next claim once
+//! it goes stale, without changing any result, because candidate evaluation
+//! is pure and results are written atomically.
 //!
 //! [`ShardDataPlane`] is the submitter's view — it implements
 //! [`ayb_moo::ShardTransport`], the one typed interface both the sharded
 //! evaluator and the variation stage drive. [`ShardTask`] /
 //! [`Store::open_shard_tasks`] are the worker's view: scan, claim, service,
 //! submit. Both views claim and commit through the same two helpers, so the
-//! fencing rules exist once on disk.
+//! claim rule of [`ayb_moo::ShardTransport`] exists once on disk.
 //!
 //! ```
 //! use ayb_store::ShardDataPlane;
@@ -54,7 +54,10 @@ use crate::{
     break_claim_file, file_mtime_age, io_error, next_fence, read_claim_file, read_json,
     take_claim_file, write_json, ClaimHealth, ClaimInfo, RunHandle, RunStatus, Store, StoreError,
 };
-use ayb_moo::{ShardError, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind, TransportStats};
+use ayb_moo::{
+    ShardError, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind, TransportStats,
+    SHARD_CLAIM_STALE_AFTER,
+};
 use ayb_obs::{kind as event_kind, Event, Recorder, Severity};
 use std::collections::HashMap;
 use std::fs;
@@ -96,27 +99,48 @@ fn parse_task_name(name: &str) -> Option<usize> {
         .ok()
 }
 
-/// Claims shard `shard` of the epoch in `epoch_dir` for `owner`: mints the
-/// shard's next fence and takes its claim file stamped with it. `Ok(None)`
-/// is a lost race — or an epoch disposed of in the meantime, which is the
-/// same clean miss.
+/// Claims shard `shard` of the epoch in `epoch_dir` for `owner` by the
+/// claim rule of [`ShardTransport`]: a shard with a result, without a task
+/// or with a live claim is refused before anything is minted; a claim whose
+/// holder is [`ClaimHealth::Hung`] or [`ClaimHealth::Dead`] by
+/// `stale_after` is broken (compare-and-delete). Then the shard's next fence
+/// is minted and the claim file taken stamped with it. Returns the new claim
+/// and the stale claim it took over; `Ok(None)` is a refusal, a lost race —
+/// or an epoch disposed of in the meantime, which is the same clean miss.
 fn claim_shard(
     epoch_dir: &Path,
     shard: usize,
     owner: &str,
-) -> Result<Option<ClaimInfo>, StoreError> {
+    stale_after: Duration,
+) -> Result<Option<(ClaimInfo, Option<ClaimInfo>)>, StoreError> {
+    if epoch_dir.join(result_name(shard)).is_file() || !epoch_dir.join(task_name(shard)).is_file() {
+        return Ok(None);
+    }
+    let path = epoch_dir.join(claim_name(shard));
+    let taken_over = match read_claim_file(&path)? {
+        Some(held) => {
+            let age = file_mtime_age(&path).unwrap_or(Duration::MAX);
+            if held.health(age, stale_after) == ClaimHealth::Alive
+                || !break_claim_file(epoch_dir, &path, &held)?
+            {
+                return Ok(None);
+            }
+            Some(held)
+        }
+        None => None,
+    };
     let Ok(fence) = next_fence(&epoch_dir.join(fence_name(shard))) else {
         return Ok(None);
     };
     let info = ClaimInfo::for_this_process(owner).with_fence(fence);
-    let taken = take_claim_file(epoch_dir, &epoch_dir.join(claim_name(shard)), &info)?;
-    Ok(taken.then_some(info))
+    let taken = take_claim_file(epoch_dir, &path, &info)?;
+    Ok(taken.then_some((info, taken_over)))
 }
 
 /// Commits shard `shard`'s outcome and releases the claim — *unless* the
-/// claim this writer took (`mine`) has changed hands since (its holder was
-/// presumed hung and a recovery pass superseded it): then nothing is
-/// written and `Ok(false)` says the outcome was fenced off. The thief's own
+/// claim this writer took (`mine`) has changed hands since (its holder went
+/// stale and a later claim took it over): then nothing is written and
+/// `Ok(false)` says the outcome was fenced off. The thief's own
 /// outcome is identical by determinism, and a fenced-off writer must never
 /// overwrite anything. A filesystem cannot make the re-check and the write
 /// one atomic step (the TCP coordinator's token check can, and does), but
@@ -172,9 +196,9 @@ pub struct ShardDataPlane {
 
 impl ShardDataPlane {
     /// Opens a shard plane rooted at `dir` (usually
-    /// `runs/<id>/shards`, via [`RunHandle::shard_plane`]); shard claims
-    /// whose holder cannot be probed are considered dead once their
-    /// heartbeat is older than `stale_after`.
+    /// `runs/<id>/shards`, via [`RunHandle::shard_plane`]); this plane's
+    /// claims take over a shard claim whose heartbeat is older than
+    /// `stale_after`, or whose holder is dead.
     pub fn open(dir: impl Into<PathBuf>, stale_after: Duration) -> ShardDataPlane {
         let dir = dir.into();
         let run_id = dir
@@ -259,12 +283,27 @@ impl ShardTransport for ShardDataPlane {
         write_json(&path, work).map_err(transport_error)
     }
 
+    /// Claims by the rule of [`ShardTransport`]; a claim that takes over a
+    /// stale claim reports `shard_recover` with that claim's fence and owner
+    /// before its own `shard_claim`.
     fn try_claim(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
-        let claimed = claim_shard(&self.epoch_dir(epoch), shard, "shard-submitter")
-            .map_err(transport_error)?;
-        let Some(info) = claimed else {
+        let claimed = claim_shard(
+            &self.epoch_dir(epoch),
+            shard,
+            "shard-submitter",
+            self.stale_after,
+        )
+        .map_err(transport_error)?;
+        let Some((info, taken_over)) = claimed else {
             return Ok(false);
         };
+        if let Some(stale) = taken_over {
+            self.emit(
+                self.shard_event(Severity::Warn, event_kind::SHARD_RECOVER, epoch, shard)
+                    .fence(stale.fence)
+                    .detail(format!("stale claim of `{}` taken over", stale.owner)),
+            );
+        }
         self.emit(
             self.shard_event(Severity::Debug, event_kind::SHARD_CLAIM, epoch, shard)
                 .fence(info.fence),
@@ -335,35 +374,6 @@ impl ShardTransport for ShardDataPlane {
             return Ok(None);
         }
         read_json(&path).map(Some).map_err(transport_error)
-    }
-
-    fn recover(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
-        let dir = self.epoch_dir(epoch);
-        let path = dir.join(claim_name(shard));
-        let Some(claim) = read_claim_file(&path).map_err(transport_error)? else {
-            return Ok(false);
-        };
-        let age = file_mtime_age(&path).unwrap_or(Duration::MAX);
-        // Shard claims may be broken more aggressively than run claims:
-        // duplicate shard evaluation is benign (pure function, atomic result
-        // writes), so even a *hung* local holder is recovered once its claim
-        // goes stale — the batch must not wedge behind it.
-        let stale = match claim.health(age, self.stale_after) {
-            ClaimHealth::Alive => false,
-            ClaimHealth::Hung | ClaimHealth::Dead => true,
-        };
-        if !stale {
-            return Ok(false);
-        }
-        let broken = break_claim_file(&dir, &path, &claim).map_err(transport_error)?;
-        if broken {
-            self.emit(
-                self.shard_event(Severity::Warn, event_kind::SHARD_RECOVER, epoch, shard)
-                    .fence(claim.fence)
-                    .detail(format!("stale claim of `{}` broken", claim.owner)),
-            );
-        }
-        Ok(broken)
     }
 
     fn close_epoch(&self, epoch: &str) -> Result<(), ShardError> {
@@ -559,16 +569,19 @@ impl ShardTask {
     }
 
     /// Atomically claims the shard for evaluation by this process, minting a
-    /// fencing token for the claim (see [`ClaimInfo::fence`]). Returns
-    /// `false` when another worker already holds it — or the epoch has been
-    /// disposed of in the meantime.
+    /// fencing token for the claim (see [`ClaimInfo::fence`]), by the same
+    /// rule as [`ShardDataPlane`]'s claims with the flow's
+    /// [`SHARD_CLAIM_STALE_AFTER`] bound. Returns `false` when the rule
+    /// refuses it: another worker holds a live claim, the shard is finished,
+    /// or the epoch has been disposed of in the meantime.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`]/[`StoreError::Json`] on filesystem
     /// failures other than the ordinary lost race.
     pub fn try_claim(&mut self, owner: &str) -> Result<bool, StoreError> {
-        let Some(info) = claim_shard(&self.epoch_dir, self.shard, owner)? else {
+        let claimed = claim_shard(&self.epoch_dir, self.shard, owner, SHARD_CLAIM_STALE_AFTER)?;
+        let Some((info, _)) = claimed else {
             return Ok(false);
         };
         self.claimed = Some(info);
@@ -576,7 +589,7 @@ impl ShardTask {
     }
 
     /// Starts a heartbeat on this shard's claim (see [`crate::ClaimHeartbeat`]),
-    /// protecting a slow evaluation from aggressive recovery.
+    /// so a slow evaluation never goes stale and is not taken over.
     pub fn start_claim_heartbeat(&self, interval: Duration) -> crate::ClaimHeartbeat {
         crate::ClaimHeartbeat::start(self.claim_path(), interval)
     }
@@ -601,8 +614,8 @@ impl ShardTask {
 
     /// Atomically writes the shard's typed outcome and releases this
     /// worker's claim. Returns whether the result was accepted: `false`
-    /// means this worker's claim was stolen while it worked (it was presumed
-    /// hung and superseded) and the result was **discarded** — the thief
+    /// means this worker's claim was taken over while it worked (it went
+    /// stale) and the result was **discarded** — the thief
     /// re-services the shard with an identical outcome, so the caller
     /// treats this as a skip, not a failure.
     ///
@@ -637,9 +650,9 @@ impl Store {
     /// (run, epoch, shard) order.
     ///
     /// Workers iterate the list and [`ShardTask::try_claim`] each candidate;
-    /// a lost race simply moves on to the next. Shards whose claim holder
-    /// died are re-offered once the submitter's recovery pass breaks the
-    /// stale claim.
+    /// a lost race simply moves on to the next. A shard whose claim holder
+    /// died is not offered: the submitter's next claim of it takes the
+    /// stale claim over.
     ///
     /// # Errors
     ///
@@ -775,14 +788,15 @@ mod tests {
         let outcome = eval_outcome(vec![evaluation(0.1), None]);
         plane.submit_outcome(&epoch, 0, &outcome).unwrap();
         assert_eq!(plane.fetch_outcome(&epoch, 0).unwrap(), Some(outcome));
-        // Submitting released the claim.
-        assert!(plane.try_claim(&epoch, 0).unwrap());
+        // Submitting released the claim, and a finished shard is not
+        // claimable again.
+        assert!(!plane.try_claim(&epoch, 0).unwrap());
 
         let summary = run.shard_summary().unwrap();
         assert_eq!(summary.epochs, 1);
         assert_eq!(summary.tasks, 2);
         assert_eq!(summary.completed, 1);
-        assert_eq!(summary.claimed, 1);
+        assert_eq!(summary.claimed, 0);
 
         plane.close_epoch(&epoch).unwrap();
         assert_eq!(run.shard_summary().unwrap(), ShardSummary::default());
@@ -850,16 +864,10 @@ mod tests {
             .unwrap();
         assert!(zombie.try_claim(&epoch, 0).unwrap());
 
-        // The zombie's heartbeat lapses; a recovery pass breaks its claim
-        // and a steward re-claims the shard at a higher fence.
-        let claim_path = root
-            .join("runs")
-            .join(run.id())
-            .join("shards")
-            .join(&epoch)
-            .join(claim_name(0));
-        fs::remove_file(&claim_path).unwrap();
-        let steward = run.shard_plane(Duration::from_secs(30));
+        // The zombie's heartbeat lapses past the steward's bound, so the
+        // steward's claim takes the shard over at a higher fence.
+        let steward = run.shard_plane(Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(80));
         assert!(steward.try_claim(&epoch, 0).unwrap());
 
         // The zombie wakes up and submits: discarded, not written.
@@ -894,7 +902,8 @@ mod tests {
         let mut tasks = store.open_shard_tasks().unwrap();
         assert!(tasks[0].try_claim("worker-hung").unwrap());
 
-        // Recovery steals the hung worker's claim; a rival re-claims it.
+        // The hung worker's claim is broken, as a takeover breaks it, and a
+        // rival claims the shard.
         let claim_path = root
             .join("runs")
             .join(run.id())
@@ -948,14 +957,17 @@ mod tests {
     fn dead_worker_shard_claims_are_recovered() {
         let (root, store) = temp_store();
         let run = running_run(&store);
-        let plane = run.shard_plane(Duration::from_secs(30));
+        let recorder = Recorder::new();
+        let plane = run
+            .shard_plane(Duration::from_secs(30))
+            .with_recorder(recorder.clone());
         let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
         plane
             .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
             .unwrap();
 
         // Forge a claim from a dead process on this host (no Linux pid is
-        // ever u32::MAX).
+        // ever u32::MAX), at fence 1.
         let dead = ClaimInfo {
             owner: "dead-shard-worker".to_string(),
             pid: u32::MAX,
@@ -963,15 +975,32 @@ mod tests {
             claimed_unix: crate::now_unix(),
             fence: 1,
         };
-        let claim_path = run.shards_dir().join(&epoch).join(claim_name(0));
-        crate::write_json(&claim_path, &dead).unwrap();
-        assert!(!plane.try_claim(&epoch, 0).unwrap(), "claim is held");
+        let epoch_dir = run.shards_dir().join(&epoch);
+        crate::write_json(&epoch_dir.join(fence_name(0)), &1u64).unwrap();
+        crate::write_json(&epoch_dir.join(claim_name(0)), &dead).unwrap();
 
-        // Recovery breaks the dead claim; the shard is claimable again.
-        assert!(plane.recover(&epoch, 0).unwrap());
+        // The next claim takes the dead claim over at the next fence and
+        // reports the takeover.
         assert!(plane.try_claim(&epoch, 0).unwrap());
-        // A live claim (ours) is never recovered: fresh heartbeat, live pid.
-        assert!(!plane.recover(&epoch, 0).unwrap());
+        let held = read_claim_file(&epoch_dir.join(claim_name(0))).unwrap();
+        assert_eq!(
+            held.map(|claim| (claim.pid, claim.fence)),
+            Some((std::process::id(), 2))
+        );
+        let recovered: Vec<_> = recorder
+            .recent()
+            .into_iter()
+            .filter(|event| event.kind == event_kind::SHARD_RECOVER)
+            .collect();
+        assert_eq!(recovered.len(), 1);
+        assert_eq!(recovered[0].fence, Some(1));
+        assert!(recovered[0].detail.contains("dead-shard-worker"));
+        // A live claim (ours) is never taken over: fresh heartbeat, live pid.
+        assert!(!plane.try_claim(&epoch, 0).unwrap());
+        assert!(!run
+            .shard_plane(Duration::from_secs(30))
+            .try_claim(&epoch, 0)
+            .unwrap());
         let _ = fs::remove_dir_all(root);
     }
 
@@ -996,10 +1025,9 @@ mod tests {
         crate::write_json(&claim_path, &foreign).unwrap();
 
         // Fresh heartbeat: the foreign worker is presumed alive.
-        assert!(!plane.recover(&epoch, 0).unwrap());
-        // Stale heartbeat: presumed dead, claim broken.
+        assert!(!plane.try_claim(&epoch, 0).unwrap());
+        // Stale heartbeat: presumed dead, claim taken over.
         std::thread::sleep(Duration::from_millis(80));
-        assert!(plane.recover(&epoch, 0).unwrap());
         assert!(plane.try_claim(&epoch, 0).unwrap());
         let _ = fs::remove_dir_all(root);
     }
@@ -1124,10 +1152,12 @@ mod tests {
         let plane = run
             .shard_plane(Duration::from_secs(30))
             .with_recorder(recorder.clone());
-        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
-        plane
-            .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
-            .unwrap();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 2).unwrap();
+        for shard in 0..2 {
+            plane
+                .publish_work(&epoch, shard, &eval_work(&[vec![0.5]]))
+                .unwrap();
+        }
         assert!(plane.try_claim(&epoch, 0).unwrap());
 
         // Steal the claim; the plane's own submit must be fenced and the
@@ -1160,12 +1190,9 @@ mod tests {
         );
 
         // A clean claim/submit cycle feeds the claim-to-submit histogram.
-        thief
-            .submit_outcome(&epoch, 0, &eval_outcome(vec![evaluation(0.5)]))
-            .unwrap();
-        assert!(plane.try_claim(&epoch, 0).unwrap());
+        assert!(plane.try_claim(&epoch, 1).unwrap());
         plane
-            .submit_outcome(&epoch, 0, &eval_outcome(vec![evaluation(0.5)]))
+            .submit_outcome(&epoch, 1, &eval_outcome(vec![evaluation(0.5)]))
             .unwrap();
         let histogram = recorder
             .metrics()

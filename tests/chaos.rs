@@ -548,8 +548,8 @@ fn poisoned_outcome(work: &ShardWork) -> ShardOutcome {
 #[test]
 fn hung_tcp_claim_is_stolen_and_the_late_zombie_write_is_fenced_off() {
     let expected = reference_digest();
-    // An aggressive steal threshold, so the hung claim is recovered at the
-    // driver's next recovery pass instead of a minute later.
+    // An aggressive stale bound, so the flow's next claim of the shard
+    // takes the hung claim over instead of a minute later.
     let coordinator = Coordinator::bind(
         "127.0.0.1:0",
         CoordinatorConfig {

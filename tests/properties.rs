@@ -244,7 +244,7 @@ proptest! {
     ) {
         use ayb_moo::{
             FnProblem, GaConfig, ObjectiveSpec, OptimizerConfig, ShardedEvaluator,
-            ShardingOptions, WithEvaluator,
+            WithEvaluator,
         };
         use ayb_store::ShardDataPlane;
         use std::time::Duration;
@@ -276,10 +276,7 @@ proptest! {
             let plane = ShardDataPlane::open(&dir, Duration::from_secs(30));
             let sharded_problem = WithEvaluator::new(
                 &problem,
-                ShardedEvaluator::new(
-                    std::sync::Arc::new(plane),
-                    ShardingOptions::with_shard_size(shard_size),
-                ),
+                ShardedEvaluator::new(std::sync::Arc::new(plane), shard_size),
             );
             let sharded = config.run(&sharded_problem);
             let _ = std::fs::remove_dir_all(&dir);
@@ -475,7 +472,7 @@ proptest! {
     ) {
         use ayb_moo::{
             FnProblem, GaConfig, ObjectiveSpec, OptimizerConfig, ShardedEvaluator,
-            ShardingOptions, WithEvaluator,
+            WithEvaluator,
         };
         use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 
@@ -503,10 +500,7 @@ proptest! {
             let transport = TcpTransport::connect(coordinator.local_addr().to_string());
             let sharded_problem = WithEvaluator::new(
                 &problem,
-                ShardedEvaluator::new(
-                    std::sync::Arc::new(transport),
-                    ShardingOptions::with_shard_size(shard_size),
-                ),
+                ShardedEvaluator::new(std::sync::Arc::new(transport), shard_size),
             );
             let sharded = config.run(&sharded_problem);
 

@@ -6,15 +6,20 @@
 //! claims are recovered. The same holds for the sharded Monte Carlo
 //! variation stage (one task per Pareto point), and a flow interrupted
 //! mid-variation resumes from its per-point checkpoints without re-analysing
-//! completed points.
+//! completed points. Both shard planes, disk and TCP, follow one claim rule.
 
 use ayb_core::{
     AybError, FlowBuilder, FlowConfig, FlowObserver, FlowResult, FlowStage, VariationBoundary,
     VariationHaltHook,
 };
 use ayb_jobs::{JobServer, JobServerConfig};
-use ayb_moo::CheckpointError;
-use ayb_store::{RunStatus, ShardSummary, Store};
+use ayb_moo::{
+    CheckpointError, Evaluation, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind,
+    SHARD_CLAIM_STALE_AFTER,
+};
+use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
+use ayb_obs::{kind as event_kind, Recorder};
+use ayb_store::{RunStatus, ShardDataPlane, ShardSummary, Store};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -442,4 +447,219 @@ fn variation_stage_shards_across_processes_and_survives_a_sigkilled_worker() {
     assert_eq!(handle.shard_summary().unwrap(), ShardSummary::default());
     assert_eq!(stored_digest(&store, &run_id), expected);
     let _ = std::fs::remove_dir_all(root);
+}
+
+/// A client of the claim-rule script: two of them, as two processes would
+/// hold them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Who {
+    A,
+    B,
+}
+
+/// One step of a claim-rule script.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// The client claims a shard (0 is published, 1 is not).
+    Claim(Who, usize),
+    /// The client submits shard 0's outcome, which names it.
+    Submit(Who),
+    /// The holder goes stale: the script sleeps past the stale bound without
+    /// a heartbeat.
+    GoStale,
+}
+
+/// What a plane showed after one step: the claim granted or the submit
+/// accepted, the granted claim's token (0 otherwise), who the fetched
+/// outcome of shard 0 names, and the plane's `shard_recover` count so far.
+type Seen = (bool, u64, Option<Who>, usize);
+
+/// A named script, the stale bound it runs with, and what the claim rule
+/// says each step shows.
+type Script = (&'static str, Duration, Vec<(Step, Seen)>);
+
+/// One shard plane with the two clients of a script.
+struct RulePlane {
+    name: &'static str,
+    clients: [Box<dyn ShardTransport>; 2],
+    /// The clients' own events; a granted claim's token is on its
+    /// `shard_claim` event.
+    claims: Recorder,
+    /// Where the plane reports `shard_recover`.
+    takeovers: Recorder,
+    _coordinator: Option<Coordinator>,
+}
+
+fn disk_rule_plane(dir: &std::path::Path, stale_after: Duration) -> RulePlane {
+    let recorder = Recorder::new();
+    let client = || -> Box<dyn ShardTransport> {
+        Box::new(ShardDataPlane::open(dir, stale_after).with_recorder(recorder.clone()))
+    };
+    RulePlane {
+        name: "disk",
+        clients: [client(), client()],
+        claims: recorder.clone(),
+        takeovers: recorder.clone(),
+        _coordinator: None,
+    }
+}
+
+fn tcp_rule_plane(stale_after: Duration) -> RulePlane {
+    let coordinator = Coordinator::bind("127.0.0.1:0", CoordinatorConfig { stale_after })
+        .expect("coordinator binds an ephemeral port");
+    let recorder = Recorder::new();
+    let client = || -> Box<dyn ShardTransport> {
+        let transport = TcpTransport::from_url(&coordinator.url()).expect("coordinator URL");
+        Box::new(transport.with_recorder(recorder.clone()))
+    };
+    RulePlane {
+        name: "tcp",
+        clients: [client(), client()],
+        claims: recorder.clone(),
+        takeovers: coordinator.recorder().clone(),
+        _coordinator: Some(coordinator),
+    }
+}
+
+fn outcome_of(who: Who) -> ShardOutcome {
+    let tag = match who {
+        Who::A => 1.0,
+        Who::B => 2.0,
+    };
+    ShardOutcome::Eval {
+        results: vec![Some(Evaluation::new(vec![tag], vec![tag]))],
+    }
+}
+
+/// Runs `script` on a fresh two-shard epoch of `plane` (shard 0 published,
+/// shard 1 not) and returns what each step showed.
+fn run_claim_script(plane: &RulePlane, script: &[Step], stale_after: Duration) -> Vec<Seen> {
+    let client = |who: Who| &plane.clients[who as usize];
+    let count = |recorder: &Recorder, kind: &str| {
+        let events = recorder.recent();
+        events.iter().filter(|event| event.kind == kind).count()
+    };
+    let epoch = client(Who::A)
+        .open_typed_epoch(ShardWorkKind::Eval, 2)
+        .unwrap();
+    let work = ShardWork::Eval {
+        parameters: vec![vec![0.5]],
+    };
+    client(Who::A).publish_work(&epoch, 0, &work).unwrap();
+    let seen = script
+        .iter()
+        .map(|&step| {
+            let (ok, token) = match step {
+                Step::Claim(who, shard) => {
+                    let granted = client(who).try_claim(&epoch, shard).unwrap();
+                    let events = plane.claims.recent();
+                    let claim = events
+                        .iter()
+                        .rev()
+                        .find(|event| event.kind == event_kind::SHARD_CLAIM);
+                    let token = claim.and_then(|event| event.fence).filter(|_| granted);
+                    (granted, token.unwrap_or(0))
+                }
+                Step::Submit(who) => {
+                    let fenced = client(who).stats().fenced_rejections;
+                    client(who)
+                        .submit_outcome(&epoch, 0, &outcome_of(who))
+                        .unwrap();
+                    (client(who).stats().fenced_rejections == fenced, 0)
+                }
+                Step::GoStale => {
+                    std::thread::sleep(stale_after + Duration::from_millis(30));
+                    (true, 0)
+                }
+            };
+            let fetched = client(Who::A).fetch_outcome(&epoch, 0).unwrap();
+            let named = [Who::A, Who::B]
+                .into_iter()
+                .find(|&who| fetched.as_ref() == Some(&outcome_of(who)));
+            (
+                ok,
+                token,
+                named,
+                count(&plane.takeovers, event_kind::SHARD_RECOVER),
+            )
+        })
+        .collect();
+    client(Who::A).close_epoch(&epoch).unwrap();
+    seen
+}
+
+/// The claim rule of `ShardTransport`, scripted step by step on the disk
+/// plane and on a live coordinator over TCP: both must show the same grant,
+/// token, acceptance, fetched outcome and `shard_recover` count at every
+/// step. A holder goes stale by sleeping past a 50 ms bound; the script
+/// whose holder must stay live uses the flow's bound, so a slow host cannot
+/// turn it stale mid-script.
+#[test]
+fn both_shard_planes_follow_one_claim_rule() {
+    use Step::{Claim, GoStale, Submit};
+    use Who::{A, B};
+    let short = Duration::from_millis(50);
+    let refused = (false, 0, None, 0);
+    let scripts: [Script; 4] = [
+        (
+            "refused claims mint nothing; a finished shard is not claimable",
+            SHARD_CLAIM_STALE_AFTER,
+            vec![
+                (Claim(A, 0), (true, 1, None, 0)),
+                (Claim(B, 0), refused),
+                (Claim(B, 0), refused),
+                (Claim(B, 0), refused),
+                (Submit(A), (true, 0, Some(A), 0)),
+                (Claim(B, 0), (false, 0, Some(A), 0)),
+            ],
+        ),
+        (
+            "a stale claim is taken over and its late submit fenced off",
+            short,
+            vec![
+                (Claim(A, 0), (true, 1, None, 0)),
+                (GoStale, (true, 0, None, 0)),
+                (Claim(B, 0), (true, 2, None, 1)),
+                (Submit(A), (false, 0, None, 1)),
+                (Submit(B), (true, 0, Some(B), 1)),
+            ],
+        ),
+        (
+            "a stale claim nobody took over still submits",
+            short,
+            vec![
+                (Claim(A, 0), (true, 1, None, 0)),
+                (GoStale, (true, 0, None, 0)),
+                (Submit(A), (true, 0, Some(A), 0)),
+            ],
+        ),
+        (
+            "an unpublished shard is not claimable",
+            short,
+            vec![(Claim(A, 1), refused)],
+        ),
+    ];
+    let (root, _store) = temp_store("claim-rule");
+    let mut mismatches = Vec::new();
+    for (index, (name, stale_after, rows)) in scripts.iter().enumerate() {
+        let steps: Vec<Step> = rows.iter().map(|(step, _)| *step).collect();
+        let expected: Vec<Seen> = rows.iter().map(|(_, seen)| *seen).collect();
+        let dir = root.join(format!("script-{index}"));
+        for plane in [
+            disk_rule_plane(&dir, *stale_after),
+            tcp_rule_plane(*stale_after),
+        ] {
+            let seen = run_claim_script(&plane, &steps, *stale_after);
+            for ((step, want), got) in steps.iter().zip(&expected).zip(&seen) {
+                if want != got {
+                    mismatches.push(format!(
+                        "{} plane, {name}: {step:?} showed {got:?}, the rule says {want:?}",
+                        plane.name
+                    ));
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(root);
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

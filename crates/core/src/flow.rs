@@ -34,8 +34,8 @@
 //! [`FlowResult`] is persisted, and an interrupted run is continued with
 //! [`FlowBuilder::resume`] — producing a result bit-identical to the
 //! same-seed uninterrupted run (see `tests/resumable_flow.rs`). That holds
-//! for a killed process too: the resume breaks the claim its dead holder
-//! left behind.
+//! for a killed or hung process too: the resume's claim takes over the
+//! stale claim its holder left behind.
 //!
 //! One private run session carries a run through the three stage types:
 //! it reports every stage boundary, checkpoint, point and degradation to
@@ -56,10 +56,7 @@ use ayb_moo::{
 use ayb_net::TcpTransport;
 use ayb_obs::{kind as event_kind, Event, EventSink, JsonlSink, Recorder, Severity, SinkGuard};
 use ayb_process::{montecarlo, Summary};
-use ayb_store::{
-    ClaimHeartbeat, ClaimInfo, Manifest, RunHandle, RunStatus, Store, StoreError,
-    CLAIM_MAX_HEARTBEAT_AGE,
-};
+use ayb_store::{ClaimHeartbeat, ClaimInfo, Manifest, RunHandle, RunStatus, Store, StoreError};
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -851,12 +848,13 @@ impl FlowBuilder {
         // Open (resume) or create the durable run when a store is attached.
         // Either way the run is *claimed* for the whole execution: a second
         // process resuming (or a job-server worker picking up) the same run
-        // fails fast with `StoreError::RunClaimed` instead of silently
-        // executing it twice. The session releases the claim at every exit.
+        // fails fast with `StoreError::RunClaimed` while the holder is live,
+        // and takes a dead or hung holder's claim over. The session releases
+        // the claim at every exit.
         let owner = claim_owner.unwrap_or_else(|| format!("flow-{}", std::process::id()));
         let resume_checkpoint = match (store, resume_from) {
             (_, Some((handle, checkpoint))) => {
-                let claim = claim_for_resume(&handle, &owner)?;
+                let claim = handle.try_claim(&owner)?;
                 // Under the claim, re-check for a result: the run may have
                 // been completed by another worker between this builder's
                 // construction and the claim; re-executing it would be
@@ -1482,30 +1480,6 @@ pub struct TransportReport {
     pub fenced_rejections: u64,
 }
 
-/// Claims a stored run for resumption.
-///
-/// A claim whose holder is provably gone ([`ayb_store::ClaimHealth::Dead`]:
-/// a dead pid on this host, or another host's heartbeat older than
-/// [`CLAIM_MAX_HEARTBEAT_AGE`]) is what a SIGKILL leaves behind: it is
-/// broken with the compare-and-delete [`RunHandle::break_claim`] and the
-/// run claimed once more. An alive or hung holder keeps its claim and the
-/// resume gets [`StoreError::RunClaimed`]; only a job server's recovery
-/// pass steals from a hung one. An unclaimed run costs no extra I/O.
-fn claim_for_resume(handle: &RunHandle, owner: &str) -> Result<ClaimInfo, StoreError> {
-    match handle.try_claim(owner) {
-        Err(claimed @ StoreError::RunClaimed { .. }) => {
-            match handle.stale_claim(CLAIM_MAX_HEARTBEAT_AGE) {
-                Ok(Some(dead)) => {
-                    handle.break_claim(&dead)?;
-                    handle.try_claim(owner)
-                }
-                _ => Err(claimed),
-            }
-        }
-        claimed => claimed,
-    }
-}
-
 /// The run a flow carries through its three stages, in one place: who
 /// hears about it (observers and recorder), what degraded on the way, when
 /// to halt and — for a stored run — the run itself.
@@ -1535,12 +1509,13 @@ struct RunSession {
 struct DurableRun {
     handle: RunHandle,
     /// The fenced claim minted for this execution. Every durable write
-    /// re-checks it, so a recovery pass that presumed this process hung and
-    /// stole the claim fences this writer off instead of letting two
-    /// executors fight over one run's files.
+    /// re-checks it, so a claim that presumed this process hung and took the
+    /// run over fences this writer off instead of letting two executors
+    /// fight over one run's files.
     claim: ClaimInfo,
-    /// Refreshes the claim's heartbeat, so recovery passes — here or on
-    /// other hosts — can tell this live execution from a dead one.
+    /// Refreshes the claim's heartbeat, so claimants and recovery passes —
+    /// here or on other hosts — can tell this live execution from a dead
+    /// one.
     heartbeat: ClaimHeartbeat,
     /// Keeps the run's `events.jsonl` attached to the recorder until the
     /// run ends (detached on drop).
@@ -1807,7 +1782,7 @@ impl RunSession {
         let Some(durable) = &self.durable else {
             return Ok(());
         };
-        // The fence comes first: if a recovery pass stole the claim (this
+        // The fence comes first: if another claim took the run over (this
         // flow was presumed hung), a successor owns these files now and
         // this writer must not touch them — not even to sweep.
         durable.fence()?;
@@ -1847,8 +1822,8 @@ impl RunSession {
     /// `None` ends a run that never started — a resume that found a result
     /// or could not mark the run running — by releasing the claim alone.
     ///
-    /// A claim that is no longer on disk as minted — a recovery pass stole
-    /// it from this presumed-hung process — leaves the run to its successor:
+    /// A claim that is no longer on disk as minted — another claim took it
+    /// over from this presumed-hung process — leaves the run to its successor:
     /// writing a status over the successor's `Running` (or deleting its
     /// claim) is exactly the split-brain the fencing tokens exist to
     /// prevent. A store-less run has nothing to end.

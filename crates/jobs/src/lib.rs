@@ -18,11 +18,13 @@
 //! * **crash recovery** — at startup ([`JobServer::run`]) and periodically
 //!   thereafter ([`JobServerConfig::recovery_interval`]) the server
 //!   re-queues `Interrupted` runs and stale `Running` runs (their claim
-//!   holder is dead, or they have no claim and have not been touched
-//!   recently), so even work stranded by a peer that died *after* this
-//!   server started is adopted; each resumes from its latest checkpoint and
-//!   produces a result **bit-identical** to an uninterrupted run of the
-//!   same seed;
+//!   holder is dead or hung, or they have no claim and have not been
+//!   touched recently), so even work stranded by a peer that died *after*
+//!   this server started is adopted. Recovery breaks no claim: the worker
+//!   that executes a re-queued run takes its stale claim over, by the one
+//!   claim rule of [`ayb_store::RunHandle::try_claim`]. Each run resumes
+//!   from its latest checkpoint and produces a result **bit-identical** to
+//!   an uninterrupted run of the same seed;
 //! * **graceful shutdown** — [`ShutdownHandle::shutdown`] stops every
 //!   in-flight run at its next checkpoint boundary (via
 //!   `FlowBuilder::halt_when` and the optimiser's `CheckpointSink` halt
@@ -97,7 +99,8 @@ use ayb_moo::{
 use ayb_net::TcpTransport;
 use ayb_obs::{Event, Recorder, Severity};
 use ayb_store::{
-    ClaimHeartbeat, Manifest, RunHandle, RunStatus, Store, StoreError, CLAIM_MAX_HEARTBEAT_AGE,
+    ClaimHealth, ClaimHeartbeat, Manifest, RunHandle, RunStatus, Store, StoreError,
+    CLAIM_MAX_HEARTBEAT_AGE,
 };
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashSet;
@@ -159,10 +162,6 @@ pub struct JobServerConfig {
     pub drain: bool,
     /// Label recorded in claim files (`<owner>/worker-N`) for diagnostics.
     pub owner: String,
-    /// How recently a claimless `Running` run's manifest must have been
-    /// updated for recovery to leave it alone (it may be mid-creation).
-    /// Claimed runs use the claim holder's liveness instead.
-    pub reclaim_grace: Duration,
     /// How often a long-lived (non-drain) server repeats the recovery pass,
     /// so runs stranded *after* startup — a peer server shut down or died —
     /// are picked up without waiting for a restart.
@@ -194,7 +193,6 @@ impl Default for JobServerConfig {
             poll_interval: Duration::from_millis(200),
             drain: false,
             owner: format!("ayb-serve-{}", std::process::id()),
-            reclaim_grace: CLAIM_MAX_HEARTBEAT_AGE,
             recovery_interval: Duration::from_secs(30),
             shards_only: false,
             transport: None,
@@ -707,9 +705,10 @@ impl JobServer {
             if self.config.drain && no_new_work && queue_empty && busy == 0 {
                 // A drain server is done only when the data plane is
                 // drained too — the on-disk one and, with a transport
-                // configured, the coordinator's (an unreachable coordinator
-                // counts as drained: there is nothing this server could
-                // service there anyway).
+                // configured, the coordinator's, each counting a claimed
+                // shard as open (an unreachable coordinator counts as
+                // drained: there is nothing this server could service there
+                // anyway).
                 let disk_drained = self.shared.store.open_shard_tasks()?.is_empty();
                 let net_drained = match net {
                     Some(net) => net
@@ -731,73 +730,40 @@ impl JobServer {
         }
     }
 
-    /// Startup recovery: release claims whose holder died, and re-queue
-    /// every resumable run — `Interrupted` ones and `Running` ones whose
-    /// executor is provably gone. Returns the re-queued ids.
+    /// Startup recovery: re-queues every resumable run — `Interrupted` and
+    /// `Running` ones without a result whose claim is not
+    /// [`ClaimHealth::Alive`], and claimless `Running` ones whose manifest is
+    /// older than [`CLAIM_MAX_HEARTBEAT_AGE`] (a younger one may be inside
+    /// its creator's create→claim window). A stale claim stays on disk: the
+    /// claim of the worker that executes the run takes it over. Returns the
+    /// re-queued ids.
     fn recover(&self) -> Result<Vec<String>, JobError> {
         let mut requeued = Vec::new();
         for id in self.shared.store.run_ids()? {
             let Ok(handle) = self.shared.store.run(&id) else {
                 continue; // torn creation: directory without a manifest
             };
-            let Ok(status) = handle.status() else {
-                continue;
+            let status = match handle.status() {
+                Ok(status @ (RunStatus::Running | RunStatus::Interrupted)) => status,
+                _ => continue,
             };
-            match status {
-                RunStatus::Completed | RunStatus::Failed => continue,
-                RunStatus::Queued => {
-                    // A worker killed between claiming and starting leaves a
-                    // stale claim on a still-queued run; break it (the break
-                    // is compare-and-delete, so a claim legitimately
-                    // re-taken in the window survives).
-                    if let Ok(Some(stale)) = handle.stale_claim(self.config.reclaim_grace) {
-                        let _ = handle.break_claim(&stale);
-                    }
+            if handle.has_result() {
+                continue; // completed but died before the status flip
+            }
+            let resumable = match handle.claim_health() {
+                Ok(Some((_, health))) => health != ClaimHealth::Alive,
+                Ok(None) => {
+                    status == RunStatus::Interrupted
+                        || manifest_age_secs(&handle) >= CLAIM_MAX_HEARTBEAT_AGE.as_secs()
                 }
-                RunStatus::Running | RunStatus::Interrupted => {
-                    if handle.has_result() {
-                        continue; // completed but died before the status flip
-                    }
-                    match handle.claim() {
-                        Ok(Some(_)) => {
-                            // Claimed: recover any stalled holder — a dead
-                            // pid, a lapsed foreign-host heartbeat, or an
-                            // alive-but-hung process whose heartbeat went
-                            // quiet. Stealing from a hung-but-alive holder is
-                            // safe now that run claims carry fencing tokens:
-                            // if the zombie wakes, its fenced-off writes are
-                            // discarded, not merged. The break is
-                            // compare-and-delete: a lost race means another
-                            // recovery pass (or its worker) already owns this
-                            // run.
-                            let stale = match handle.stalled_claim(self.config.reclaim_grace) {
-                                Ok(Some(stale)) => stale,
-                                _ => continue,
-                            };
-                            if !handle.break_claim(&stale).unwrap_or(false) {
-                                continue;
-                            }
-                        }
-                        Ok(None) if status == RunStatus::Running => {
-                            // No claim on a Running run: a dead executor —
-                            // unless the manifest is fresh enough that its
-                            // creator may still be inside the create→claim
-                            // window.
-                            if manifest_age_secs(&handle) < self.config.reclaim_grace.as_secs() {
-                                continue;
-                            }
-                        }
-                        Ok(None) => {}
-                        Err(_) => continue,
-                    }
-                    if handle.set_status(RunStatus::Queued).is_ok() {
-                        self.shared.emit(JobEvent::Requeued {
-                            run_id: id.clone(),
-                            from: status,
-                        });
-                        requeued.push(id);
-                    }
-                }
+                Err(_) => false,
+            };
+            if resumable && handle.set_status(RunStatus::Queued).is_ok() {
+                self.shared.emit(JobEvent::Requeued {
+                    run_id: id.clone(),
+                    from: status,
+                });
+                requeued.push(id);
             }
         }
         Ok(requeued)
@@ -1016,9 +982,11 @@ fn service_claimed<E>(
 /// Claims and services at most one on-disk shard task — a
 /// population-evaluation shard or a batch of variation (Monte Carlo)
 /// points — returning whether one was serviced. The flow configuration is
-/// read from the owning run's manifest. A task whose payload cannot be
-/// loaded (the epoch was closed, or its shape is unknown to this build) is
-/// declined: its claim is released for the submitter to service.
+/// read from the owning run's manifest. The scan offers claimed shards too:
+/// the claim rule refuses a live claim and takes a stale one over. A task
+/// whose payload cannot be loaded (the epoch was closed, or its shape is
+/// unknown to this build) is declined: its claim is released for the
+/// submitter to service.
 fn service_one_shard(
     shared: &Arc<Shared>,
     config: &JobServerConfig,

@@ -227,6 +227,10 @@ pub struct TransportStats {
 ///   newest one; a superseded holder's submit is discarded and counted in
 ///   [`TransportStats::fenced_rejections`].
 ///
+/// Whole-run claims in the run store follow the same rule under their own
+/// 30 s bound: a live run claim refuses, a stale one is taken over at the
+/// run's next token, and every durable write re-checks the writer's claim.
+///
 /// Claims are exclusive — of any number of processes racing
 /// [`ShardTransport::try_claim`] for one shard, exactly one wins — and an
 /// outcome visible through [`ShardTransport::fetch_outcome`] is complete,
@@ -342,9 +346,15 @@ pub trait EpochWork {
     }
 }
 
-/// How long [`drive_epoch`] sleeps after a pass that made no progress:
-/// every remaining shard is live-claimed by other workers.
+/// How long [`drive_epoch`] sleeps after a pass that made no progress
+/// (every remaining shard is live-claimed by other workers), doubled after
+/// each further such pass up to [`MAX_POLL_INTERVAL`] and reset by any
+/// progress: a hung holder's 60 s costs a few hundred passes, not
+/// thousands of requests.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
+
+/// The longest [`drive_epoch`] sleeps between two passes.
+const MAX_POLL_INTERVAL: Duration = Duration::from_millis(160);
 
 /// Drives one epoch of `shard_count` published shards to completion: the
 /// generic claim-poll loop extracted from [`ShardedEvaluator`] and shared
@@ -366,6 +376,7 @@ pub fn drive_epoch<W: EpochWork>(work: &mut W, shard_count: usize) -> Option<Vec
     slots.resize_with(shard_count, || None);
     let mut errors = vec![0usize; shard_count];
     let mut last_error: Vec<Option<ShardError>> = vec![None; shard_count];
+    let mut poll = POLL_INTERVAL;
     while slots.iter().any(Option::is_none) {
         let mut progressed = false;
         for index in 0..shard_count {
@@ -427,8 +438,11 @@ pub fn drive_epoch<W: EpochWork>(work: &mut W, shard_count: usize) -> Option<Vec
         if slots.iter().all(Option::is_some) {
             break;
         }
-        if !progressed {
-            std::thread::sleep(POLL_INTERVAL);
+        if progressed {
+            poll = POLL_INTERVAL;
+        } else {
+            std::thread::sleep(poll);
+            poll = (poll * 2).min(MAX_POLL_INTERVAL);
         }
     }
     Some(
@@ -1201,6 +1215,46 @@ mod tests {
         // producing it.
         assert_eq!(work.landed, vec![0, 1, 2]);
         assert_eq!(work.claimed, vec![0, 1, 2, 3]);
+    }
+
+    /// An [`EpochWork`] whose only shard is live-claimed elsewhere until
+    /// `granted_at`, then granted; counts the drive's passes.
+    struct HeldShard {
+        granted_at: std::time::Instant,
+        passes: usize,
+    }
+
+    impl EpochWork for HeldShard {
+        type Output = usize;
+
+        fn fetch(&mut self, _shard: usize) -> Result<Option<usize>, ShardError> {
+            self.passes += 1;
+            Ok(None)
+        }
+
+        fn try_claim(&mut self, _shard: usize) -> Result<bool, ShardError> {
+            Ok(std::time::Instant::now() >= self.granted_at)
+        }
+
+        fn evaluate(&mut self, shard: usize) -> usize {
+            shard
+        }
+
+        fn submit(&mut self, _shard: usize, _output: &usize) -> Result<(), ShardError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn drive_epoch_backs_off_while_a_shard_is_held_elsewhere() {
+        let mut work = HeldShard {
+            granted_at: std::time::Instant::now() + Duration::from_millis(500),
+            passes: 0,
+        };
+        assert_eq!(drive_epoch(&mut work, 1), Some(vec![0]));
+        // 10, 20, 40, 80 and then 160 ms sleeps reach 500 ms in 8 passes; a
+        // fixed 10 ms sleep takes about 50.
+        assert!(work.passes <= 12, "{} passes", work.passes);
     }
 
     #[test]

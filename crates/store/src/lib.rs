@@ -48,15 +48,17 @@
 //! atomically (`hard_link` of a fully written temp file, so claims are both
 //! exclusive and never torn): two workers — or two server processes — racing
 //! for the same run see exactly one winner. Claims record the owning process
-//! so that claims left behind by a killed worker can be detected
-//! ([`ClaimInfo::holder_alive`]) and the run re-queued.
+//! so that a claim left behind by a killed worker can be detected
+//! ([`ClaimInfo::holder_alive`]) and taken over by the run's next claim.
 //!
 //! Claims carry a *heartbeat*: holders refresh the claim file's modification
 //! time from a background thread ([`ClaimHeartbeat`],
-//! [`RunHandle::start_claim_heartbeat`]), so recovery can tell a
+//! [`RunHandle::start_claim_heartbeat`]), so a claimant can tell a
 //! slow-but-alive holder (fresh heartbeat) from a hung or vanished one
 //! (stale heartbeat) — including holders on *other machines*, whose pids
-//! cannot be probed ([`RunHandle::claim_health`], [`ClaimHealth`]).
+//! cannot be probed ([`RunHandle::claim_health`], [`ClaimHealth`]). Run and
+//! shard claims follow one rule: a live claim is refused, a stale one taken
+//! over at the next fencing token ([`RunHandle::try_claim`]).
 //!
 //! ## Sharded evaluation (the data plane)
 //!
@@ -87,7 +89,7 @@
 //! assert_eq!(claim.pid, std::process::id());
 //! run.save_result(&"the result")?;
 //! run.set_status(RunStatus::Completed)?;
-//! run.release_claim()?;
+//! run.break_claim(&claim)?;
 //! # let _ = std::fs::remove_dir_all(root);
 //! # Ok(())
 //! # }
@@ -304,7 +306,7 @@ fn take_claim_file(dir: &Path, path: &Path, info: &ClaimInfo) -> Result<bool, St
 ///
 /// Returns [`StoreError::Io`]/[`StoreError::Json`] when the fence file
 /// exists but cannot be read, or cannot be written.
-pub fn next_fence(fence_path: &Path) -> Result<u64, StoreError> {
+fn next_fence(fence_path: &Path) -> Result<u64, StoreError> {
     let current: u64 = if fence_path.is_file() {
         read_json(fence_path)?
     } else {
@@ -326,12 +328,44 @@ fn read_claim_file(path: &Path) -> Result<Option<ClaimInfo>, StoreError> {
     }
 }
 
+/// Takes the claim lock file at `path` (scratch staged in `dir`, tokens
+/// minted from `fence_path`) for `owner` by the one claim rule of run and
+/// shard claims alike (leases with fencing tokens, see
+/// `ayb_moo::ShardTransport`): a claim whose holder is [`ClaimHealth::Alive`]
+/// by `stale_after` is refused before anything is minted; a
+/// [`ClaimHealth::Hung`] or [`ClaimHealth::Dead`] one is broken
+/// (compare-and-delete). Then the next fence is minted and the claim linked
+/// into place stamped with it. Returns the new claim and the stale claim it
+/// took over; `Ok(None)` is a refusal or a lost race.
+fn claim_lock(
+    dir: &Path,
+    path: &Path,
+    fence_path: &Path,
+    owner: &str,
+    stale_after: Duration,
+) -> Result<Option<(ClaimInfo, Option<ClaimInfo>)>, StoreError> {
+    let taken_over = match read_claim_file(path)? {
+        Some(held) => {
+            let age = file_mtime_age(path).unwrap_or(Duration::MAX);
+            if held.health(age, stale_after) == ClaimHealth::Alive
+                || !break_claim_file(dir, path, &held)?
+            {
+                return Ok(None);
+            }
+            Some(held)
+        }
+        None => None,
+    };
+    let info = ClaimInfo::for_this_process(owner).with_fence(next_fence(fence_path)?);
+    Ok(take_claim_file(dir, path, &info)?.then_some((info, taken_over)))
+}
+
 /// Compare-and-delete of the claim at `path` (scratch staged in `dir`): the
 /// claim is broken only if it still matches `expected`. See
 /// [`RunHandle::break_claim`] for the race analysis.
 fn break_claim_file(dir: &Path, path: &Path, expected: &ClaimInfo) -> Result<bool, StoreError> {
     // Cheap pre-check: if the claim already changed hands since the caller
-    // read it (recovery scans can be seconds old), never touch the file.
+    // read it (that read can be seconds old), never touch the file.
     if read_claim_file(path)?.as_ref() != Some(expected) {
         return Ok(false);
     }
@@ -1251,36 +1285,43 @@ impl RunHandle {
         self.dir.join(CLAIM_FILE)
     }
 
-    /// Atomically claims the run for exclusive execution.
+    /// Atomically claims the run for exclusive execution, by the claim rule
+    /// shard claims follow too, under [`CLAIM_MAX_HEARTBEAT_AGE`]: a live
+    /// claim is refused before a fencing token is minted, and a stale one
+    /// ([`ClaimHealth::Hung`] or [`ClaimHealth::Dead`]) is taken over at the
+    /// next token, so a stale claim changes hands only through a claim.
     ///
     /// The claim is a `claim.json` lock file created with `hard_link` from a
     /// fully written temp file: creation is atomic *and* exclusive, so of any
     /// number of workers (in any number of processes) racing for the run,
     /// exactly one gets `Ok` — and a reader never observes a torn claim.
-    /// The claim records this process and `owner` so that stale claims left
-    /// by a killed worker can be detected ([`ClaimInfo::holder_alive`]) and
-    /// broken by a recovery pass.
+    /// The claim records this process and `owner` so that its liveness can
+    /// be judged ([`RunHandle::claim_health`]).
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::RunClaimed`] when the run is already claimed,
+    /// Returns [`StoreError::RunClaimed`] when a live claim holds the run,
     /// or [`StoreError::Io`]/[`StoreError::Json`] on filesystem failures.
     pub fn try_claim(&self, owner: &str) -> Result<ClaimInfo, StoreError> {
-        let fence = next_fence(&self.dir.join(CLAIM_FENCE_FILE))?;
-        let info = ClaimInfo::for_this_process(owner).with_fence(fence);
-        if take_claim_file(&self.dir, &self.claim_path(), &info)? {
-            Ok(info)
-        } else {
-            let owner = self
-                .claim()
-                .ok()
-                .flatten()
-                .map_or_else(|| "unknown".to_string(), |claim| claim.owner);
-            Err(StoreError::RunClaimed {
-                run_id: self.run_id.clone(),
-                owner,
-            })
+        let claimed = claim_lock(
+            &self.dir,
+            &self.claim_path(),
+            &self.dir.join(CLAIM_FENCE_FILE),
+            owner,
+            CLAIM_MAX_HEARTBEAT_AGE,
+        )?;
+        if let Some((info, _)) = claimed {
+            return Ok(info);
         }
+        let owner = self
+            .claim()
+            .ok()
+            .flatten()
+            .map_or_else(|| "unknown".to_string(), |claim| claim.owner);
+        Err(StoreError::RunClaimed {
+            run_id: self.run_id.clone(),
+            owner,
+        })
     }
 
     /// The run's current claim, if any.
@@ -1313,76 +1354,28 @@ impl RunHandle {
         ClaimHeartbeat::start(self.claim_path(), interval)
     }
 
-    /// Judges the run claim's health, combining the pid liveness check
-    /// (authoritative on the holder's own host) with the heartbeat age
-    /// (meaningful across hosts): see [`ClaimHealth`]. Returns `None` when
-    /// the run is unclaimed.
+    /// Judges the run claim's health under [`CLAIM_MAX_HEARTBEAT_AGE`],
+    /// combining the pid liveness check (authoritative on the holder's own
+    /// host) with the heartbeat age (meaningful across hosts): see
+    /// [`ClaimHealth`]. Returns `None` when the run is unclaimed.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`]/[`StoreError::Json`] when an existing
     /// claim file cannot be read.
-    pub fn claim_health(
-        &self,
-        max_heartbeat_age: Duration,
-    ) -> Result<Option<(ClaimInfo, ClaimHealth)>, StoreError> {
+    pub fn claim_health(&self) -> Result<Option<(ClaimInfo, ClaimHealth)>, StoreError> {
         let Some(claim) = self.claim()? else {
             return Ok(None);
         };
         let age = self.claim_heartbeat_age().unwrap_or(Duration::MAX);
-        let health = claim.health(age, max_heartbeat_age);
+        let health = claim.health(age, CLAIM_MAX_HEARTBEAT_AGE);
         Ok(Some((claim, health)))
-    }
-
-    /// The run's claim *if* its holder is provably gone
-    /// ([`ClaimHealth::Dead`]): a dead pid on this host, or — for claims
-    /// from other hosts, where pids cannot be probed — a heartbeat older
-    /// than `max_heartbeat_age`.
-    ///
-    /// A *hung* holder (alive pid, stale heartbeat) is deliberately not
-    /// reported here: use [`RunHandle::stalled_claim`] when the caller's
-    /// writes are fence-guarded and stealing from a process that may yet
-    /// wake up is therefore safe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`]/[`StoreError::Json`] when an existing
-    /// claim file cannot be read.
-    pub fn stale_claim(
-        &self,
-        max_heartbeat_age: Duration,
-    ) -> Result<Option<ClaimInfo>, StoreError> {
-        Ok(self
-            .claim_health(max_heartbeat_age)?
-            .and_then(|(claim, health)| (health == ClaimHealth::Dead).then_some(claim)))
-    }
-
-    /// The run's claim *if* its holder has stalled — [`ClaimHealth::Dead`]
-    /// (provably gone) **or** [`ClaimHealth::Hung`] (alive pid, heartbeat
-    /// older than `max_heartbeat_age`). This is the steal set of a
-    /// *fencing-aware* recovery pass: stealing from a hung-but-alive holder
-    /// is safe since claims carry fencing tokens ([`ClaimInfo::fence`]) and
-    /// every holder guards its durable writes by re-checking the claim file
-    /// still holds *its* claim — a stolen holder that wakes up discards its
-    /// own late writes instead of persisting them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`]/[`StoreError::Json`] when an existing
-    /// claim file cannot be read.
-    pub fn stalled_claim(
-        &self,
-        max_heartbeat_age: Duration,
-    ) -> Result<Option<ClaimInfo>, StoreError> {
-        Ok(self
-            .claim_health(max_heartbeat_age)?
-            .and_then(|(claim, health)| (health != ClaimHealth::Alive).then_some(claim)))
     }
 
     /// Whether the claim file still holds exactly `expected` — the fencing
     /// check a claim holder performs immediately before every durable write
     /// (checkpoint, variation point, result). `false` means the claim was
-    /// stolen (or released): the holder must discard the write and stop.
+    /// taken over (or released): the holder must discard the write and stop.
     ///
     /// # Errors
     ///
@@ -1392,41 +1385,23 @@ impl RunHandle {
         Ok(self.claim()?.as_ref() == Some(expected))
     }
 
-    /// Releases the run's claim. Returns whether a claim file existed.
+    /// Breaks a claim *only if* it still matches `expected`, as previously
+    /// read via [`RunHandle::claim`] or returned by
+    /// [`RunHandle::try_claim`]. Returns whether the claim was broken. A
+    /// holder releases its own claim this way, and a claim taking over a
+    /// stale claim breaks it this way first.
     ///
-    /// This is for the claim's *owner*; a recovery pass breaking somebody
-    /// else's stale claim must use [`RunHandle::break_claim`] instead, which
-    /// re-checks that the claim has not changed hands.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] when the claim file exists but cannot be
-    /// removed.
-    pub fn release_claim(&self) -> Result<bool, StoreError> {
-        match fs::remove_file(self.claim_path()) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(io_error(&self.claim_path(), e)),
-        }
-    }
-
-    /// Breaks a (presumed stale) claim *only if* it still matches
-    /// `expected`, as previously read via [`RunHandle::claim`]. Returns
-    /// whether the claim was broken.
-    ///
-    /// A blind `release_claim` here would be a check-then-act race: between
-    /// reading the stale claim and deleting the file, another recovery pass
-    /// may have already broken it and a new worker legitimately re-claimed
-    /// the run — deleting *that* claim would let two processes execute the
-    /// run concurrently. Instead the claim is re-read immediately before
-    /// the break (a changed claim aborts without touching the file), then
-    /// atomically renamed to a unique name (exactly one racing breaker wins
-    /// the rename), compared once more, and on a mismatch the live claim is
-    /// restored. A sub-microsecond window remains in which a live claim is
-    /// renamed away and restored — closing it entirely needs an ownership
-    /// heartbeat, which the ROADMAP tracks; every realistic interleaving
-    /// (two recovery passes racing, a worker re-claiming mid-break) resolves
-    /// to exactly one execution.
+    /// A blind delete here would be a check-then-act race: between reading
+    /// the claim and deleting the file, the claim may have been taken over
+    /// and a new holder legitimately claimed the run — deleting *that* claim
+    /// would let two processes execute the run concurrently. Instead the
+    /// claim is re-read immediately before the break (a changed claim aborts
+    /// without touching the file), then atomically renamed to a unique name
+    /// (exactly one racing breaker wins the rename), compared once more, and
+    /// on a mismatch the live claim is restored. A sub-microsecond window
+    /// remains in which a live claim is renamed away and restored; every
+    /// realistic interleaving (two claimants taking over one stale claim, a
+    /// holder releasing mid-takeover) resolves to exactly one holder.
     ///
     /// # Errors
     ///
@@ -1438,10 +1413,9 @@ impl RunHandle {
 }
 
 /// Heartbeat age past which a run claim no longer proves a live holder
-/// ([`ClaimHealth`]): the one threshold that `ayb status`, the service's
-/// admission rebuild, a job server's default `reclaim_grace` and a resume's
-/// dead-claim check all judge claims by. Holders refresh the heartbeat
-/// every second, so this leaves a loaded host ample margin.
+/// ([`ClaimHealth`]): the one bound run claims are judged and taken over by
+/// ([`RunHandle::try_claim`], [`RunHandle::claim_health`]). Holders refresh
+/// the heartbeat every second, so this leaves a loaded host ample margin.
 pub const CLAIM_MAX_HEARTBEAT_AGE: Duration = Duration::from_secs(30);
 
 /// Health judgment of a claim, combining pid liveness and heartbeat age
@@ -1449,17 +1423,16 @@ pub const CLAIM_MAX_HEARTBEAT_AGE: Duration = Duration::from_secs(30);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClaimHealth {
     /// The holder is alive: a live pid on this host, or a fresh heartbeat
-    /// from anywhere.
+    /// from anywhere. Only a live claim refuses a new claim.
     Alive,
     /// The holder's pid is alive on this host but its heartbeat went stale:
-    /// the process is hung (or never heartbeats), and may yet wake up. Shard
-    /// claims and recovery passes steal it, because their holders' writes
-    /// are fenced ([`ClaimInfo::fence`]); a resume does not
-    /// ([`RunHandle::stale_claim`]).
+    /// the process is hung (or stopped), and may yet wake up. The next claim
+    /// takes it over like a dead one: the holder's writes are fenced
+    /// ([`ClaimInfo::fence`]), so a holder that wakes up is fenced off.
     Hung,
     /// The holder is provably (or presumably) gone: dead pid on this host,
-    /// or a foreign-host claim whose heartbeat went stale. Recovery may
-    /// break the claim.
+    /// or a foreign-host claim whose heartbeat went stale. The next claim
+    /// takes it over.
     Dead,
 }
 
@@ -1505,8 +1478,8 @@ impl ClaimInfo {
     }
 
     /// The same claim stamped with fencing token `fence` (see
-    /// [`ClaimInfo::fence`]); claim takers mint the token with
-    /// [`next_fence`] right before linking the claim into place.
+    /// [`ClaimInfo::fence`]); a claim mints the token from its fence file
+    /// right before linking the claim into place.
     #[must_use]
     pub fn with_fence(mut self, fence: u64) -> ClaimInfo {
         self.fence = fence;
@@ -1892,7 +1865,7 @@ mod tests {
         assert_eq!(claim.owner, "worker-1");
         assert_eq!(claim.pid, std::process::id());
         assert!(claim.holder_alive(), "our own claim is alive");
-        assert_eq!(run.claim().unwrap(), Some(claim));
+        assert_eq!(run.claim().unwrap(), Some(claim.clone()));
 
         let second = run.try_claim("worker-2");
         assert!(
@@ -1904,8 +1877,11 @@ mod tests {
             "double claim must fail, got {second:?}"
         );
 
-        assert!(run.release_claim().unwrap());
-        assert!(!run.release_claim().unwrap(), "second release is a no-op");
+        assert!(run.break_claim(&claim).unwrap());
+        assert!(
+            !run.break_claim(&claim).unwrap(),
+            "second release is a no-op"
+        );
         run.try_claim("worker-2").unwrap();
         let _ = fs::remove_dir_all(root);
     }
@@ -1947,13 +1923,13 @@ mod tests {
         // Claim changed hands between the read and the break: the newer
         // claim survives and the break reports failure.
         let old = run.try_claim("worker-1").unwrap();
-        run.release_claim().unwrap();
+        assert!(run.break_claim(&old).unwrap());
         let newer = run.try_claim("worker-2").unwrap();
         assert!(!run.break_claim(&old).unwrap());
         assert_eq!(run.claim().unwrap(), Some(newer.clone()));
 
         // No claim at all: nothing to break.
-        run.release_claim().unwrap();
+        assert!(run.break_claim(&newer).unwrap());
         assert!(!run.break_claim(&newer).unwrap());
         let _ = fs::remove_dir_all(root);
     }
@@ -2040,27 +2016,30 @@ mod tests {
         let _ = fs::remove_dir_all(root);
     }
 
+    /// Back-dates the modification time of the file at `path` by `age`: a
+    /// claim heartbeat that lapsed `age` ago.
+    fn age_file(path: &Path, age: Duration) {
+        fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .unwrap()
+            .set_modified(SystemTime::now() - age)
+            .unwrap();
+    }
+
     #[test]
     fn claim_heartbeat_refreshes_mtime_and_recovery_respects_it() {
         let (root, store) = temp_store();
         let run = store.create_run(7, &optimizer(), &fake_flow()).unwrap();
-        run.try_claim("heartbeating-worker").unwrap();
+        let claim = run.try_claim("heartbeating-worker").unwrap();
 
         // Age the claim file artificially, then let the heartbeat refresh it.
         let claim_path = run.dir().join(CLAIM_FILE);
-        let past = SystemTime::now() - Duration::from_secs(600);
-        fs::OpenOptions::new()
-            .append(true)
-            .open(&claim_path)
-            .unwrap()
-            .set_modified(past)
-            .unwrap();
+        age_file(&claim_path, Duration::from_secs(600));
         assert!(run.claim_heartbeat_age().unwrap() > Duration::from_secs(500));
-        // Slow-but-alive holders look hung once their heartbeat lapses...
-        let (_, health) = run.claim_health(Duration::from_secs(30)).unwrap().unwrap();
+        // Slow-but-alive holders look hung once their heartbeat lapses.
+        let (_, health) = run.claim_health().unwrap().unwrap();
         assert_eq!(health, ClaimHealth::Hung);
-        // ...but a hung same-host holder with a live pid is never *stolen*.
-        assert_eq!(run.stale_claim(Duration::from_secs(30)).unwrap(), None);
 
         let heartbeat = run.start_claim_heartbeat(Duration::from_millis(20));
         std::thread::sleep(Duration::from_millis(120));
@@ -2068,12 +2047,12 @@ mod tests {
             run.claim_heartbeat_age().unwrap() < Duration::from_secs(10),
             "heartbeat thread refreshed the claim mtime"
         );
-        let (_, health) = run.claim_health(Duration::from_secs(30)).unwrap().unwrap();
+        let (_, health) = run.claim_health().unwrap().unwrap();
         assert_eq!(health, ClaimHealth::Alive);
         drop(heartbeat);
 
         // A foreign-host claim is judged purely by heartbeat age.
-        run.release_claim().unwrap();
+        assert!(run.break_claim(&claim).unwrap());
         let foreign = ClaimInfo {
             owner: "remote".to_string(),
             pid: 1,
@@ -2083,26 +2062,53 @@ mod tests {
         };
         write_json(&claim_path, &foreign).unwrap();
         assert_eq!(
-            run.stale_claim(Duration::from_secs(3600)).unwrap(),
-            None,
+            run.claim_health().unwrap(),
+            Some((foreign.clone(), ClaimHealth::Alive)),
             "fresh foreign claim is presumed alive"
         );
-        fs::OpenOptions::new()
-            .append(true)
-            .open(&claim_path)
-            .unwrap()
-            .set_modified(past)
-            .unwrap();
+        age_file(&claim_path, Duration::from_secs(600));
         assert_eq!(
-            run.stale_claim(Duration::from_secs(30)).unwrap(),
-            Some(foreign),
-            "stale foreign claim is recoverable"
+            run.claim_health().unwrap(),
+            Some((foreign.clone(), ClaimHealth::Dead)),
+            "stale foreign claim is presumed dead"
         );
 
         // An unclaimed run has no heartbeat and no health.
-        run.release_claim().unwrap();
+        assert!(run.break_claim(&foreign).unwrap());
         assert_eq!(run.claim_heartbeat_age(), None);
-        assert_eq!(run.claim_health(Duration::from_secs(30)).unwrap(), None);
+        assert_eq!(run.claim_health().unwrap(), None);
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn a_refused_run_claim_mints_nothing_and_a_stale_one_is_taken_over() {
+        let (root, store) = temp_store();
+        let run = store.create_run(7, &optimizer(), &fake_flow()).unwrap();
+        let held = run.try_claim("holder").unwrap();
+        let fence_path = run.dir().join(CLAIM_FENCE_FILE);
+        let minted = fs::read(&fence_path).unwrap();
+
+        // A live holder refuses every claim, and a refusal mints no token.
+        for _ in 0..3 {
+            let refused = run.try_claim("rival");
+            assert!(
+                matches!(&refused, Err(StoreError::RunClaimed { owner, .. }) if owner == "holder"),
+                "a live claim refuses, got {refused:?}"
+            );
+        }
+        assert_eq!(fs::read(&fence_path).unwrap(), minted);
+
+        // The holder hangs (alive pid, heartbeat past the bound): the next
+        // claim takes it over at the next fence and fences the holder off.
+        age_file(&run.dir().join(CLAIM_FILE), Duration::from_secs(60));
+        let taker = run.try_claim("taker").unwrap();
+        assert_eq!(taker.fence, held.fence + 1);
+        assert_eq!(run.claim().unwrap(), Some(taker.clone()));
+        assert!(!run.claim_is(&held).unwrap());
+
+        // A released claim mints the next fence too.
+        assert!(run.break_claim(&taker).unwrap());
+        assert_eq!(run.try_claim("next").unwrap().fence, taker.fence + 1);
         let _ = fs::remove_dir_all(root);
     }
 

@@ -29,8 +29,9 @@
 //! [`ayb_moo::ShardTransport`], the one typed interface both the sharded
 //! evaluator and the variation stage drive. [`ShardTask`] /
 //! [`Store::open_shard_tasks`] are the worker's view: scan, claim, service,
-//! submit. Both views claim and commit through the same two helpers, so the
-//! claim rule of [`ayb_moo::ShardTransport`] exists once on disk.
+//! submit. Both views commit through one helper and claim through the
+//! store's one claim helper, which run claims use too, so the claim rule of
+//! [`ayb_moo::ShardTransport`] exists once on disk.
 //!
 //! ```
 //! use ayb_store::ShardDataPlane;
@@ -51,8 +52,8 @@
 //! ```
 
 use crate::{
-    break_claim_file, file_mtime_age, io_error, next_fence, read_claim_file, read_json,
-    take_claim_file, write_json, ClaimHealth, ClaimInfo, RunHandle, RunStatus, Store, StoreError,
+    break_claim_file, claim_lock, io_error, read_claim_file, read_json, write_json, ClaimInfo,
+    RunHandle, RunStatus, Store, StoreError,
 };
 use ayb_moo::{
     ShardError, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind, TransportStats,
@@ -100,13 +101,12 @@ fn parse_task_name(name: &str) -> Option<usize> {
 }
 
 /// Claims shard `shard` of the epoch in `epoch_dir` for `owner` by the
-/// claim rule of [`ShardTransport`]: a shard with a result, without a task
-/// or with a live claim is refused before anything is minted; a claim whose
-/// holder is [`ClaimHealth::Hung`] or [`ClaimHealth::Dead`] by
-/// `stale_after` is broken (compare-and-delete). Then the shard's next fence
-/// is minted and the claim file taken stamped with it. Returns the new claim
-/// and the stale claim it took over; `Ok(None)` is a refusal, a lost race —
-/// or an epoch disposed of in the meantime, which is the same clean miss.
+/// claim rule of [`ShardTransport`]: a shard with a result or without a task
+/// is refused; otherwise the store's one claim helper applies the rule with
+/// `stale_after` as the bound. Returns the new claim and the stale claim it
+/// took over;
+/// `Ok(None)` is a refusal, a lost race — or an epoch disposed of before the
+/// claim, which is the same clean miss.
 fn claim_shard(
     epoch_dir: &Path,
     shard: usize,
@@ -116,25 +116,13 @@ fn claim_shard(
     if epoch_dir.join(result_name(shard)).is_file() || !epoch_dir.join(task_name(shard)).is_file() {
         return Ok(None);
     }
-    let path = epoch_dir.join(claim_name(shard));
-    let taken_over = match read_claim_file(&path)? {
-        Some(held) => {
-            let age = file_mtime_age(&path).unwrap_or(Duration::MAX);
-            if held.health(age, stale_after) == ClaimHealth::Alive
-                || !break_claim_file(epoch_dir, &path, &held)?
-            {
-                return Ok(None);
-            }
-            Some(held)
-        }
-        None => None,
-    };
-    let Ok(fence) = next_fence(&epoch_dir.join(fence_name(shard))) else {
-        return Ok(None);
-    };
-    let info = ClaimInfo::for_this_process(owner).with_fence(fence);
-    let taken = take_claim_file(epoch_dir, &path, &info)?;
-    Ok(taken.then_some((info, taken_over)))
+    claim_lock(
+        epoch_dir,
+        &epoch_dir.join(claim_name(shard)),
+        &epoch_dir.join(fence_name(shard)),
+        owner,
+        stale_after,
+    )
 }
 
 /// Commits shard `shard`'s outcome and releases the claim — *unless* the
@@ -631,28 +619,23 @@ impl ShardTask {
 
     /// Releases this worker's claim without submitting a result (e.g. the
     /// task file vanished after the claim). Compare-and-delete: a claim
-    /// that already changed hands is left untouched.
+    /// that already changed hands is left untouched, and a task this worker
+    /// never claimed releases nothing.
     pub fn release(&self) {
-        match &self.claimed {
-            Some(mine) => {
-                let _ = break_claim_file(&self.epoch_dir, &self.claim_path(), mine);
-            }
-            None => {
-                let _ = fs::remove_file(self.claim_path());
-            }
+        if let Some(mine) = &self.claimed {
+            let _ = break_claim_file(&self.epoch_dir, &self.claim_path(), mine);
         }
     }
 }
 
 impl Store {
-    /// Scans for claimable shard evaluation tasks: published shards of
-    /// `Running` runs that have no result and no claim yet, in deterministic
-    /// (run, epoch, shard) order.
+    /// Scans for open shard tasks: published shards of `Running` runs that
+    /// have no result yet, claimed or not, in deterministic (run, epoch,
+    /// shard) order.
     ///
-    /// Workers iterate the list and [`ShardTask::try_claim`] each candidate;
-    /// a lost race simply moves on to the next. A shard whose claim holder
-    /// died is not offered: the submitter's next claim of it takes the
-    /// stale claim over.
+    /// Workers iterate the list and [`ShardTask::try_claim`] each candidate,
+    /// which applies the claim rule: a live claim is refused and the worker
+    /// moves on, a stale one (its holder died or hung) is taken over.
     ///
     /// # Errors
     ///
@@ -705,9 +688,7 @@ impl Store {
                     let Some(shard) = parse_task_name(name) else {
                         continue;
                     };
-                    if epoch_dir.join(result_name(shard)).is_file()
-                        || epoch_dir.join(claim_name(shard)).is_file()
-                    {
+                    if epoch_dir.join(result_name(shard)).is_file() {
                         continue;
                     }
                     tasks.push(ShardTask {
@@ -841,11 +822,32 @@ mod tests {
             Some(eval_outcome(vec![evaluation(0.1)]))
         );
 
-        // Serviced and claimed shards disappear from the scan.
+        // A serviced shard disappears from the scan; a live-claimed one
+        // stays in it, and the claim rule refuses its claim.
         assert!(tasks[1].try_claim("worker-c").unwrap());
-        assert!(store.open_shard_tasks().unwrap().is_empty());
+        let offered = store.open_shard_tasks().unwrap();
+        assert_eq!(offered.len(), 1);
+        assert_eq!(offered[0].shard(), 1);
+        assert!(!offered[0].clone().try_claim("worker-d").unwrap());
         tasks[1].release();
         assert_eq!(store.open_shard_tasks().unwrap().len(), 1);
+
+        // A dead worker's claim (no Linux pid is u32::MAX) is taken over by
+        // a scanning worker at the next fence.
+        let mut dead = store.open_shard_tasks().unwrap().remove(0);
+        assert!(dead.try_claim("worker-dead").unwrap());
+        let claim_path = run.shards_dir().join(&epoch).join(claim_name(1));
+        let mut held = read_claim_file(&claim_path).unwrap().unwrap();
+        held.pid = u32::MAX;
+        crate::write_json(&claim_path, &held).unwrap();
+        let mut offered = store.open_shard_tasks().unwrap();
+        assert_eq!(offered.len(), 1);
+        assert!(offered[0].try_claim("worker-e").unwrap());
+        let taker = read_claim_file(&claim_path).unwrap().unwrap();
+        assert_eq!(
+            (taker.owner.as_str(), taker.fence),
+            ("worker-e", held.fence + 1)
+        );
 
         // Tasks of non-Running runs are never offered.
         run.set_status(RunStatus::Interrupted).unwrap();

@@ -63,9 +63,7 @@ use ayb_jobs::{
 };
 use ayb_moo::OptimizerConfig;
 use ayb_obs::{kind, Event, Recorder, Severity};
-use ayb_store::{
-    ClaimHealth, ResultCache, RunHandle, RunStatus, Store, StoreError, CLAIM_MAX_HEARTBEAT_AGE,
-};
+use ayb_store::{ClaimHealth, ResultCache, RunHandle, RunStatus, Store, StoreError};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
@@ -1009,7 +1007,7 @@ fn rebuild_admission(store: &Store, cache: &ResultCache) -> Result<Admission, St
             }
             RunStatus::Running => {
                 let holder_alive = matches!(
-                    handle.claim_health(CLAIM_MAX_HEARTBEAT_AGE),
+                    handle.claim_health(),
                     Ok(Some((_, ClaimHealth::Alive | ClaimHealth::Hung)))
                 );
                 if holder_alive {

@@ -87,7 +87,7 @@ use ayb_jobs::{JobServer, JobServerConfig};
 use ayb_moo::{CheckpointError, EarlyStop, OptimizerConfig};
 use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 use ayb_obs::{kind as event_kind, log_to_stderr, Event, Histogram, Severity, StderrSink};
-use ayb_store::{ClaimHealth, Manifest, ResultCache, RunStatus, Store, CLAIM_MAX_HEARTBEAT_AGE};
+use ayb_store::{ClaimHealth, Manifest, ResultCache, RunStatus, Store};
 use ayb_svc::{SvcConfig, SvcServer, TenantQuota};
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -721,7 +721,7 @@ fn cmd_status(args: &CliArgs) -> Result<(), String> {
     for id in &ids {
         let row = store.run(id).and_then(|handle| {
             let status = handle.status()?;
-            let claim = handle.claim_health(CLAIM_MAX_HEARTBEAT_AGE)?;
+            let claim = handle.claim_health()?;
             let checkpoints = handle.checkpoint_generations()?.len();
             let shards = handle.shard_summary()?;
             Ok((status, claim, checkpoints, shards))
@@ -779,10 +779,7 @@ fn status_of_run(store: &Store, id: &str) -> Result<(), String> {
     let status = handle.status().map_err(|e| e.to_string())?;
     println!("run_id: {id}");
     println!("status: {status}");
-    match handle
-        .claim_health(CLAIM_MAX_HEARTBEAT_AGE)
-        .map_err(|e| e.to_string())?
-    {
+    match handle.claim_health().map_err(|e| e.to_string())? {
         Some((claim, health)) => println!(
             "claim: {} (pid {} on {}, {})",
             claim.owner,
@@ -1005,7 +1002,7 @@ fn top_once(store: &Store, transport: Option<&str>) -> Result<(), String> {
     for id in &ids {
         let row = store.run(id).and_then(|handle| {
             let status = handle.status()?;
-            let claim = handle.claim_health(CLAIM_MAX_HEARTBEAT_AGE)?;
+            let claim = handle.claim_health()?;
             let checkpoints = handle.checkpoint_generations()?.len();
             let shards = handle.shard_summary()?;
             let events = std::fs::read_to_string(handle.events_path())

@@ -185,21 +185,25 @@ fn hung_workers_run_is_stolen_once_its_heartbeat_lapses() {
     let handle = store.run(&run_id).unwrap();
 
     // Forge a *hung* holder: this very process (alive pid, same host) whose
-    // claim heartbeat has gone quiet. Pre-fencing, recovery spared these
-    // forever; now the claim carries a fence token and is stolen once the
-    // heartbeat exceeds the reclaim grace.
+    // claim heartbeat went quiet 60 s ago, past the 30 s bound. Recovery
+    // re-queues the run, and the executing worker's claim takes the hung
+    // claim over at the next fence.
     handle.set_status(RunStatus::Running).unwrap();
     let hung_claim = ayb_store::ClaimInfo::for_this_process("hung-worker").with_fence(1);
+    let claim_path = handle.dir().join("claim.json");
     std::fs::write(
-        handle.dir().join("claim.json"),
+        &claim_path,
         serde_json::to_string_pretty(&hung_claim).unwrap(),
     )
     .unwrap();
-    std::thread::sleep(Duration::from_millis(150));
+    std::fs::File::options()
+        .append(true)
+        .open(&claim_path)
+        .unwrap()
+        .set_modified(std::time::SystemTime::now() - Duration::from_secs(60))
+        .unwrap();
 
-    let mut config = JobServerConfig::drain_with_workers(2);
-    config.reclaim_grace = Duration::from_millis(50);
-    let server = JobServer::new(store.clone(), config);
+    let server = JobServer::new(store.clone(), JobServerConfig::drain_with_workers(2));
     let report = server.run().expect("server drains");
     assert_eq!(report.requeued, vec![run_id.clone()]);
     assert_eq!(report.completed, vec![run_id.clone()]);

@@ -457,6 +457,38 @@ fn resume_breaks_the_claim_of_a_killed_executor() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A hung holder — this live process, its heartbeat 60 s old, past the
+/// 30 s bound — is taken over like a dead one: the resume claims the run at
+/// the next fence and completes to the uninterrupted run's digest.
+#[test]
+fn resume_takes_over_the_claim_of_a_hung_executor() {
+    let (root, store) = temp_store("hung");
+    let clean = FlowBuilder::new(FlowConfig::reduced())
+        .with_seed(2008)
+        .run()
+        .expect("clean flow completes");
+    let hung = ClaimInfo::for_this_process("hung-holder").with_fence(1);
+    let run = killed_run(&store, "hung", &hung);
+    let fence_path = run.dir().join("claim.fence.json");
+    assert_eq!(std::fs::read_to_string(&fence_path).unwrap(), "1");
+    std::fs::File::options()
+        .append(true)
+        .open(run.dir().join("claim.json"))
+        .unwrap()
+        .set_modified(std::time::SystemTime::now() - std::time::Duration::from_secs(60))
+        .unwrap();
+
+    let resumed = FlowBuilder::resume(&store, "hung")
+        .expect("resume builder")
+        .run()
+        .expect("a hung holder's claim does not block the resume");
+    assert_eq!(resumed.determinism_digest(), clean.determinism_digest());
+    assert_eq!(run.status().unwrap(), RunStatus::Completed);
+    assert_eq!(run.claim().unwrap(), None, "the resume released its claim");
+    assert_eq!(std::fs::read_to_string(&fence_path).unwrap(), "2");
+    let _ = std::fs::remove_dir_all(root);
+}
+
 /// A live holder keeps its claim: the resume gets `RunClaimed` and leaves
 /// the run as it found it.
 #[test]

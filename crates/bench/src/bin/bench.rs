@@ -46,7 +46,7 @@ use ayb_store::{
 use serde::{Serialize, Value};
 use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Instant, SystemTime};
 
 /// Default regression tolerance for `--check`: a kernel may be up to 30%
 /// slower than the baseline before the check fails (CI machines are noisy;
@@ -197,7 +197,7 @@ fn bench_batch_evaluate(iters: u64) -> KernelReport {
 /// fetch, close — through the store's on-disk plane.
 fn bench_shard_roundtrip_disk(iters: u64) -> KernelReport {
     let dir = std::env::temp_dir().join(format!("ayb-bench-shards-{}", std::process::id()));
-    let plane = ShardDataPlane::open(&dir, Duration::from_secs(60));
+    let plane = ShardDataPlane::open(&dir);
     let work = ShardWork::Eval {
         parameters: gene_batch(4, 8),
     };
@@ -224,7 +224,7 @@ fn bench_shard_roundtrip_disk(iters: u64) -> KernelReport {
 /// separate round-trips.
 fn bench_variation_batch_roundtrip_disk(iters: u64) -> KernelReport {
     let dir = std::env::temp_dir().join(format!("ayb-bench-varbatch-{}", std::process::id()));
-    let plane = ShardDataPlane::open(&dir, Duration::from_secs(60));
+    let plane = ShardDataPlane::open(&dir);
     let work = ShardWork::VariationBatch {
         points: gene_batch(8, 8)
             .into_iter()

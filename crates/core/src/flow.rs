@@ -51,7 +51,7 @@ use ayb_moo::{
     drive_epoch, publish_epoch, Checkpoint, CheckpointControl, CheckpointError, EpochWork,
     Evaluation, OptimizationResult, OptimizerConfig, ShardError, ShardOutcome, ShardTransport,
     ShardWork, ShardWorkKind, ShardedEvaluator, SizingProblem, VariationOutcome,
-    VariationPointWork, WithEvaluator, SHARD_CLAIM_STALE_AFTER,
+    VariationPointWork, WithEvaluator,
 };
 use ayb_net::TcpTransport;
 use ayb_obs::{kind as event_kind, Event, EventSink, JsonlSink, Recorder, Severity, SinkGuard};
@@ -1541,24 +1541,23 @@ impl EventSink for RunEvents {
 impl DurableRun {
     /// Pre-write fence check for durable-run files: verifies this flow still
     /// holds the claim it minted, so a fenced-off (stolen-claim) writer
-    /// fails with [`StoreError::RunClaimed`] instead of corrupting its
-    /// successor's state. The check-then-write window is a single stat — the
-    /// successor's first act is its own fence-stamped claim, which this
-    /// comparison can never match.
+    /// fails instead of corrupting its successor's state — with
+    /// [`StoreError::RunClaimed`] naming the claim that holds the run, or,
+    /// once that successor has released it, [`StoreError::AlreadyCompleted`]
+    /// when the run has a result and [`StoreError::ClaimLost`] when not. The
+    /// check-then-write window is a single stat — the successor's first act
+    /// is its own fence-stamped claim, which this comparison can never match.
     fn fence(&self) -> Result<(), StoreError> {
-        if self.handle.claim_is(&self.claim)? {
-            return Ok(());
+        let run_id = self.handle.id().to_string();
+        match self.handle.claim()? {
+            Some(held) if held == self.claim => Ok(()),
+            Some(held) => Err(StoreError::RunClaimed {
+                run_id,
+                owner: held.owner,
+            }),
+            None if self.handle.has_result() => Err(StoreError::AlreadyCompleted(run_id)),
+            None => Err(StoreError::ClaimLost(run_id)),
         }
-        let owner = self
-            .handle
-            .claim()
-            .ok()
-            .flatten()
-            .map_or_else(|| "unknown".to_string(), |claim| claim.owner);
-        Err(StoreError::RunClaimed {
-            run_id: self.handle.id().to_string(),
-            owner,
-        })
     }
 }
 
@@ -1647,12 +1646,7 @@ impl RunSession {
             },
             None => ShardPlane {
                 label: "disk".to_string(),
-                transport: Arc::new(
-                    durable
-                        .handle
-                        .shard_plane(SHARD_CLAIM_STALE_AFTER)
-                        .with_recorder(recorder),
-                ),
+                transport: Arc::new(durable.handle.shard_plane().with_recorder(recorder)),
             },
         });
     }
@@ -1823,10 +1817,11 @@ impl RunSession {
     /// or could not mark the run running — by releasing the claim alone.
     ///
     /// A claim that is no longer on disk as minted — another claim took it
-    /// over from this presumed-hung process — leaves the run to its successor:
-    /// writing a status over the successor's `Running` (or deleting its
-    /// claim) is exactly the split-brain the fencing tokens exist to
-    /// prevent. A store-less run has nothing to end.
+    /// over from this presumed-hung process — leaves the run to its successor
+    /// untouched: no run event in its `events.jsonl`, no status over its
+    /// `Running`, no release of its claim. That is exactly the split-brain
+    /// the fencing tokens exist to prevent. A store-less run has nothing to
+    /// end.
     ///
     /// # Errors
     ///
@@ -1836,6 +1831,9 @@ impl RunSession {
             return Ok(());
         };
         drop(durable.heartbeat);
+        if !durable.handle.claim_is(&durable.claim).unwrap_or(false) {
+            return Ok(());
+        }
         if let Some(status) = status {
             let (severity, kind) = match status {
                 RunStatus::Completed => (Severity::Info, event_kind::RUN_COMPLETED),
@@ -1847,9 +1845,6 @@ impl RunSession {
                 RunStatus::Completed => event.value(self.elapsed.as_secs_f64()),
                 _ => event,
             });
-        }
-        if !durable.handle.claim_is(&durable.claim).unwrap_or(false) {
-            return Ok(());
         }
         let recorded = status.map_or(Ok(()), |status| durable.handle.set_status(status));
         // Compare-and-delete: releases only the claim this flow minted.

@@ -39,7 +39,10 @@
 //! Pareto point of the Monte Carlo variation stage — as claimable, typed
 //! shard tasks (see `ayb_store::shards`), and idle workers service them
 //! *shard-first* — before taking new runs — so every in-flight run keeps
-//! progressing even when all run-executing workers are occupied. A server
+//! progressing even when all run-executing workers are occupied. Workers
+//! claim, heartbeat and submit through one interface,
+//! [`ayb_moo::ShardSource`], on the store's disk plane and then, with
+//! [`JobServerConfig::transport`] set, on the coordinator's. A server
 //! started with [`JobServerConfig::shards_only`] (`ayb serve --shards-only`)
 //! is a pure shard worker: extra machines sharing the store run in this mode
 //! to scale one flow's batch evaluation and variation analysis.
@@ -93,15 +96,12 @@ pub use sched::{Priority, QueuePolicy, TenantPolicy, WrrQueue};
 
 use ayb_core::{AybError, FlowBuilder, FlowConfig, OtaSizingProblem};
 use ayb_moo::{
-    CheckpointError, OptimizerConfig, ShardOutcome, ShardWork, ShardWorkKind, SizingProblem,
-    VariationOutcome,
+    CheckpointError, OptimizerConfig, ShardOutcome, ShardSource, ShardWork, ShardWorkKind,
+    SizingProblem, VariationOutcome, CLAIM_STALE_AFTER,
 };
 use ayb_net::TcpTransport;
 use ayb_obs::{Event, Recorder, Severity};
-use ayb_store::{
-    ClaimHealth, ClaimHeartbeat, Manifest, RunHandle, RunStatus, Store, StoreError,
-    CLAIM_MAX_HEARTBEAT_AGE,
-};
+use ayb_store::{ClaimHealth, ClaimHeartbeat, RunHandle, RunStatus, Store, StoreError};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashSet;
 use std::fmt;
@@ -592,13 +592,19 @@ impl JobServer {
     /// (individual run failures are reported in the [`JobReport`] instead).
     pub fn run(&self) -> Result<JobReport, JobError> {
         let report = Mutex::new(JobReport::default());
-        // A malformed coordinator URL fails fast, before any thread starts;
-        // an unreachable coordinator does not (workers just poll into the
-        // void until it comes up — that is the fleet's normal startup order).
-        let net = match &self.config.transport {
-            Some(url) => Some(TcpTransport::from_url(url).map_err(JobError::Transport)?),
-            None => None,
-        };
+        // The shard planes workers serve, in the order they serve them: the
+        // store's disk plane, then the coordinator's. A malformed
+        // coordinator URL fails fast, before any thread starts; an
+        // unreachable coordinator does not (workers just poll into the void
+        // until it comes up — that is the fleet's normal startup order).
+        let disk = self.shared.store.shard_source();
+        let mut planes: Vec<Arc<dyn ShardSource>> =
+            vec![Arc::new(disk.with_recorder(self.shared.recorder.clone()))];
+        if let Some(url) = &self.config.transport {
+            planes.push(Arc::new(
+                TcpTransport::from_url(url).map_err(JobError::Transport)?,
+            ));
+        }
         if !self.config.shards_only {
             self.recover_and_requeue(&report)?;
         }
@@ -607,11 +613,10 @@ impl JobServer {
             for worker in 0..self.config.workers.max(1) {
                 let shared = Arc::clone(&self.shared);
                 let config = self.config.clone();
-                let net = net.clone();
-                let report = &report;
-                scope.spawn(move || worker_loop(&shared, &config, worker, net.as_ref(), report));
+                let (planes, report) = (&planes, &report);
+                scope.spawn(move || worker_loop(&shared, &config, worker, planes, report));
             }
-            let result = self.serve_loop(net.as_ref(), &report);
+            let result = self.serve_loop(&planes, &report);
             // Drain finished or shutdown requested (or the store broke):
             // stop the workers either way, then let the scope join them.
             self.shared.signal_stop();
@@ -649,7 +654,7 @@ impl JobServer {
     /// stranded by a dead or shut-down peer is adopted without a restart.
     fn serve_loop(
         &self,
-        net: Option<&TcpTransport>,
+        planes: &[Arc<dyn ShardSource>],
         report: &Mutex<JobReport>,
     ) -> Result<(), JobError> {
         // Terminal runs are remembered so each poll reads only live
@@ -702,24 +707,18 @@ impl JobServer {
             if self.shared.stop_workers.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            if self.config.drain && no_new_work && queue_empty && busy == 0 {
-                // A drain server is done only when the data plane is
-                // drained too — the on-disk one and, with a transport
-                // configured, the coordinator's, each counting a claimed
-                // shard as open (an unreachable coordinator counts as
-                // drained: there is nothing this server could service there
-                // anyway).
-                let disk_drained = self.shared.store.open_shard_tasks()?.is_empty();
-                let net_drained = match net {
-                    Some(net) => net
-                        .coordinator_stats()
-                        .map(|stats| stats.open_shards == 0)
-                        .unwrap_or(true),
-                    None => true,
-                };
-                if disk_drained && net_drained {
-                    return Ok(());
-                }
+            // A drain server is done only when every shard plane it serves
+            // is drained too, each counting a claimed shard as open. A plane
+            // that cannot be asked (an unreachable coordinator, an
+            // unreadable store) counts as drained: there is nothing this
+            // server could service there anyway.
+            let drained = || {
+                planes
+                    .iter()
+                    .all(|plane| plane.open_shards().map_or(true, |open| open == 0))
+            };
+            if self.config.drain && no_new_work && queue_empty && busy == 0 && drained() {
+                return Ok(());
             }
             let state = self.shared.queue.lock().expect("queue lock");
             let _ = self
@@ -733,7 +732,7 @@ impl JobServer {
     /// Startup recovery: re-queues every resumable run — `Interrupted` and
     /// `Running` ones without a result whose claim is not
     /// [`ClaimHealth::Alive`], and claimless `Running` ones whose manifest is
-    /// older than [`CLAIM_MAX_HEARTBEAT_AGE`] (a younger one may be inside
+    /// older than [`CLAIM_STALE_AFTER`] (a younger one may be inside
     /// its creator's create→claim window). A stale claim stays on disk: the
     /// claim of the worker that executes the run takes it over. Returns the
     /// re-queued ids.
@@ -754,7 +753,7 @@ impl JobServer {
                 Ok(Some((_, health))) => health != ClaimHealth::Alive,
                 Ok(None) => {
                     status == RunStatus::Interrupted
-                        || manifest_age_secs(&handle) >= CLAIM_MAX_HEARTBEAT_AGE.as_secs()
+                        || manifest_age_secs(&handle) >= CLAIM_STALE_AFTER.as_secs()
                 }
                 Err(_) => false,
             };
@@ -809,27 +808,23 @@ fn worker_loop(
     shared: &Arc<Shared>,
     config: &JobServerConfig,
     worker: usize,
-    net: Option<&TcpTransport>,
+    planes: &[Arc<dyn ShardSource>],
     report: &Mutex<JobReport>,
 ) {
     loop {
         if shared.stop_workers.load(Ordering::SeqCst) {
             return;
         }
-        // Shard-first priority: drain the data plane before taking new
-        // control-plane work. Runs executing on other workers (here or in
-        // other processes) block on their shards; servicing those first
-        // keeps every in-flight run progressing even when all run-executing
-        // workers are occupied.
-        if service_one_shard(shared, config, worker, report) {
+        // Shard-first priority: drain the data planes, disk first, before
+        // taking new control-plane work. Runs executing on other workers
+        // (here or in other processes) block on their shards; servicing
+        // those first keeps every in-flight run progressing even when all
+        // run-executing workers are occupied.
+        if planes
+            .iter()
+            .any(|plane| service_one_shard(shared, config, worker, plane, report))
+        {
             continue;
-        }
-        // The network data plane gets the same priority: a coordinator task
-        // is some run's in-flight population or variation point.
-        if let Some(net) = net {
-            if service_one_net_shard(shared, config, worker, net, report) {
-                continue;
-            }
         }
         let run_id = {
             let mut state = shared.queue.lock().expect("queue lock");
@@ -942,163 +937,69 @@ fn service_work(flow: &FlowConfig, work: &ShardWork) -> (ShardOutcome, usize) {
     }
 }
 
-/// Services one claimed shard on either plane — `at` is its run, epoch and
-/// index plus the servicing worker — by producing its outcome with
-/// [`service_work`], handing it to `submit`, and accounting what came of it.
-/// A fenced-off submit (`Ok(false)`: this worker was presumed hung and its
-/// claim re-issued; the successor's identical outcome stands) is counted in
-/// [`JobReport::shards_fenced`]; a failed one (the epoch closed mid-service,
-/// or the plane is unreachable) is a silent skip. Returns whether the
-/// outcome was accepted, having announced it.
-fn service_claimed<E>(
+/// Claims and services at most one shard of `plane` — a
+/// population-evaluation shard or a batch of variation (Monte Carlo)
+/// points — returning whether one was serviced.
+///
+/// The claimed shard carries its submitting run's flow configuration, so
+/// the problem is rebuilt from the shard itself, on either plane. A shard
+/// without a usable configuration is abandoned: once its heartbeat stops it
+/// goes stale, and the shard's next claim takes it over. A fenced-off
+/// submit (this worker was presumed hung and its claim taken over; the
+/// successor's identical outcome stands) is counted in
+/// [`JobReport::shards_fenced`]; a failed one (the epoch closed
+/// mid-service, or the plane is unreachable) is a silent skip.
+fn service_one_shard(
     shared: &Shared,
+    config: &JobServerConfig,
+    worker: usize,
+    plane: &Arc<dyn ShardSource>,
     report: &Mutex<JobReport>,
-    at: (&str, &str, usize, usize),
-    flow: &FlowConfig,
-    work: &ShardWork,
-    submit: impl FnOnce(&ShardOutcome) -> Result<bool, E>,
 ) -> bool {
-    let (run_id, epoch, shard, worker) = at;
-    let (outcome, candidates) = service_work(flow, work);
-    match submit(&outcome) {
-        Ok(true) => {}
-        Ok(false) => {
-            report.lock().expect("report lock").shards_fenced += 1;
-            return false;
+    let owner = format!("{}/worker-{}", config.owner, worker);
+    // Nothing claimable, or the plane is unreachable — either way there is
+    // no shard work on it for this worker right now.
+    let Ok(Some(claimed)) = plane.claim_next(&owner) else {
+        return false;
+    };
+    shared.queue.lock().expect("queue lock").busy += 1;
+    // Heartbeat the claim while servicing, so a slow service never goes
+    // stale and is never taken over by another claim. Best effort: a missed
+    // beat at worst lets the claim be taken over, which fencing makes safe.
+    let pulse = {
+        let (plane, claimed) = (Arc::clone(plane), claimed.clone());
+        ClaimHeartbeat::new(Duration::from_secs(1), move || {
+            let _ = plane.heartbeat(&claimed);
+        })
+    };
+    let submitted = match claimed.context.as_ref().map(FlowConfig::from_value) {
+        Some(Ok(flow)) => {
+            let (outcome, candidates) = service_work(&flow, &claimed.work);
+            let accepted = plane.submit_claimed(&claimed, &outcome);
+            accepted.ok().map(|accepted| (accepted, candidates))
         }
-        Err(_) => return false,
+        _ => None,
+    };
+    drop(pulse);
+    shared.queue.lock().expect("queue lock").busy -= 1;
+    shared.wake.notify_all();
+    let Some((accepted, candidates)) = submitted else {
+        return false;
+    };
+    if !accepted {
+        report.lock().expect("report lock").shards_fenced += 1;
+        return false;
     }
+    report.lock().expect("report lock").shards_serviced += 1;
     shared.emit(JobEvent::ShardServiced {
-        run_id: run_id.to_string(),
-        epoch: epoch.to_string(),
-        shard,
-        work: work.kind(),
+        run_id: claimed.run_id,
+        epoch: claimed.epoch,
+        shard: claimed.shard,
+        work: claimed.work.kind(),
         candidates,
         worker,
     });
     true
-}
-
-/// Claims and services at most one on-disk shard task — a
-/// population-evaluation shard or a batch of variation (Monte Carlo)
-/// points — returning whether one was serviced. The flow configuration is
-/// read from the owning run's manifest. The scan offers claimed shards too:
-/// the claim rule refuses a live claim and takes a stale one over. A task
-/// whose payload cannot be loaded (the epoch was closed, or its shape is
-/// unknown to this build) is declined: its claim is released for the
-/// submitter to service.
-fn service_one_shard(
-    shared: &Arc<Shared>,
-    config: &JobServerConfig,
-    worker: usize,
-    report: &Mutex<JobReport>,
-) -> bool {
-    let Ok(tasks) = shared.store.open_shard_tasks() else {
-        return false;
-    };
-    for mut task in tasks {
-        match task.try_claim(&format!("{}/worker-{}", config.owner, worker)) {
-            Ok(true) => {}
-            _ => continue,
-        }
-        {
-            let mut state = shared.queue.lock().expect("queue lock");
-            state.busy += 1;
-        }
-        // Heartbeat the shard claim while evaluating, so a slow evaluation
-        // never goes stale and is never taken over by another claim.
-        let heartbeat = task.start_claim_heartbeat(Duration::from_secs(1));
-        let serviced = match task.load_work() {
-            Ok(Some(work)) => run_flow(&shared.store, task.run_id()).is_some_and(|flow| {
-                let at = (task.run_id(), task.epoch(), task.shard(), worker);
-                service_claimed(shared, report, at, &flow, &work, |outcome| {
-                    task.submit_outcome(outcome)
-                })
-            }),
-            // The epoch was closed, or the payload does not decode.
-            _ => false,
-        };
-        drop(heartbeat);
-        if !serviced {
-            task.release();
-        }
-        {
-            let mut state = shared.queue.lock().expect("queue lock");
-            state.busy -= 1;
-        }
-        shared.wake.notify_all();
-        if serviced {
-            report.lock().expect("report lock").shards_serviced += 1;
-            return true;
-        }
-    }
-    false
-}
-
-/// Claims and services at most one *network* shard task from the
-/// coordinator, returning whether one was serviced.
-///
-/// Unlike the on-disk plane, the task is self-contained: it carries the
-/// submitting run's flow configuration, so the problem is rebuilt from the
-/// task itself and the worker never touches the submitter's store — this is
-/// what lets a fleet run with no shared filesystem at all. A task without a
-/// usable configuration is left to go stale, and the submitter's next claim
-/// takes it over.
-fn service_one_net_shard(
-    shared: &Arc<Shared>,
-    config: &JobServerConfig,
-    worker: usize,
-    net: &TcpTransport,
-    report: &Mutex<JobReport>,
-) -> bool {
-    let owner = format!("{}/worker-{}", config.owner, worker);
-    let task = match net.claim_next(&owner) {
-        Ok(Some(task)) => task,
-        // Nothing claimable, or the coordinator is unreachable — either way
-        // there is no network work for this worker right now.
-        _ => return false,
-    };
-    {
-        let mut state = shared.queue.lock().expect("queue lock");
-        state.busy += 1;
-    }
-    // Heartbeat the claim while evaluating, so a slow evaluation never goes
-    // stale and is never taken over by another claim.
-    let (transport, epoch, shard, token) =
-        (net.clone(), task.epoch.clone(), task.shard, task.token);
-    let pulse = ClaimHeartbeat::new(Duration::from_secs(1), move || {
-        // Best effort: a missed beat at worst lets the claim be stolen,
-        // which fencing makes safe.
-        let _ = transport.heartbeat(&epoch, shard, token);
-    });
-    let serviced = match task.context.as_ref().map(FlowConfig::from_value) {
-        Some(Ok(flow)) => {
-            let at = (&*task.run_id, &*task.epoch, task.shard, worker);
-            service_claimed(shared, report, at, &flow, &task.work, |outcome| {
-                net.submit_task(&task, outcome)
-            })
-        }
-        _ => false,
-    };
-    drop(pulse);
-    // An abandoned claim needs no release call: once its heartbeat stops,
-    // it goes stale and the shard's next claim takes it over.
-    {
-        let mut state = shared.queue.lock().expect("queue lock");
-        state.busy -= 1;
-    }
-    shared.wake.notify_all();
-    if serviced {
-        report.lock().expect("report lock").shards_serviced += 1;
-    }
-    serviced
-}
-
-/// The flow configuration a run's sharded flow works with, from its
-/// manifest.
-fn run_flow(store: &Store, run_id: &str) -> Option<FlowConfig> {
-    let manifest: Manifest<FlowConfig> = store.run(run_id).ok()?.manifest().ok()?;
-    Some(manifest.flow)
 }
 
 /// Executes one run to a terminal state. The claim is taken (and released)
@@ -1138,6 +1039,9 @@ fn execute_run(
         }
         Err(AybError::Store(StoreError::AlreadyCompleted(_))) => {
             Outcome::Skipped("already completed".to_string())
+        }
+        Err(AybError::Store(error @ StoreError::ClaimLost(_))) => {
+            Outcome::Skipped(error.to_string())
         }
         Err(error) => Outcome::Failed(error.to_string()),
     }

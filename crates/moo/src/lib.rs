@@ -26,7 +26,8 @@
 //!   convergence criterion this is the substrate for durable, resumable
 //!   flows (see the `ayb_store` crate),
 //! * [`sharding`] — the [`ShardTransport`] data-plane interface with its
-//!   typed [`ShardWork`]/[`ShardOutcome`] payloads, and the
+//!   typed [`ShardWork`]/[`ShardOutcome`] payloads, its worker side
+//!   [`ShardSource`], and the
 //!   [`ShardedEvaluator`] under [`SizingProblem::evaluate_batch`], which
 //!   distributes batches as deterministic shards over a transport (the run
 //!   store's on-disk plane or the TCP coordinator, in production) so any
@@ -105,8 +106,8 @@ pub use problem::{
     evaluate_batch_parallel, Evaluation, FnProblem, ObjectiveSpec, Sense, SizingProblem,
 };
 pub use sharding::{
-    drive_epoch, publish_epoch, DegradedHook, EpochWork, ShardError, ShardOutcome, ShardResults,
-    ShardTransport, ShardWork, ShardWorkKind, ShardedEvaluator, TransportStats, VariationOutcome,
-    VariationPointWork, WithEvaluator, SHARD_CLAIM_STALE_AFTER,
+    drive_epoch, publish_epoch, ClaimedShard, DegradedHook, EpochWork, ShardError, ShardOutcome,
+    ShardResults, ShardSource, ShardTransport, ShardWork, ShardWorkKind, ShardedEvaluator,
+    TransportStats, VariationOutcome, VariationPointWork, WithEvaluator, CLAIM_STALE_AFTER,
 };
 pub use wbga::normalize_weights;

@@ -1,5 +1,6 @@
-//! Shard-aware batch evaluation: the [`ShardTransport`] vocabulary and the
-//! [`ShardedEvaluator`] that distributes populations over it.
+//! Shard-aware batch evaluation: the [`ShardTransport`] vocabulary, its
+//! worker side [`ShardSource`], and the [`ShardedEvaluator`] that
+//! distributes populations over it.
 //!
 //! The optimisers in this crate evaluate whole populations through
 //! [`SizingProblem::evaluate_batch`] and nothing else, so distributing that
@@ -215,8 +216,8 @@ pub struct TransportStats {
 ///
 /// Every implementation follows one claim rule, the lease-plus-fencing-token
 /// discipline of Gray & Cheriton, "Leases" (SOSP 1989). A claim is *live*
-/// while its holder is alive and has been heard from within the plane's
-/// staleness bound ([`SHARD_CLAIM_STALE_AFTER`] for a flow's planes):
+/// while its holder is alive and has been heard from within the staleness
+/// bound ([`CLAIM_STALE_AFTER`]):
 ///
 /// * a claim is granted if and only if the shard is published, has no
 ///   outcome, and has no live claim; a refused claim mints nothing;
@@ -227,9 +228,9 @@ pub struct TransportStats {
 ///   newest one; a superseded holder's submit is discarded and counted in
 ///   [`TransportStats::fenced_rejections`].
 ///
-/// Whole-run claims in the run store follow the same rule under their own
-/// 30 s bound: a live run claim refuses, a stale one is taken over at the
-/// run's next token, and every durable write re-checks the writer's claim.
+/// Whole-run claims in the run store follow the same rule under the same
+/// bound: a live run claim refuses, a stale one is taken over at the run's
+/// next token, and every durable write re-checks the writer's claim.
 ///
 /// Claims are exclusive — of any number of processes racing
 /// [`ShardTransport::try_claim`] for one shard, exactly one wins — and an
@@ -238,7 +239,8 @@ pub struct TransportStats {
 ///
 /// The implementations are the run store's on-disk plane (`ayb_store`:
 /// epoch directories, hard-link claim files) and the TCP client of the
-/// in-memory coordinator (`ayb_net`); tests use in-memory transports.
+/// in-memory coordinator (`ayb_net`); tests use in-memory transports. A
+/// plane's workers reach it through [`ShardSource`].
 pub trait ShardTransport: Send + Sync {
     /// Opens a new epoch of `kind`-tagged work for `shard_count` shards,
     /// returning its identifier (unique within the transport, starting with
@@ -280,12 +282,63 @@ pub trait ShardTransport: Send + Sync {
     }
 }
 
-/// How long a shard claim may go unheard from before it is stale and the
-/// shard's next claim takes it over: the bound of a flow's planes, of disk
-/// workers and of `ayb coordinate`. Workers heartbeat their shard claims
-/// every second while evaluating, so only a dead or hung holder goes this
-/// long unheard.
-pub const SHARD_CLAIM_STALE_AFTER: Duration = Duration::from_secs(60);
+/// How long a claim may go unheard from before it is stale and the next
+/// claim takes it over: the one bound of the [`ShardTransport`] claim rule,
+/// for run claims and for both planes' shard claims (a flow's planes, disk
+/// workers and `ayb coordinate`). Holders heartbeat every second, so only a
+/// dead or hung holder goes this long unheard, and a loaded host keeps a
+/// wide margin.
+pub const CLAIM_STALE_AFTER: Duration = Duration::from_secs(30);
+
+/// One shard a worker claimed through [`ShardSource::claim_next`].
+/// Self-contained: the payload, the fencing token to heartbeat and submit
+/// under, and the submitter's context (its serialized flow configuration) —
+/// nothing else is needed to service the shard.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ClaimedShard {
+    /// The submitting run's identifier.
+    pub run_id: String,
+    /// Epoch the shard belongs to.
+    pub epoch: String,
+    /// Shard index within the epoch.
+    pub shard: usize,
+    /// The fencing token of this claim.
+    pub token: u64,
+    /// The typed work payload.
+    pub work: ShardWork,
+    /// Opaque submitter context (the run's flow configuration as JSON).
+    pub context: Option<Value>,
+}
+
+/// The worker side of a shard plane: what a worker that serves every open
+/// epoch of the plane needs, where a [`ShardTransport`] serves the one
+/// submitter of each epoch. Claims follow the [`ShardTransport`] claim rule.
+///
+/// The implementations are the run store's disk plane (`ayb_store`, every
+/// run of one store) and the TCP client of a coordinator (`ayb_net`).
+pub trait ShardSource: Send + Sync {
+    /// Claims a claimable shard of any open epoch for `owner` and returns it
+    /// with its work and its submitter's context; `None` when there is
+    /// none. A stale claim is taken over and reported (`shard_recover`).
+    fn claim_next(&self, owner: &str) -> Result<Option<ClaimedShard>, ShardError>;
+
+    /// Refreshes the heartbeat of `claimed`'s claim, so a slow service is
+    /// never taken for a hung one.
+    fn heartbeat(&self, claimed: &ClaimedShard) -> Result<(), ShardError>;
+
+    /// Submits `claimed`'s outcome and releases its claim. Returns `false`
+    /// when the claim changed hands meanwhile and the outcome was fenced
+    /// off (discarded).
+    fn submit_claimed(
+        &self,
+        claimed: &ClaimedShard,
+        outcome: &ShardOutcome,
+    ) -> Result<bool, ShardError>;
+
+    /// Counts the published shards that have no outcome yet, claimed or
+    /// not.
+    fn open_shards(&self) -> Result<usize, ShardError>;
+}
 
 /// One submitter-side stage binding for [`drive_epoch`]: how to fetch,
 /// claim, locally produce and submit one epoch's shards, plus boundary
@@ -349,7 +402,7 @@ pub trait EpochWork {
 /// How long [`drive_epoch`] sleeps after a pass that made no progress
 /// (every remaining shard is live-claimed by other workers), doubled after
 /// each further such pass up to [`MAX_POLL_INTERVAL`] and reset by any
-/// progress: a hung holder's 60 s costs a few hundred passes, not
+/// progress: a hung holder's 30 s costs a few hundred passes, not
 /// thousands of requests.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
 

@@ -24,13 +24,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ayb_moo::{ShardOutcome, ShardWork, ShardWorkKind};
+use ayb_moo::{ClaimedShard, ShardOutcome, ShardWork, ShardWorkKind};
 use ayb_obs::{kind as event_kind, Event, Recorder, Severity};
 use serde::Value;
 
-use crate::wire::{
-    read_frame, write_frame, CoordinatorStats, NetShardTask, Request, Response, MAX_EPOCH_SHARDS,
-};
+use crate::wire::{read_frame, write_frame, CoordinatorStats, Request, Response, MAX_EPOCH_SHARDS};
 
 /// Tuning knobs for a [`Coordinator`].
 #[derive(Debug, Clone, Copy)]
@@ -41,10 +39,10 @@ pub struct CoordinatorConfig {
 }
 
 impl Default for CoordinatorConfig {
-    /// The flow's bound, [`ayb_moo::SHARD_CLAIM_STALE_AFTER`].
+    /// The claim rule's bound, [`ayb_moo::CLAIM_STALE_AFTER`].
     fn default() -> Self {
         CoordinatorConfig {
-            stale_after: ayb_moo::SHARD_CLAIM_STALE_AFTER,
+            stale_after: ayb_moo::CLAIM_STALE_AFTER,
         }
     }
 }
@@ -553,7 +551,7 @@ fn dispatch_request(shared: &CoordShared, request: Request) -> Response {
                     .enumerate()
                     .find_map(|(shard, slot)| {
                         let grant = slot.grant(&owner, stale_after)?;
-                        let task = NetShardTask {
+                        let task = ClaimedShard {
                             run_id: epoch.run_id.clone(),
                             epoch: name.clone(),
                             shard,
@@ -606,7 +604,7 @@ fn unknown_shard(epoch: &str, shard: usize) -> Response {
 mod tests {
     use super::*;
     use crate::TcpTransport;
-    use ayb_moo::{ShardTransport, VariationOutcome, VariationPointWork};
+    use ayb_moo::{ShardSource, ShardTransport, VariationOutcome, VariationPointWork};
 
     fn eval_work(parameters: &[Vec<f64>]) -> ShardWork {
         ShardWork::Eval {
@@ -666,12 +664,12 @@ mod tests {
             .publish_work(&epoch, 0, &eval_work(&[vec![1.0]]))
             .unwrap();
         let first = plane
-            .try_claim_token(&epoch, 0, "w1")
+            .claim_next("w1")
             .unwrap()
             .expect("first claim granted");
         // Heartbeats keep the claim alive across the staleness bound...
         std::thread::sleep(Duration::from_millis(25));
-        plane.heartbeat(&epoch, 0, first).unwrap();
+        plane.heartbeat(&first).unwrap();
         std::thread::sleep(Duration::from_millis(25));
         assert_eq!(
             plane.try_claim_token(&epoch, 0, "w2").unwrap(),
@@ -685,7 +683,7 @@ mod tests {
             .try_claim_token(&epoch, 0, "w2")
             .unwrap()
             .expect("a stale claim is taken over");
-        assert_eq!(second, first + 1, "a refused claim mints no token");
+        assert_eq!(second, first.token + 1, "a refused claim mints no token");
     }
 
     #[test]
@@ -766,7 +764,7 @@ mod tests {
                 elapsed_seconds: 0.25,
             }],
         };
-        assert!(plane.submit_task(&task, &outcome).unwrap());
+        assert!(plane.submit_claimed(&task, &outcome).unwrap());
         assert_eq!(plane.fetch_outcome(&epoch, 0).unwrap(), Some(outcome));
     }
 

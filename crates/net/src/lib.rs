@@ -18,11 +18,12 @@
 //!   shard's result only from the holder of the *highest* token ever issued
 //!   for that shard — a late write from a stolen (hung, then superseded)
 //!   claim is rejected, not merged;
-//! * **[`TcpTransport`]** — the client: the TCP plane's one
-//!   [`ShardTransport`](ayb_moo::ShardTransport) implementation, so
+//! * **[`TcpTransport`]** — the client: the TCP plane's
+//!   [`ShardTransport`](ayb_moo::ShardTransport), so
 //!   `ShardedEvaluator`/`drive_epoch` and the variation stage run over TCP
-//!   unchanged, plus a worker-facing [`TcpTransport::claim_next`] that
-//!   carries the run's `FlowConfig` over the wire so workers need no access
+//!   unchanged, and its [`ShardSource`](ayb_moo::ShardSource), the worker
+//!   side every job worker serves both planes through: a [`ClaimedShard`]
+//!   carries the run's `FlowConfig` over the wire, so workers need no access
 //!   to the run store at all.
 //!
 //! Determinism is untouched: the coordinator stores opaque
@@ -39,11 +40,12 @@ mod transport;
 pub mod wire;
 
 pub use ayb_moo::{
-    ShardOutcome, ShardWork, ShardWorkKind, TransportStats, VariationOutcome, VariationPointWork,
+    ClaimedShard, ShardOutcome, ShardWork, ShardWorkKind, TransportStats, VariationOutcome,
+    VariationPointWork,
 };
 pub use coordinator::{Coordinator, CoordinatorConfig};
 pub use transport::TcpTransport;
-pub use wire::{CoordinatorStats, NetShardTask, Request, Response};
+pub use wire::{CoordinatorStats, Request, Response};
 
 /// Parses a `tcp://host:port` transport URL into its `host:port` socket
 /// address, rejecting anything else.

@@ -1,5 +1,5 @@
-//! The client side: the TCP plane's [`ShardTransport`], plus the
-//! `claim_next`/`submit_task` entry points job workers poll.
+//! The client side: the TCP plane's [`ShardTransport`] for submitters and
+//! its [`ShardSource`] for the job workers that poll it.
 //!
 //! A [`TcpTransport`] holds no connection — every call dials the
 //! coordinator, exchanges exactly one request/response frame and closes.
@@ -21,11 +21,14 @@ use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ayb_moo::{ShardError, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind, TransportStats};
+use ayb_moo::{
+    ClaimedShard, ShardError, ShardOutcome, ShardSource, ShardTransport, ShardWork, ShardWorkKind,
+    TransportStats,
+};
 use ayb_obs::{kind as event_kind, Event, Recorder, Severity};
 use serde::Value;
 
-use crate::wire::{read_frame, write_frame, NetShardTask, Request, Response};
+use crate::wire::{read_frame, write_frame, Request, Response};
 
 /// Per-call socket timeouts. Generous: a coordinator that takes longer than
 /// this per request is effectively down, and the caller's fallback path is
@@ -195,23 +198,6 @@ impl TcpTransport {
         }
     }
 
-    /// Refreshes the heartbeat of the claim holding `token`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::Transport`] when the coordinator is
-    /// unreachable. (A stolen claim's heartbeat is silently ineffective.)
-    pub fn heartbeat(&self, epoch: &str, shard: usize, token: u64) -> Result<(), ShardError> {
-        match self.call(&Request::Heartbeat {
-            epoch: epoch.to_string(),
-            shard,
-            token,
-        })? {
-            Response::Ok => Ok(()),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
     /// Submits a typed outcome under an explicit fencing token, returning
     /// whether the coordinator accepted it (`false`: fenced off).
     ///
@@ -257,43 +243,6 @@ impl TcpTransport {
             }
             other => Err(Self::unexpected(&other)),
         }
-    }
-
-    /// Claims the next available shard of *any* open epoch for `owner`,
-    /// returning the self-contained task (work + token + submitter context)
-    /// or `None` when the coordinator has nothing to hand out. This is the
-    /// entry point `ayb serve --transport tcp://…` workers poll; note the
-    /// worker needs no access to the submitter's store.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::Transport`] when the coordinator is
-    /// unreachable.
-    pub fn claim_next(&self, owner: &str) -> Result<Option<NetShardTask>, ShardError> {
-        match self.call(&Request::ClaimNext {
-            owner: owner.to_string(),
-        })? {
-            Response::Task { task } => Ok(task),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    /// Submits the outcome of a task claimed via [`TcpTransport::claim_next`]
-    /// under the task's own token. Returns whether it was accepted
-    /// (`false`: this worker was presumed hung and its claim was stolen; the
-    /// result was discarded).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::Transport`] when the coordinator is
-    /// unreachable (the epoch may legitimately be gone if the submitter
-    /// already finished or abandoned it).
-    pub fn submit_task(
-        &self,
-        task: &NetShardTask,
-        outcome: &ShardOutcome,
-    ) -> Result<bool, ShardError> {
-        self.submit_with_token(&task.epoch, task.shard, task.token, outcome)
     }
 
     /// Requests the coordinator's counters.
@@ -401,5 +350,44 @@ impl ShardTransport for TcpTransport {
     /// Counters shared by every clone of this transport.
     fn stats(&self) -> TransportStats {
         *self.stats.lock().expect("transport stats lock")
+    }
+}
+
+impl ShardSource for TcpTransport {
+    /// One `ClaimNext` request: the coordinator finds and claims the shard
+    /// under its lock. A task needs no access to the submitter's store.
+    fn claim_next(&self, owner: &str) -> Result<Option<ClaimedShard>, ShardError> {
+        match self.call(&Request::ClaimNext {
+            owner: owner.to_string(),
+        })? {
+            Response::Task { task } => Ok(task),
+            other => Err(Self::unexpected(&other)),
+        }
+    }
+
+    /// A heartbeat against a claim that was taken over is silently
+    /// ineffective.
+    fn heartbeat(&self, claimed: &ClaimedShard) -> Result<(), ShardError> {
+        match self.call(&Request::Heartbeat {
+            epoch: claimed.epoch.clone(),
+            shard: claimed.shard,
+            token: claimed.token,
+        })? {
+            Response::Ok => Ok(()),
+            other => Err(Self::unexpected(&other)),
+        }
+    }
+
+    fn submit_claimed(
+        &self,
+        claimed: &ClaimedShard,
+        outcome: &ShardOutcome,
+    ) -> Result<bool, ShardError> {
+        self.submit_with_token(&claimed.epoch, claimed.shard, claimed.token, outcome)
+    }
+
+    /// The coordinator's own count (see `CoordinatorStats::open_shards`).
+    fn open_shards(&self) -> Result<usize, ShardError> {
+        self.coordinator_stats().map(|stats| stats.open_shards)
     }
 }

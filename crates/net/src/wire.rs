@@ -14,7 +14,7 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
-use ayb_moo::{ShardOutcome, ShardWork, ShardWorkKind};
+use ayb_moo::{ClaimedShard, ShardOutcome, ShardWork, ShardWorkKind};
 use serde::{Deserialize, Serialize, Value};
 
 /// Hard upper bound on one frame's JSON payload (16 MiB). A peer announcing
@@ -220,7 +220,7 @@ pub enum Response {
     /// Outcome of a [`Request::ClaimNext`].
     Task {
         /// The claimed work, or `None` when no shard is available.
-        task: Option<NetShardTask>,
+        task: Option<ClaimedShard>,
     },
     /// Outcome of a [`Request::Stats`].
     Stats {
@@ -238,26 +238,6 @@ pub enum Response {
         /// Human-readable description.
         message: String,
     },
-}
-
-/// One claimed shard of network work, as handed to a worker by
-/// [`Request::ClaimNext`]. Self-contained: the payload, the fencing token to
-/// heartbeat and submit under, and the submitter's context (its serialized
-/// flow configuration) — nothing else is needed to service the shard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NetShardTask {
-    /// The submitting run's identifier.
-    pub run_id: String,
-    /// Epoch the shard belongs to.
-    pub epoch: String,
-    /// Shard index within the epoch.
-    pub shard: usize,
-    /// The fencing token of this claim.
-    pub token: u64,
-    /// The typed work payload.
-    pub work: ShardWork,
-    /// Opaque submitter context (the run's flow configuration as JSON).
-    pub context: Option<Value>,
 }
 
 /// The coordinator's observability counters.

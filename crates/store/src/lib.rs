@@ -67,7 +67,7 @@
 //! publishes each optimiser population as claimable shard tasks under
 //! `runs/<id>/shards/`, and any number of worker processes — on this or
 //! other machines sharing the store — evaluate them
-//! ([`ShardDataPlane`], [`ShardTask`], [`Store::open_shard_tasks`]).
+//! ([`ShardDataPlane`] for the submitter, [`StoreShardSource`] for workers).
 //!
 //! The flow layer (`ayb_core::FlowBuilder::with_store` / `resume`), the job
 //! server (`ayb_jobs::JobServer`) and the `ayb` CLI (`run` / `resume` /
@@ -103,13 +103,14 @@ mod checkpoints;
 pub mod shards;
 
 pub use ayb_moo::{
-    ShardOutcome, ShardWork, ShardWorkKind, TransportStats, VariationOutcome, VariationPointWork,
+    ClaimedShard, ShardOutcome, ShardWork, ShardWorkKind, TransportStats, VariationOutcome,
+    VariationPointWork,
 };
 pub use cache::{CacheEntry, CacheGcReport, ResultCache};
 pub use checkpoints::SavedCheckpoint;
-pub use shards::{ShardDataPlane, ShardSummary, ShardTask};
+pub use shards::{ShardDataPlane, ShardSummary, StoreShardSource};
 
-use ayb_moo::OptimizerConfig;
+use ayb_moo::{OptimizerConfig, CLAIM_STALE_AFTER};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashSet;
 use std::fmt;
@@ -153,6 +154,9 @@ pub enum StoreError {
         /// Owner label recorded in the claim file.
         owner: String,
     },
+    /// This process's claim on the run was taken over, and no claim holds
+    /// the run now: the run is no longer this process's to write.
+    ClaimLost(String),
 }
 
 impl fmt::Display for StoreError {
@@ -176,6 +180,9 @@ impl fmt::Display for StoreError {
             }
             StoreError::RunClaimed { run_id, owner } => {
                 write!(f, "run `{run_id}` is claimed by `{owner}`")
+            }
+            StoreError::ClaimLost(id) => {
+                write!(f, "run `{id}` was taken over from this process")
             }
         }
     }
@@ -332,32 +339,37 @@ fn read_claim_file(path: &Path) -> Result<Option<ClaimInfo>, StoreError> {
 /// minted from `fence_path`) for `owner` by the one claim rule of run and
 /// shard claims alike (leases with fencing tokens, see
 /// `ayb_moo::ShardTransport`): a claim whose holder is [`ClaimHealth::Alive`]
-/// by `stale_after` is refused before anything is minted; a
-/// [`ClaimHealth::Hung`] or [`ClaimHealth::Dead`] one is broken
-/// (compare-and-delete). Then the next fence is minted and the claim linked
-/// into place stamped with it. Returns the new claim and the stale claim it
-/// took over; `Ok(None)` is a refusal or a lost race.
+/// is refused before anything is minted; a [`ClaimHealth::Hung`] or
+/// [`ClaimHealth::Dead`] one is broken (compare-and-delete). Then the next
+/// fence is minted and the claim linked into place stamped with it. A claim
+/// that changed hands meanwhile — a racing claimant broke or linked first —
+/// is judged afresh. Returns the new claim and the stale claim it took over,
+/// or, as the inner `Err`, the live claim that refused it.
 fn claim_lock(
     dir: &Path,
     path: &Path,
     fence_path: &Path,
     owner: &str,
-    stale_after: Duration,
-) -> Result<Option<(ClaimInfo, Option<ClaimInfo>)>, StoreError> {
-    let taken_over = match read_claim_file(path)? {
-        Some(held) => {
-            let age = file_mtime_age(path).unwrap_or(Duration::MAX);
-            if held.health(age, stale_after) == ClaimHealth::Alive
-                || !break_claim_file(dir, path, &held)?
-            {
-                return Ok(None);
+) -> Result<Result<(ClaimInfo, Option<ClaimInfo>), ClaimInfo>, StoreError> {
+    loop {
+        let taken_over = match read_claim_file(path)? {
+            Some(held) => {
+                let age = file_mtime_age(path).unwrap_or(Duration::MAX);
+                if held.health(age) == ClaimHealth::Alive {
+                    return Ok(Err(held));
+                }
+                if !break_claim_file(dir, path, &held)? {
+                    continue;
+                }
+                Some(held)
             }
-            Some(held)
+            None => None,
+        };
+        let info = ClaimInfo::for_this_process(owner).with_fence(next_fence(fence_path)?);
+        if take_claim_file(dir, path, &info)? {
+            return Ok(Ok((info, taken_over)));
         }
-        None => None,
-    };
-    let info = ClaimInfo::for_this_process(owner).with_fence(next_fence(fence_path)?);
-    Ok(take_claim_file(dir, path, &info)?.then_some((info, taken_over)))
+    }
 }
 
 /// Compare-and-delete of the claim at `path` (scratch staged in `dir`): the
@@ -1286,7 +1298,7 @@ impl RunHandle {
     }
 
     /// Atomically claims the run for exclusive execution, by the claim rule
-    /// shard claims follow too, under [`CLAIM_MAX_HEARTBEAT_AGE`]: a live
+    /// shard claims follow too, under [`CLAIM_STALE_AFTER`]: a live
     /// claim is refused before a fencing token is minted, and a stale one
     /// ([`ClaimHealth::Hung`] or [`ClaimHealth::Dead`]) is taken over at the
     /// next token, so a stale claim changes hands only through a claim.
@@ -1308,20 +1320,13 @@ impl RunHandle {
             &self.claim_path(),
             &self.dir.join(CLAIM_FENCE_FILE),
             owner,
-            CLAIM_MAX_HEARTBEAT_AGE,
         )?;
-        if let Some((info, _)) = claimed {
-            return Ok(info);
-        }
-        let owner = self
-            .claim()
-            .ok()
-            .flatten()
-            .map_or_else(|| "unknown".to_string(), |claim| claim.owner);
-        Err(StoreError::RunClaimed {
-            run_id: self.run_id.clone(),
-            owner,
-        })
+        claimed
+            .map(|(info, _)| info)
+            .map_err(|holder| StoreError::RunClaimed {
+                run_id: self.run_id.clone(),
+                owner: holder.owner,
+            })
     }
 
     /// The run's current claim, if any.
@@ -1354,7 +1359,7 @@ impl RunHandle {
         ClaimHeartbeat::start(self.claim_path(), interval)
     }
 
-    /// Judges the run claim's health under [`CLAIM_MAX_HEARTBEAT_AGE`],
+    /// Judges the run claim's health under [`CLAIM_STALE_AFTER`],
     /// combining the pid liveness check (authoritative on the holder's own
     /// host) with the heartbeat age (meaningful across hosts): see
     /// [`ClaimHealth`]. Returns `None` when the run is unclaimed.
@@ -1368,7 +1373,7 @@ impl RunHandle {
             return Ok(None);
         };
         let age = self.claim_heartbeat_age().unwrap_or(Duration::MAX);
-        let health = claim.health(age, CLAIM_MAX_HEARTBEAT_AGE);
+        let health = claim.health(age);
         Ok(Some((claim, health)))
     }
 
@@ -1411,12 +1416,6 @@ impl RunHandle {
         break_claim_file(&self.dir, &self.claim_path(), expected)
     }
 }
-
-/// Heartbeat age past which a run claim no longer proves a live holder
-/// ([`ClaimHealth`]): the one bound run claims are judged and taken over by
-/// ([`RunHandle::try_claim`], [`RunHandle::claim_health`]). Holders refresh
-/// the heartbeat every second, so this leaves a loaded host ample margin.
-pub const CLAIM_MAX_HEARTBEAT_AGE: Duration = Duration::from_secs(30);
 
 /// Health judgment of a claim, combining pid liveness and heartbeat age
 /// (see [`RunHandle::claim_health`]).
@@ -1524,7 +1523,7 @@ impl ClaimInfo {
     }
 
     /// Judges this claim's health given its heartbeat age (the claim file's
-    /// modification-time age) and the staleness threshold.
+    /// modification-time age), under [`CLAIM_STALE_AFTER`].
     ///
     /// Where the pid can be probed authoritatively (same host with `/proc`,
     /// or the holder is this very process) the pid decides dead-vs-alive and
@@ -1533,16 +1532,16 @@ impl ClaimInfo {
     /// the only trustworthy signal, so a fresh heartbeat always means
     /// [`ClaimHealth::Alive`] (a long-running holder is never mistaken for
     /// dead just because a pid guess timed out).
-    pub fn health(&self, heartbeat_age: Duration, max_heartbeat_age: Duration) -> ClaimHealth {
+    pub fn health(&self, heartbeat_age: Duration) -> ClaimHealth {
         if self.pid_probe_is_authoritative() {
             if !self.holder_alive() {
                 ClaimHealth::Dead
-            } else if heartbeat_age > max_heartbeat_age {
+            } else if heartbeat_age > CLAIM_STALE_AFTER {
                 ClaimHealth::Hung
             } else {
                 ClaimHealth::Alive
             }
-        } else if heartbeat_age > max_heartbeat_age {
+        } else if heartbeat_age > CLAIM_STALE_AFTER {
             ClaimHealth::Dead
         } else {
             ClaimHealth::Alive
@@ -1977,22 +1976,16 @@ mod tests {
         };
         assert!(!foreign.same_host());
         assert!(foreign.holder_alive());
-        assert_eq!(
-            foreign.health(Duration::from_secs(1), Duration::from_secs(30)),
-            ClaimHealth::Alive
-        );
-        assert_eq!(
-            foreign.health(Duration::from_secs(60), Duration::from_secs(30)),
-            ClaimHealth::Dead
-        );
+        assert_eq!(foreign.health(Duration::from_secs(1)), ClaimHealth::Alive);
+        assert_eq!(foreign.health(Duration::from_secs(60)), ClaimHealth::Dead);
         #[cfg(target_os = "linux")]
         assert_eq!(
-            claim.health(Duration::ZERO, Duration::from_secs(30)),
+            claim.health(Duration::ZERO),
             ClaimHealth::Dead,
             "a dead pid on this host is dead however fresh the file looks"
         );
         assert_eq!(
-            own.health(Duration::from_secs(60), Duration::from_secs(30)),
+            own.health(Duration::from_secs(60)),
             ClaimHealth::Hung,
             "an alive pid that stopped heartbeating is hung, not dead"
         );
@@ -2018,7 +2011,7 @@ mod tests {
 
     /// Back-dates the modification time of the file at `path` by `age`: a
     /// claim heartbeat that lapsed `age` ago.
-    fn age_file(path: &Path, age: Duration) {
+    pub(crate) fn age_file(path: &Path, age: Duration) {
         fs::OpenOptions::new()
             .append(true)
             .open(path)

@@ -25,21 +25,22 @@
 //! it goes stale, without changing any result, because candidate evaluation
 //! is pure and results are written atomically.
 //!
-//! [`ShardDataPlane`] is the submitter's view — it implements
+//! [`ShardDataPlane`] is the submitter's view of one run — it implements
 //! [`ayb_moo::ShardTransport`], the one typed interface both the sharded
-//! evaluator and the variation stage drive. [`ShardTask`] /
-//! [`Store::open_shard_tasks`] are the worker's view: scan, claim, service,
-//! submit. Both views commit through one helper and claim through the
-//! store's one claim helper, which run claims use too, so the claim rule of
-//! [`ayb_moo::ShardTransport`] exists once on disk.
+//! evaluator and the variation stage drive. [`StoreShardSource`] is the
+//! workers' view of every run in the store — it implements
+//! [`ayb_moo::ShardSource`], the interface job workers serve the TCP plane
+//! through too: claim, heartbeat, submit. Both views commit through one
+//! helper and claim through the store's one claim helper, which run claims
+//! use too, so the claim rule of [`ayb_moo::ShardTransport`] exists once on
+//! disk.
 //!
 //! ```
 //! use ayb_store::ShardDataPlane;
 //! use ayb_moo::{Evaluation, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind};
-//! use std::time::Duration;
 //!
 //! let dir = std::env::temp_dir().join(format!("ayb-shard-doc-{}", std::process::id()));
-//! let plane = ShardDataPlane::open(&dir, Duration::from_secs(30));
+//! let plane = ShardDataPlane::open(&dir);
 //! let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
 //! let work = ShardWork::Eval { parameters: vec![vec![0.5, 0.5]] };
 //! plane.publish_work(&epoch, 0, &work).unwrap();
@@ -52,14 +53,15 @@
 //! ```
 
 use crate::{
-    break_claim_file, claim_lock, io_error, read_claim_file, read_json, write_json, ClaimInfo,
-    RunHandle, RunStatus, Store, StoreError,
+    break_claim_file, claim_lock, io_error, read_claim_file, read_json, touch_claim_file,
+    write_json, ClaimInfo, RunHandle, RunStatus, Store, StoreError,
 };
 use ayb_moo::{
-    ShardError, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind, TransportStats,
-    SHARD_CLAIM_STALE_AFTER,
+    ClaimedShard, ShardError, ShardOutcome, ShardSource, ShardTransport, ShardWork, ShardWorkKind,
+    TransportStats,
 };
 use ayb_obs::{kind as event_kind, Event, Recorder, Severity};
+use serde::{Deserialize, Value};
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -102,27 +104,25 @@ fn parse_task_name(name: &str) -> Option<usize> {
 
 /// Claims shard `shard` of the epoch in `epoch_dir` for `owner` by the
 /// claim rule of [`ShardTransport`]: a shard with a result or without a task
-/// is refused; otherwise the store's one claim helper applies the rule with
-/// `stale_after` as the bound. Returns the new claim and the stale claim it
-/// took over;
-/// `Ok(None)` is a refusal, a lost race — or an epoch disposed of before the
-/// claim, which is the same clean miss.
+/// is refused; otherwise the store's one claim helper applies the rule.
+/// Returns the new claim and the stale claim it took over; `Ok(None)` is a
+/// refusal — or an epoch disposed of before the claim, which is the same
+/// clean miss.
 fn claim_shard(
     epoch_dir: &Path,
     shard: usize,
     owner: &str,
-    stale_after: Duration,
 ) -> Result<Option<(ClaimInfo, Option<ClaimInfo>)>, StoreError> {
     if epoch_dir.join(result_name(shard)).is_file() || !epoch_dir.join(task_name(shard)).is_file() {
         return Ok(None);
     }
-    claim_lock(
+    let claimed = claim_lock(
         epoch_dir,
         &epoch_dir.join(claim_name(shard)),
         &epoch_dir.join(fence_name(shard)),
         owner,
-        stale_after,
-    )
+    )?;
+    Ok(claimed.ok())
 }
 
 /// Commits shard `shard`'s outcome and releases the claim — *unless* the
@@ -166,7 +166,6 @@ type HeldClaims = Arc<Mutex<HashMap<(String, usize), (ClaimInfo, Instant)>>>;
 #[derive(Debug, Clone)]
 pub struct ShardDataPlane {
     dir: PathBuf,
-    stale_after: Duration,
     /// Fenced claims this plane took and has not submitted yet, per
     /// `(epoch, shard)`; shared across clones. Submits re-check the claim
     /// file against the remembered claim and *discard* the result when it
@@ -186,8 +185,8 @@ impl ShardDataPlane {
     /// Opens a shard plane rooted at `dir` (usually
     /// `runs/<id>/shards`, via [`RunHandle::shard_plane`]); this plane's
     /// claims take over a shard claim whose heartbeat is older than
-    /// `stale_after`, or whose holder is dead.
-    pub fn open(dir: impl Into<PathBuf>, stale_after: Duration) -> ShardDataPlane {
+    /// [`ayb_moo::CLAIM_STALE_AFTER`], or whose holder is dead.
+    pub fn open(dir: impl Into<PathBuf>) -> ShardDataPlane {
         let dir = dir.into();
         let run_id = dir
             .parent()
@@ -196,7 +195,6 @@ impl ShardDataPlane {
             .map(String::from);
         ShardDataPlane {
             dir,
-            stale_after,
             claims: Arc::new(Mutex::new(HashMap::new())),
             fenced: Arc::new(AtomicU64::new(0)),
             recorder: None,
@@ -275,13 +273,8 @@ impl ShardTransport for ShardDataPlane {
     /// stale claim reports `shard_recover` with that claim's fence and owner
     /// before its own `shard_claim`.
     fn try_claim(&self, epoch: &str, shard: usize) -> Result<bool, ShardError> {
-        let claimed = claim_shard(
-            &self.epoch_dir(epoch),
-            shard,
-            "shard-submitter",
-            self.stale_after,
-        )
-        .map_err(transport_error)?;
+        let claimed = claim_shard(&self.epoch_dir(epoch), shard, "shard-submitter")
+            .map_err(transport_error)?;
         let Some((info, taken_over)) = claimed else {
             return Ok(false);
         };
@@ -426,10 +419,9 @@ impl RunHandle {
     }
 
     /// The run's shard data plane, ready to plug into an
-    /// [`ayb_moo::ShardedEvaluator`]; see [`ShardDataPlane::open`] for
-    /// `stale_after`.
-    pub fn shard_plane(&self, stale_after: Duration) -> ShardDataPlane {
-        ShardDataPlane::open(self.shards_dir(), stale_after)
+    /// [`ayb_moo::ShardedEvaluator`].
+    pub fn shard_plane(&self) -> ShardDataPlane {
+        ShardDataPlane::open(self.shards_dir())
     }
 
     /// Counts the run's open shard epochs, tasks, claims and results (for
@@ -515,144 +507,61 @@ fn read_dir_sorted(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
     Ok(paths)
 }
 
-/// A claimable shard evaluation task, as seen by a worker (see
-/// [`Store::open_shard_tasks`]): claim it, load its parameters, evaluate
-/// them, submit the results.
-#[derive(Debug, Clone)]
-pub struct ShardTask {
+/// The open shards of one `Running` run, as [`StoreShardSource`]'s scan
+/// finds them.
+struct OpenRun {
     run_id: String,
-    epoch: String,
-    shard: usize,
-    epoch_dir: PathBuf,
-    /// The fenced claim this task holds after a successful
-    /// [`ShardTask::try_claim`]; submits re-check it against the claim file
-    /// and discard the result when it changed hands.
-    claimed: Option<ClaimInfo>,
+    /// The manifest's `flow`: the context every shard of the run carries.
+    flow: Option<Value>,
+    /// Each open shard's epoch, epoch directory and index.
+    shards: Vec<(String, PathBuf, usize)>,
 }
 
-impl ShardTask {
-    /// The run this shard belongs to.
-    pub fn run_id(&self) -> &str {
-        &self.run_id
-    }
-
-    /// The evaluation epoch (one optimiser batch) this shard belongs to.
-    pub fn epoch(&self) -> &str {
-        &self.epoch
-    }
-
-    /// The shard's index within its epoch.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// The kind of work this shard carries, judged from its epoch's name
-    /// (cheap — no file read; the task file's payload tag is authoritative).
-    pub fn work_kind(&self) -> ShardWorkKind {
-        ShardWorkKind::of_epoch(&self.epoch)
-    }
-
-    fn claim_path(&self) -> PathBuf {
-        self.epoch_dir.join(claim_name(self.shard))
-    }
-
-    /// Atomically claims the shard for evaluation by this process, minting a
-    /// fencing token for the claim (see [`ClaimInfo::fence`]), by the same
-    /// rule as [`ShardDataPlane`]'s claims with the flow's
-    /// [`SHARD_CLAIM_STALE_AFTER`] bound. Returns `false` when the rule
-    /// refuses it: another worker holds a live claim, the shard is finished,
-    /// or the epoch has been disposed of in the meantime.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`]/[`StoreError::Json`] on filesystem
-    /// failures other than the ordinary lost race.
-    pub fn try_claim(&mut self, owner: &str) -> Result<bool, StoreError> {
-        let claimed = claim_shard(&self.epoch_dir, self.shard, owner, SHARD_CLAIM_STALE_AFTER)?;
-        let Some((info, _)) = claimed else {
-            return Ok(false);
-        };
-        self.claimed = Some(info);
-        Ok(true)
-    }
-
-    /// Starts a heartbeat on this shard's claim (see [`crate::ClaimHeartbeat`]),
-    /// so a slow evaluation never goes stale and is not taken over.
-    pub fn start_claim_heartbeat(&self, interval: Duration) -> crate::ClaimHeartbeat {
-        crate::ClaimHeartbeat::start(self.claim_path(), interval)
-    }
-
-    /// Loads the shard's typed payload; `None` when the epoch was closed
-    /// (the submitter assembled the batch without this shard — nothing left
-    /// to do).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Json`] when an existing task file is malformed
-    /// or carries a shape this build does not know (such as the retired
-    /// single-point variation task): the worker declines it.
-    pub fn load_work(&self) -> Result<Option<ShardWork>, StoreError> {
-        let path = self.epoch_dir.join(task_name(self.shard));
-        if !path.is_file() {
-            return Ok(None);
-        }
-        let work: ShardWork = read_json(&path)?;
-        Ok(Some(work))
-    }
-
-    /// Atomically writes the shard's typed outcome and releases this
-    /// worker's claim. Returns whether the result was accepted: `false`
-    /// means this worker's claim was taken over while it worked (it went
-    /// stale) and the result was **discarded** — the thief
-    /// re-services the shard with an identical outcome, so the caller
-    /// treats this as a skip, not a failure.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`]/[`StoreError::Json`] when the result
-    /// cannot be written (e.g. the epoch was closed mid-evaluation; the
-    /// submitter no longer needs the result, so callers treat this as a
-    /// skip too).
-    pub fn submit_outcome(&self, outcome: &ShardOutcome) -> Result<bool, StoreError> {
-        commit_outcome(&self.epoch_dir, self.shard, self.claimed.as_ref(), outcome)
-    }
-
-    /// Releases this worker's claim without submitting a result (e.g. the
-    /// task file vanished after the claim). Compare-and-delete: a claim
-    /// that already changed hands is left untouched, and a task this worker
-    /// never claimed releases nothing.
-    pub fn release(&self) {
-        if let Some(mine) = &self.claimed {
-            let _ = break_claim_file(&self.epoch_dir, &self.claim_path(), mine);
-        }
-    }
+/// The workers' view of the store's disk plane: every open shard of every
+/// `Running` run, through [`ShardSource`] (see [`Store::shard_source`]).
+/// Claims follow the [`ShardTransport`] rule, as [`ShardDataPlane`]'s do,
+/// and a claim that takes over a stale claim reports `shard_recover` before
+/// its `shard_claim`.
+#[derive(Debug, Clone)]
+pub struct StoreShardSource {
+    store: Store,
+    /// Claims this source took and has not submitted yet, by claim file and
+    /// token; shared across clones. A submit compares the whole claim, not
+    /// the token alone: two racing minters can write the same fence.
+    held: Arc<Mutex<HashMap<(PathBuf, u64), ClaimInfo>>>,
+    /// Optional telemetry handle for the claim events.
+    recorder: Option<Recorder>,
 }
 
-impl Store {
-    /// Scans for open shard tasks: published shards of `Running` runs that
-    /// have no result yet, claimed or not, in deterministic (run, epoch,
-    /// shard) order.
-    ///
-    /// Workers iterate the list and [`ShardTask::try_claim`] each candidate,
-    /// which applies the claim rule: a live claim is refused and the worker
-    /// moves on, a stale one (its holder died or hung) is taken over.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] when the runs directory cannot be read
-    /// (individual unreadable runs are skipped).
-    pub fn open_shard_tasks(&self) -> Result<Vec<ShardTask>, StoreError> {
-        let mut tasks = Vec::new();
-        for run_id in self.run_ids()? {
+impl StoreShardSource {
+    /// Attaches a telemetry recorder: every claim emits `shard_claim`, after
+    /// a `shard_recover` for the stale claim it took over, each stamped with
+    /// the shard's run.
+    pub fn with_recorder(mut self, recorder: Recorder) -> StoreShardSource {
+        self.recorder = Some(recorder);
+        self
+    }
+
+    fn epoch_dir(&self, claimed: &ClaimedShard) -> PathBuf {
+        self.store
+            .runs_dir()
+            .join(&claimed.run_id)
+            .join(SHARD_DIR)
+            .join(&claimed.epoch)
+    }
+
+    /// Scans for open shards: published shards of `Running` runs that have
+    /// no result yet, claimed or not, in deterministic (run, epoch, shard)
+    /// order. Unreadable runs and epochs are skipped.
+    fn scan(&self) -> Result<Vec<OpenRun>, StoreError> {
+        let mut runs = Vec::new();
+        for run_id in self.store.run_ids()? {
             // Cheap checks first: workers poll this scan every tick, and a
             // store full of finished runs must cost stats, not JSON manifest
             // parses. Runs without open epochs (the overwhelming majority —
             // `close_epoch`/`sweep_shards` remove empty `shards/` dirs) are
-            // dismissed before their manifest is ever read.
-            let Ok(handle) = self.run(&run_id) else {
-                continue;
-            };
-            let shards = handle.shards_dir();
+            // dismissed by one stat, before their manifest is ever read.
+            let shards = self.store.runs_dir().join(&run_id).join(SHARD_DIR);
             if !shards.is_dir() {
                 continue;
             }
@@ -664,13 +573,15 @@ impl Store {
             }
             // Only the claim-holding flow of a Running run publishes shards;
             // anything else has no live epochs worth scanning.
-            if handle.status().ok() != Some(RunStatus::Running) {
+            let Ok(manifest) = self.store.run(&run_id).and_then(|run| run.manifest_value()) else {
+                continue;
+            };
+            let status = manifest.get("status").map(RunStatus::from_value);
+            if !matches!(status, Some(Ok(RunStatus::Running))) {
                 continue;
             }
+            let mut open = Vec::new();
             for epoch_dir in epochs {
-                if !epoch_dir.is_dir() {
-                    continue;
-                }
                 let Some(epoch) = epoch_dir
                     .file_name()
                     .and_then(|n| n.to_str())
@@ -682,34 +593,137 @@ impl Store {
                     continue;
                 };
                 for path in entries {
-                    let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+                    let Some(shard) = path
+                        .file_name()
+                        .and_then(|n| n.to_str())
+                        .and_then(parse_task_name)
+                    else {
                         continue;
                     };
-                    let Some(shard) = parse_task_name(name) else {
-                        continue;
-                    };
-                    if epoch_dir.join(result_name(shard)).is_file() {
-                        continue;
+                    if !epoch_dir.join(result_name(shard)).is_file() {
+                        open.push((epoch.clone(), epoch_dir.clone(), shard));
                     }
-                    tasks.push(ShardTask {
-                        run_id: run_id.clone(),
-                        epoch: epoch.clone(),
-                        shard,
-                        epoch_dir: epoch_dir.clone(),
-                        claimed: None,
-                    });
                 }
             }
+            runs.push(OpenRun {
+                run_id,
+                flow: manifest.get("flow").cloned(),
+                shards: open,
+            });
         }
-        Ok(tasks)
+        Ok(runs)
+    }
+
+    /// Emits `event` when a recorder is attached.
+    fn emit(&self, event: Event) {
+        if let Some(recorder) = &self.recorder {
+            recorder.emit(event);
+        }
+    }
+}
+
+impl ShardSource for StoreShardSource {
+    /// Claims the first shard of the scan the claim rule grants. A claim
+    /// that fails moves on to the next shard, and so does a task whose
+    /// payload does not load (its epoch was closed, or its shape is unknown
+    /// to this build): that claim is released for the submitter.
+    fn claim_next(&self, owner: &str) -> Result<Option<ClaimedShard>, ShardError> {
+        for run in self.scan().map_err(transport_error)? {
+            for (epoch, epoch_dir, shard) in &run.shards {
+                let Ok(Some((info, taken_over))) = claim_shard(epoch_dir, *shard, owner) else {
+                    continue;
+                };
+                let event = |severity: Severity, kind: &str| {
+                    Event::new(severity, "shards", kind)
+                        .run(&run.run_id)
+                        .epoch(epoch)
+                        .shard(*shard as u64)
+                };
+                if let Some(stale) = taken_over {
+                    self.emit(
+                        event(Severity::Warn, event_kind::SHARD_RECOVER)
+                            .fence(stale.fence)
+                            .detail(format!("stale claim of `{}` taken over", stale.owner)),
+                    );
+                }
+                self.emit(
+                    event(Severity::Debug, event_kind::SHARD_CLAIM)
+                        .fence(info.fence)
+                        .detail(format!("claim granted to `{owner}`")),
+                );
+                let claim_path = epoch_dir.join(claim_name(*shard));
+                let Ok(work) = read_json::<ShardWork>(&epoch_dir.join(task_name(*shard))) else {
+                    let _ = break_claim_file(epoch_dir, &claim_path, &info);
+                    continue;
+                };
+                let token = info.fence;
+                self.held
+                    .lock()
+                    .expect("shard claim table lock")
+                    .insert((claim_path, token), info);
+                return Ok(Some(ClaimedShard {
+                    run_id: run.run_id.clone(),
+                    epoch: epoch.clone(),
+                    shard: *shard,
+                    token,
+                    work,
+                    context: run.flow.clone(),
+                }));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Touches the claim file's modification time.
+    fn heartbeat(&self, claimed: &ClaimedShard) -> Result<(), ShardError> {
+        touch_claim_file(&self.epoch_dir(claimed).join(claim_name(claimed.shard)));
+        Ok(())
+    }
+
+    /// Commits the outcome if the claim file still holds the claim this
+    /// source took; `false` otherwise, and for a claim it never took.
+    fn submit_claimed(
+        &self,
+        claimed: &ClaimedShard,
+        outcome: &ShardOutcome,
+    ) -> Result<bool, ShardError> {
+        let epoch_dir = self.epoch_dir(claimed);
+        let key = (epoch_dir.join(claim_name(claimed.shard)), claimed.token);
+        let mine = self
+            .held
+            .lock()
+            .expect("shard claim table lock")
+            .remove(&key);
+        match mine {
+            Some(mine) => commit_outcome(&epoch_dir, claimed.shard, Some(&mine), outcome)
+                .map_err(transport_error),
+            None => Ok(false),
+        }
+    }
+
+    fn open_shards(&self) -> Result<usize, ShardError> {
+        let runs = self.scan().map_err(transport_error)?;
+        Ok(runs.iter().map(|run| run.shards.len()).sum())
+    }
+}
+
+impl Store {
+    /// The workers' view of this store's disk plane (see
+    /// [`StoreShardSource`]).
+    pub fn shard_source(&self) -> StoreShardSource {
+        StoreShardSource {
+            store: self.clone(),
+            held: Arc::default(),
+            recorder: None,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::age_file;
     use ayb_moo::{Evaluation, GaConfig, OptimizerConfig, VariationOutcome, VariationPointWork};
-    use serde::Value;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_store() -> (PathBuf, Store) {
@@ -752,7 +766,7 @@ mod tests {
     fn publish_claim_submit_fetch_roundtrip() {
         let (root, store) = temp_store();
         let run = running_run(&store);
-        let plane = run.shard_plane(Duration::from_secs(30));
+        let plane = run.shard_plane();
 
         let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 2).unwrap();
         plane
@@ -790,7 +804,7 @@ mod tests {
     fn workers_discover_claim_and_service_tasks() {
         let (root, store) = temp_store();
         let run = running_run(&store);
-        let plane = run.shard_plane(Duration::from_secs(30));
+        let plane = run.shard_plane();
         let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 2).unwrap();
         plane
             .publish_work(&epoch, 0, &eval_work(&[vec![0.1]]))
@@ -799,50 +813,46 @@ mod tests {
             .publish_work(&epoch, 1, &eval_work(&[vec![0.2]]))
             .unwrap();
 
-        let tasks = store.open_shard_tasks().unwrap();
-        assert_eq!(tasks.len(), 2);
-        assert_eq!(tasks[0].run_id(), run.id());
-        assert_eq!(tasks[0].epoch(), epoch);
-        assert_eq!((tasks[0].shard(), tasks[1].shard()), (0, 1));
+        // A worker claims the scan's first shard, with its work and the
+        // run's flow configuration as context.
+        let source = store.shard_source();
+        assert_eq!(source.open_shards().unwrap(), 2);
+        let first = source.claim_next("worker-a").unwrap().expect("claimable");
+        assert_eq!(
+            (first.run_id.as_str(), first.epoch.as_str(), first.shard),
+            (run.id(), epoch.as_str(), 0)
+        );
+        assert_eq!(first.work, eval_work(&[vec![0.1]]));
+        assert_eq!(first.context, Some(Value::Str("flow-config".to_string())));
 
-        // Worker services shard 0 end to end.
-        let mut tasks = tasks;
-        assert!(tasks[0].try_claim("worker-a").unwrap());
-        {
-            let mut rival = tasks[0].clone();
-            assert!(!rival.try_claim("worker-b").unwrap());
-        }
-        let task = &tasks[0];
-        assert_eq!(task.load_work().unwrap(), Some(eval_work(&[vec![0.1]])));
-        assert!(task
-            .submit_outcome(&eval_outcome(vec![evaluation(0.1)]))
+        // The claim rule refuses the live-claimed shard 0 to the next
+        // worker, which gets shard 1; then nothing is left to claim.
+        let second = store.shard_source().claim_next("worker-b").unwrap();
+        assert_eq!(second.expect("shard 1 is claimable").shard, 1);
+        assert_eq!(source.claim_next("worker-c").unwrap(), None);
+
+        // Worker A services shard 0 end to end.
+        assert!(source
+            .submit_claimed(&first, &eval_outcome(vec![evaluation(0.1)]))
             .unwrap());
         assert_eq!(
             plane.fetch_outcome(&epoch, 0).unwrap(),
             Some(eval_outcome(vec![evaluation(0.1)]))
         );
 
-        // A serviced shard disappears from the scan; a live-claimed one
-        // stays in it, and the claim rule refuses its claim.
-        assert!(tasks[1].try_claim("worker-c").unwrap());
-        let offered = store.open_shard_tasks().unwrap();
-        assert_eq!(offered.len(), 1);
-        assert_eq!(offered[0].shard(), 1);
-        assert!(!offered[0].clone().try_claim("worker-d").unwrap());
-        tasks[1].release();
-        assert_eq!(store.open_shard_tasks().unwrap().len(), 1);
+        // A serviced shard leaves the scan; a live-claimed one stays in it,
+        // and the claim rule refuses its claim.
+        assert_eq!(source.open_shards().unwrap(), 1);
+        assert_eq!(source.claim_next("worker-d").unwrap(), None);
 
         // A dead worker's claim (no Linux pid is u32::MAX) is taken over by
         // a scanning worker at the next fence.
-        let mut dead = store.open_shard_tasks().unwrap().remove(0);
-        assert!(dead.try_claim("worker-dead").unwrap());
         let claim_path = run.shards_dir().join(&epoch).join(claim_name(1));
         let mut held = read_claim_file(&claim_path).unwrap().unwrap();
         held.pid = u32::MAX;
         crate::write_json(&claim_path, &held).unwrap();
-        let mut offered = store.open_shard_tasks().unwrap();
-        assert_eq!(offered.len(), 1);
-        assert!(offered[0].try_claim("worker-e").unwrap());
+        let taken = source.claim_next("worker-e").unwrap().expect("taken over");
+        assert_eq!((taken.shard, taken.token), (1, held.fence + 1));
         let taker = read_claim_file(&claim_path).unwrap().unwrap();
         assert_eq!(
             (taker.owner.as_str(), taker.fence),
@@ -851,7 +861,52 @@ mod tests {
 
         // Tasks of non-Running runs are never offered.
         run.set_status(RunStatus::Interrupted).unwrap();
-        assert!(store.open_shard_tasks().unwrap().is_empty());
+        assert_eq!(source.open_shards().unwrap(), 0);
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn the_worker_plane_reports_the_dead_claim_it_takes_over() {
+        let (root, store) = temp_store();
+        let run = running_run(&store);
+        let plane = run.shard_plane();
+        let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
+        plane
+            .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
+            .unwrap();
+        // A claim of a dead worker on this host (no Linux pid is ever
+        // u32::MAX), at fence 1.
+        let dead = ClaimInfo {
+            pid: u32::MAX,
+            ..ClaimInfo::for_this_process("dead-worker").with_fence(1)
+        };
+        let epoch_dir = run.shards_dir().join(&epoch);
+        crate::write_json(&epoch_dir.join(fence_name(0)), &1u64).unwrap();
+        crate::write_json(&epoch_dir.join(claim_name(0)), &dead).unwrap();
+
+        let recorder = Recorder::new();
+        let source = store.shard_source().with_recorder(recorder.clone());
+        let claimed = source.claim_next("worker").unwrap().expect("taken over");
+        assert_eq!(claimed.token, 2);
+        let events = recorder.recent();
+        let recovered: Vec<_> = events
+            .iter()
+            .filter(|event| event.kind == event_kind::SHARD_RECOVER)
+            .collect();
+        assert_eq!(recovered.len(), 1);
+        assert_eq!(recovered[0].fence, Some(1));
+        assert!(recovered[0].detail.contains("`dead-worker`"));
+        let claims: Vec<_> = events
+            .iter()
+            .filter(|event| event.kind == event_kind::SHARD_CLAIM)
+            .collect();
+        assert_eq!(claims.len(), 1);
+        assert_eq!(claims[0].fence, Some(2));
+        for event in [recovered[0], claims[0]] {
+            assert_eq!(event.run_id.as_deref(), Some(run.id()));
+            assert_eq!(event.epoch.as_deref(), Some(epoch.as_str()));
+            assert_eq!(event.shard, Some(0));
+        }
         let _ = fs::remove_dir_all(root);
     }
 
@@ -859,17 +914,18 @@ mod tests {
     fn fenced_off_stale_writer_result_is_discarded() {
         let (root, store) = temp_store();
         let run = running_run(&store);
-        let zombie = run.shard_plane(Duration::from_secs(30));
+        let zombie = run.shard_plane();
         let epoch = zombie.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
         zombie
             .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
             .unwrap();
         assert!(zombie.try_claim(&epoch, 0).unwrap());
 
-        // The zombie's heartbeat lapses past the steward's bound, so the
-        // steward's claim takes the shard over at a higher fence.
-        let steward = run.shard_plane(Duration::from_millis(50));
-        std::thread::sleep(Duration::from_millis(80));
+        // The zombie's heartbeat lapses past the bound, so the steward's
+        // claim takes the shard over at a higher fence.
+        let claim_path = run.shards_dir().join(&epoch).join(claim_name(0));
+        age_file(&claim_path, Duration::from_secs(60));
+        let steward = run.shard_plane();
         assert!(steward.try_claim(&epoch, 0).unwrap());
 
         // The zombie wakes up and submits: discarded, not written.
@@ -895,14 +951,14 @@ mod tests {
     fn fenced_off_stale_worker_task_submit_reports_discard() {
         let (root, store) = temp_store();
         let run = running_run(&store);
-        let plane = run.shard_plane(Duration::from_secs(30));
+        let plane = run.shard_plane();
         let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
         plane
             .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
             .unwrap();
 
-        let mut tasks = store.open_shard_tasks().unwrap();
-        assert!(tasks[0].try_claim("worker-hung").unwrap());
+        let hung = store.shard_source();
+        let stale = hung.claim_next("worker-hung").unwrap().expect("claimable");
 
         // The hung worker's claim is broken, as a takeover breaks it, and a
         // rival claims the shard.
@@ -913,19 +969,22 @@ mod tests {
             .join(&epoch)
             .join(claim_name(0));
         fs::remove_file(&claim_path).unwrap();
-        let mut rival = tasks[0].clone();
-        assert!(rival.try_claim("worker-fresh").unwrap());
+        let rival = store.shard_source();
+        let fresh = rival
+            .claim_next("worker-fresh")
+            .unwrap()
+            .expect("claimable");
 
         // The hung worker finally finishes: its write is refused, and the
         // rival's claim file survives untouched.
-        assert!(!tasks[0]
-            .submit_outcome(&eval_outcome(vec![evaluation(-1.0)]))
+        assert!(!hung
+            .submit_claimed(&stale, &eval_outcome(vec![evaluation(-1.0)]))
             .unwrap());
         assert_eq!(plane.fetch_outcome(&epoch, 0).unwrap(), None);
         assert!(claim_path.is_file(), "successor's claim must survive");
 
         assert!(rival
-            .submit_outcome(&eval_outcome(vec![evaluation(0.5)]))
+            .submit_claimed(&fresh, &eval_outcome(vec![evaluation(0.5)]))
             .unwrap());
         assert_eq!(
             plane.fetch_outcome(&epoch, 0).unwrap(),
@@ -938,20 +997,21 @@ mod tests {
     fn claiming_a_closed_epoch_is_a_clean_miss() {
         let (root, store) = temp_store();
         let run = running_run(&store);
-        let plane = run.shard_plane(Duration::from_secs(30));
+        let plane = run.shard_plane();
         let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
         plane
             .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
             .unwrap();
-        let tasks = store.open_shard_tasks().unwrap();
-        assert_eq!(tasks.len(), 1);
+        let source = store.shard_source();
+        assert_eq!(source.open_shards().unwrap(), 1);
 
         // The submitter assembles and closes the epoch before the worker
-        // gets to the task: the claim must fail gracefully, not error.
+        // gets to the task: the claim must miss gracefully, not error.
         plane.close_epoch(&epoch).unwrap();
-        let mut tasks = tasks;
-        assert!(!tasks[0].try_claim("late-worker").unwrap());
-        assert_eq!(tasks[0].load_work().unwrap(), None);
+        let epoch_dir = run.shards_dir().join(&epoch);
+        assert_eq!(claim_shard(&epoch_dir, 0, "late-worker").unwrap(), None);
+        assert_eq!(source.claim_next("late-worker").unwrap(), None);
+        assert_eq!(source.open_shards().unwrap(), 0);
         let _ = fs::remove_dir_all(root);
     }
 
@@ -960,9 +1020,7 @@ mod tests {
         let (root, store) = temp_store();
         let run = running_run(&store);
         let recorder = Recorder::new();
-        let plane = run
-            .shard_plane(Duration::from_secs(30))
-            .with_recorder(recorder.clone());
+        let plane = run.shard_plane().with_recorder(recorder.clone());
         let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
         plane
             .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
@@ -999,10 +1057,7 @@ mod tests {
         assert!(recovered[0].detail.contains("dead-shard-worker"));
         // A live claim (ours) is never taken over: fresh heartbeat, live pid.
         assert!(!plane.try_claim(&epoch, 0).unwrap());
-        assert!(!run
-            .shard_plane(Duration::from_secs(30))
-            .try_claim(&epoch, 0)
-            .unwrap());
+        assert!(!run.shard_plane().try_claim(&epoch, 0).unwrap());
         let _ = fs::remove_dir_all(root);
     }
 
@@ -1010,7 +1065,7 @@ mod tests {
     fn foreign_host_claims_go_stale_by_heartbeat_age() {
         let (root, store) = temp_store();
         let run = running_run(&store);
-        let plane = run.shard_plane(Duration::from_millis(50));
+        let plane = run.shard_plane();
         let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
         plane
             .publish_work(&epoch, 0, &eval_work(&[vec![0.5]]))
@@ -1029,7 +1084,7 @@ mod tests {
         // Fresh heartbeat: the foreign worker is presumed alive.
         assert!(!plane.try_claim(&epoch, 0).unwrap());
         // Stale heartbeat: presumed dead, claim taken over.
-        std::thread::sleep(Duration::from_millis(80));
+        age_file(&claim_path, Duration::from_secs(60));
         assert!(plane.try_claim(&epoch, 0).unwrap());
         let _ = fs::remove_dir_all(root);
     }
@@ -1038,7 +1093,7 @@ mod tests {
     fn sweep_shards_clears_stale_epochs() {
         let (root, store) = temp_store();
         let run = running_run(&store);
-        let plane = run.shard_plane(Duration::from_secs(30));
+        let plane = run.shard_plane();
         for _ in 0..3 {
             let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
             plane
@@ -1056,7 +1111,7 @@ mod tests {
     fn typed_variation_work_roundtrips_over_the_plane() {
         let (root, store) = temp_store();
         let run = running_run(&store);
-        let plane = run.shard_plane(Duration::from_secs(30));
+        let plane = run.shard_plane();
 
         let epoch = plane.open_typed_epoch(ShardWorkKind::Variation, 1).unwrap();
         assert!(
@@ -1072,15 +1127,20 @@ mod tests {
         plane.publish_work(&epoch, 0, &work).unwrap();
 
         // The worker view sees the typed payload.
-        let tasks = store.open_shard_tasks().unwrap();
-        assert_eq!(tasks.len(), 1);
-        assert_eq!(tasks[0].work_kind(), ShardWorkKind::Variation);
-        assert_eq!(tasks[0].load_work().unwrap(), Some(work.clone()));
+        let source = store.shard_source();
+        assert_eq!(source.open_shards().unwrap(), 1);
+        let claimed = source
+            .claim_next("variation-worker")
+            .unwrap()
+            .expect("claimable");
+        assert_eq!(
+            ShardWorkKind::of_epoch(&claimed.epoch),
+            ShardWorkKind::Variation
+        );
+        assert_eq!(claimed.work, work);
         assert_eq!(work.kind(), ShardWorkKind::Variation);
 
-        // Claim, service, fetch: the opaque data payload survives verbatim.
-        let mut tasks = tasks;
-        assert!(tasks[0].try_claim("variation-worker").unwrap());
+        // Service, submit, fetch: the opaque data payload survives verbatim.
         let outcome = ShardOutcome::VariationBatch {
             points: vec![VariationOutcome {
                 data: Some(Value::Object(vec![(
@@ -1090,7 +1150,7 @@ mod tests {
                 elapsed_seconds: 0.125,
             }],
         };
-        assert!(tasks[0].submit_outcome(&outcome).unwrap());
+        assert!(source.submit_claimed(&claimed, &outcome).unwrap());
         assert_eq!(plane.fetch_outcome(&epoch, 0).unwrap(), Some(outcome));
 
         let summary = run.shard_summary().unwrap();
@@ -1107,7 +1167,7 @@ mod tests {
     fn eval_epochs_stay_untagged_and_uncounted_as_variation() {
         let (root, store) = temp_store();
         let run = running_run(&store);
-        let plane = run.shard_plane(Duration::from_secs(30));
+        let plane = run.shard_plane();
         let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 1).unwrap();
         assert!(epoch.starts_with("ep-"));
         plane
@@ -1116,8 +1176,9 @@ mod tests {
         let summary = run.shard_summary().unwrap();
         assert_eq!(summary.epochs, 1);
         assert_eq!(summary.variation_epochs, 0);
+        let claimed = store.shard_source().claim_next("worker").unwrap();
         assert_eq!(
-            store.open_shard_tasks().unwrap()[0].work_kind(),
+            ShardWorkKind::of_epoch(&claimed.expect("claimable").epoch),
             ShardWorkKind::Eval
         );
         let _ = fs::remove_dir_all(root);
@@ -1151,9 +1212,7 @@ mod tests {
         let (root, store) = temp_store();
         let run = running_run(&store);
         let recorder = Recorder::new();
-        let plane = run
-            .shard_plane(Duration::from_secs(30))
-            .with_recorder(recorder.clone());
+        let plane = run.shard_plane().with_recorder(recorder.clone());
         let epoch = plane.open_typed_epoch(ShardWorkKind::Eval, 2).unwrap();
         for shard in 0..2 {
             plane
@@ -1166,7 +1225,7 @@ mod tests {
         // event stream must say so, at the same count as the counter.
         let claim_path = run.shards_dir().join(&epoch).join(claim_name(0));
         fs::remove_file(&claim_path).unwrap();
-        let thief = run.shard_plane(Duration::from_secs(30));
+        let thief = run.shard_plane();
         assert!(thief.try_claim(&epoch, 0).unwrap());
         plane
             .submit_outcome(&epoch, 0, &eval_outcome(vec![evaluation(0.5)]))

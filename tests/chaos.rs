@@ -21,7 +21,7 @@
 use ayb_core::{
     AybError, FlowBuilder, FlowConfig, FlowResult, VariationBoundary, VariationHaltHook,
 };
-use ayb_moo::{CheckpointError, ShardTransport, ShardWork};
+use ayb_moo::{CheckpointError, ShardSource, ShardTransport, ShardWork};
 use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 use ayb_obs::{kind as event_kind, trace, JsonlSink, Recorder};
 use ayb_store::{RunHandle, RunStatus, ShardOutcome, ShardSummary, Store, VariationOutcome};

@@ -9,8 +9,8 @@
 use ayb_core::{analyse_variation_point, FlowBuilder, FlowConfig, FlowResult, OtaSizingProblem};
 use ayb_jobs::{JobEvent, JobReport, JobServer, JobServerConfig, ShutdownHandle};
 use ayb_moo::{
-    CheckpointError, OptimizerConfig, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind,
-    SizingProblem, VariationPointWork,
+    CheckpointError, OptimizerConfig, ShardOutcome, ShardSource, ShardTransport, ShardWork,
+    ShardWorkKind, SizingProblem, VariationPointWork,
 };
 use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 use ayb_obs::{kind, Event, EventSink};
@@ -478,7 +478,7 @@ fn a_shards_only_worker_services_every_shard_shape_on_disk() {
     let run = store
         .create_run(flow.ga.seed, &OptimizerConfig::Wbga(flow.ga), &flow)
         .expect("a Running run hosts the shards");
-    let plane = run.shard_plane(Duration::from_secs(60));
+    let plane = run.shard_plane();
     let shards = publish_every_shape(&plane, &flow);
 
     let server = JobServer::new(store.clone(), JobServerConfig::shards_only_with_workers(1));
@@ -518,7 +518,7 @@ fn a_retired_single_point_variation_task_is_declined_and_stays_claimable() {
     let run = store
         .create_run(flow.ga.seed, &OptimizerConfig::Wbga(flow.ga), &flow)
         .expect("a Running run hosts the shards");
-    let plane = run.shard_plane(Duration::from_secs(60));
+    let plane = run.shard_plane();
     let epoch = plane.open_typed_epoch(ShardWorkKind::Variation, 1).unwrap();
     let epoch_dir = run.dir().join("shards").join(&epoch);
     let task = format!(
@@ -552,8 +552,14 @@ fn a_retired_single_point_variation_task_is_declined_and_stays_claimable() {
         !epoch_dir.join("shard_0000.claim.json").exists(),
         "the declined claim was released"
     );
-    let offered = store.open_shard_tasks().unwrap();
-    assert_eq!(offered.len(), 1, "the task is offered again");
-    assert_eq!(offered[0].epoch(), epoch);
+    assert_eq!(
+        store.shard_source().open_shards().unwrap(),
+        1,
+        "the task is still open"
+    );
+    assert!(
+        plane.try_claim(&epoch, 0).unwrap(),
+        "the task stays claimable for its submitter"
+    );
     let _ = std::fs::remove_dir_all(root);
 }

@@ -247,7 +247,6 @@ proptest! {
             WithEvaluator,
         };
         use ayb_store::ShardDataPlane;
-        use std::time::Duration;
 
         let problem = FnProblem::new(
             2,
@@ -273,7 +272,7 @@ proptest! {
                 std::process::id(),
                 config.name()
             ));
-            let plane = ShardDataPlane::open(&dir, Duration::from_secs(30));
+            let plane = ShardDataPlane::open(&dir);
             let sharded_problem = WithEvaluator::new(
                 &problem,
                 ShardedEvaluator::new(std::sync::Arc::new(plane), shard_size),

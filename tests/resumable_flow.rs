@@ -512,3 +512,112 @@ fn resume_leaves_a_live_holders_claim_alone() {
     assert!(!run.has_result());
     let _ = std::fs::remove_dir_all(root);
 }
+
+/// Runs a reduced durable flow as `run_id`, blocks it inside its first
+/// variation-point boundary, applies `swap` to the run while it is blocked —
+/// what a successor that took the run over would leave behind — and lets the
+/// flow go on. Returns the flow's outcome and the number of `events.jsonl`
+/// lines written before the swap.
+fn run_with_a_swap_under_it(
+    store: &Store,
+    run_id: &str,
+    swap: impl FnOnce(&RunHandle),
+) -> (Result<FlowResult, AybError>, usize) {
+    let (blocked, wait_blocked) = std::sync::mpsc::channel::<()>();
+    let (resume, wait_resume) = std::sync::mpsc::channel::<()>();
+    let wait_resume = std::sync::Mutex::new(wait_resume);
+    let fired = std::sync::atomic::AtomicBool::new(false);
+    let hook: VariationHaltHook = Arc::new(move |boundary| {
+        if matches!(boundary, VariationBoundary::Claim { .. })
+            && !fired.swap(true, Ordering::SeqCst)
+        {
+            blocked.send(()).expect("the test waits for the block");
+            let _ = wait_resume.lock().unwrap().recv();
+        }
+        false // the flow goes on
+    });
+    std::thread::scope(|scope| {
+        let flow = scope.spawn(|| {
+            FlowBuilder::new(reduced_config())
+                .with_store(store)
+                .with_run_id(run_id)
+                .halt_variation_when(hook)
+                .run()
+        });
+        wait_blocked
+            .recv()
+            .expect("the flow reaches the variation stage");
+        let run = store.run(run_id).expect("the blocked run exists");
+        let logged = ayb_obs::read_events(&run.events_path())
+            .expect("events.jsonl is well-formed")
+            .len();
+        swap(&run);
+        resume.send(()).expect("the flow is blocked");
+        (flow.join().expect("the flow thread joins"), logged)
+    })
+}
+
+/// A flow whose claim a successor took over (its `claim.json` replaced by a
+/// claim at a higher fence) is fenced off at its next durable write, with
+/// `RunClaimed` naming that successor, and leaves the successor's run as it
+/// found it: no `run_failed` or `run_interrupted` line in its log, its
+/// claim in place, its status `Running`.
+#[test]
+fn a_fenced_off_run_writes_no_run_event_into_its_successors_log() {
+    let (root, store) = temp_store("fenced-events");
+    let mut successor = None;
+    let (outcome, logged) = run_with_a_swap_under_it(&store, "fenced", |run| {
+        let held = run.claim().unwrap().expect("the flow holds its claim");
+        let taker = ClaimInfo {
+            owner: "successor".to_string(),
+            ..held.clone()
+        }
+        .with_fence(held.fence + 1);
+        let text = serde_json::to_string(&taker).expect("claim serializes");
+        std::fs::write(run.dir().join("claim.json"), text).unwrap();
+        successor = Some(taker);
+    });
+    match outcome {
+        Err(AybError::Store(StoreError::RunClaimed { owner, .. })) => {
+            assert_eq!(owner, "successor")
+        }
+        Err(other) => panic!("expected RunClaimed, got {other}"),
+        Ok(_) => panic!("expected RunClaimed, the fenced-off flow completed"),
+    }
+    let run = store.run("fenced").unwrap();
+    let events = ayb_obs::read_events(&run.events_path()).expect("events.jsonl is well-formed");
+    let after: Vec<&str> = events[logged..]
+        .iter()
+        .map(|event| event.kind.as_str())
+        .collect();
+    assert!(
+        !after
+            .iter()
+            .any(|kind| *kind == ayb_obs::kind::RUN_FAILED
+                || *kind == ayb_obs::kind::RUN_INTERRUPTED),
+        "the fenced-off flow logged a run event into its successor's log: {after:?}"
+    );
+    assert_eq!(run.claim().unwrap(), successor);
+    assert_eq!(run.status().unwrap(), RunStatus::Running);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// A flow whose successor completed the run and released its claim while
+/// the flow was blocked fails at its next durable write with
+/// `AlreadyCompleted`, not with a claim by a holder that no longer exists.
+#[test]
+fn a_run_completed_under_a_fenced_off_flow_reports_already_completed() {
+    let (root, store) = temp_store("fenced-completed");
+    let (outcome, _) = run_with_a_swap_under_it(&store, "completed", |run| {
+        std::fs::remove_file(run.dir().join("claim.json")).unwrap();
+        run.save_result(&"the successor's result").unwrap();
+    });
+    match outcome {
+        Err(AybError::Store(StoreError::AlreadyCompleted(id))) => assert_eq!(id, "completed"),
+        Err(other) => panic!("expected AlreadyCompleted, got {other}"),
+        Ok(_) => panic!("expected AlreadyCompleted, the fenced-off flow completed"),
+    }
+    let run = store.run("completed").unwrap();
+    assert_eq!(run.claim().unwrap(), None, "the flow claimed nothing back");
+    let _ = std::fs::remove_dir_all(root);
+}

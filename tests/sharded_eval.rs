@@ -14,13 +14,14 @@ use ayb_core::{
 };
 use ayb_jobs::{JobServer, JobServerConfig};
 use ayb_moo::{
-    CheckpointError, Evaluation, ShardOutcome, ShardTransport, ShardWork, ShardWorkKind,
-    SHARD_CLAIM_STALE_AFTER,
+    CheckpointError, Evaluation, OptimizerConfig, ShardOutcome, ShardSource, ShardTransport,
+    ShardWork, ShardWorkKind, CLAIM_STALE_AFTER,
 };
 use ayb_net::{Coordinator, CoordinatorConfig, TcpTransport};
 use ayb_obs::{kind as event_kind, Recorder};
 use ayb_store::{RunStatus, ShardDataPlane, ShardSummary, Store};
-use std::path::PathBuf;
+use serde::Serialize;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -474,9 +475,12 @@ enum Step {
 /// outcome of shard 0 names, and the plane's `shard_recover` count so far.
 type Seen = (bool, u64, Option<Who>, usize);
 
-/// A named script, the stale bound it runs with, and what the claim rule
-/// says each step shows.
+/// A named script, the coordinator's stale bound it runs with, and what the
+/// claim rule says each step shows.
 type Script = (&'static str, Duration, Vec<(Step, Seen)>);
+
+/// Makes shard 0's claim of an epoch stale, by the plane's own means.
+type GoStale = Box<dyn Fn(&str)>;
 
 /// One shard plane with the two clients of a script.
 struct RulePlane {
@@ -487,19 +491,48 @@ struct RulePlane {
     claims: Recorder,
     /// Where the plane reports `shard_recover`.
     takeovers: Recorder,
+    go_stale: GoStale,
     _coordinator: Option<Coordinator>,
 }
 
-fn disk_rule_plane(dir: &std::path::Path, stale_after: Duration) -> RulePlane {
+/// Back-dates the modification time of the file at `path` by `age`: a
+/// claim heartbeat that lapsed `age` ago.
+fn age_file(path: &Path, age: Duration) {
+    std::fs::File::options()
+        .append(true)
+        .open(path)
+        .expect("the claim file exists")
+        .set_modified(std::time::SystemTime::now() - age)
+        .expect("the claim file's mtime is settable");
+}
+
+/// A disk claim goes stale by its heartbeat lapsing past the 30 s bound:
+/// its claim file is back-dated a minute.
+fn disk_go_stale(shards: &Path) -> GoStale {
+    let shards = shards.to_path_buf();
+    Box::new(move |epoch| {
+        let claim = shards.join(epoch).join("shard_0000.claim.json");
+        age_file(&claim, Duration::from_secs(60));
+    })
+}
+
+/// A coordinator's claim goes stale by the script sleeping past its bound
+/// without a heartbeat.
+fn tcp_go_stale(stale_after: Duration) -> GoStale {
+    Box::new(move |_| std::thread::sleep(stale_after + Duration::from_millis(30)))
+}
+
+fn disk_rule_plane(dir: &Path) -> RulePlane {
     let recorder = Recorder::new();
     let client = || -> Box<dyn ShardTransport> {
-        Box::new(ShardDataPlane::open(dir, stale_after).with_recorder(recorder.clone()))
+        Box::new(ShardDataPlane::open(dir).with_recorder(recorder.clone()))
     };
     RulePlane {
         name: "disk",
         clients: [client(), client()],
         claims: recorder.clone(),
         takeovers: recorder.clone(),
+        go_stale: disk_go_stale(dir),
         _coordinator: None,
     }
 }
@@ -517,6 +550,7 @@ fn tcp_rule_plane(stale_after: Duration) -> RulePlane {
         clients: [client(), client()],
         claims: recorder.clone(),
         takeovers: coordinator.recorder().clone(),
+        go_stale: tcp_go_stale(stale_after),
         _coordinator: Some(coordinator),
     }
 }
@@ -533,7 +567,7 @@ fn outcome_of(who: Who) -> ShardOutcome {
 
 /// Runs `script` on a fresh two-shard epoch of `plane` (shard 0 published,
 /// shard 1 not) and returns what each step showed.
-fn run_claim_script(plane: &RulePlane, script: &[Step], stale_after: Duration) -> Vec<Seen> {
+fn run_claim_script(plane: &RulePlane, script: &[Step]) -> Vec<Seen> {
     let client = |who: Who| &plane.clients[who as usize];
     let count = |recorder: &Recorder, kind: &str| {
         let events = recorder.recent();
@@ -568,7 +602,7 @@ fn run_claim_script(plane: &RulePlane, script: &[Step], stale_after: Duration) -
                     (client(who).stats().fenced_rejections == fenced, 0)
                 }
                 Step::GoStale => {
-                    std::thread::sleep(stale_after + Duration::from_millis(30));
+                    (plane.go_stale)(&epoch);
                     (true, 0)
                 }
             };
@@ -591,9 +625,10 @@ fn run_claim_script(plane: &RulePlane, script: &[Step], stale_after: Duration) -
 /// The claim rule of `ShardTransport`, scripted step by step on the disk
 /// plane and on a live coordinator over TCP: both must show the same grant,
 /// token, acceptance, fetched outcome and `shard_recover` count at every
-/// step. A holder goes stale by sleeping past a 50 ms bound; the script
-/// whose holder must stay live uses the flow's bound, so a slow host cannot
-/// turn it stale mid-script.
+/// step. A holder goes stale on disk by a back-dated claim file, over TCP by
+/// sleeping past a 50 ms coordinator bound; the script whose holder must
+/// stay live uses the rule's bound, so a slow host cannot turn it stale
+/// mid-script.
 #[test]
 fn both_shard_planes_follow_one_claim_rule() {
     use Step::{Claim, GoStale, Submit};
@@ -603,7 +638,7 @@ fn both_shard_planes_follow_one_claim_rule() {
     let scripts: [Script; 4] = [
         (
             "refused claims mint nothing; a finished shard is not claimable",
-            SHARD_CLAIM_STALE_AFTER,
+            CLAIM_STALE_AFTER,
             vec![
                 (Claim(A, 0), (true, 1, None, 0)),
                 (Claim(B, 0), refused),
@@ -645,11 +680,8 @@ fn both_shard_planes_follow_one_claim_rule() {
         let steps: Vec<Step> = rows.iter().map(|(step, _)| *step).collect();
         let expected: Vec<Seen> = rows.iter().map(|(_, seen)| *seen).collect();
         let dir = root.join(format!("script-{index}"));
-        for plane in [
-            disk_rule_plane(&dir, *stale_after),
-            tcp_rule_plane(*stale_after),
-        ] {
-            let seen = run_claim_script(&plane, &steps, *stale_after);
+        for plane in [disk_rule_plane(&dir), tcp_rule_plane(*stale_after)] {
+            let seen = run_claim_script(&plane, &steps);
             for ((step, want), got) in steps.iter().zip(&expected).zip(&seen) {
                 if want != got {
                     mismatches.push(format!(
@@ -657,6 +689,172 @@ fn both_shard_planes_follow_one_claim_rule() {
                         plane.name
                     ));
                 }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(root);
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// One step of the worker script: a worker claims the next shard or submits
+/// its claim's outcome, or the holder's claim goes stale.
+#[derive(Debug, Clone, Copy)]
+enum WorkerStep {
+    ClaimNext(Who),
+    Submit(Who),
+    GoStale,
+}
+
+/// What a worker plane showed after one step: the claim granted or the
+/// submit accepted, the granted claim's token (0 otherwise), whether the
+/// claim carried the published work and its submitter's context, the
+/// plane's `shard_recover` count so far, and its open shard count.
+type WorkerSeen = (bool, u64, bool, usize, usize);
+
+/// One shard plane's worker side: two workers, and the submitter that
+/// publishes the work they claim.
+struct WorkerPlane {
+    name: &'static str,
+    workers: [Box<dyn ShardSource>; 2],
+    submitter: Box<dyn ShardTransport>,
+    /// The context every claimed shard must carry.
+    context: serde::Value,
+    /// Where the plane reports `shard_recover`.
+    takeovers: Recorder,
+    go_stale: GoStale,
+    _coordinator: Option<Coordinator>,
+}
+
+/// The store's disk plane: a `Running` run publishes through its run's
+/// plane, and two store-wide sources claim from it.
+fn disk_worker_plane(store: &Store) -> WorkerPlane {
+    let flow = small_config();
+    let run = store
+        .create_run(1, &OptimizerConfig::Wbga(flow.ga), &flow)
+        .expect("a Running run hosts the shards");
+    let recorder = Recorder::new();
+    let worker = || -> Box<dyn ShardSource> {
+        Box::new(store.shard_source().with_recorder(recorder.clone()))
+    };
+    WorkerPlane {
+        name: "disk",
+        workers: [worker(), worker()],
+        submitter: Box::new(run.shard_plane()),
+        context: flow.to_value(),
+        takeovers: recorder.clone(),
+        go_stale: disk_go_stale(&run.dir().join("shards")),
+        _coordinator: None,
+    }
+}
+
+/// A live coordinator: the submitter announces the flow as its run's
+/// context, and two transports claim from it.
+fn tcp_worker_plane(stale_after: Duration) -> WorkerPlane {
+    let coordinator = Coordinator::bind("127.0.0.1:0", CoordinatorConfig { stale_after })
+        .expect("coordinator binds an ephemeral port");
+    let transport = || TcpTransport::from_url(&coordinator.url()).expect("coordinator URL");
+    let context = small_config().to_value();
+    WorkerPlane {
+        name: "tcp",
+        workers: [Box::new(transport()), Box::new(transport())],
+        submitter: Box::new(transport().with_run_context("worker-script", context.clone())),
+        context,
+        takeovers: coordinator.recorder().clone(),
+        go_stale: tcp_go_stale(stale_after),
+        _coordinator: Some(coordinator),
+    }
+}
+
+/// Runs `script` on a fresh one-shard epoch of `plane`'s submitter and
+/// returns what each step showed.
+fn run_worker_script(plane: &WorkerPlane, script: &[WorkerStep]) -> Vec<WorkerSeen> {
+    let epoch = plane
+        .submitter
+        .open_typed_epoch(ShardWorkKind::Eval, 1)
+        .unwrap();
+    let work = ShardWork::Eval {
+        parameters: vec![vec![0.5]],
+    };
+    plane.submitter.publish_work(&epoch, 0, &work).unwrap();
+    let mut held = [None, None];
+    let seen = script
+        .iter()
+        .map(|&step| {
+            let (ok, token, carried) = match step {
+                WorkerStep::ClaimNext(who) => {
+                    match plane.workers[who as usize].claim_next("worker").unwrap() {
+                        Some(claimed) => {
+                            let carried = claimed.epoch == epoch
+                                && claimed.work == work
+                                && claimed.context.as_ref() == Some(&plane.context);
+                            let token = claimed.token;
+                            held[who as usize] = Some(claimed);
+                            (true, token, carried)
+                        }
+                        None => (false, 0, false),
+                    }
+                }
+                WorkerStep::Submit(who) => {
+                    let claimed = held[who as usize]
+                        .as_ref()
+                        .expect("the worker holds a claim");
+                    let accepted = plane.workers[who as usize]
+                        .submit_claimed(claimed, &outcome_of(who))
+                        .unwrap();
+                    (accepted, 0, false)
+                }
+                WorkerStep::GoStale => {
+                    (plane.go_stale)(&epoch);
+                    (true, 0, false)
+                }
+            };
+            let recovered = plane.takeovers.recent();
+            let recovered = recovered
+                .iter()
+                .filter(|event| event.kind == event_kind::SHARD_RECOVER)
+                .count();
+            let open = plane.workers[0].open_shards().unwrap();
+            (ok, token, carried, recovered, open)
+        })
+        .collect();
+    plane.submitter.close_epoch(&epoch).unwrap();
+    seen
+}
+
+/// The worker side of both shard planes, `ShardSource`, scripted step by
+/// step on the store's disk plane and on a live coordinator over TCP: a
+/// claim carries the published work and its submitter's context, a live
+/// claim refuses the next worker and mints nothing, a stale one is taken
+/// over at the next token and reported once, the first holder's submit is
+/// fenced off and the second's accepted, and a claimed shard counts as open
+/// until its outcome lands. The holder goes stale on disk by a back-dated
+/// claim file, over TCP by sleeping past a 1 s coordinator bound.
+#[test]
+fn both_shard_planes_serve_one_worker_script() {
+    use Who::{A, B};
+    use WorkerStep::{ClaimNext, GoStale, Submit};
+    let rows: [(WorkerStep, WorkerSeen); 6] = [
+        (ClaimNext(A), (true, 1, true, 0, 1)),
+        (ClaimNext(B), (false, 0, false, 0, 1)),
+        (GoStale, (true, 0, false, 0, 1)),
+        (ClaimNext(B), (true, 2, true, 1, 1)),
+        (Submit(A), (false, 0, false, 1, 1)),
+        (Submit(B), (true, 0, false, 1, 0)),
+    ];
+    let steps: Vec<WorkerStep> = rows.iter().map(|(step, _)| *step).collect();
+    let (root, store) = temp_store("worker-script");
+    let mut mismatches = Vec::new();
+    for plane in [
+        disk_worker_plane(&store),
+        tcp_worker_plane(Duration::from_secs(1)),
+    ] {
+        let seen = run_worker_script(&plane, &steps);
+        for ((step, want), got) in rows.iter().zip(&seen) {
+            if want != got {
+                mismatches.push(format!(
+                    "{} plane: {step:?} showed {got:?}, the script says {want:?}",
+                    plane.name
+                ));
             }
         }
     }
